@@ -353,18 +353,7 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
     let n = args.usize_or("n", 32)?;
     let params = machine(args)?;
     let name = args.get("name").unwrap_or("euler2k");
-    let pattern = match name {
-        "cg" => cm5_workloads::cg_pattern(n),
-        "euler545" => cm5_workloads::euler_pattern(545, n),
-        "euler2k" => cm5_workloads::euler_pattern(2048, n),
-        "euler3k" => cm5_workloads::euler_pattern(3072, n),
-        "euler9k" => cm5_workloads::euler_pattern(9216, n),
-        other => {
-            return Err(format!(
-                "unknown --name '{other}' (cg|euler545|euler2k|euler3k|euler9k)"
-            ))
-        }
-    };
+    let pattern = named_workload(name, n)?;
     println!(
         "workload {name}: {n} nodes, density {:.0}%, avg msg {:.0} B",
         pattern.density() * 100.0,
@@ -382,6 +371,16 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// The `--name`d Table 12 pattern on `n` nodes.
+fn named_workload(name: &str, n: usize) -> Result<Pattern, String> {
+    cm5_workloads::named_pattern(name, n).map_err(|_| {
+        format!(
+            "unknown --name '{name}' ({})",
+            cm5_workloads::workload_names()
+        )
+    })
 }
 
 /// `cm5 advise` — price the candidates without simulating anything.
@@ -408,16 +407,7 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
         },
         "irregular" => {
             let pattern = match args.get("name") {
-                Some("cg") => cm5_workloads::cg_pattern(n),
-                Some("euler545") => cm5_workloads::euler_pattern(545, n),
-                Some("euler2k") => cm5_workloads::euler_pattern(2048, n),
-                Some("euler3k") => cm5_workloads::euler_pattern(3072, n),
-                Some("euler9k") => cm5_workloads::euler_pattern(9216, n),
-                Some(other) => {
-                    return Err(format!(
-                        "unknown --name '{other}' (cg|euler545|euler2k|euler3k|euler9k)"
-                    ))
-                }
+                Some(name) => named_workload(name, n)?,
                 None => irregular_pattern(args, n)?,
             };
             if !json {

@@ -7,8 +7,6 @@
 //! substituted by Delaunay triangulations of seeded point sets of the same
 //! sizes; see DESIGN.md §2.
 
-use std::collections::HashMap;
-
 use crate::point::{in_circumcircle, orient2d, Point};
 
 const NONE: u32 = u32::MAX;
@@ -110,11 +108,18 @@ pub fn delaunay(points: &[Point]) -> Triangulation {
         alive: true,
     }];
     let mut last = 0u32;
-    // Scratch buffers reused across insertions.
+    // Scratch buffers reused across insertions. `in_cavity` is indexed by
+    // triangle and grows with `tris`; only the current cavity's entries
+    // are ever set, and they are cleared again after each insertion, so
+    // an insertion costs O(cavity), not O(triangles created so far).
     let mut cavity: Vec<u32> = Vec::new();
-    let mut in_cavity: Vec<bool> = Vec::new();
+    let mut in_cavity: Vec<bool> = vec![false];
     let mut stack: Vec<u32> = Vec::new();
-    let mut boundary: Vec<(u32, u32, u32)> = Vec::new(); // (a, b, outer)
+    // Cavity boundary edges: (a, b, outer triangle).
+    let mut boundary: Vec<(u32, u32, u32)> = Vec::new();
+    // Unmatched spokes (p, v) of the star being built: (v, triangle, slot).
+    // A star has ~6 spokes, so a linear scan beats hashing.
+    let mut spokes: Vec<(u32, u32, usize)> = Vec::new();
 
     for pi in 0..n as u32 {
         let p = pts[pi as usize];
@@ -123,8 +128,6 @@ pub fn delaunay(points: &[Point]) -> Triangulation {
         // contains p.
         cavity.clear();
         boundary.clear();
-        in_cavity.clear();
-        in_cavity.resize(tris.len(), false);
         stack.clear();
         stack.push(start);
         in_cavity[start as usize] = true;
@@ -160,9 +163,10 @@ pub fn delaunay(points: &[Point]) -> Triangulation {
         }
         for &t in &cavity {
             tris[t as usize].alive = false;
+            in_cavity[t as usize] = false;
         }
         // Retriangulate the star: one new triangle per boundary edge.
-        let mut spoke: HashMap<(u32, u32), (u32, usize)> = HashMap::new();
+        spokes.clear();
         let mut first_new = NONE;
         for &(a, b, outer) in &boundary {
             let idx = tris.len() as u32;
@@ -188,14 +192,14 @@ pub fn delaunay(points: &[Point]) -> Triangulation {
                 }
             }
             // Link spokes: edge (p,a) is opposite b (slot 2); edge (b,p) is
-            // opposite a (slot 1).
-            for (key, slot) in [((pi, a), 2usize), ((b, pi), 1usize)] {
-                let ukey = (key.0.min(key.1), key.0.max(key.1));
-                if let Some(&(other, oslot)) = spoke.get(&ukey) {
+            // opposite a (slot 1). Every spoke has p at one end, so the far
+            // vertex names it.
+            for (v, slot) in [(a, 2usize), (b, 1usize)] {
+                if let Some(&(_, other, oslot)) = spokes.iter().find(|s| s.0 == v) {
                     tris[idx as usize].n[slot] = other;
                     tris[other as usize].n[oslot] = idx;
                 } else {
-                    spoke.insert(ukey, (idx, slot));
+                    spokes.push((v, idx, slot));
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Service telemetry: per-query request spans and the flight recorder.
 //!
 //! `cm5-serve` threads a [`QueryCtx`] through each request's lifecycle —
-//! parse → advise → verify → simulate → render — and closes it into a
-//! [`QuerySpan`]. Two exports consume the spans:
+//! parse → workload → advise → verify → simulate → render — and closes it
+//! into a [`QuerySpan`]. Two exports consume the spans:
 //!
 //! * [`spans_json`] — the canonical span-tree document
 //!   (`cm5-serve-spans/1`): queries in arrival (seq) order with phase names
@@ -33,6 +33,9 @@ use crate::schema::schema_field;
 pub enum PhaseKind {
     /// Decoding the request line into a typed `Request`.
     Parse,
+    /// Looking up (and on a miss, building) a named workload's pattern;
+    /// the detail is the workload name.
+    Workload,
     /// An advisor recommendation (one per advised workload; tenant queries
     /// record one per tenant).
     Advise,
@@ -49,6 +52,7 @@ impl PhaseKind {
     pub fn name(self) -> &'static str {
         match self {
             PhaseKind::Parse => "parse",
+            PhaseKind::Workload => "workload",
             PhaseKind::Advise => "advise",
             PhaseKind::Verify => "verify",
             PhaseKind::Simulate => "simulate",

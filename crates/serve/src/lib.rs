@@ -12,7 +12,8 @@
 //! * **Service core** ([`service`]): classify with `PatternStats`, answer
 //!   via the sharded-cache [`cm5_model::Advisor`], verify the picked
 //!   schedule through a sharded memo that amortizes `cm5-verify` runs
-//!   across the queue, and simulate on request (bounded per-request work).
+//!   across the queue, build each named workload pattern once per service,
+//!   and simulate on request (bounded per-request work).
 //! * **Multi-tenancy**: `tenants` queries admit concurrent partition
 //!   simulations on one shared fat tree via [`cm5_sim::tenant`] — the
 //!   root-bandwidth-contention regime the paper's dedicated machine never
@@ -38,9 +39,12 @@ pub mod response;
 pub mod service;
 pub mod tcp;
 
+/// The named-workload table lives in `cm5-workloads`; re-exported for
+/// callers that build the patterns a `workload` query answers.
+pub use cm5_workloads::named_pattern;
 pub use json::Json;
 pub use pool::{replay, resolve_jobs, ReplayResult};
 pub use request::{Query, Request, TenantQuery, MAX_NODES};
 pub use response::{recommendation_json, stats_json, tenants_json};
-pub use service::{named_pattern, Service, ServiceConfig, SIM_MAX_NODES};
+pub use service::{Service, ServiceConfig, SIM_MAX_NODES};
 pub use tcp::{spawn_tcp, TcpHandle};

@@ -11,6 +11,9 @@
 //! * a sharded verification memo that amortizes `cm5-verify` runs across
 //!   the queue the same way (the first request with a given schedule pays,
 //!   duplicates hit the memo);
+//! * a single-flight memo of named workload patterns per `(name, n)`: the
+//!   first request builds the pattern once, concurrent and later duplicates
+//!   share it;
 //! * counters that are order-independent sums ([`AtomicU64`]), and cache
 //!   *hit* counts derived as `queries − distinct entries` instead of being
 //!   counted per-request (a per-request hit/miss flag would depend on
@@ -27,7 +30,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use cm5_core::prelude::*;
@@ -36,6 +39,7 @@ use cm5_obs::{schema_field, FlightRecorder, Histogram, Metrics, PhaseKind, Query
 use cm5_sim::tenant::{run_tenants_jobs, Placement, TenantSpec};
 use cm5_sim::{FatTree, MachineParams, OpProgram, SimReport, Simulation};
 use cm5_verify::{exchange_policy, irregular_policy, verify_programs, verify_schedule, Severity};
+use cm5_workloads::named_builder;
 
 use crate::json::Json;
 use crate::request::{Query, Request, TenantQuery};
@@ -43,6 +47,7 @@ use crate::response::{error_line, recommendation_json, response_base, stats_json
 
 /// Per-request simulation ceiling. Advising scales to [`crate::request::MAX_NODES`];
 /// *simulating* is O(n²) messages for an exchange, so a service bounds it.
+/// It also caps which workload patterns the service memoizes.
 pub const SIM_MAX_NODES: usize = 1024;
 
 /// Service configuration.
@@ -109,8 +114,13 @@ struct Counters {
     q_workload: AtomicU64,
     q_tenants: AtomicU64,
     verify_requests: AtomicU64,
+    workload_memo_lookups: AtomicU64,
     simulations: AtomicU64,
 }
+
+/// Named-workload patterns keyed by `(name, n)`, each behind its own
+/// `OnceLock` so concurrent requests for one key build it exactly once.
+type WorkloadMemo = Mutex<HashMap<(String, usize), Arc<OnceLock<Arc<Pattern>>>>>;
 
 /// Host-side stage timings: real, nondeterministic, never part of the
 /// deterministic metrics document.
@@ -143,6 +153,7 @@ pub struct Service {
     trace_ring: Option<usize>,
     advisor: Advisor,
     verify_memo: Vec<Mutex<HashMap<u64, VerifySummary>>>,
+    workload_memo: WorkloadMemo,
     counters: Counters,
     predicted_ns: Mutex<Histogram>,
     sim_makespan_ns: Mutex<Histogram>,
@@ -176,6 +187,7 @@ impl Service {
             trace_ring: config.trace_ring,
             advisor: Advisor::with_shards(shards),
             verify_memo: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            workload_memo: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             predicted_ns: Mutex::new(Histogram::default()),
             sim_makespan_ns: Mutex::new(Histogram::default()),
@@ -262,7 +274,7 @@ impl Service {
                 PhaseKind::Advise => Some(&self.timing.advise_ns),
                 PhaseKind::Verify => Some(&self.timing.verify_ns),
                 PhaseKind::Simulate => Some(&self.timing.simulate_ns),
-                PhaseKind::Parse | PhaseKind::Render => None,
+                PhaseKind::Parse | PhaseKind::Workload | PhaseKind::Render => None,
             };
             if let Some(f) = field {
                 f.lock().expect("timing poisoned").record(p.dur_ns);
@@ -354,7 +366,7 @@ impl Service {
             }
             Query::Workload { name, n } => {
                 self.counters.q_workload.fetch_add(1, Ordering::Relaxed);
-                let pattern = named_pattern(name, *n)?;
+                let pattern = self.workload(ctx, name, *n)?;
                 self.answer_pattern(ctx, req, &pattern, &mut fields)?;
             }
             Query::Tenants {
@@ -406,6 +418,48 @@ impl Service {
         }
         fields.push(("recommendation".into(), recommendation_json(&rec)));
         Ok(())
+    }
+
+    /// The named workload's pattern, from the memo or built into it. The
+    /// workload phase covers the lookup on hits and misses alike, so the
+    /// span shape does not depend on which racing request built the entry.
+    fn workload(&self, ctx: &mut QueryCtx, name: &str, n: usize) -> Result<Arc<Pattern>, String> {
+        let t = ctx.start();
+        let pattern = named_builder(name).map(|build| {
+            // Patterns past the simulation ceiling are answered but not
+            // kept: that bounds the memo to 5 names × 10 sizes, each a
+            // dense n×n `u64` matrix of at most 8 MB.
+            if n > SIM_MAX_NODES {
+                Arc::new(build(n))
+            } else {
+                self.memoized_workload(name, n, || build(n))
+            }
+        });
+        ctx.phase(PhaseKind::Workload, name, t);
+        pattern
+    }
+
+    /// Single-flight memo lookup: the first request for `(name, n)` runs
+    /// `build`; concurrent requests for the same key wait for it, and
+    /// later ones hit.
+    fn memoized_workload(
+        &self,
+        name: &str,
+        n: usize,
+        build: impl FnOnce() -> Pattern,
+    ) -> Arc<Pattern> {
+        self.counters
+            .workload_memo_lookups
+            .fetch_add(1, Ordering::Relaxed);
+        let cell = Arc::clone(
+            self.workload_memo
+                .lock()
+                .expect("memo poisoned")
+                .entry((name.to_string(), n))
+                .or_default(),
+        );
+        // Build outside the map lock; only requests for this key wait.
+        Arc::clone(cell.get_or_init(|| Arc::new(build())))
     }
 
     /// Advise one workload, recording the predicted time and an advise
@@ -664,6 +718,18 @@ impl Service {
         m.counters.insert("verify_memo_entries", memo_entries);
         m.counters
             .insert("verify_memo_hits", vreq.saturating_sub(memo_entries));
+        let workload_entries = self
+            .workload_memo
+            .lock()
+            .expect("memo poisoned")
+            .values()
+            .filter(|cell| cell.get().is_some())
+            .count() as u64;
+        m.counters.insert("workload_memo_entries", workload_entries);
+        m.counters.insert(
+            "workload_memo_hits",
+            get(&c.workload_memo_lookups).saturating_sub(workload_entries),
+        );
         m.gauges.insert("shards", self.shard_count() as f64);
 
         m.histograms.insert(
@@ -816,22 +882,6 @@ fn sim_json(report: &SimReport) -> Json {
     ])
 }
 
-/// The named real-application patterns `cm5 advise --name` accepts.
-pub fn named_pattern(name: &str, n: usize) -> Result<Pattern, String> {
-    Ok(match name {
-        "cg" => cm5_workloads::cg_pattern(n),
-        "euler545" => cm5_workloads::euler_pattern(545, n),
-        "euler2k" => cm5_workloads::euler_pattern(2048, n),
-        "euler3k" => cm5_workloads::euler_pattern(3072, n),
-        "euler9k" => cm5_workloads::euler_pattern(9216, n),
-        other => {
-            return Err(format!(
-                "unknown workload '{other}' (cg|euler545|euler2k|euler3k|euler9k)"
-            ))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,6 +967,82 @@ mod tests {
         let out = s.handle_line(r#"{"id":6,"query":{"kind":"workload","name":"euler545","n":8}}"#);
         let doc = Json::parse(&out).unwrap();
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "{out}");
+    }
+
+    const EULER_LINE: &str = r#"{"id":7,"query":{"kind":"workload","name":"euler545","n":8}}"#;
+
+    #[test]
+    fn repeated_workloads_hit_the_memo() {
+        let s = service();
+        assert_eq!(s.handle_line(EULER_LINE), s.handle_line(EULER_LINE));
+        let m = s.metrics();
+        assert_eq!(
+            (
+                m.counters["workload_memo_entries"],
+                m.counters["workload_memo_hits"]
+            ),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn concurrent_workload_requests_build_once() {
+        let s = service();
+        let (arrived, builds) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    s.memoized_workload("euler545", 8, || {
+                        builds.fetch_add(1, Ordering::SeqCst);
+                        // Hold the build open until every thread has asked
+                        // for the key, so a memo without single flight
+                        // would start one build per thread.
+                        while arrived.load(Ordering::SeqCst) < 4 {
+                            std::thread::yield_now();
+                        }
+                        cm5_workloads::euler_pattern(545, 8)
+                    })
+                });
+            }
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn unknown_workloads_are_errors_and_not_memoized() {
+        let s = service();
+        let out = s.handle_line(r#"{"id":1,"query":{"kind":"workload","name":"nope","n":8}}"#);
+        assert!(out.contains("\"ok\":false"), "{out}");
+        assert_eq!(s.metrics().counters["workload_memo_entries"], 0);
+    }
+
+    #[test]
+    fn workloads_past_the_simulation_cap_are_answered_but_not_memoized() {
+        let s = service();
+        let out = s.handle_line(r#"{"id":1,"query":{"kind":"workload","name":"cg","n":2048}}"#);
+        assert!(out.contains("\"ok\":true"), "{out}");
+        assert_eq!(s.metrics().counters["workload_memo_entries"], 0);
+    }
+
+    #[test]
+    fn workload_queries_span_a_workload_phase() {
+        let s = service();
+        let (_, span) = s.handle_line_spanned(0, EULER_LINE);
+        let phases: Vec<(&str, &str)> = span
+            .phases
+            .iter()
+            .map(|p| (p.kind.name(), p.detail.as_str()))
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                ("parse", ""),
+                ("workload", "euler545"),
+                ("advise", phases[2].1),
+                ("render", "")
+            ]
+        );
     }
 
     #[test]

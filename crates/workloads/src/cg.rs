@@ -36,23 +36,32 @@ pub struct CgProblem {
     pub pattern: Pattern,
 }
 
-/// Build the paper's CG workload: a 128×128 jittered-grid mesh (16,384
-/// vertices), column-strip partitioned across `parts` nodes. Deterministic.
-pub fn cg_problem(parts: usize) -> CgProblem {
-    let nx = 128usize;
-    let ny = 128usize;
-    let pts = jittered_grid(nx, ny, 0.3, 0xC64AD);
-    let mesh = cm5_mesh::delaunay(&pts);
-    // Clean column strips: vertex v sits at grid column v % nx.
-    let assignment: Vec<usize> = (0..pts.len())
+/// The CG mesh's edges, its column-strip assignment over `parts` nodes,
+/// and the resulting halo: everything both the full problem and the bare
+/// pattern need.
+fn cg_partition(parts: usize) -> (Vec<(usize, usize)>, Vec<usize>, Halo) {
+    let mesh = cg_mesh();
+    // `cg_mesh` is a square jittered grid in row-major order, so vertex v
+    // sits at grid column v % nx; cut clean column strips.
+    let nx = (CG_MESH_SIZE as f64).sqrt().ceil() as usize;
+    let assignment: Vec<usize> = (0..mesh.num_points())
         .map(|v| ((v % nx) * parts / nx).min(parts - 1))
         .collect();
     let edges = mesh.edges();
     let halo = Halo::build(parts, &assignment, &edges);
+    (edges, assignment, halo)
+}
+
+/// Build the paper's CG workload: a 128×128 jittered-grid mesh (16,384
+/// vertices, [`cg_mesh`]), column-strip partitioned across `parts` nodes.
+/// Deterministic.
+pub fn cg_problem(parts: usize) -> CgProblem {
+    let (edges, assignment, halo) = cg_partition(parts);
+    let vertices = assignment.len();
     let pattern = halo.pattern(CG_BYTES_PER_VALUE);
-    let matrix = Csr::laplacian(pts.len(), &edges, 1.0);
+    let matrix = Csr::laplacian(vertices, &edges, 1.0);
     // Deterministic, structured RHS.
-    let rhs: Vec<f64> = (0..pts.len())
+    let rhs: Vec<f64> = (0..vertices)
         .map(|v| ((v % 97) as f64 - 48.0) / 97.0)
         .collect();
     CgProblem {
@@ -65,9 +74,10 @@ pub fn cg_problem(parts: usize) -> CgProblem {
     }
 }
 
-/// Just the communication pattern of the CG workload (Table 12 column 1).
+/// Just the communication pattern of the CG workload (Table 12 column 1):
+/// the halo of [`cg_problem`] without building its matrix or RHS.
 pub fn cg_pattern(parts: usize) -> Pattern {
-    cg_problem(parts).pattern
+    cg_partition(parts).2.pattern(CG_BYTES_PER_VALUE)
 }
 
 /// Sequential CG, fixed iteration count; returns `(x, final ‖r‖²)`.
@@ -295,6 +305,17 @@ mod tests {
         assert!(d > 0.04 && d < 0.12, "density {d}");
         assert!(avg > 400.0 && avg < 1600.0, "avg bytes {avg}");
         assert!(problem.pattern.symmetric_support());
+    }
+
+    #[test]
+    fn cg_pattern_matches_the_full_problem() {
+        for parts in [8, 32, 256] {
+            assert_eq!(
+                cg_pattern(parts),
+                cg_problem(parts).pattern,
+                "parts={parts}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!   mesh Laplacian — the "Conj. Grad. 16K" pattern of Table 12;
 //! * [`euler`]: the Euler-solver surrogate on unstructured meshes of
 //!   545/2K/3K/9K vertices — Table 12's other columns;
-//! * [`synthetic`]: the seeded random patterns of Table 11.
+//! * [`synthetic`]: the seeded random patterns of Table 11;
+//! * [`named`]: the table of named Table 12 patterns the CLI and the
+//!   service accept.
 //!
 //! The distributed workloads are *numerically real*: payload bytes travel
 //! through the simulated network and results are verified against the
@@ -19,6 +21,7 @@ pub mod cg;
 pub mod euler;
 pub mod fft;
 pub mod inspector;
+pub mod named;
 pub mod synthetic;
 
 pub use cg::{cg_pattern, cg_problem, cg_seq, distributed_cg, CgProblem};
@@ -27,4 +30,5 @@ pub use euler::{
 };
 pub use fft::{dft_naive, distributed_fft2d, fft2d_programs, fft2d_seq, fft_inplace, C64};
 pub use inspector::{execute_gather, CommPlan, Distribution, Inspector};
+pub use named::{named_builder, named_pattern, workload_names, PatternBuilder};
 pub use synthetic::{synthetic_pattern, synthetic_pattern_exact};

@@ -25,6 +25,10 @@ fn replay_is_byte_identical_at_any_worker_count() {
         assert_eq!(result.requests, 80);
         let joined = result.responses.join("\n");
         let metrics = service.metrics().to_json();
+        assert!(
+            metrics.contains("workload_memo_entries") && metrics.contains("workload_memo_hits"),
+            "{metrics}"
+        );
         let spans = cm5_obs::spans_json(&result.spans);
         match &baseline {
             None => baseline = Some((joined, metrics, spans)),
