@@ -14,11 +14,8 @@
 //! nonzero if Fig 5 + Table 11 agreement falls below `F` (CI hook).
 //! `perf` (opt-in, like `beyond`) measures the *simulator's* host cost —
 //! wall-clock, events/sec, incremental-vs-full solver speedup — and writes
-//! `BENCH_sim.json`; `--quick` runs one repetition per case, `--baseline F`
-//! exits nonzero if any grid's events/sec falls below the floors in `F`,
-//! `--no-oracle` skips the reference-solver pass (CI smoke runs that
-//! already pay for it elsewhere), and `--sim-jobs N` sets the worker count
-//! of the windowed-engine `par_*` cells (default 4, minimum 2).
+//! `BENCH_sim.json`; `--quick` runs one repetition per case. It records,
+//! it does not gate: `watch` is the one perf gate.
 //! `perf` is excluded from the default section set so default output stays
 //! byte-identical across runs and `--jobs` values (wall-clock never is).
 //! `watch` (opt-in) is the perf-regression watchdog: it re-reads the
@@ -64,14 +61,8 @@ static GATE: std::sync::OnceLock<Option<f64>> = std::sync::OnceLock::new();
 /// `--quick`: one timed repetition per perf case instead of three.
 static QUICK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
 
-/// `--baseline F`: events/sec floors the perf section must clear.
+/// `--baseline F`: the events/sec floors the `watch` section gates on.
 static BASELINE: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
-
-/// `--no-oracle`: skip the perf section's reference-solver pass.
-static NO_ORACLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-/// `--sim-jobs N`: worker count for the perf section's `par_*` cells.
-static SIM_JOBS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
 
 /// `--bench-json PATH`: where the perf section writes its artifact.
 static BENCH_JSON: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
@@ -113,8 +104,6 @@ fn main() {
     let mut gate = None;
     let mut quick = false;
     let mut baseline = None;
-    let mut no_oracle = false;
-    let mut sim_jobs = 4usize;
     let mut bench_json = std::path::PathBuf::from("BENCH_sim.json");
     let mut trace_out = None;
     let mut watch_json = None;
@@ -123,17 +112,6 @@ fn main() {
     while let Some(a) = it.next() {
         if a == "--quick" {
             quick = true;
-        } else if a == "--no-oracle" {
-            no_oracle = true;
-        } else if a == "--sim-jobs" {
-            let n = it.next().unwrap_or_else(|| {
-                eprintln!("--sim-jobs needs a worker count >= 2 for the par_* cells");
-                std::process::exit(2);
-            });
-            sim_jobs = n.parse().unwrap_or_else(|_| {
-                eprintln!("--sim-jobs: not a number: {n}");
-                std::process::exit(2);
-            });
         } else if a == "--baseline" {
             let f = it.next().unwrap_or_else(|| {
                 eprintln!("--baseline needs a floors file (name min_events_per_sec lines)");
@@ -187,6 +165,9 @@ fn main() {
                 eprintln!("--jobs: not a number: {n}");
                 std::process::exit(2);
             });
+        } else if a.starts_with("--") {
+            eprintln!("unknown flag {a}");
+            std::process::exit(2);
         } else {
             args.push(a);
         }
@@ -196,8 +177,6 @@ fn main() {
     GATE.set(gate).expect("set once");
     QUICK.set(quick).expect("set once");
     BASELINE.set(baseline).expect("set once");
-    NO_ORACLE.set(no_oracle).expect("set once");
-    SIM_JOBS.set(sim_jobs).expect("set once");
     BENCH_JSON.set(bench_json).expect("set once");
     TRACE_OUT.set(trace_out).expect("set once");
     WATCH_JSON.set(watch_json).expect("set once");
@@ -744,13 +723,11 @@ fn perf() {
         "Simulator performance — host cost of the hot loop (opt-in)",
         "not in the paper; measures the simulator itself. Small grids: \
          incremental solver vs the --rates full oracle. Large grids \
-         (1024-16384 nodes): hierarchical solver vs the incremental oracle",
+         (1024-16384 nodes): incremental solver, no oracle",
     );
     let quick = *QUICK.get().unwrap_or(&false);
     let reps = if quick { 1 } else { 3 };
-    let oracle = !*NO_ORACLE.get().unwrap_or(&false);
-    let sim_jobs = *SIM_JOBS.get().unwrap_or(&4);
-    let measurements = p::run_perf_suite_opts(reps, oracle, sim_jobs);
+    let measurements = p::run_perf_suite(reps);
     println!(
         "{:>8} {:>6} {:>13} {:>11} {:>10} {:>12} {:>11} {:>10} {:>9}",
         "grid",
@@ -778,43 +755,12 @@ fn perf() {
                 .map_or("n/a".to_string(), |s| format!("{s:.2}x")),
         );
     }
-    for m in measurements.iter().filter(|m| m.sim_jobs > 1) {
-        println!(
-            "{:>8}: windowed engine, {} workers, {} windows, {} worker events, \
-             merge {:.1} ms, speedup vs serial {:.2}x",
-            m.name,
-            m.sim_jobs,
-            m.windows,
-            m.worker_events_total,
-            m.merge_secs * 1e3,
-            m.speedup_vs_serial
-        );
-    }
     let json_path = BENCH_JSON.get().expect("set in main");
     let json = p::to_json(&measurements, quick);
     match std::fs::write(json_path, &json) {
         Ok(()) => println!("\nwrote {}", json_path.display()),
         Err(e) => {
             eprintln!("could not write {}: {e}", json_path.display());
-            std::process::exit(1);
-        }
-    }
-    if let Some(Some(path)) = BASELINE.get().map(|b| b.as_ref()) {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        let floors = p::parse_baseline(&text);
-        let failures = p::check_baseline(&measurements, &floors);
-        if failures.is_empty() {
-            println!(
-                "perf gate passed: every grid above its events/sec floor ({})",
-                path.display()
-            );
-        } else {
-            for (name, got, floor) in &failures {
-                eprintln!("perf gate FAILED: {name}: {got:.0} events/sec < floor {floor:.0}");
-            }
             std::process::exit(1);
         }
     }

@@ -5,11 +5,10 @@
 //! keeps few flows alive but churns them quickly, PEX holds a full bisection
 //! of simultaneous flows, and the greedy irregular schedule at 75 % density
 //! admits large unbalanced batches. The large grid scales the same pressure
-//! two orders of magnitude past the paper — 1024/4096/16384-node fat trees —
-//! where the hierarchical solver's subtree invalidation is the difference
-//! between seconds and minutes. Each case also runs once under an oracle
-//! solver (the full recompute for the small grid, the incremental solver for
-//! the large grid) so the measured speedup is part of the artifact.
+//! two orders of magnitude past the paper — 1024/4096/16384-node fat trees.
+//! Each small-grid case also runs under the full-recompute oracle, so its
+//! speedup is part of the artifact; the large grid has no oracle, because
+//! the full solver is O(flows) per event and too slow at 16K nodes.
 //!
 //! Used by `report perf` (and `cm5 bench`), which serialise the results to
 //! `BENCH_sim.json`, and by the `sim_hot_loop` Criterion bench.
@@ -17,10 +16,7 @@
 use std::time::Instant;
 
 use cm5_core::prelude::*;
-use cm5_sim::{
-    run_tenants_jobs, MachineParams, Op, OpProgram, Placement, RateSolver, SimReport, Simulation,
-    TenantSpec,
-};
+use cm5_sim::{MachineParams, Op, OpProgram, RateSolver, SimReport, Simulation};
 use cm5_workloads::synthetic::synthetic_pattern_exact;
 
 /// One workload of the performance grid.
@@ -36,9 +32,10 @@ pub struct PerfCase {
     pub programs: Vec<OpProgram>,
     /// The solver being measured.
     pub solver: RateSolver,
-    /// The solver timed alongside as the speedup reference; its makespan
-    /// must agree bitwise with `solver`'s (the bit-identity contract).
-    pub oracle: RateSolver,
+    /// The solver timed alongside as the speedup reference, if any; its
+    /// makespan must agree bitwise with `solver`'s (the bit-identity
+    /// contract).
+    pub oracle: Option<RateSolver>,
 }
 
 /// Host-side measurements for one [`PerfCase`].
@@ -67,34 +64,20 @@ pub struct PerfMeasurement {
     /// Peak simultaneous flows.
     pub flows_peak: usize,
     /// Wall-clock of the same workload under the oracle solver, seconds.
-    /// `None` when the oracle pass was skipped (`--no-oracle` / `par_*`
-    /// cells) — rendered as JSON `null`, never a fake `0.00`.
+    /// `None` for cases without an oracle (the large grid) — rendered as
+    /// JSON `null`, never a fake `0.00`.
     pub oracle_wall_secs: Option<f64>,
     /// `oracle_wall_secs / wall_secs` — the measured solver's speedup.
-    /// `None` whenever the oracle pass was skipped.
+    /// `None` whenever there is no oracle pass.
     pub speedup_vs_oracle: Option<f64>,
     /// Simulated makespan (sanity anchor: must not depend on the solver).
     pub makespan_ms: f64,
-    /// Worker threads used by the windowed engine (1 = serial engine).
-    pub sim_jobs: usize,
-    /// Time windows executed by the windowed engine (0 for serial cells).
-    pub windows: u64,
-    /// Total node actions speculated across workers (0 for serial cells).
-    pub worker_events_total: u64,
-    /// Host seconds the merge thread spent staging windows and collecting
-    /// worker results (0 for serial cells).
-    pub merge_secs: f64,
-    /// Serial-engine wall over windowed-engine wall for `par_*` cells
-    /// (0 when not measured). Recorded, not gated: on a one-CPU host this
-    /// is ≤ 1 — the bit-identity contract is what CI enforces.
-    pub speedup_vs_serial: f64,
 }
 
 fn solver_name(solver: RateSolver) -> &'static str {
     match solver {
         RateSolver::Incremental => "incremental",
         RateSolver::Full => "full",
-        RateSolver::Hierarchical => "hierarchical",
     }
 }
 
@@ -119,7 +102,7 @@ pub fn perf_cases() -> Vec<PerfCase> {
                 n,
                 programs: lower(&alg.schedule(n, 1024)),
                 solver: RateSolver::Incremental,
-                oracle: RateSolver::Full,
+                oracle: Some(RateSolver::Full),
             });
         }
     }
@@ -130,7 +113,7 @@ pub fn perf_cases() -> Vec<PerfCase> {
         n: 32,
         programs: lower(&gs(&pattern)),
         solver: RateSolver::Incremental,
-        oracle: RateSolver::Full,
+        oracle: Some(RateSolver::Full),
     });
     cases
 }
@@ -141,8 +124,7 @@ pub fn perf_cases() -> Vec<PerfCase> {
 /// slice mixing local strides (intra-cluster) and global strides (root
 /// crossings) exercises exactly the same per-step contention structure.
 /// `bytes_of(i)` sets node `i`'s payload; varying it staggers completions,
-/// which is the hierarchical solver's hard case (every completion dirties a
-/// spine).
+/// so recomputes trickle in one pair at a time.
 pub fn pex_slice_programs(
     n: usize,
     strides: &[usize],
@@ -173,10 +155,10 @@ pub fn pex_slice_programs(
     programs
 }
 
-/// The large-N grid: 1024/4096/16384-node fat trees, hierarchical solver
-/// against the incremental oracle. `pex_*` cells hold a full bisection of
-/// uniform flows per step; `mix_*` cells stagger payload sizes so
-/// completions trickle in and every recompute is an invalidation test.
+/// The large-N grid: 1024/4096/16384-node fat trees on the incremental
+/// solver, with no oracle. `pex_*` cells hold a full bisection of uniform
+/// flows per step; `mix_*` cells stagger payload sizes so completions
+/// trickle in and each one triggers its own recompute.
 pub fn perf_cases_large() -> Vec<PerfCase> {
     let uniform = |_: usize| 1024u64;
     let varied = |i: usize| 256 + 192 * (i % 16) as u64;
@@ -188,23 +170,22 @@ pub fn perf_cases_large() -> Vec<PerfCase> {
             what: "truncated pairwise exchange (local + root-crossing strides)",
             n,
             programs: pex_slice_programs(n, &strides, uniform),
-            solver: RateSolver::Hierarchical,
-            oracle: RateSolver::Incremental,
+            solver: RateSolver::Incremental,
+            oracle: None,
         });
     }
     for (name, n) in [("mix_1k", 1024usize), ("mix_4k", 4096)] {
         // Intra-cluster strides only (1..3 flips the low two bits, so every
         // pair shares a cluster of four) with varied payloads: completions
-        // trickle in pair by pair and each one invalidates a single leaf
-        // subtree — the hierarchical solver's win case.
+        // trickle in pair by pair.
         let strides = [1usize, 2, 3];
         cases.push(PerfCase {
             name,
             what: "cluster-local staggered exchange (localized invalidation)",
             n,
             programs: pex_slice_programs(n, &strides, varied),
-            solver: RateSolver::Hierarchical,
-            oracle: RateSolver::Incremental,
+            solver: RateSolver::Incremental,
+            oracle: None,
         });
     }
     cases
@@ -218,21 +199,13 @@ fn run_with(case: &PerfCase, solver: RateSolver) -> SimReport {
         .unwrap_or_else(|e| panic!("perf case {}: {e}", case.name))
 }
 
-/// Run a slice of the grid with the oracle pass enabled; see
-/// [`run_cases_opts`].
-pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
-    run_cases_opts(cases, reps, true)
-}
-
 /// Run a slice of the grid. `reps` primary-solver repetitions per case (the
-/// best run is reported, damping scheduler noise); with `oracle` set the
-/// oracle solver runs `max(1, reps / 2)` times and its makespan is checked
-/// against the primary's. `oracle: false` skips that pass entirely (the CI
-/// scaling smoke runs the suite twice and only needs to pay once), leaving
-/// `oracle_wall_secs`/`speedup_vs_oracle` `None`. Cases at ≥ 1024 nodes skip
-/// the untimed warm-up run — at that size one extra simulation costs more
-/// than the scheduler noise it would dampen.
-pub fn run_cases_opts(cases: &[PerfCase], reps: u32, oracle: bool) -> Vec<PerfMeasurement> {
+/// best run is reported, damping scheduler noise); a case with an oracle
+/// runs it `max(1, reps / 2)` times and checks its makespan against the
+/// primary's. Cases at ≥ 1024 nodes skip the untimed warm-up run — at that
+/// size one extra simulation costs more than the scheduler noise it would
+/// dampen.
+pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
     assert!(reps > 0, "at least one repetition");
     cases
         .iter()
@@ -254,12 +227,12 @@ pub fn run_cases_opts(cases: &[PerfCase], reps: u32, oracle: bool) -> Vec<PerfMe
             }
             let report = report.expect("reps > 0");
             let mut oracle_best = None;
-            if oracle {
+            if let Some(oracle) = case.oracle {
                 let mut oracle_wall = f64::INFINITY;
                 let mut oracle_makespan = None;
                 for _ in 0..reps.div_ceil(2) {
                     let start = Instant::now();
-                    let r = run_with(case, case.oracle);
+                    let r = run_with(case, oracle);
                     oracle_wall = oracle_wall.min(start.elapsed().as_secs_f64());
                     oracle_makespan = Some(r.makespan);
                 }
@@ -290,193 +263,17 @@ pub fn run_cases_opts(cases: &[PerfCase], reps: u32, oracle: bool) -> Vec<PerfMe
                 oracle_wall_secs: oracle_best,
                 speedup_vs_oracle: oracle_best.and_then(|o| (best > 0.0).then(|| o / best)),
                 makespan_ms: report.makespan.as_millis_f64(),
-                sim_jobs: 1,
-                windows: 0,
-                worker_events_total: 0,
-                merge_secs: 0.0,
-                speedup_vs_serial: 0.0,
             }
         })
         .collect()
 }
 
-/// Core counters that must not depend on the engine's worker count. The
-/// deep identity contract (traces, rate samples, per-node accounting) is
-/// enforced by the sim crate's own tests and `tests/determinism.rs`; the
-/// bench re-checks the headline numbers on every timed run.
-fn assert_par_identical(name: &str, serial: &SimReport, par: &SimReport) {
-    assert_eq!(serial.makespan, par.makespan, "{name}: makespan");
-    assert_eq!(serial.messages, par.messages, "{name}: messages");
-    assert_eq!(serial.payload_bytes, par.payload_bytes, "{name}: payload");
-    assert_eq!(serial.wire_bytes, par.wire_bytes, "{name}: wire bytes");
-    assert_eq!(serial.perf.events, par.perf.events, "{name}: events");
-    assert_eq!(
-        serial.perf.recomputes, par.perf.recomputes,
-        "{name}: recomputes"
-    );
-    assert_eq!(serial.perf.flows, par.perf.flows, "{name}: flows");
-}
-
-/// Time one op workload on the serial engine, then on the windowed engine
-/// at `sim_jobs` workers, asserting the reports agree.
-fn measure_ops_par(
-    name: &'static str,
-    n: usize,
-    programs: &[OpProgram],
-    solver: RateSolver,
-    sim_jobs: usize,
-) -> PerfMeasurement {
-    let mut params = MachineParams::cm5_1992();
-    params.rate_solver = solver;
-    let start = Instant::now();
-    let serial = Simulation::new(n, params.clone())
-        .run_ops(programs)
-        .unwrap_or_else(|e| panic!("par case {name} (serial): {e}"));
-    let serial_wall = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let par = Simulation::new(n, params)
-        .sim_jobs(sim_jobs)
-        .run_ops(programs)
-        .unwrap_or_else(|e| panic!("par case {name} (jobs {sim_jobs}): {e}"));
-    let wall = start.elapsed().as_secs_f64();
-    assert_par_identical(name, &serial, &par);
-    par_measurement(name, n, solver, sim_jobs, serial_wall, wall, &par)
-}
-
-fn par_measurement(
-    name: &str,
-    n: usize,
-    solver: RateSolver,
-    sim_jobs: usize,
-    serial_wall: f64,
-    wall: f64,
-    par: &SimReport,
-) -> PerfMeasurement {
-    PerfMeasurement {
-        name: name.to_string(),
-        n,
-        solver: solver_name(solver),
-        reps: 1,
-        wall_secs: wall,
-        events: par.perf.events,
-        events_per_sec: if wall > 0.0 {
-            par.perf.events as f64 / wall
-        } else {
-            0.0
-        },
-        cells_per_sec: if wall > 0.0 { 1.0 / wall } else { 0.0 },
-        recomputes: par.perf.recomputes,
-        flows: par.perf.flows,
-        flows_peak: par.perf.flows_peak,
-        oracle_wall_secs: None,
-        speedup_vs_oracle: None,
-        makespan_ms: par.makespan.as_millis_f64(),
-        sim_jobs,
-        windows: par.perf.windows,
-        worker_events_total: par.perf.worker_events.iter().sum(),
-        merge_secs: par.perf.merge_secs,
-        speedup_vs_serial: if wall > 0.0 { serial_wall / wall } else { 0.0 },
-    }
-}
-
-/// An Isend/Recv/WaitAll ring — the tenant-safe analogue of PEX traffic
-/// (collectives are rejected inside tenant slices).
-fn ring_programs(n: usize, bytes: u64) -> Vec<OpProgram> {
-    (0..n)
-        .map(|i| {
-            vec![
-                Op::Isend {
-                    to: (i + 1) % n,
-                    bytes,
-                    tag: 7,
-                },
-                Op::Recv {
-                    from: (i + n - 1) % n,
-                    tag: 7,
-                },
-                Op::WaitAll,
-            ]
-        })
-        .collect()
-}
-
-/// The windowed-engine cells: each workload runs once serial and once at
-/// `sim_jobs` workers, the reports must agree, and the wall-clock ratio is
-/// recorded as `speedup_vs_serial`. `par_pex_16k` is the large-grid PEX
-/// slice on the parallel engine; `par_tenants` runs three striped ring
-/// tenants through [`run_tenants_jobs`], covering the tenancy path.
-pub fn run_par_cases(sim_jobs: usize) -> Vec<PerfMeasurement> {
-    assert!(sim_jobs >= 2, "a par cell needs at least two workers");
-    let mut out = Vec::new();
-
-    let n = 16384usize;
-    let strides = [1usize, 2, 3, n / 4, n / 2, n / 2 + 1];
-    let programs = pex_slice_programs(n, &strides, |_| 1024);
-    out.push(measure_ops_par(
-        "par_pex_16k",
-        n,
-        &programs,
-        RateSolver::Hierarchical,
-        sim_jobs,
-    ));
-
-    let shared_n = 1024usize;
-    let specs = vec![
-        TenantSpec {
-            name: "ring-a".to_string(),
-            programs: ring_programs(512, 4096),
-        },
-        TenantSpec {
-            name: "ring-b".to_string(),
-            programs: ring_programs(256, 1024),
-        },
-        TenantSpec {
-            name: "ring-c".to_string(),
-            programs: ring_programs(256, 256),
-        },
-    ];
-    let mut params = MachineParams::cm5_1992();
-    params.rate_solver = RateSolver::Hierarchical;
-    let start = Instant::now();
-    let serial = run_tenants_jobs(shared_n, Placement::Striped, &specs, &params, 1)
-        .unwrap_or_else(|e| panic!("par case par_tenants (serial): {e}"));
-    let serial_wall = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let par = run_tenants_jobs(shared_n, Placement::Striped, &specs, &params, sim_jobs)
-        .unwrap_or_else(|e| panic!("par case par_tenants (jobs {sim_jobs}): {e}"));
-    let wall = start.elapsed().as_secs_f64();
-    assert_par_identical("par_tenants", &serial.report, &par.report);
-    for (s, p) in serial.tenants.iter().zip(&par.tenants) {
-        assert_eq!(s.makespan, p.makespan, "par_tenants: slice {}", s.name);
-        assert_eq!(s.messages, p.messages, "par_tenants: slice {}", s.name);
-    }
-    out.push(par_measurement(
-        "par_tenants",
-        shared_n,
-        RateSolver::Hierarchical,
-        sim_jobs,
-        serial_wall,
-        wall,
-        &par.report,
-    ));
-    out
-}
-
 /// Run the whole suite: the standard grid at `reps` repetitions, then the
 /// large-N grid at one repetition each (a 16384-node cell is its own
-/// noise damping — the run is long enough to average out the scheduler),
-/// then the windowed-engine `par_*` cells at `sim_jobs` workers.
+/// noise damping — the run is long enough to average out the scheduler).
 pub fn run_perf_suite(reps: u32) -> Vec<PerfMeasurement> {
-    run_perf_suite_opts(reps, true, 4)
-}
-
-/// [`run_perf_suite`] with the oracle pass and worker count configurable
-/// (`report perf --no-oracle --sim-jobs N`). `sim_jobs` is fixed at 4 by
-/// default so the recorded `par_*` cells are comparable across hosts.
-pub fn run_perf_suite_opts(reps: u32, oracle: bool, sim_jobs: usize) -> Vec<PerfMeasurement> {
-    let mut ms = run_cases_opts(&perf_cases(), reps, oracle);
-    ms.extend(run_cases_opts(&perf_cases_large(), 1, oracle));
-    ms.extend(run_par_cases(sim_jobs.max(2)));
+    let mut ms = run_cases(&perf_cases(), reps);
+    ms.extend(run_cases(&perf_cases_large(), 1));
     ms
 }
 
@@ -491,7 +288,7 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
     let mut out = format!(
         "{{\n  \"{}\": \"{}\",\n",
         cm5_obs::SCHEMA_KEY,
-        cm5_obs::schema_id("bench-sim-perf", 3)
+        cm5_obs::schema_id("bench-sim-perf", 4)
     );
     out.push_str(&format!("  \"quick\": {quick},\n  \"grids\": [\n"));
     for (i, m) in measurements.iter().enumerate() {
@@ -501,9 +298,7 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
              \"wall_secs\": {:.6}, \"events\": {}, \"events_per_sec\": {:.1}, \
              \"cells_per_sec\": {:.3}, \"recomputes\": {}, \"flows\": {}, \
              \"flows_peak\": {}, \"oracle_wall_secs\": {}, \
-             \"speedup_vs_oracle\": {}, \"makespan_ms\": {:.4}, \
-             \"sim_jobs\": {}, \"windows\": {}, \"worker_events_total\": {}, \
-             \"merge_secs\": {:.6}, \"speedup_vs_serial\": {:.2}}}{}\n",
+             \"speedup_vs_oracle\": {}, \"makespan_ms\": {:.4}}}{}\n",
             m.name,
             m.n,
             m.solver,
@@ -518,11 +313,6 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
             opt(m.oracle_wall_secs, 6),
             opt(m.speedup_vs_oracle, 2),
             m.makespan_ms,
-            m.sim_jobs,
-            m.windows,
-            m.worker_events_total,
-            m.merge_secs,
-            m.speedup_vs_serial,
             if i + 1 < measurements.len() { "," } else { "" },
         ));
     }
@@ -547,24 +337,6 @@ pub fn parse_baseline(text: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Check measurements against a baseline. Returns the list of failures
-/// (`name, got, floor`); empty means the gate passes. Unknown baseline
-/// names are ignored (a renamed grid fails open, loudly, in CI review).
-pub fn check_baseline(
-    measurements: &[PerfMeasurement],
-    baseline: &[(String, f64)],
-) -> Vec<(String, f64, f64)> {
-    let mut failures = Vec::new();
-    for (name, floor) in baseline {
-        if let Some(m) = measurements.iter().find(|m| &m.name == name) {
-            if m.events_per_sec < *floor {
-                failures.push((name.clone(), m.events_per_sec, *floor));
-            }
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,42 +352,34 @@ mod tests {
             assert!(m.flows > 0, "{}", m.name);
             assert!(m.makespan_ms > 0.0, "{}", m.name);
             assert_eq!(m.solver, "incremental", "{}", m.name);
+            assert!(m.oracle_wall_secs.is_some(), "{}", m.name);
         }
         let json = to_json(&ms, true);
-        assert!(json.contains("\"schema\": \"cm5-bench-sim-perf/3\""));
+        assert!(json.contains("\"schema\": \"cm5-bench-sim-perf/4\""));
         assert!(json.contains("\"rex_128\""));
         assert!(json.contains("\"solver\": \"incremental\""));
-        assert!(json.contains("\"sim_jobs\": 1"));
-        assert!(json.contains("\"speedup_vs_serial\": 0.00"));
         assert_eq!(json.matches("\"name\"").count(), 5);
     }
 
     #[test]
-    fn no_oracle_skips_the_reference_pass() {
-        let cases = perf_cases();
-        let ms = run_cases_opts(&cases[..1], 1, false);
+    fn oracle_less_cells_serialise_null() {
+        // A scaled-down large-grid cell: same shape, no oracle pass.
+        let case = PerfCase {
+            name: "pex_smoke",
+            what: "scaled-down large-grid cell",
+            n: 64,
+            programs: pex_slice_programs(64, &[1, 2, 16, 32, 33], |_| 1024),
+            solver: RateSolver::Incremental,
+            oracle: None,
+        };
+        let ms = run_cases(&[case], 1);
         assert_eq!(ms[0].oracle_wall_secs, None);
         assert_eq!(ms[0].speedup_vs_oracle, None);
         assert!(ms[0].events > 0);
-        // Skipped passes must read as null downstream, never "0× speedup".
+        // No oracle must read as null downstream, never "0× speedup".
         let json = to_json(&ms, true);
         assert!(json.contains("\"oracle_wall_secs\": null"), "{json}");
         assert!(json.contains("\"speedup_vs_oracle\": null"), "{json}");
-    }
-
-    #[test]
-    fn par_measurement_covers_windowed_counters() {
-        // A scaled-down `par_pex_16k`: debug builds can't afford the real
-        // cell, but the measurement path (serial + windowed run, identity
-        // assert, counter extraction) is size-independent.
-        let programs = pex_slice_programs(64, &[1, 2, 32, 33], |i| 128 + i as u64);
-        let m = measure_ops_par("par_smoke", 64, &programs, RateSolver::Incremental, 2);
-        assert_eq!(m.sim_jobs, 2);
-        assert!(m.windows > 0);
-        assert!(m.worker_events_total > 0);
-        assert!(m.speedup_vs_serial > 0.0);
-        let json = to_json(&[m], true);
-        assert!(json.contains("\"sim_jobs\": 2"));
     }
 
     #[test]
@@ -626,8 +390,8 @@ mod tests {
         for case in &cases {
             assert!(case.n >= 1024, "{}", case.name);
             assert_eq!(case.programs.len(), case.n, "{}", case.name);
-            assert_eq!(case.solver, RateSolver::Hierarchical, "{}", case.name);
-            assert_eq!(case.oracle, RateSolver::Incremental, "{}", case.name);
+            assert_eq!(case.solver, RateSolver::Incremental, "{}", case.name);
+            assert_eq!(case.oracle, None, "{}", case.name);
             let ops: usize = case.programs.iter().map(Vec::len).sum();
             // Truncated slices, not the full O(N²) exchange.
             assert!(
@@ -641,9 +405,9 @@ mod tests {
     #[test]
     fn pex_slice_is_a_valid_pairing() {
         // Every send has a matching receive: run a small instance end to
-        // end under both large-grid solvers.
+        // end under both solvers.
         let programs = pex_slice_programs(16, &[1, 2, 8, 9], |i| 64 + i as u64);
-        for solver in [RateSolver::Hierarchical, RateSolver::Incremental] {
+        for solver in [RateSolver::Full, RateSolver::Incremental] {
             let mut params = MachineParams::cm5_1992();
             params.rate_solver = solver;
             let r = Simulation::new(16, params).run_ops(&programs).unwrap();
@@ -653,8 +417,9 @@ mod tests {
 
     #[test]
     fn baseline_parses_and_gates() {
-        let base = parse_baseline("# comment\nrex_64 1000.0\n\npex_64  2e3 # trailing\n");
-        assert_eq!(base.len(), 2);
+        let base = "# comment\nrex_64 1000.0\n\npex_64  2e3 # trailing\n";
+        assert_eq!(parse_baseline(base).len(), 2);
+        // The artifact this module writes is what the watchdog gates on.
         let ms = vec![PerfMeasurement {
             name: "rex_64".into(),
             n: 64,
@@ -670,14 +435,11 @@ mod tests {
             oracle_wall_secs: Some(2.0),
             speedup_vs_oracle: Some(2.0),
             makespan_ms: 1.0,
-            sim_jobs: 1,
-            windows: 0,
-            worker_events_total: 0,
-            merge_secs: 0.0,
-            speedup_vs_serial: 0.0,
         }];
-        let failures = check_baseline(&ms, &base);
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].0, "rex_64");
+        let v = crate::watch::watch(&to_json(&ms, true), base).unwrap();
+        assert!(!v.pass);
+        assert_eq!(v.checks.len(), 1);
+        assert!(!v.checks[0].pass);
+        assert_eq!(v.missing, vec!["pex_64".to_string()]);
     }
 }

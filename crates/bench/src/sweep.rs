@@ -126,16 +126,9 @@ pub fn exchange_grid() -> Vec<ExchangeCell> {
 
 /// Full simulation report for one regular-exchange cell.
 pub fn exchange_report(cell: ExchangeCell) -> SimReport {
-    exchange_report_jobs(cell, 1)
-}
-
-/// [`exchange_report`] on the windowed engine at `sim_jobs` workers per
-/// cell (1 = serial; bit-identical across values).
-pub fn exchange_report_jobs(cell: ExchangeCell, sim_jobs: usize) -> SimReport {
-    run_schedule_jobs(
+    run_schedule(
         &cell.alg.schedule(cell.n, cell.bytes),
         &MachineParams::cm5_1992(),
-        sim_jobs,
     )
     .unwrap_or_else(|e| panic!("{} n={} bytes={}: {e}", cell.alg.name(), cell.n, cell.bytes))
 }
@@ -143,18 +136,8 @@ pub fn exchange_report_jobs(cell: ExchangeCell, sim_jobs: usize) -> SimReport {
 /// Run the full regular grid on `runner`, returning `(cell, report)` pairs
 /// in canonical grid order.
 pub fn run_exchange_grid(runner: &SweepRunner) -> Vec<(ExchangeCell, SimReport)> {
-    run_exchange_grid_jobs(runner, 1)
-}
-
-/// [`run_exchange_grid`] with `sim_jobs` engine workers inside each cell —
-/// two orthogonal layers of parallelism: the runner fans cells across
-/// threads, the windowed engine fans nodes within one simulation.
-pub fn run_exchange_grid_jobs(
-    runner: &SweepRunner,
-    sim_jobs: usize,
-) -> Vec<(ExchangeCell, SimReport)> {
     let cells = exchange_grid();
-    let reports = runner.run(&cells, |_, &cell| exchange_report_jobs(cell, sim_jobs));
+    let reports = runner.run(&cells, |_, &cell| exchange_report(cell));
     cells.into_iter().zip(reports).collect()
 }
 
@@ -195,23 +178,13 @@ pub fn irregular_grid(densities: &[f64], msgs: &[u64]) -> Vec<IrregularCell> {
 /// Full simulation report for one irregular synthetic cell (32 nodes,
 /// matching Table 11's machine size).
 pub fn irregular_report(cell: IrregularCell) -> SimReport {
-    irregular_report_jobs(cell, 1)
-}
-
-/// [`irregular_report`] on the windowed engine at `sim_jobs` workers.
-pub fn irregular_report_jobs(cell: IrregularCell, sim_jobs: usize) -> SimReport {
     let pattern = cm5_workloads::synthetic::synthetic_pattern_exact(
         32,
         cell.density,
         cell.msg,
         0x7AB1E + cell.seed,
     );
-    run_schedule_jobs(
-        &cell.alg.schedule(&pattern),
-        &MachineParams::cm5_1992(),
-        sim_jobs,
-    )
-    .unwrap_or_else(|e| {
+    run_schedule(&cell.alg.schedule(&pattern), &MachineParams::cm5_1992()).unwrap_or_else(|e| {
         panic!(
             "{} density={} msg={} seed={}: {e}",
             cell.alg.name(),
@@ -229,18 +202,8 @@ pub fn run_irregular_grid(
     densities: &[f64],
     msgs: &[u64],
 ) -> Vec<(IrregularCell, SimReport)> {
-    run_irregular_grid_jobs(runner, densities, msgs, 1)
-}
-
-/// [`run_irregular_grid`] with `sim_jobs` engine workers inside each cell.
-pub fn run_irregular_grid_jobs(
-    runner: &SweepRunner,
-    densities: &[f64],
-    msgs: &[u64],
-    sim_jobs: usize,
-) -> Vec<(IrregularCell, SimReport)> {
     let cells = irregular_grid(densities, msgs);
-    let reports = runner.run(&cells, |_, &cell| irregular_report_jobs(cell, sim_jobs));
+    let reports = runner.run(&cells, |_, &cell| irregular_report(cell));
     cells.into_iter().zip(reports).collect()
 }
 
@@ -312,24 +275,6 @@ mod tests {
             assert_eq!(s.messages, p.messages);
             assert_eq!(s.wire_bytes, p.wire_bytes);
             assert_eq!(s.bytes_per_level, p.bytes_per_level);
-        }
-    }
-
-    #[test]
-    fn engine_jobs_inside_cells_match_serial() {
-        // The inner (windowed-engine) parallel layer must be invisible in
-        // the results, exactly like the outer (cell-fanning) layer.
-        for alg in ExchangeAlg::ALL {
-            let cell = ExchangeCell {
-                alg,
-                n: 8,
-                bytes: 256,
-            };
-            let s = exchange_report(cell);
-            let p = exchange_report_jobs(cell, 3);
-            assert_eq!(s.makespan, p.makespan, "{}", alg.name());
-            assert_eq!(s.wire_bytes, p.wire_bytes, "{}", alg.name());
-            assert_eq!(s.bytes_per_level, p.bytes_per_level, "{}", alg.name());
         }
     }
 

@@ -1,5 +1,5 @@
 //! Performance-regression watchdog: compare a `BENCH_sim.json` artifact
-//! (schema `cm5-bench-sim-perf/3`, including the merged `serve_replay`
+//! (schema `cm5-bench-sim-perf/4`, including the merged `serve_replay`
 //! cell) against the floors in `ci/perf_baseline.txt` and emit a
 //! `cm5-watch/1` verdict that CI gates on.
 //!
@@ -9,8 +9,10 @@
 //!   regression), and
 //! * a baseline name **missing from the artifact** also fails it — a
 //!   silently dropped cell is exactly the kind of regression a watchdog
-//!   exists to catch (`check_baseline`'s fail-open behaviour is for
-//!   interactive runs; the watchdog fails closed).
+//!   exists to catch.
+//!
+//! This is the repository's only perf gate: `report perf` and
+//! `cm5 serve --replay` write the artifact, `report watch` judges it.
 //!
 //! Wall-clock quarantine: the verdict JSON contains the measured
 //! throughputs, so the *document* varies run to run — it is a timing
@@ -48,7 +50,7 @@ pub struct WatchVerdict {
 }
 
 /// Extract `(name, events_per_sec)` pairs from a `BENCH_sim.json` text.
-/// Tolerates `null` oracle fields (schema 3) and ignores cells without a
+/// Tolerates `null` oracle fields and ignores cells without a
 /// throughput figure. Errors on malformed JSON or a wrong/missing schema
 /// stamp — a watchdog reading the wrong artifact must say so, not pass.
 fn parse_bench(text: &str) -> Result<Vec<(String, f64)>, String> {
@@ -57,7 +59,7 @@ fn parse_bench(text: &str) -> Result<Vec<(String, f64)>, String> {
         .get(cm5_obs::SCHEMA_KEY)
         .and_then(Json::as_str)
         .ok_or("bench artifact has no schema stamp")?;
-    let want = cm5_obs::schema_id("bench-sim-perf", 3);
+    let want = cm5_obs::schema_id("bench-sim-perf", 4);
     if schema != want {
         return Err(format!("bench artifact is {schema}, watchdog wants {want}"));
     }
@@ -181,7 +183,7 @@ mod tests {
             .collect::<Vec<_>>()
             .join(",\n");
         format!(
-            "{{\n  \"schema\": \"cm5-bench-sim-perf/3\",\n  \"quick\": true,\n  \
+            "{{\n  \"schema\": \"cm5-bench-sim-perf/4\",\n  \"quick\": true,\n  \
              \"grids\": [\n{grids}\n  ]\n}}\n"
         )
     }
@@ -214,7 +216,7 @@ mod tests {
 
     #[test]
     fn missing_cell_fails_closed() {
-        // `check_baseline` ignores unknown names; the watchdog must not.
+        // A baseline name the artifact lacks is a failure, not a skip.
         let bench = bench_doc(&[("rex_64", 2_000_000.0)]);
         let v = watch(&bench, "rex_64 1750000\nserve_replay 150\n").unwrap();
         assert!(!v.pass);
@@ -224,7 +226,7 @@ mod tests {
 
     #[test]
     fn wrong_schema_is_an_error() {
-        let bench = "{\"schema\": \"cm5-bench-sim-perf/2\", \"grids\": []}";
+        let bench = "{\"schema\": \"cm5-bench-sim-perf/3\", \"grids\": []}";
         assert!(watch(bench, "rex_64 1\n")
             .unwrap_err()
             .contains("watchdog wants"));

@@ -126,10 +126,9 @@ fn machine(args: &Args) -> Result<MachineParams, String> {
         None if !args.has("rates") => {}
         Some("incremental") => params.rate_solver = cm5_sim::RateSolver::Incremental,
         Some("full") => params.rate_solver = cm5_sim::RateSolver::Full,
-        Some("hierarchical") => params.rate_solver = cm5_sim::RateSolver::Hierarchical,
         other => {
             return Err(format!(
-                "--rates expects full | incremental | hierarchical, got '{}'",
+                "--rates expects full | incremental, got '{}'",
                 other.unwrap_or("")
             ))
         }
@@ -212,7 +211,7 @@ fn advise_print(w: &Workload, params: &MachineParams, n: usize) -> Recommendatio
 
 fn cmd_exchange(args: &Args) -> Result<(), String> {
     args.check_flags(&[
-        "alg", "n", "bytes", "machine", "rates", "topology", "async", "render", "sim-jobs",
+        "alg", "n", "bytes", "machine", "rates", "topology", "async", "render",
     ])?;
     let n = args.usize_or("n", 32)?;
     let bytes = args.u64_or("bytes", 1024)?;
@@ -248,7 +247,6 @@ fn cmd_exchange(args: &Args) -> Result<(), String> {
         },
     );
     let report = Simulation::new_on(topo, params)
-        .sim_jobs(args.usize_or("sim-jobs", 1)?)
         .run_ops(&programs)
         .map_err(|e| e.to_string())?;
     print_report(Some(&schedule), &report, n);
@@ -436,10 +434,9 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
-    use cm5_bench::sweep::{run_exchange_grid_jobs, run_irregular_grid_jobs, SweepRunner};
-    args.check_flags(&["grid", "jobs", "sim-jobs"])?;
+    use cm5_bench::sweep::{run_exchange_grid, run_irregular_grid, SweepRunner};
+    args.check_flags(&["grid", "jobs"])?;
     let runner = SweepRunner::new(args.usize_or("jobs", 0)?);
-    let sim_jobs = args.usize_or("sim-jobs", 1)?;
     match args.get("grid").unwrap_or("exchange") {
         "exchange" => {
             println!(
@@ -450,7 +447,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
                 "{:>10} {:>6} {:>8} {:>12} {:>9} {:>12}",
                 "alg", "nodes", "bytes", "makespan_ms", "messages", "wire_bytes"
             );
-            for (cell, r) in run_exchange_grid_jobs(&runner, sim_jobs) {
+            for (cell, r) in run_exchange_grid(&runner) {
                 println!(
                     "{:>10} {:>6} {:>8} {:>12.3} {:>9} {:>12}",
                     cell.alg.name(),
@@ -473,7 +470,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
                 "{:>10} {:>8} {:>8} {:>5} {:>12} {:>9}",
                 "alg", "density", "msg", "seed", "makespan_ms", "messages"
             );
-            for (cell, r) in run_irregular_grid_jobs(&runner, &densities, &msgs, sim_jobs) {
+            for (cell, r) in run_irregular_grid(&runner, &densities, &msgs) {
                 println!(
                     "{:>10} {:>8.2} {:>8} {:>5} {:>12.3} {:>9}",
                     cell.alg.name(),
@@ -498,24 +495,19 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 /// and write the `BENCH_sim.json` artifact.
 fn cmd_bench(args: &Args) -> Result<(), String> {
     use cm5_bench::perf;
-    args.check_flags(&["quick", "json", "large", "no-oracle", "sim-jobs"])?;
+    args.check_flags(&["quick", "json", "large"])?;
     let quick = args.has("quick");
     let reps = if quick { 1 } else { 3 };
-    // `--no-oracle` skips the reference-solver pass (and its makespan
-    // cross-check) — for CI smoke runs that already pay for the oracle in
-    // a separate differential gate.
-    let oracle = !args.has("no-oracle");
     println!(
         "simulator performance suite ({reps} rep{} per grid, best run):",
         if reps == 1 { "" } else { "s" }
     );
-    // `--large` adds the 1024/4096/16384-node hierarchical-solver cells
-    // and the windowed-engine `par_*` cells at `--sim-jobs` workers
-    // (seconds per cell in a release build; opt-in for that reason).
+    // `--large` adds the 1024/4096/16384-node cells (seconds per cell in
+    // a release build; opt-in for that reason).
     let measurements = if args.has("large") {
-        perf::run_perf_suite_opts(reps, oracle, args.usize_or("sim-jobs", 4)?)
+        perf::run_perf_suite(reps)
     } else {
-        perf::run_cases_opts(&perf::perf_cases(), reps, oracle)
+        perf::run_cases(&perf::perf_cases(), reps)
     };
     println!(
         "{:>8} {:>6} {:>13} {:>11} {:>12} {:>10} {:>9}",
@@ -902,9 +894,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 
 /// `cm5 certify` — compute a certified makespan interval `[LB, UB]` and
 /// static buffer-occupancy bounds for one schedule, optionally
-/// cross-checked against a simulation (`--sim-check`) — or, with
-/// `--model-check`, exhaustively enumerate the windowed engine's cursor
-/// protocol interleavings and gate on merge-order determinism.
+/// cross-checked against a simulation (`--sim-check`).
 fn cmd_certify(args: &Args) -> Result<(), String> {
     args.check_flags(&[
         "alg",
@@ -923,61 +913,8 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
         "sim-check",
         "budget-eager",
         "budget-pending",
-        "model-check",
     ])?;
     let json = args.has("json");
-
-    if args.has("model-check") {
-        let good = cm5_sim::check_cursor_protocol(3);
-        let racy = cm5_sim::check_racy_shared_node(2);
-        if json {
-            println!(
-                "{{{},\"disjoint\":{{\"states\":{},\"terminals\":{},\"outcomes\":{},\"deterministic\":{}}},\
-                 \"racy\":{{\"states\":{},\"terminals\":{},\"outcomes\":{},\"deterministic\":{}}}}}",
-                cm5_obs::schema_field("modelcheck", 1),
-                good.states,
-                good.terminals,
-                good.outcomes,
-                good.deterministic(),
-                racy.states,
-                racy.terminals,
-                racy.outcomes,
-                racy.deterministic(),
-            );
-        } else {
-            println!(
-                "cursor protocol, disjoint ownership: {} states, {} terminal, {} outcome(s) — {}",
-                good.states,
-                good.terminals,
-                good.outcomes,
-                if good.deterministic() {
-                    "deterministic"
-                } else {
-                    "DIVERGENT"
-                }
-            );
-            println!(
-                "cursor protocol, racy shared node  : {} states, {} terminal, {} outcome(s) — {}",
-                racy.states,
-                racy.terminals,
-                racy.outcomes,
-                if racy.deterministic() {
-                    "race NOT detected"
-                } else {
-                    "race detected (expected)"
-                }
-            );
-        }
-        if !good.deterministic() {
-            return Err("windowed-engine cursor protocol diverged under disjoint ownership".into());
-        }
-        if racy.deterministic() {
-            return Err(
-                "the racy fixture produced one outcome — the checker failed to detect races".into(),
-            );
-        }
-        return Ok(());
-    }
 
     let params = machine(args)?;
     let schedule = trace_schedule(args)?;
@@ -1219,7 +1156,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 
 /// `cm5 serve` — the long-running scheduling service: JSON-lines queries
 /// on stdin (and optionally TCP), trace recording, and trace replay with
-/// a measured-QPS gate.
+/// a measured sustained-QPS figure.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use cm5_bench::querygen::{generate_trace, TraceMix};
     use cm5_serve::{replay, resolve_jobs, Service, ServiceConfig};
@@ -1233,12 +1170,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "qps",
         "jobs",
         "shards",
-        "sim-jobs",
         "out",
         "metrics-json",
         "timing-json",
         "bench-json",
-        "baseline",
         "tcp",
         "machine",
         "rates",
@@ -1270,7 +1205,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let sim_jobs = args.usize_or("sim-jobs", 1)?.max(1);
     let trace_ring = match args.get("trace-ring") {
         Some(_) => Some(args.usize_or("trace-ring", 0)?),
         None => None,
@@ -1282,7 +1216,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let service = Service::new(ServiceConfig {
         params,
         shards,
-        sim_jobs,
         trace_ring,
         flight_capacity: args.usize_or("flight-cap", 64)?,
         flight_slo_ms,
@@ -1290,7 +1223,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     });
 
     // Replay mode: drive a recorded trace through the worker pool and
-    // report sustained QPS (optionally gated against a baseline floor).
+    // report sustained QPS (`report watch` gates the merged cell).
     if let Some(path) = args.get("replay") {
         let trace =
             std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
@@ -1364,22 +1297,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         if let Some(bpath) = args.get("bench-json") {
             merge_serve_cell(bpath, &result, resolve_jobs(jobs))?;
             println!("merged serve_replay cell into {bpath}");
-        }
-        if let Some(bl) = args.get("baseline") {
-            let text =
-                std::fs::read_to_string(bl).map_err(|e| format!("could not read {bl}: {e}"))?;
-            let floors = cm5_bench::perf::parse_baseline(&text);
-            if let Some((_, floor)) = floors.iter().find(|(name, _)| name == "serve_replay") {
-                if result.qps() < *floor {
-                    return Err(format!(
-                        "perf gate: serve_replay sustained {:.0} qps, floor is {floor:.0}",
-                        result.qps()
-                    ));
-                }
-                println!("perf gate  : {:.0} qps >= floor {floor:.0}", result.qps());
-            } else {
-                println!("perf gate  : no serve_replay floor in {bl}, skipping");
-            }
         }
         return Ok(());
     }
@@ -1459,7 +1376,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// Append a `serve_replay` cell to a `BENCH_sim.json` grids array (creating
 /// the file if missing) so the service's sustained QPS lands in the same
 /// artifact as the simulator host-cost suite. `events_per_sec` doubles as
-/// the queries/sec figure, which is what the baseline gate reads.
+/// the queries/sec figure, which is what `report watch` gates on.
 fn merge_serve_cell(
     path: &str,
     result: &cm5_serve::ReplayResult,
@@ -1471,7 +1388,7 @@ fn merge_serve_cell(
         Err(_) => Json::Obj(vec![
             (
                 cm5_obs::SCHEMA_KEY.to_string(),
-                Json::str(cm5_obs::schema_id("bench-sim-perf", 3)),
+                Json::str(cm5_obs::schema_id("bench-sim-perf", 4)),
             ),
             ("quick".to_string(), Json::Bool(false)),
             ("grids".to_string(), Json::Arr(Vec::new())),
@@ -1506,30 +1423,28 @@ cm5 — schedule and simulate CM-5 communication patterns
 
 USAGE:
   cm5 exchange  [--alg lex|pex|rex|bex|auto] [-n N] [--bytes B] [--machine 1992|vector|buffered]
-                [--topology fat-tree|hypercube] [--async] [--render] [--sim-jobs N]
+                [--topology fat-tree|hypercube] [--async] [--render]
   cm5 broadcast [--alg lib|reb|system|auto] [-n N] [--bytes B] [--root R]
   cm5 irregular [--alg ls|ps|bs|gs|crystal|auto] [-n N] [--density D] [--bytes B] [--seed S] [--pattern paper] [--render]
   cm5 workload  [--name cg|euler545|euler2k|euler3k|euler9k] [-n N]
   cm5 advise    exchange|broadcast|irregular [-n N] [--bytes B] [--density D] [--name W]
-  cm5 sweep     [--grid exchange|irregular] [--jobs N] [--sim-jobs N]   (0 = one worker per core)
+  cm5 sweep     [--grid exchange|irregular] [--jobs N]   (0 = one worker per core)
   cm5 lint      [--alg lex|..|bex|lib|reb|ls|..|gs|crystal] [-n N] [--bytes B] [--density D]
                 [--seed S] [--pattern paper] [--pattern-file PATH] [--all] [--json] [--sarif]
                 [--certify] [--async] [--inject swap-order|drop-recv|retag]
   cm5 certify   [--alg lex|..|bex|lib|reb|ls|..|gs|crystal] [-n N] [--bytes B] [--density D]
                 [--seed S] [--pattern paper] [--pattern-file PATH] [--async] [--json] [--steps]
                 [--sim-check] [--budget-eager B] [--budget-pending B]
-  cm5 certify   --model-check [--json]
-  cm5 bench     [--quick] [--large] [--no-oracle] [--sim-jobs N] [--json PATH]
+  cm5 bench     [--quick] [--large] [--json PATH]
                 (simulator host-cost suite -> BENCH_sim.json; --large adds the
-                1024/4096/16384-node hierarchical cells and the windowed-engine
-                par_* cells; --no-oracle skips the reference-solver pass)
+                1024/4096/16384-node cells)
   cm5 trace     [--alg lex|..|bex|lib|reb|ls|..|gs|crystal] [-n N] [--bytes B] [--density D]
                 [--seed S] [--pattern paper] [--pattern-file PATH] [--out trace.json]
                 [--timeline] [--links] [--json] [--width W] [--async]
-  cm5 serve     [--tcp ADDR] [--shards N] [--sim-jobs N] [--machine M]  (JSON-lines on stdin/stdout)
+  cm5 serve     [--tcp ADDR] [--shards N] [--machine M]  (JSON-lines on stdin/stdout)
   cm5 serve     --record PATH [--queries K] [--seed S] [--mix advise|mixed]
   cm5 serve     --replay PATH [--qps N] [--jobs N] [--shards N] [--out PATH]
-                [--metrics-json PATH] [--timing-json PATH] [--bench-json PATH] [--baseline PATH]
+                [--metrics-json PATH] [--timing-json PATH] [--bench-json PATH]
                 [--spans-out PATH] [--trace-out PATH] [--metrics-out PATH]
                 [--flight-dir DIR] [--flight-cap N] [--slo-ms MS] [--trace-ring N]
 
@@ -1548,16 +1463,14 @@ per-node buffer-occupancy bounds from the lowered programs alone:
 lands inside the interval and measured peak buffering stays under the
 static bound; `--budget-eager`/`--budget-pending` gate the bounds
 against a byte budget (V040/V041); `--steps` prints the per-step
-critical-path transcript; `--model-check` instead exhaustively
-enumerates the windowed engine's shared-cursor interleavings (2-worker
-model, atomic-step granularity) and fails on any merge-order divergence.
+critical-path transcript.
 `cm5 serve` runs the scheduling service: one JSON request per line
 (`{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":32,\"bytes\":1024},\"verify\":true}`),
 one schema-stamped response line back. `--record` writes a deterministic
 query trace, `--replay` drives one through a worker pool and reports
-sustained queries/sec (`--baseline` gates it, `--bench-json` merges the
-cell into BENCH_sim.json). `cm5 advise --json` prints the same
-`cm5-advise/1` document the service returns.
+sustained queries/sec (`--bench-json` merges the cell into
+BENCH_sim.json for `report watch` to gate). `cm5 advise --json` prints
+the same `cm5-advise/1` document the service returns.
 Service telemetry: every query carries a request span with typed child
 phases (parse, advise-hit/miss, verify, simulate, render). `--spans-out`
 writes the canonical `cm5-serve-spans/1` document (deterministic: byte-
@@ -1575,14 +1488,9 @@ exports the observability views: `--out` writes Chrome Trace Format JSON
 (Perfetto / chrome://tracing), `--timeline` draws a per-node Gantt chart,
 `--links` draws per-level utilization sparklines, `--json` prints the
 metrics registry. Simulated results are bit-identical with tracing on.
-Simulating commands also take `--rates full|incremental|hierarchical`
-to select the network rate solver (`full` = the original per-admission
-recompute, kept as an ablation/differential-testing oracle;
-`hierarchical` = subtree-dirty recompute for large fat trees; results
-are bit-identical across all three). `--sim-jobs N` runs each simulation
-on the windowed parallel engine with N workers (1 = serial engine,
-0 = one per core); reports are bit-identical at any worker count, so it
-is purely a wall-clock knob for large runs.
+Simulating commands also take `--rates full|incremental` to select the
+network rate solver (`full` = the original per-admission recompute, kept
+as an ablation/differential-testing oracle; results are bit-identical).
 
 The full paper evaluation: cargo run --release -p cm5-bench --bin report
 ";
@@ -1685,12 +1593,33 @@ mod tests {
     }
 
     #[test]
-    fn sim_jobs_flag_is_accepted_where_it_simulates() {
-        dispatch(&argv("exchange --alg pex --n 8 --bytes 64 --sim-jobs 2")).unwrap();
-        dispatch(&argv("exchange --alg rex --n 8 --bytes 64 --sim-jobs 0")).unwrap();
-        // Non-simulating commands reject it like any unknown flag.
-        assert!(dispatch(&argv("advise exchange --n 8 --sim-jobs 2")).is_err());
-        assert!(dispatch(&argv("exchange --n 8 --sim-jobs nope")).is_err());
+    fn removed_options_are_rejected() {
+        for (cmd, flag) in [
+            (
+                "exchange --alg pex --n 8 --bytes 64 --sim-jobs 2",
+                "--sim-jobs",
+            ),
+            ("certify --model-check", "--model-check"),
+            ("bench --no-oracle", "--no-oracle"),
+            (
+                "serve --replay trace.jsonl --baseline ci/perf_baseline.txt",
+                "--baseline",
+            ),
+        ] {
+            let err = dispatch(&argv(cmd)).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag '{flag}'")),
+                "{cmd}: {err}"
+            );
+        }
+        let err = dispatch(&argv(
+            "exchange --alg pex --n 8 --bytes 64 --rates hierarchical",
+        ))
+        .unwrap_err();
+        assert!(
+            err.contains("--rates expects full | incremental, got 'hierarchical'"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1756,7 +1685,7 @@ mod tests {
         assert!(responses.contains("\"ok\":true"));
         let merged = std::fs::read_to_string(&bench).unwrap();
         assert!(merged.contains("\"serve_replay\""));
-        assert!(merged.contains("cm5-bench-sim-perf/3"));
+        assert!(merged.contains("cm5-bench-sim-perf/4"));
         let spans = std::fs::read_to_string(&spans).unwrap();
         assert!(spans.contains("cm5-serve-spans/1"), "{spans}");
         assert_eq!(spans.matches("\"seq\"").count(), 20);
@@ -1799,17 +1728,9 @@ mod tests {
             "exchange --alg pex --n 8 --bytes 64 --rates incremental",
         ))
         .unwrap();
-        dispatch(&argv(
-            "exchange --alg pex --n 8 --bytes 64 --rates hierarchical",
-        ))
-        .unwrap();
         dispatch(&argv("irregular --alg gs --n 8 --density 0.3 --rates full")).unwrap();
-        dispatch(&argv(
-            "irregular --alg gs --n 8 --density 0.3 --rates hierarchical",
-        ))
-        .unwrap();
         let err = dispatch(&argv("exchange --n 8 --rates eventually")).unwrap_err();
-        assert!(err.contains("full | incremental | hierarchical"), "{err}");
+        assert!(err.contains("full | incremental"), "{err}");
     }
 
     #[test]
@@ -1883,12 +1804,6 @@ mod tests {
     }
 
     #[test]
-    fn certify_model_check_gates_the_cursor_protocol() {
-        dispatch(&argv("certify --model-check")).unwrap();
-        dispatch(&argv("certify --model-check --json")).unwrap();
-    }
-
-    #[test]
     fn lint_reads_a_pattern_file() {
         let path = std::env::temp_dir().join("cm5_cli_lint_pattern.txt");
         std::fs::write(&path, Pattern::paper_pattern_p(64).to_string()).unwrap();
@@ -1941,7 +1856,7 @@ mod tests {
         let path_s = path.to_str().unwrap();
         dispatch(&argv(&format!("bench --quick --json {path_s}"))).unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("cm5-bench-sim-perf/3"), "{json}");
+        assert!(json.contains("cm5-bench-sim-perf/4"), "{json}");
         assert!(json.contains("\"rex_128\""), "{json}");
         assert!(json.contains("\"solver\": \"incremental\""), "{json}");
         // Without --large the big cells must stay out of the artifact

@@ -145,18 +145,7 @@ pub fn run_schedule(
     schedule: &Schedule,
     params: &MachineParams,
 ) -> Result<SimReport, cm5_sim::SimError> {
-    run_schedule_jobs(schedule, params, 1)
-}
-
-/// [`run_schedule`] on the windowed engine at `sim_jobs` workers
-/// (1 = serial engine; results are bit-identical across values).
-pub fn run_schedule_jobs(
-    schedule: &Schedule,
-    params: &MachineParams,
-    sim_jobs: usize,
-) -> Result<SimReport, cm5_sim::SimError> {
-    let sim = Simulation::new(schedule.n(), params.clone()).sim_jobs(sim_jobs);
-    sim.run_ops(&lower(schedule))
+    Simulation::new(schedule.n(), params.clone()).run_ops(&lower(schedule))
 }
 
 /// Per-node op programs for a complete exchange of `bytes` per pair.

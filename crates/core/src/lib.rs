@@ -60,7 +60,7 @@ pub mod prelude {
     };
     pub use crate::exec::{
         broadcast_payload, broadcast_programs, complete_exchange_payload, exchange_programs, lower,
-        lower_with, pattern_exchange_payload, run_schedule, run_schedule_jobs, LowerOptions,
+        lower_with, pattern_exchange_payload, run_schedule, LowerOptions,
     };
     pub use crate::irregular::{bs, crystal, crystal_route_payload, gs, ls, ps, IrregularAlg};
     pub use crate::optimize::balance_crossings;

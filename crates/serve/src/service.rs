@@ -36,7 +36,7 @@ use std::time::Instant;
 use cm5_core::prelude::*;
 use cm5_model::{Advisor, Algorithm, PatternStats, Recommendation, Workload};
 use cm5_obs::{schema_field, FlightRecorder, Histogram, Metrics, PhaseKind, QueryCtx, QuerySpan};
-use cm5_sim::tenant::{run_tenants_jobs, Placement, TenantSpec};
+use cm5_sim::tenant::{run_tenants, Placement, TenantSpec};
 use cm5_sim::{FatTree, MachineParams, OpProgram, SimReport, Simulation};
 use cm5_verify::{exchange_policy, irregular_policy, verify_programs, verify_schedule, Severity};
 use cm5_workloads::named_builder;
@@ -57,11 +57,6 @@ pub struct ServiceConfig {
     pub params: MachineParams,
     /// Advisor-cache and verify-memo shard count (≥ 1).
     pub shards: usize,
-    /// Worker threads inside each simulation
-    /// ([`cm5_sim::Simulation::sim_jobs`]; 1 = serial engine). Results are
-    /// bit-identical across values, so this is purely a latency knob for
-    /// large simulate-mode queries.
-    pub sim_jobs: usize,
     /// Record simulate-mode queries' event traces into a bounded ring of
     /// this capacity ([`cm5_sim::Simulation::trace_capacity`]). Evictions
     /// accumulate into the deterministic `sim_trace_dropped` counter;
@@ -85,7 +80,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             params: MachineParams::cm5_1992(),
             shards: 8,
-            sim_jobs: 1,
             trace_ring: None,
             flight_capacity: 64,
             flight_slo_ms: None,
@@ -149,7 +143,6 @@ impl Timing {
 #[derive(Debug)]
 pub struct Service {
     params: MachineParams,
-    sim_jobs: usize,
     trace_ring: Option<usize>,
     advisor: Advisor,
     verify_memo: Vec<Mutex<HashMap<u64, VerifySummary>>>,
@@ -183,7 +176,6 @@ impl Service {
         }
         Service {
             params: config.params,
-            sim_jobs: config.sim_jobs.max(1),
             trace_ring: config.trace_ring,
             advisor: Advisor::with_shards(shards),
             verify_memo: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
@@ -584,13 +576,13 @@ impl Service {
         self.check_sim_size(n)?;
         self.counters.simulations.fetch_add(1, Ordering::Relaxed);
         let t = ctx.start();
-        let mut sim = Simulation::new(n, self.params.clone()).sim_jobs(self.sim_jobs);
+        let mut sim = Simulation::new(n, self.params.clone());
         if let Some(cap) = self.trace_ring {
             sim = sim.record_trace(true).trace_capacity(cap);
         }
         let report = sim.run_ops(programs).map_err(|e| e.to_string())?;
         ctx.phase(PhaseKind::Simulate, &format!("n={n}"), t);
-        // Per-query drop counts are bit-identical across sim-jobs, so this
+        // Per-query drop counts are a pure function of the query, so this
         // sum is deterministic for a given request set.
         self.sim_trace_dropped
             .fetch_add(report.trace_dropped, Ordering::Relaxed);
@@ -653,8 +645,8 @@ impl Service {
         }
         self.counters.simulations.fetch_add(1, Ordering::Relaxed);
         let t = ctx.start();
-        let report = run_tenants_jobs(shared_n, placement, &specs, &self.params, self.sim_jobs)
-            .map_err(|e| e.to_string())?;
+        let report =
+            run_tenants(shared_n, placement, &specs, &self.params).map_err(|e| e.to_string())?;
         ctx.phase(
             PhaseKind::Simulate,
             &format!("tenants={} n={shared_n}", specs.len()),

@@ -11,38 +11,16 @@
 //! Event ordering is total — `(time, insertion sequence)` — and every data
 //! structure iterates deterministically, so a run is a pure function of the
 //! programs and [`MachineParams`].
-//!
-//! # Intra-run parallelism
-//!
-//! [`Simulation::sim_jobs`] turns on a conservative time-window parallel
-//! mode for op programs. The observation making it safe is *not* the
-//! classic PDES lookahead argument — it is stronger. A node whose resume
-//! slot is filled is unblocked: nothing but its own `Advance` event can
-//! touch its op cursor or clock until it next blocks. Its action stream is
-//! a static vector walk, so a worker thread can *speculate* it forward —
-//! accumulating compute time, posting overheads, and queued isends — and
-//! the result is exactly what the serial engine would compute, regardless
-//! of anything other nodes do. The merge thread then replays each
-//! speculated run at the node's `Advance` pop, in the engine's canonical
-//! `(time, seq)` order, against the shared network. Every network
-//! mutation, trace event, handle allocation, and event-sequence number is
-//! therefore issued in exactly the serial order: the report is
-//! bit-identical at any worker count, with every rate solver, send mode,
-//! and program shape. The window width (default: the 88 µs minimum
-//! message latency, [`MachineParams::min_message_latency`]) only controls
-//! how much speculation is batched per staging round — it is a
-//! performance knob, never a correctness knob.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::error::SimError;
 use crate::network::{Flow, Network};
-use crate::ops::{Action, OpProgram, OpSource, ProgramSource, ReduceOp, Resume, SharedOpSource};
+use crate::ops::{Action, OpProgram, OpSource, ProgramSource, ReduceOp, Resume};
 use crate::params::{MachineParams, RateSolver, SendMode};
 use crate::stats::{NodeReport, SimPerf, SimReport, TraceEvent, TraceKind, TraceRing};
 use crate::time::{SimDuration, SimTime};
@@ -70,8 +48,6 @@ pub struct Simulation {
     trace_capacity: Option<usize>,
     record_rates: bool,
     topology: Topology,
-    sim_jobs: usize,
-    window_width: Option<SimDuration>,
 }
 
 impl Simulation {
@@ -85,8 +61,6 @@ impl Simulation {
             trace_capacity: None,
             record_rates: false,
             topology: Topology::FatTree(FatTree::new(n)),
-            sim_jobs: 1,
-            window_width: None,
         }
     }
 
@@ -102,8 +76,6 @@ impl Simulation {
             trace_capacity: None,
             record_rates: false,
             topology,
-            sim_jobs: 1,
-            window_width: None,
         }
     }
 
@@ -129,35 +101,6 @@ impl Simulation {
         self
     }
 
-    /// Execute op programs with `jobs` speculation workers (see the module
-    /// docs). `1` (the default) is the plain serial engine; `0` means one
-    /// worker per available core. Results are bit-identical at any value —
-    /// the serial path doubles as the differential oracle. Only
-    /// [`Simulation::run_ops`] parallelizes; the CMMD thread frontend is
-    /// inherently one-OS-thread-per-node and always runs serially.
-    pub fn sim_jobs(mut self, jobs: usize) -> Simulation {
-        self.sim_jobs = jobs;
-        self
-    }
-
-    /// Override the staging window width of the parallel engine (default:
-    /// the machine's minimum message latency). Purely a batching knob;
-    /// results are bit-identical at any width ≥ 1 ns.
-    pub fn window_width(mut self, width: SimDuration) -> Simulation {
-        self.window_width = Some(width);
-        self
-    }
-
-    fn effective_jobs(&self) -> usize {
-        if self.sim_jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.sim_jobs
-        }
-    }
-
     /// Number of simulated nodes.
     pub fn nodes(&self) -> usize {
         self.n
@@ -178,59 +121,8 @@ impl Simulation {
             programs.len(),
             self.n
         );
-        let jobs = self.effective_jobs();
-        if jobs <= 1 {
-            let mut source = OpSource::new(programs, &self.params);
-            return self.run_source(&mut source);
-        }
-        self.run_ops_windowed(programs, jobs)
-    }
-
-    /// The parallel path of [`Simulation::run_ops`]: a pool of `jobs`
-    /// scoped speculation workers fed over channels, plus the merge thread
-    /// (this one) running the event loop in windows.
-    fn run_ops_windowed(&self, programs: &[OpProgram], jobs: usize) -> Result<SimReport, SimError> {
-        self.params.validate().map_err(SimError::InvalidParams)?;
-        let obs = ObsConfig {
-            record_trace: self.record_trace,
-            trace_capacity: self.trace_capacity,
-            record_rates: self.record_rates,
-        };
-        let window = self
-            .window_width
-            .unwrap_or_else(|| self.params.min_message_latency())
-            .max(SimDuration::from_nanos(1));
-        let n = self.n;
-        let source = OpSource::new(programs, &self.params);
-        let part = build_partition(&self.topology, jobs);
-        crossbeam::thread::scope(|scope| {
-            let (res_tx, res_rx) = unbounded::<(usize, LocalRun)>();
-            let mut req_txs = Vec::with_capacity(jobs);
-            for wid in 0..jobs {
-                let (req_tx, req_rx) = unbounded::<Vec<(usize, SimTime)>>();
-                req_txs.push(req_tx);
-                let res_tx = res_tx.clone();
-                let src = &source;
-                let params = &self.params;
-                scope.spawn(move || worker_loop(wid, req_rx, res_tx, src, params, n));
-            }
-            drop(res_tx);
-            let mut shared = SharedOpSource { inner: &source };
-            let mut engine = Engine::new(self.topology.clone(), &self.params, obs, &mut shared);
-            engine.par = Some(ParCtx {
-                req_txs,
-                res_rx,
-                window,
-                part,
-                spec: (0..n).map(|_| None).collect(),
-                windows: 0,
-                worker_events: vec![0; jobs],
-                merge_secs: 0.0,
-            });
-            engine.run()
-            // `engine` (and with it every request sender) drops here, which
-            // is what tells the workers to exit before the scope joins them.
-        })
+        let mut source = OpSource::new(programs, &self.params);
+        self.run_source(&mut source)
     }
 
     /// Drive any program source (op programs or the CMMD thread frontend).
@@ -370,227 +262,6 @@ struct NodeMeta {
     report: NodeReport,
 }
 
-/// A non-blocking send a worker speculated: everything [`Engine::apply_run`]
-/// needs to replay the posting at merge time. `ready` is the node's clock
-/// right after the send overhead — the serial `PostAsync` event time.
-struct SpecIsend {
-    to: usize,
-    tag: u32,
-    bytes: u64,
-    payload: Option<Bytes>,
-    ready: SimTime,
-}
-
-/// How a speculated run ended.
-enum SpecEnd {
-    /// Program exhausted.
-    Done,
-    /// Invalid program or panic; surfaced at merge in canonical order.
-    Error(SimError),
-    /// Blocked on a send/recv/collective (overheads already folded into
-    /// the run's clock, exactly as the serial engine charges them).
-    Block(Action),
-    /// Reached a wait-for-async-sends; satisfiability depends on shared
-    /// state, so the merge thread re-evaluates it.
-    Wait { handle: Option<u64> },
-}
-
-/// One node speculated from its resume point to its next blocking action.
-struct LocalRun {
-    node: usize,
-    /// Node clock at the end of the run.
-    clock: SimTime,
-    /// Busy time accumulated over the run.
-    busy: SimDuration,
-    /// Non-blocking sends posted along the way, in program order.
-    isends: Vec<SpecIsend>,
-    end: SpecEnd,
-    /// Actions pulled (a perf counter, never part of simulated results).
-    steps: u64,
-}
-
-/// Worker-pool plumbing and counters for the windowed engine.
-struct ParCtx {
-    /// One staging-batch channel per worker.
-    req_txs: Vec<Sender<Vec<(usize, SimTime)>>>,
-    /// Workers' completed speculations, tagged with the worker id.
-    res_rx: Receiver<(usize, LocalRun)>,
-    /// Staging window width.
-    window: SimDuration,
-    /// node → worker affinity (whole fat-tree subtrees per worker).
-    part: Vec<usize>,
-    /// Speculated runs awaiting their `Advance` pop.
-    spec: Vec<Option<LocalRun>>,
-    windows: u64,
-    worker_events: Vec<u64>,
-    merge_secs: f64,
-}
-
-/// Walk one node's static action stream from `start` until it blocks, ends,
-/// or errors. Pure function of the op program and machine parameters: no
-/// engine state is read, which is why it can run on any thread at any time
-/// between the node's resume and its `Advance` pop.
-fn speculate(
-    source: &OpSource<'_>,
-    params: &MachineParams,
-    n: usize,
-    node: usize,
-    start: SimTime,
-) -> LocalRun {
-    let mut run = LocalRun {
-        node,
-        clock: start,
-        busy: SimDuration::ZERO,
-        isends: Vec::new(),
-        end: SpecEnd::Done,
-        steps: 0,
-    };
-    loop {
-        let action = match source.next_shared(node) {
-            Ok(a) => a,
-            Err(e) => {
-                run.end = SpecEnd::Error(e);
-                return run;
-            }
-        };
-        run.steps += 1;
-        match action {
-            Action::Compute(d) => {
-                run.clock += d;
-                run.busy += d;
-            }
-            Action::Done => {
-                run.end = SpecEnd::Done;
-                return run;
-            }
-            Action::Panic(message) => {
-                run.end = SpecEnd::Error(SimError::NodePanic { node, message });
-                return run;
-            }
-            Action::Isend {
-                to,
-                tag,
-                bytes,
-                payload,
-            } => {
-                if to >= n || to == node {
-                    run.end = SpecEnd::Error(SimError::BadProgram {
-                        node,
-                        detail: format!("isend of {bytes}B to invalid peer {to}"),
-                    });
-                    return run;
-                }
-                let oh = params.send_overhead;
-                run.clock += oh;
-                run.busy += oh;
-                run.isends.push(SpecIsend {
-                    to,
-                    tag,
-                    bytes,
-                    payload,
-                    ready: run.clock,
-                });
-            }
-            Action::Send {
-                to,
-                tag,
-                bytes,
-                payload,
-            } => {
-                if to >= n || to == node {
-                    run.end = SpecEnd::Error(SimError::BadProgram {
-                        node,
-                        detail: format!("send of {bytes}B to invalid peer {to}"),
-                    });
-                    return run;
-                }
-                let oh = params.send_overhead;
-                run.clock += oh;
-                run.busy += oh;
-                run.end = SpecEnd::Block(Action::Send {
-                    to,
-                    tag,
-                    bytes,
-                    payload,
-                });
-                return run;
-            }
-            Action::Recv { from, tag } => {
-                if let Some(f) = from {
-                    if f >= n || f == node {
-                        run.end = SpecEnd::Error(SimError::BadProgram {
-                            node,
-                            detail: format!("recv from invalid peer {f}"),
-                        });
-                        return run;
-                    }
-                }
-                let oh = params.recv_overhead;
-                run.clock += oh;
-                run.busy += oh;
-                run.end = SpecEnd::Block(Action::Recv { from, tag });
-                return run;
-            }
-            Action::WaitSend { handle } => {
-                run.end = SpecEnd::Wait { handle };
-                return run;
-            }
-            a @ (Action::Barrier
-            | Action::SystemBcast { .. }
-            | Action::Reduce { .. }
-            | Action::Scan { .. }) => {
-                run.end = SpecEnd::Block(a);
-                return run;
-            }
-        }
-    }
-}
-
-/// Body of one speculation worker: drain staging batches until the engine
-/// drops the request sender.
-fn worker_loop(
-    wid: usize,
-    req_rx: Receiver<Vec<(usize, SimTime)>>,
-    res_tx: Sender<(usize, LocalRun)>,
-    source: &OpSource<'_>,
-    params: &MachineParams,
-    n: usize,
-) {
-    while let Ok(batch) = req_rx.recv() {
-        for (node, start) in batch {
-            if res_tx
-                .send((wid, speculate(source, params, n, node, start)))
-                .is_err()
-            {
-                return;
-            }
-        }
-    }
-}
-
-/// node → worker map: the coarsest fat-tree level with at least `jobs`
-/// groups, so each worker owns whole subtrees (good cache affinity on the
-/// program slices). Affects only which worker speculates a node — never
-/// results. Non-tree topologies fall back to contiguous blocks.
-fn build_partition(topo: &Topology, jobs: usize) -> Vec<usize> {
-    let n = topo.nodes();
-    let block = |n: usize| (0..n).map(|node| node * jobs / n).collect::<Vec<_>>();
-    match topo {
-        Topology::FatTree(ft) => {
-            for level in (1..ft.levels()).rev() {
-                let groups = ft.groups_at(level);
-                if groups >= jobs {
-                    return (0..n)
-                        .map(|node| ft.group_of(node, level) * jobs / groups)
-                        .collect();
-                }
-            }
-            block(n)
-        }
-        _ => block(n),
-    }
-}
-
 struct Engine<'a, S: ProgramSource> {
     source: &'a mut S,
     params: &'a MachineParams,
@@ -642,12 +313,6 @@ struct Engine<'a, S: ProgramSource> {
     buf_peak: Vec<u64>,
     trace: TraceRing,
     record_trace: bool,
-    /// Worker pool state; `Some` turns `run` into the windowed merge loop.
-    par: Option<ParCtx>,
-    /// Windowed mode with tracing on: the current window's events, absorbed
-    /// into the ring at each window boundary so eviction accounting happens
-    /// at merge time ([`TraceRing::absorb`]).
-    window_trace_buf: Option<Vec<TraceEvent>>,
 }
 
 impl<'a, S: ProgramSource> Engine<'a, S> {
@@ -718,8 +383,6 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                 (true, None) => TraceRing::unbounded(4 * shape.messages as usize + 2 * n),
             },
             record_trace: obs.record_trace,
-            par: None,
-            window_trace_buf: None,
         }
     }
 
@@ -735,11 +398,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
 
     fn trace(&mut self, time: SimTime, kind: TraceKind) {
         if self.record_trace {
-            let ev = TraceEvent { time, kind };
-            match &mut self.window_trace_buf {
-                Some(buf) => buf.push(ev),
-                None => self.trace.push(ev),
-            }
+            self.trace.push(TraceEvent { time, kind });
         }
     }
 
@@ -748,31 +407,19 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         for node in 0..self.n() {
             self.push(SimTime::ZERO, Ev::Advance { node });
         }
-        if self.par.is_some() {
-            self.run_windowed()?;
-        } else {
-            while self.step(None)? {}
-        }
+        while self.step()? {}
         if self.done_count < self.n() {
             return Err(self.deadlock_error());
         }
         Ok(self.report())
     }
 
-    /// Pop and dispatch one event. `until` is the windowed mode's exclusive
-    /// time boundary: an event at or past it is put back and `Ok(false)` is
-    /// returned. With `until = None` this is exactly the serial loop body;
-    /// `Ok(false)` then means the heap drained with no pending batch.
-    fn step(&mut self, until: Option<SimTime>) -> Result<bool, SimError> {
+    /// Pop and dispatch one event. `Ok(false)` means the heap drained with
+    /// no pending network batch.
+    fn step(&mut self) -> Result<bool, SimError> {
         let Some(Reverse(entry)) = self.events.pop() else {
             return Ok(self.flush_net());
         };
-        if let Some(t1) = until {
-            if entry.time >= t1 {
-                self.events.push(Reverse(entry));
-                return Ok(false);
-            }
-        }
         // A batched network mutation must schedule its completion check
         // before any event that sorts after the reserved queue position.
         if self.pending_net && (entry.time, entry.seq) > (self.pending_net_at, self.pending_net_seq)
@@ -784,10 +431,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         self.events_processed += 1;
         let t = entry.time;
         match entry.ev {
-            Ev::Advance { node } => match self.take_spec(node) {
-                Some(run) => self.apply_run(node, run)?,
-                None => self.handle_advance(node)?,
-            },
+            Ev::Advance { node } => self.handle_advance(node)?,
             Ev::PostComm { node } => self.handle_post_comm(node, t)?,
             Ev::PostCollective { node } => self.handle_post_collective(node, t)?,
             Ev::PostAsync { node } => self.handle_post_async(node, t),
@@ -798,156 +442,6 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             }
         }
         Ok(true)
-    }
-
-    /// The windowed merge loop: repeatedly pick the next window `[t0, t0 +
-    /// width)`, farm the staged nodes out to the workers, and drain the
-    /// window's events — consuming speculated runs as their `Advance`
-    /// events pop, in canonical order.
-    fn run_windowed(&mut self) -> Result<(), SimError> {
-        let width = self.par.as_ref().expect("windowed run without pool").window;
-        if self.record_trace {
-            self.window_trace_buf = Some(Vec::new());
-        }
-        let result = self.window_loop(width);
-        // Absorb the final (possibly error-truncated) window's trace.
-        if let Some(mut buf) = self.window_trace_buf.take() {
-            self.trace.absorb(&mut buf);
-        }
-        result
-    }
-
-    fn window_loop(&mut self, width: SimDuration) -> Result<(), SimError> {
-        loop {
-            // Next window start: the earliest queued event (flushing any
-            // pending network batch if the heap is momentarily empty).
-            let t0 = loop {
-                if let Some(Reverse(e)) = self.events.peek() {
-                    break Some(e.time);
-                }
-                if !self.flush_net() {
-                    break None;
-                }
-            };
-            let Some(t0) = t0 else { return Ok(()) };
-            self.stage(t0 + width);
-            while self.step(Some(t0 + width))? {}
-            if let Some(par) = &mut self.par {
-                par.windows += 1;
-            }
-            if let Some(buf) = &mut self.window_trace_buf {
-                if !buf.is_empty() {
-                    let mut batch = std::mem::take(buf);
-                    self.trace.absorb(&mut batch);
-                    self.window_trace_buf = Some(batch);
-                }
-            }
-        }
-    }
-
-    /// Farm every node resuming before `t1` out to its worker and collect
-    /// the speculated runs. Skipped when fewer than two nodes are staged —
-    /// the merge thread handles a lone node faster than a channel round
-    /// trip. Field-level borrows only: `par` is held mutably while
-    /// `resume_slot`/`nodes` are read.
-    fn stage(&mut self, t1: SimTime) {
-        let Some(par) = &mut self.par else { return };
-        let staging = Instant::now();
-        let mut batches: Vec<Vec<(usize, SimTime)>> = vec![Vec::new(); par.req_txs.len()];
-        let mut count = 0usize;
-        for (node, slot) in self.resume_slot.iter().enumerate() {
-            if let Some(r) = slot {
-                if r.time < t1 && par.spec[node].is_none() {
-                    // A resumable node's clock always equals its resume
-                    // time; speculate from there.
-                    batches[par.part[node]].push((node, self.nodes[node].clock));
-                    count += 1;
-                }
-            }
-        }
-        if count < 2 {
-            return;
-        }
-        for (wid, batch) in batches.into_iter().enumerate() {
-            if !batch.is_empty() {
-                let _ = par.req_txs[wid].send(batch);
-            }
-        }
-        for _ in 0..count {
-            let Ok((wid, run)) = par.res_rx.recv() else {
-                break;
-            };
-            par.worker_events[wid] += run.steps;
-            let node = run.node;
-            par.spec[node] = Some(run);
-        }
-        par.merge_secs += staging.elapsed().as_secs_f64();
-    }
-
-    fn take_spec(&mut self, node: usize) -> Option<LocalRun> {
-        self.par.as_mut().and_then(|p| p.spec[node].take())
-    }
-
-    /// Replay a speculated run at the node's `Advance` pop: the merge-side
-    /// half of [`speculate`]. Issues the queued isends' handles, events,
-    /// and bookkeeping in exactly the order [`Engine::handle_advance`]
-    /// would have, then lands the terminal action.
-    fn apply_run(&mut self, node: usize, run: LocalRun) -> Result<(), SimError> {
-        let _resume = self.resume_slot[node]
-            .take()
-            .expect("advance without a resume");
-        for si in run.isends {
-            let handle = self.next_handle;
-            self.next_handle += 1;
-            self.async_state[node].insert(handle, false);
-            self.async_queue[node].push_back(AsyncSend {
-                src: node,
-                dst: si.to,
-                handle,
-                tag: si.tag,
-                bytes: si.bytes,
-                payload: si.payload,
-                ready: si.ready,
-            });
-            self.push(si.ready, Ev::PostAsync { node });
-        }
-        self.nodes[node].clock = run.clock;
-        self.nodes[node].report.busy += run.busy;
-        match run.end {
-            SpecEnd::Done => {
-                self.nodes[node].done = true;
-                self.nodes[node].report.finished_at = run.clock;
-                self.done_count += 1;
-                self.trace(run.clock, TraceKind::NodeDone { node });
-                Ok(())
-            }
-            SpecEnd::Error(e) => Err(e),
-            SpecEnd::Block(action) => {
-                let at = run.clock;
-                let ev = match &action {
-                    Action::Send { .. } | Action::Recv { .. } => Ev::PostComm { node },
-                    _ => Ev::PostCollective { node },
-                };
-                self.blocked_action[node] = Some(action);
-                self.nodes[node].block_start = Some(at);
-                self.push(at, ev);
-                Ok(())
-            }
-            SpecEnd::Wait { handle } => {
-                // Satisfiability depends on shared async state the worker
-                // could not see; decide here, against canonical state.
-                if self.wait_satisfied(node, handle) {
-                    self.retire_waited(node, handle);
-                    // Keep pulling actions serially — the node may run all
-                    // the way to its next real block.
-                    self.advance_loop(node, Resume::at(run.clock))
-                } else {
-                    self.blocked_action[node] = Some(Action::WaitSend { handle });
-                    self.nodes[node].block_start = Some(run.clock);
-                    Ok(())
-                }
-            }
-        }
     }
 
     fn deadlock_error(&self) -> SimError {
@@ -1018,29 +512,15 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                 flows: self.network.flows_admitted(),
                 flows_peak: self.network.flows_peak(),
                 wall_secs: self.started.elapsed().as_secs_f64(),
-                windows: self.par.as_ref().map_or(0, |p| p.windows),
-                worker_events: self
-                    .par
-                    .as_ref()
-                    .map(|p| p.worker_events.clone())
-                    .unwrap_or_default(),
-                merge_secs: self.par.as_ref().map_or(0.0, |p| p.merge_secs),
             },
         }
     }
 
     /// Deliver the node's resume and pull actions until it blocks or ends.
     fn handle_advance(&mut self, node: usize) -> Result<(), SimError> {
-        let resume = self.resume_slot[node]
+        let mut resume = self.resume_slot[node]
             .take()
             .expect("advance without a resume");
-        self.advance_loop(node, resume)
-    }
-
-    /// Pull the node's actions until it blocks or ends. Entered from an
-    /// `Advance` pop and from a satisfied speculated wait at merge time.
-    fn advance_loop(&mut self, node: usize, resume: Resume) -> Result<(), SimError> {
-        let mut resume = resume;
         loop {
             let action = self.source.next(node, resume)?;
             let clock = self.nodes[node].clock;
@@ -1469,7 +949,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
     fn note_net_mutation(&mut self, t: SimTime) {
         match self.params.rate_solver {
             RateSolver::Full => self.reschedule_net(),
-            RateSolver::Incremental | RateSolver::Hierarchical => {
+            RateSolver::Incremental => {
                 invariant!(
                     !self.pending_net || self.pending_net_at == t,
                     "a pending batch must be flushed before time advances"
@@ -2044,192 +1524,6 @@ mod tests {
             assert_eq!(a.finished_at, b.finished_at);
             assert_eq!(a.blocked, b.blocked);
         }
-    }
-
-    /// A messy mixed program for the parallel-identity tests: ring traffic
-    /// with odd sizes, isends + waits, compute skew, and collectives.
-    fn messy_programs(n: usize) -> Vec<OpProgram> {
-        let mut p = idle(n);
-        for (i, prog) in p.iter_mut().enumerate().take(n) {
-            let next = (i + 1) % n;
-            let prev = (i + n - 1) % n;
-            prog.push(Op::Compute(SimDuration::from_micros(13 * i as u64)));
-            if i.is_multiple_of(2) {
-                prog.push(Op::Recv { from: prev, tag: 1 });
-                prog.push(Op::Send {
-                    to: next,
-                    bytes: 100 * (i as u64 + 1),
-                    tag: 1,
-                });
-            } else {
-                prog.push(Op::Send {
-                    to: next,
-                    bytes: 100 * (i as u64 + 1),
-                    tag: 1,
-                });
-                prog.push(Op::Recv { from: prev, tag: 1 });
-            }
-            prog.push(Op::Isend {
-                to: next,
-                bytes: 64,
-                tag: 2,
-            });
-            prog.push(Op::Barrier);
-            prog.push(Op::Recv { from: prev, tag: 2 });
-            prog.push(Op::WaitAll);
-        }
-        p
-    }
-
-    fn assert_identical(a: &SimReport, b: &SimReport) {
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.payload_bytes, b.payload_bytes);
-        assert_eq!(a.wire_bytes, b.wire_bytes);
-        assert_eq!(a.root_crossings, b.root_crossings);
-        assert_eq!(a.collectives, b.collectives);
-        assert_eq!(a.bytes_per_level, b.bytes_per_level);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.trace_dropped, b.trace_dropped);
-        assert_eq!(a.rate_samples, b.rate_samples);
-        for (x, y) in a.nodes.iter().zip(&b.nodes) {
-            assert_eq!(x.busy, y.busy);
-            assert_eq!(x.blocked, y.blocked);
-            assert_eq!(x.msgs_sent, y.msgs_sent);
-            assert_eq!(x.payload_sent, y.payload_sent);
-            assert_eq!(x.finished_at, y.finished_at);
-        }
-        // Even the pure-function perf counters must line up: the windowed
-        // engine pops the identical event sequence.
-        assert_eq!(a.perf.events, b.perf.events);
-        assert_eq!(a.perf.recomputes, b.perf.recomputes);
-        assert_eq!(a.perf.flows, b.perf.flows);
-    }
-
-    #[test]
-    fn windowed_run_is_bit_identical_to_serial() {
-        let n = 16;
-        let p = messy_programs(n);
-        let serial = sim(n)
-            .record_trace(true)
-            .record_rates(true)
-            .run_ops(&p)
-            .unwrap();
-        for jobs in [2usize, 3, 8] {
-            let par = sim(n)
-                .record_trace(true)
-                .record_rates(true)
-                .sim_jobs(jobs)
-                .run_ops(&p)
-                .unwrap();
-            assert_identical(&serial, &par);
-            assert!(par.perf.windows > 0, "jobs {jobs} never windowed");
-            assert_eq!(par.perf.worker_events.len(), jobs);
-        }
-    }
-
-    #[test]
-    fn window_width_is_a_pure_perf_knob() {
-        let n = 16;
-        let p = messy_programs(n);
-        let serial = sim(n).record_trace(true).run_ops(&p).unwrap();
-        for width_us in [1u64, 10, 88, 1000] {
-            let par = sim(n)
-                .record_trace(true)
-                .sim_jobs(4)
-                .window_width(SimDuration::from_micros(width_us))
-                .run_ops(&p)
-                .unwrap();
-            assert_identical(&serial, &par);
-        }
-    }
-
-    #[test]
-    fn windowed_bounded_trace_ring_matches_serial() {
-        let n = 16;
-        let p = messy_programs(n);
-        let serial = sim(n)
-            .record_trace(true)
-            .trace_capacity(17)
-            .run_ops(&p)
-            .unwrap();
-        assert!(serial.trace_dropped > 0, "test needs evictions");
-        let par = sim(n)
-            .record_trace(true)
-            .trace_capacity(17)
-            .sim_jobs(4)
-            .run_ops(&p)
-            .unwrap();
-        assert_eq!(serial.trace, par.trace);
-        assert_eq!(serial.trace_dropped, par.trace_dropped);
-    }
-
-    #[test]
-    fn windowed_errors_match_serial() {
-        // Deadlocks and bad programs surface identically under speculation.
-        let mut p = idle(4);
-        p[0] = vec![Op::Recv {
-            from: 1,
-            tag: ANY_TAG,
-        }];
-        let err = sim(4).sim_jobs(4).run_ops(&p).unwrap_err();
-        assert!(matches!(err, SimError::Deadlock { .. }));
-        let mut p = idle(4);
-        p[0] = vec![Op::Send {
-            to: 0,
-            bytes: 8,
-            tag: ANY_TAG,
-        }];
-        p[1] = vec![Op::Send {
-            to: 9,
-            bytes: 8,
-            tag: ANY_TAG,
-        }];
-        let err = sim(4).sim_jobs(4).run_ops(&p).unwrap_err();
-        // Canonical merge order: node 0's error pops first.
-        assert!(matches!(err, SimError::BadProgram { node: 0, .. }));
-    }
-
-    #[test]
-    fn sim_jobs_zero_uses_available_cores() {
-        let p = messy_programs(8);
-        let serial = sim(8).run_ops(&p).unwrap();
-        let par = sim(8).sim_jobs(0).run_ops(&p).unwrap();
-        assert_eq!(serial.makespan, par.makespan);
-    }
-
-    #[test]
-    fn partition_follows_fat_tree_subtrees() {
-        let topo = Topology::FatTree(FatTree::new(64));
-        let part = build_partition(&topo, 4);
-        assert_eq!(part.len(), 64);
-        // 4 workers over 64 nodes: one level-2 subtree (16 nodes) each.
-        for (node, &w) in part.iter().enumerate() {
-            assert_eq!(w, node / 16);
-        }
-        // More workers than any level has groups: contiguous blocks.
-        let part = build_partition(&topo, 64);
-        assert!(part.iter().enumerate().all(|(i, &w)| w == i));
-        // Every worker id stays in range whatever the ratio.
-        for jobs in [2usize, 3, 5, 7, 9, 100] {
-            let part = build_partition(&topo, jobs);
-            assert!(part.iter().all(|&w| w < jobs));
-        }
-    }
-
-    /// Satellite: the worker-shared state must be (and stay) thread-safe by
-    /// construction — `#![forbid(unsafe_code)]` means these bounds come
-    /// from std/shim primitives only.
-    #[test]
-    fn worker_shared_engine_state_is_send_sync() {
-        fn send_sync<T: Send + Sync>() {}
-        fn send<T: Send>() {}
-        send_sync::<OpSource<'static>>();
-        send_sync::<MachineParams>();
-        send::<LocalRun>();
-        send::<Sender<Vec<(usize, SimTime)>>>();
-        send::<Receiver<(usize, LocalRun)>>();
-        send::<Sender<(usize, LocalRun)>>();
     }
 
     #[test]

@@ -73,7 +73,6 @@ macro_rules! invariant_eq {
 pub mod cmmd;
 pub mod engine;
 pub mod error;
-pub mod modelcheck;
 pub mod network;
 pub mod ops;
 pub mod packet;
@@ -87,12 +86,9 @@ pub mod trace;
 pub use cmmd::{CmmdNode, Received, SendHandle};
 pub use engine::Simulation;
 pub use error::SimError;
-pub use modelcheck::{check_cursor_protocol, check_racy_shared_node, ModelResult};
 pub use ops::{Op, OpProgram, ReduceOp, ANY_TAG};
 pub use params::{FairnessModel, MachineParams, RateSolver, SendMode};
 pub use stats::{NodeReport, RateSample, SimPerf, SimReport, TraceEvent, TraceKind, TraceRing};
-pub use tenant::{
-    run_tenants, run_tenants_jobs, Placement, TenantLayout, TenantReport, TenantSlice, TenantSpec,
-};
+pub use tenant::{run_tenants, Placement, TenantLayout, TenantReport, TenantSlice, TenantSpec};
 pub use time::{SimDuration, SimTime};
 pub use topology::{FatTree, Hypercube, LinkDir, LinkId, RouteRef, RouteTable, Topology};

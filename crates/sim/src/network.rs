@@ -17,7 +17,7 @@
 //!
 //! # Solver implementations
 //!
-//! Three [`RateSolver`] backends produce **bit-identical** results:
+//! Two [`RateSolver`] backends produce **bit-identical** results:
 //!
 //! * [`RateSolver::Incremental`] (default) stores flows in a
 //!   struct-of-arrays slab with per-link member counts, recomputes rates
@@ -27,18 +27,12 @@
 //!   finish times that is invalidated wholesale by a per-recompute rate
 //!   epoch. Byte integration is folded into the recompute/drain points, so
 //!   [`Network::advance_to`] is O(1).
-//! * [`RateSolver::Hierarchical`] adds per-subtree dirty bits over the fat
-//!   tree: admissions and completions mark only the tree spine they touch,
-//!   and the recompute re-runs progressive filling over just the *affected*
-//!   subtrees — every other flow keeps its persisted rate. See
-//!   [`Network::recompute_hierarchical`] for the closure argument that
-//!   makes this exact rather than approximate.
 //! * [`RateSolver::Full`] is the original solver — a fresh full
 //!   recomputation on every add/remove, eager integration, and an O(flows)
 //!   completion scan — retained as the differential-testing oracle and the
 //!   `--rates full` ablation.
 //!
-//! Bit-identity holds because all backends run the *same* progressive
+//! Bit-identity holds because both backends run the *same* progressive
 //! filling arithmetic over the *same* flow iteration order (ascending flow
 //! id, the old `BTreeMap` order — floating-point subtraction makes the
 //! freeze order observable), and because every intermediate recompute the
@@ -63,7 +57,7 @@ use std::collections::BinaryHeap;
 use crate::params::{FairnessModel, MachineParams, RateSolver};
 use crate::stats::RateSample;
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{FatTree, Topology, ARITY};
+use crate::topology::{FatTree, Topology};
 
 /// Residual bytes below which a flow counts as finished. Completion events
 /// are scheduled with ceil-rounding, so at the scheduled instant the true
@@ -122,9 +116,6 @@ struct FlowStore {
     dst: Vec<u32>,
     token: Vec<u64>,
     wire_bytes: Vec<u64>,
-    /// Tree-node index of the flow's LCA ([`TreeIndex`]); `u32::MAX` on
-    /// topologies without a tree (hypercube).
-    lca_node: Vec<u32>,
     live: Vec<bool>,
     /// Fixed-stride route arena: `stride` link indices per slot, written
     /// level-major (up links ascending, then down links descending). Only
@@ -157,7 +148,6 @@ impl FlowStore {
         self.dst.push(0);
         self.token.push(0);
         self.wire_bytes.push(0);
-        self.lca_node.push(u32::MAX);
         self.live.push(false);
         self.routes.resize(self.routes.len() + self.stride, 0);
         slot
@@ -168,72 +158,6 @@ impl FlowStore {
     fn route(&self, slot: u32) -> &[u32] {
         let base = slot as usize * self.stride;
         &self.routes[base..base + self.route_len[slot as usize] as usize]
-    }
-}
-
-/// Dense indexing of the fat tree's internal nodes — the groups at levels
-/// `1..=levels` (the root is the single node at the top) — for the
-/// hierarchical solver's per-subtree bookkeeping.
-#[derive(Debug)]
-struct TreeIndex {
-    levels: u32,
-    /// `offset[l-1]` = index of the first node of level `l`.
-    offset: Vec<usize>,
-    /// `count[l-1]` = number of groups at level `l`.
-    count: Vec<usize>,
-    /// Total tree nodes (≈ n/3).
-    total: usize,
-}
-
-impl TreeIndex {
-    fn new(tree: &FatTree) -> TreeIndex {
-        let levels = tree.levels();
-        let n = tree.nodes();
-        let mut offset = Vec::with_capacity(levels as usize);
-        let mut count = Vec::with_capacity(levels as usize);
-        let mut total = 0usize;
-        for l in 1..=levels {
-            offset.push(total);
-            let c = n.div_ceil(ARITY.pow(l));
-            count.push(c);
-            total += c;
-        }
-        TreeIndex {
-            levels,
-            offset,
-            count,
-            total,
-        }
-    }
-
-    /// Node index of group `group` at `level` (1 ≤ level ≤ levels).
-    #[inline]
-    fn node(&self, level: u32, group: usize) -> usize {
-        self.offset[(level - 1) as usize] + group
-    }
-
-    /// Inverse of [`TreeIndex::node`].
-    fn level_group(&self, node: usize) -> (u32, usize) {
-        let mut l = self.offset.len();
-        while self.offset[l - 1] > node {
-            l -= 1;
-        }
-        (l as u32, node - self.offset[l - 1])
-    }
-
-    /// Stamp every tree node in the subtree rooted at (`level`, `group`)
-    /// with `epoch` (descendant-range marking: each level below the root
-    /// is one contiguous group range).
-    fn mark_subtree(&self, level: u32, group: usize, marks: &mut [u64], epoch: u64) {
-        for l in 1..=level {
-            let span = ARITY.pow(level - l);
-            let start = group * span;
-            let end = ((group + 1) * span).min(self.count[(l - 1) as usize]);
-            let off = self.offset[(l - 1) as usize];
-            for m in &mut marks[off + start..off + end] {
-                *m = epoch;
-            }
-        }
     }
 }
 
@@ -257,11 +181,11 @@ pub struct Network {
     /// iterates it in this (the old `BTreeMap`) order, which the
     /// floating-point results depend on.
     active: Vec<(u64, u32)>,
-    /// Per-link member-flow count (lazy solvers only). Only the count ever
+    /// Per-link member-flow count (incremental solver only). Only the count ever
     /// mattered — the seed's `Vec<Vec<u64>>` member lists cost an O(members)
     /// position scan per link on every drain.
     member_count: Vec<u32>,
-    /// Links that may have members (lazy solvers only): appended on 0→1
+    /// Links that may have members (incremental solver only): appended on 0→1
     /// transitions, pruned lazily at the next recompute. Unordered — the
     /// fill only takes exact mins over it, which are order-independent.
     used_links: Vec<usize>,
@@ -272,32 +196,17 @@ pub struct Network {
     /// Virtual time of the network.
     now: SimTime,
     /// Time up to which `remaining`/`link_bytes` have been integrated.
-    /// Invariant (lazy solvers): `dirty ⇒ synced_at == now`.
+    /// Invariant (incremental solver): `dirty ⇒ synced_at == now`.
     synced_at: SimTime,
     /// Rates are stale: the flow set changed since the last recompute.
     dirty: bool,
     next_id: u64,
     /// Bumped on every recompute; completion-queue entries from older
-    /// epochs are invalid. Also the stamp for `node_mark`/`link_mark`.
+    /// epochs are invalid.
     rate_epoch: u64,
     /// Indexed completion queue: min-heap of predicted finish times,
     /// rebuilt at each recompute.
     completions: BinaryHeap<Reverse<CompEntry>>,
-    // Hierarchical-solver state (fat tree only; empty otherwise).
-    /// Tree-node indexing, present iff solver is Hierarchical on a fat tree.
-    tree: Option<TreeIndex>,
-    /// Per tree node: active flows whose LCA is exactly this node.
-    sub_count: Vec<u32>,
-    /// Per tree node: marked dirty since the last recompute.
-    node_dirty: Vec<bool>,
-    /// Dirty tree nodes since the last recompute (dedup via `node_dirty`).
-    dirty_nodes: Vec<u32>,
-    /// Epoch stamp: node is in an affected subtree this recompute.
-    node_mark: Vec<u64>,
-    /// Epoch stamp: link discovered on an affected flow this recompute.
-    link_mark: Vec<u64>,
-    /// Links of the affected component (rebuilt per recompute).
-    scratch_links: Vec<usize>,
     // Persistent scratch buffers (zero per-recompute allocation).
     scratch_residual: Vec<f64>,
     scratch_count: Vec<u32>,
@@ -328,11 +237,6 @@ impl Network {
         let link_levels: Vec<u16> = (0..links).map(|i| topo.link_level(i) as u16).collect();
         let num_levels = topo.num_levels();
         let stride = topo.max_route_len();
-        let tree = match (&topo, params.rate_solver) {
-            (Topology::FatTree(t), RateSolver::Hierarchical) => Some(TreeIndex::new(t)),
-            _ => None,
-        };
-        let tnodes = tree.as_ref().map_or(0, |t| t.total);
         Network {
             topo,
             fairness: params.fairness,
@@ -353,17 +257,6 @@ impl Network {
             next_id: 0,
             rate_epoch: 0,
             completions: BinaryHeap::new(),
-            tree,
-            sub_count: vec![0; tnodes],
-            node_dirty: vec![false; tnodes],
-            dirty_nodes: Vec::new(),
-            node_mark: vec![0; tnodes],
-            link_mark: if params.rate_solver == RateSolver::Hierarchical {
-                vec![0; links]
-            } else {
-                Vec::new()
-            },
-            scratch_links: Vec::new(),
             scratch_residual: vec![0.0; links],
             scratch_count: vec![0; links],
             scratch_unfrozen: Vec::new(),
@@ -470,8 +363,8 @@ impl Network {
     }
 
     /// Advance virtual time to `t` (monotone). The eager solver integrates
-    /// flow progress immediately; the lazy solvers merely record the
-    /// time and fold integration into the next recompute/drain point.
+    /// flow progress immediately; the incremental solver merely records the
+    /// time and folds integration into the next recompute/drain point.
     pub fn advance_to(&mut self, t: SimTime) {
         invariant!(t >= self.now, "network time must be monotone");
         match self.solver {
@@ -479,7 +372,7 @@ impl Network {
                 self.now = t;
                 self.sync_to_now();
             }
-            RateSolver::Incremental | RateSolver::Hierarchical => {
+            RateSolver::Incremental => {
                 // Rates must be valid before time passes over them.
                 if self.dirty && t > self.now {
                     self.ensure_rates();
@@ -513,16 +406,17 @@ impl Network {
     }
 
     /// Recompute rates if the flow set changed since the last recompute
-    /// (lazy solvers; the eager solver is never dirty).
+    /// (incremental solver; the eager solver is never dirty).
     fn ensure_rates(&mut self) {
         if self.dirty {
             invariant_eq!(self.synced_at, self.now, "dirty implies synced");
+            invariant_eq!(
+                self.solver,
+                RateSolver::Incremental,
+                "eager solver is never dirty"
+            );
             self.sync_to_now();
-            match self.solver {
-                RateSolver::Incremental => self.recompute_incremental(),
-                RateSolver::Hierarchical => self.recompute_hierarchical(),
-                RateSolver::Full => unreachable!("eager solver is never dirty"),
-            }
+            self.recompute_incremental();
             self.dirty = false;
         }
     }
@@ -531,7 +425,7 @@ impl Network {
     /// bandwidth. `cap` is the per-flow rate limit, `token` an opaque id the
     /// engine uses to find the message on completion.
     ///
-    /// Under the lazy solvers the recomputation is deferred: any number of
+    /// Under the incremental solver the recomputation is deferred: any number of
     /// same-timestamp admissions cost one recompute, triggered by the next
     /// [`Network::next_completion`] / [`Network::advance_to`]. The route is
     /// computed arithmetically into the flow's arena slot — no allocation,
@@ -555,19 +449,12 @@ impl Network {
         let si = slot as usize;
         let stride = self.store.stride;
         let arena = &mut self.store.routes[si * stride..(si + 1) * stride];
-        let (rlen, lca_node) = match &self.topo {
-            Topology::FatTree(t) => {
-                let (len, lca) = t.route_into(src, dst, arena);
-                let node = match &self.tree {
-                    Some(tix) => tix.node(lca, t.group_of(src, lca)) as u32,
-                    None => u32::MAX,
-                };
-                (len, node)
-            }
-            Topology::Hypercube(h) => (h.route_into(src, dst, arena), u32::MAX),
+        let rlen = match &self.topo {
+            Topology::FatTree(t) => t.route_into(src, dst, arena),
+            Topology::Hypercube(h) => h.route_into(src, dst, arena),
         };
         self.store.route_len[si] = rlen as u32;
-        if self.solver != RateSolver::Full {
+        if self.solver == RateSolver::Incremental {
             for k in 0..rlen {
                 let l = self.store.routes[si * stride + k] as usize;
                 if self.member_count[l] == 0 && !self.in_used[l] {
@@ -575,10 +462,6 @@ impl Network {
                     self.used_links.push(l);
                 }
                 self.member_count[l] += 1;
-            }
-            if self.tree.is_some() {
-                self.sub_count[lca_node as usize] += 1;
-                self.mark_node_dirty(lca_node);
             }
         }
         self.store.remaining[si] = wire_bytes as f64;
@@ -589,13 +472,12 @@ impl Network {
         self.store.dst[si] = dst as u32;
         self.store.token[si] = token;
         self.store.wire_bytes[si] = wire_bytes;
-        self.store.lca_node[si] = lca_node;
         self.store.live[si] = true;
         self.active.push((id, slot));
         self.flows_peak = self.flows_peak.max(self.active.len());
         match self.solver {
             RateSolver::Full => self.recompute_full(),
-            RateSolver::Incremental | RateSolver::Hierarchical => self.dirty = true,
+            RateSolver::Incremental => self.dirty = true,
         }
         id
     }
@@ -620,7 +502,7 @@ impl Network {
                     self.recompute_full();
                 }
             }
-            RateSolver::Incremental | RateSolver::Hierarchical => {
+            RateSolver::Incremental => {
                 self.ensure_rates();
                 // Fast path: the earliest predicted completion is still in
                 // the future — nothing to drain, nothing to allocate.
@@ -663,18 +545,13 @@ impl Network {
                 true
             }
         });
-        let lazy = self.solver != RateSolver::Full;
+        let lazy = self.solver == RateSolver::Incremental;
         for &(id, s) in &drained {
             let si = s as usize;
             invariant!(self.store.live[si], "completed flow present");
             if lazy {
                 for &l in self.store.route(s) {
                     self.member_count[l as usize] -= 1;
-                }
-                if self.tree.is_some() {
-                    let node = self.store.lca_node[si];
-                    self.sub_count[node as usize] -= 1;
-                    self.mark_node_dirty(node);
                 }
             }
             self.store.live[si] = false;
@@ -717,7 +594,7 @@ impl Network {
                 }
                 best
             }
-            RateSolver::Incremental | RateSolver::Hierarchical => {
+            RateSolver::Incremental => {
                 self.ensure_rates();
                 self.peek_completion()
             }
@@ -757,30 +634,12 @@ impl Network {
         });
     }
 
-    /// Mark a tree node dirty (dedup via `node_dirty`).
-    fn mark_node_dirty(&mut self, node: u32) {
-        let ni = node as usize;
-        if !self.node_dirty[ni] {
-            self.node_dirty[ni] = true;
-            self.dirty_nodes.push(node);
-        }
-    }
-
-    /// Reset the dirty-node flags and list.
-    fn clear_dirty_nodes(&mut self) {
-        let flags = &mut self.node_dirty;
-        for &d in &self.dirty_nodes {
-            flags[d as usize] = false;
-        }
-        self.dirty_nodes.clear();
-    }
-
     /// Rebuild the completion prediction for every active flow under the
     /// current epoch. Predictions are *not* reusable across recomputes even
     /// for flows whose rate did not change: a prediction is
     /// `t_recompute + ceil(remaining / rate)` and the ceil does not commute
     /// with re-basing `remaining` at a later timestamp, so keeping stale
-    /// entries would break bit-identity with the incremental solver.
+    /// entries would break bit-identity with the full solver.
     fn rebuild_completions(&mut self) {
         let epoch = self.rate_epoch;
         let now = self.now;
@@ -853,172 +712,6 @@ impl Network {
         }
     }
 
-    /// Hierarchical recompute: re-run progressive filling over only the
-    /// *affected* subtrees, leaving every other flow's persisted rate
-    /// untouched.
-    ///
-    /// Every admission/completion marks the flow's LCA tree node dirty. At
-    /// recompute time each dirty node `d` is resolved to an affected root
-    /// `h`: the **highest** node on the path `d → root` whose subtree
-    /// population (`sub_count`) is non-zero, or `d` itself if the whole
-    /// spine is empty. All tree nodes in `subtree(h)` are marked, and a
-    /// flow is affected iff its LCA node is marked.
-    ///
-    /// **Closure**: any flow using a link inside `subtree(h)` has an
-    /// endpoint inside it, so its LCA lies on that endpoint's chain to the
-    /// root; an LCA strictly above `h` would be an occupied ancestor of
-    /// `h`, contradicting `h`'s maximality, so the LCA is inside
-    /// `subtree(h)` and the flow is marked affected. Conversely affected
-    /// flows route only over links inside marked subtrees. Affected links
-    /// are therefore crossed *only* by affected flows (checked by the
-    /// member-count invariant below), so filling the affected flows against
-    /// full link capacities reproduces exactly what a global fill would
-    /// assign them, and unaffected flows' rates are exactly what the global
-    /// fill would re-derive.
-    ///
-    /// **Bit-identity**: the only way a component-local fill can diverge
-    /// from the global fill is the water-level tolerance
-    /// (`tol = level·(1+1e-9)`) catching a value from *another* component
-    /// that is within 1e-9 relative of, but not equal to, this component's
-    /// level. Levels are quotients `group_size·B / count` with `B` the
-    /// 5/10/20 MB/s per-node figures; two such quotients closer than 1e-9
-    /// relative but unequal require `group_size · count ≳ 1e9`, far beyond
-    /// a 16K-node machine. Exactly equal levels freeze identically either
-    /// way.
-    fn recompute_hierarchical(&mut self) {
-        self.recomputes += 1;
-        self.rate_epoch += 1;
-        self.completions.clear();
-        self.prune_used_links();
-        if self.active.is_empty() {
-            self.clear_dirty_nodes();
-            if self.record_rates {
-                self.sample_rates();
-            }
-            return;
-        }
-        let epoch = self.rate_epoch;
-        if let Some(tix) = &self.tree {
-            let sub = &self.sub_count;
-            let marks = &mut self.node_mark;
-            for &d in &self.dirty_nodes {
-                let (dl, dg) = tix.level_group(d as usize);
-                let (mut root_l, mut root_g) = (dl, dg);
-                let (mut l, mut g) = (dl, dg);
-                loop {
-                    if sub[tix.node(l, g)] > 0 {
-                        root_l = l;
-                        root_g = g;
-                    }
-                    if l == tix.levels {
-                        break;
-                    }
-                    l += 1;
-                    g /= ARITY;
-                }
-                // If the resolved root is already stamped, so is its whole
-                // subtree (a node is only ever stamped by a `mark_subtree`
-                // of itself or an ancestor) — skip the redundant re-mark.
-                // This matters when one completion wave dirties hundreds of
-                // clusters that all resolve to the same occupied spine.
-                if marks[tix.node(root_l, root_g)] != epoch {
-                    tix.mark_subtree(root_l, root_g, marks, epoch);
-                }
-            }
-        }
-        self.clear_dirty_nodes();
-        // Gather affected flows (ascending id: `active` order).
-        let affected = &mut self.scratch_unfrozen;
-        affected.clear();
-        match &self.tree {
-            Some(_) => {
-                let store = &self.store;
-                let marks = &self.node_mark;
-                for &(id, s) in &self.active {
-                    if marks[store.lca_node[s as usize] as usize] == epoch {
-                        affected.push((id, s));
-                    }
-                }
-            }
-            // No tree structure (hypercube): every flow is affected and
-            // the pass degenerates to the incremental recompute.
-            None => affected.extend_from_slice(&self.active),
-        }
-        match self.fairness {
-            FairnessModel::MaxMin => {
-                // When the invalidation covers every active flow anyway
-                // (hypercube fallback, or a dirty spine that reaches the
-                // whole occupied tree), skip the per-route link discovery
-                // and reuse the maintained membership counts directly —
-                // exactly what the incremental recompute does. The fill
-                // arithmetic only takes exact commutative per-link minima,
-                // so the different link-set construction order cannot
-                // change a single bit.
-                if self.scratch_unfrozen.len() == self.active.len() {
-                    let residual = &mut self.scratch_residual;
-                    let count = &mut self.scratch_count;
-                    let links = &mut self.scratch_links;
-                    links.clear();
-                    for &l in &self.used_links {
-                        links.push(l);
-                        residual[l] = self.capacity[l];
-                        count[l] = self.member_count[l];
-                    }
-                } else {
-                    let store = &self.store;
-                    let affected = &self.scratch_unfrozen;
-                    let residual = &mut self.scratch_residual;
-                    let count = &mut self.scratch_count;
-                    let links = &mut self.scratch_links;
-                    let lmark = &mut self.link_mark;
-                    links.clear();
-                    for &(_, s) in affected {
-                        for &l in store.route(s) {
-                            let l = l as usize;
-                            if lmark[l] != epoch {
-                                lmark[l] = epoch;
-                                links.push(l);
-                                residual[l] = self.capacity[l];
-                                count[l] = 0;
-                            }
-                            count[l] += 1;
-                        }
-                    }
-                    for &l in links.iter() {
-                        invariant_eq!(
-                            count[l],
-                            self.member_count[l],
-                            "affected component must be closed under link sharing"
-                        );
-                    }
-                }
-                max_min_fill(
-                    &mut self.store,
-                    &mut self.scratch_unfrozen,
-                    &mut self.scratch_next,
-                    &self.scratch_links,
-                    &mut self.scratch_residual,
-                    &mut self.scratch_count,
-                );
-            }
-            FairnessModel::EqualShare => {
-                // Per-link counts changed only on links whose flows are all
-                // affected (same closure), so affected flows see correct
-                // `member_count` and unaffected flows' mins are unchanged.
-                equal_share_fill(
-                    &mut self.store,
-                    &self.scratch_unfrozen,
-                    &self.capacity,
-                    &self.member_count,
-                );
-            }
-        }
-        self.rebuild_completions();
-        if self.record_rates {
-            self.sample_rates();
-        }
-    }
-
     /// Eager-solver recompute: the original per-call allocations (fresh
     /// residual/count vectors, used-link scan) — the honest cost profile of
     /// the oracle.
@@ -1079,7 +772,7 @@ impl Network {
 /// Water level rises uniformly across all unfrozen flows; at each step the
 /// binding constraint is either a flow's cap (freeze that flow at its cap)
 /// or a link reaching saturation (freeze every unfrozen flow through it at
-/// the link's fair share). Shared by all solver backends so their
+/// the link's fair share). Shared by both solver backends so their
 /// floating-point arithmetic is identical by construction; `unfrozen` must
 /// arrive in ascending-id order. `used_links` may arrive in any order —
 /// only exact (commutative) minima are taken over it.
@@ -1160,8 +853,7 @@ fn max_min_fill(
 
 /// Naive ablation model: every flow gets `capacity / crossings` on each of
 /// its links (no redistribution of unused headroom), then its cap. Shared
-/// by all solver backends; `flows` may be a subset when counts on the
-/// remaining flows' links are unchanged.
+/// by both solver backends.
 fn equal_share_fill(store: &mut FlowStore, flows: &[(u64, u32)], capacity: &[f64], count: &[u32]) {
     let stride = store.stride;
     let routes = &store.routes;
@@ -1388,22 +1080,19 @@ mod tests {
         }
     }
 
-    /// All three solvers agree bitwise on a contended mixed workload,
-    /// including across a completion that dirties only one subtree.
+    /// Both solvers agree bitwise on a contended mixed workload on a
+    /// 64-node tree, across every completion.
     #[test]
-    fn hierarchical_solver_matches_both_oracles() {
+    fn full_solver_matches_incremental_on_64_node_tree() {
         for fairness in [FairnessModel::MaxMin, FairnessModel::EqualShare] {
             let mut p = MachineParams::cm5_1992();
             p.fairness = fairness;
-            let mut ph = p.clone();
-            ph.rate_solver = RateSolver::Hierarchical;
             let mut pf = p.clone();
             pf.rate_solver = RateSolver::Full;
             let mut inc = Network::new(FatTree::new(64), &p);
-            let mut hier = Network::new(FatTree::new(64), &ph);
             let mut full = Network::new(FatTree::new(64), &pf);
             // Local cluster traffic + cross-root crossers + a short local
-            // flow whose completion invalidates only its own spine.
+            // flow that completes first.
             let flows: &[(usize, usize, u64)] = &[
                 (0, 1, 4_000),
                 (2, 3, 9_000),
@@ -1416,87 +1105,23 @@ mod tests {
             for (tok, &(src, dst, bytes)) in flows.iter().enumerate() {
                 let cap = cap_for(&inc, src, dst, &p);
                 inc.add_flow(src, dst, bytes, cap, tok as u64);
-                hier.add_flow(src, dst, bytes, cap, tok as u64);
                 full.add_flow(src, dst, bytes, cap, tok as u64);
             }
             loop {
                 for tok in 0..flows.len() as u64 {
-                    assert_eq!(inc.flow_rate(tok), hier.flow_rate(tok), "token {tok}");
-                    assert_eq!(full.flow_rate(tok), hier.flow_rate(tok), "token {tok}");
+                    assert_eq!(inc.flow_rate(tok), full.flow_rate(tok), "token {tok}");
                 }
                 let t = inc.next_completion();
-                assert_eq!(t, hier.next_completion());
                 assert_eq!(t, full.next_completion());
                 let Some(t) = t else { break };
                 inc.advance_to(t);
-                hier.advance_to(t);
                 full.advance_to(t);
                 let di = inc.take_completed();
-                let dh = hier.take_completed();
                 let df = full.take_completed();
                 let toks: Vec<u64> = di.iter().map(|f| f.token).collect();
-                assert_eq!(toks, dh.iter().map(|f| f.token).collect::<Vec<_>>());
                 assert_eq!(toks, df.iter().map(|f| f.token).collect::<Vec<_>>());
             }
-            assert_eq!(inc.bytes_per_level(), hier.bytes_per_level());
-            assert_eq!(full.bytes_per_level(), hier.bytes_per_level());
+            assert_eq!(inc.bytes_per_level(), full.bytes_per_level());
         }
-    }
-
-    /// On a topology with no tree (hypercube) the hierarchical solver
-    /// degenerates to the incremental recompute — still bit-identical.
-    #[test]
-    fn hierarchical_on_hypercube_matches_incremental() {
-        let p = MachineParams::cm5_1992();
-        let mut ph = p.clone();
-        ph.rate_solver = RateSolver::Hierarchical;
-        let topo = || Topology::Hypercube(crate::topology::Hypercube::new(16));
-        let mut inc = Network::new_on(topo(), &p);
-        let mut hier = Network::new_on(topo(), &ph);
-        for (tok, (src, dst)) in [(0usize, 15usize), (1, 2), (3, 12), (7, 8)]
-            .into_iter()
-            .enumerate()
-        {
-            inc.add_flow(src, dst, 10_000, p.flow_cap(), tok as u64);
-            hier.add_flow(src, dst, 10_000, p.flow_cap(), tok as u64);
-        }
-        for tok in 0..4u64 {
-            assert_eq!(inc.flow_rate(tok), hier.flow_rate(tok), "token {tok}");
-        }
-        assert_eq!(inc.next_completion(), hier.next_completion());
-    }
-
-    /// A completion inside one cluster must not trigger a re-fill of an
-    /// unrelated subtree: the hierarchical recompute leaves the other
-    /// spine's rates bitwise untouched (checked indirectly: rates still
-    /// match the full oracle after a partial drain).
-    #[test]
-    fn hierarchical_partial_invalidation_is_exact() {
-        let p = MachineParams::cm5_1992();
-        let mut ph = p.clone();
-        ph.rate_solver = RateSolver::Hierarchical;
-        let mut pf = p.clone();
-        pf.rate_solver = RateSolver::Full;
-        let mut hier = Network::new(FatTree::new(32), &ph);
-        let mut full = Network::new(FatTree::new(32), &pf);
-        // Cluster 0 local short flow; cluster 4+ long crossers.
-        let cap_local = cap_for(&hier, 0, 1, &p);
-        hier.add_flow(0, 1, 1_000, cap_local, 0);
-        full.add_flow(0, 1, 1_000, cap_local, 0);
-        for i in 16..24 {
-            let cap = cap_for(&hier, i, i - 12, &p);
-            hier.add_flow(i, i - 12, 50_000, cap, i as u64);
-            full.add_flow(i, i - 12, 50_000, cap, i as u64);
-        }
-        let t = hier.next_completion().unwrap();
-        assert_eq!(Some(t), full.next_completion());
-        hier.advance_to(t);
-        full.advance_to(t);
-        assert_eq!(hier.take_completed().len(), 1);
-        assert_eq!(full.take_completed().len(), 1);
-        for i in 16..24u64 {
-            assert_eq!(hier.flow_rate(i), full.flow_rate(i), "token {i}");
-        }
-        assert_eq!(hier.next_completion(), full.next_completion());
     }
 }

@@ -11,8 +11,6 @@
 //! consumes, so their timing semantics are identical by construction (a
 //! property the integration tests check).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use bytes::Bytes;
 
 use crate::error::SimError;
@@ -213,17 +211,9 @@ pub(crate) trait ProgramSource {
 
 /// Op-program adapter: walks per-node vectors, converting [`Op`] to
 /// [`Action`] (resolving memcpy/flop costs against the machine parameters).
-///
-/// Cursors are atomics so the time-windowed parallel engine can advance
-/// disjoint nodes from worker threads through a shared `&OpSource`. The
-/// engine guarantees each node's cursor is only ever touched by one thread
-/// at a time (a node is either staged on exactly one worker or owned by the
-/// merge thread, never both), and the worker/merge phases are separated by
-/// channel sends, which provide the happens-before edges — so `Relaxed`
-/// ordering is sufficient and these are plain counters, not synchronization.
 pub(crate) struct OpSource<'a> {
     programs: &'a [OpProgram],
-    cursor: Vec<AtomicUsize>,
+    cursor: Vec<usize>,
     params: MachineParams,
 }
 
@@ -231,21 +221,51 @@ impl<'a> OpSource<'a> {
     pub(crate) fn new(programs: &'a [OpProgram], params: &MachineParams) -> OpSource<'a> {
         OpSource {
             programs,
-            cursor: (0..programs.len()).map(|_| AtomicUsize::new(0)).collect(),
+            cursor: vec![0; programs.len()],
             params: params.clone(),
         }
     }
+}
 
-    /// [`ProgramSource::next`] through a shared reference; see the struct
-    /// docs for why this is sound. The cursor deliberately does not advance
-    /// past the end of the program (`Done` is idempotent), matching the
-    /// serial path exactly.
-    pub(crate) fn next_shared(&self, node: usize) -> Result<Action, SimError> {
-        let i = self.cursor[node].load(Ordering::Relaxed);
+impl ProgramSource for OpSource<'_> {
+    fn shape(&self) -> SourceShape {
+        let n = self.programs.len();
+        let mut shape = SourceShape {
+            messages: 0,
+            inbound: vec![0; n],
+            async_inbound: vec![0; n],
+        };
+        for prog in self.programs {
+            for op in prog {
+                match *op {
+                    Op::Send { to, .. } => {
+                        shape.messages += 1;
+                        if to < n {
+                            shape.inbound[to] += 1;
+                        }
+                    }
+                    Op::Isend { to, .. } => {
+                        shape.messages += 1;
+                        if to < n {
+                            shape.inbound[to] += 1;
+                            shape.async_inbound[to] += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        shape
+    }
+
+    /// The cursor does not advance past the end of the program: `Done` is
+    /// idempotent.
+    fn next(&mut self, node: usize, _resume: Resume) -> Result<Action, SimError> {
+        let i = self.cursor[node];
         let Some(op) = self.programs[node].get(i) else {
             return Ok(Action::Done);
         };
-        self.cursor[node].store(i + 1, Ordering::Relaxed);
+        self.cursor[node] = i + 1;
         Ok(match *op {
             Op::Send { to, bytes, tag } => Action::Send {
                 to,
@@ -285,65 +305,6 @@ impl<'a> OpSource<'a> {
             },
         })
     }
-
-    /// [`ProgramSource::shape`] as an inherent method, callable through the
-    /// shared wrapper.
-    pub(crate) fn shape_of(&self) -> SourceShape {
-        let n = self.programs.len();
-        let mut shape = SourceShape {
-            messages: 0,
-            inbound: vec![0; n],
-            async_inbound: vec![0; n],
-        };
-        for prog in self.programs {
-            for op in prog {
-                match *op {
-                    Op::Send { to, .. } => {
-                        shape.messages += 1;
-                        if to < n {
-                            shape.inbound[to] += 1;
-                        }
-                    }
-                    Op::Isend { to, .. } => {
-                        shape.messages += 1;
-                        if to < n {
-                            shape.inbound[to] += 1;
-                            shape.async_inbound[to] += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        shape
-    }
-}
-
-/// A `&OpSource` that the windowed engine hands to its merge loop: the same
-/// program stream, routed through [`OpSource::next_shared`] so worker
-/// threads can hold the same shared reference concurrently.
-pub(crate) struct SharedOpSource<'p, 'a> {
-    pub(crate) inner: &'p OpSource<'a>,
-}
-
-impl ProgramSource for SharedOpSource<'_, '_> {
-    fn shape(&self) -> SourceShape {
-        self.inner.shape_of()
-    }
-
-    fn next(&mut self, node: usize, _resume: Resume) -> Result<Action, SimError> {
-        self.inner.next_shared(node)
-    }
-}
-
-impl ProgramSource for OpSource<'_> {
-    fn shape(&self) -> SourceShape {
-        self.shape_of()
-    }
-
-    fn next(&mut self, node: usize, _resume: Resume) -> Result<Action, SimError> {
-        self.next_shared(node)
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +312,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shared_cursor_matches_serial_walk_and_done_is_idempotent() {
+    fn cursor_walks_the_program_and_done_is_idempotent() {
         let params = MachineParams::cm5_1992();
         let programs = vec![vec![
             Op::Compute(SimDuration::from_micros(1)),
@@ -361,15 +322,12 @@ mod tests {
                 tag: 1,
             },
         ]];
-        let shared = OpSource::new(&programs, &params);
-        assert!(matches!(shared.next_shared(0).unwrap(), Action::Compute(_)));
-        assert!(matches!(
-            shared.next_shared(0).unwrap(),
-            Action::Send { .. }
-        ));
-        // Past the end: Done forever, cursor pinned (the serial source never
-        // advances past the end either).
-        assert!(matches!(shared.next_shared(0).unwrap(), Action::Done));
-        assert!(matches!(shared.next_shared(0).unwrap(), Action::Done));
+        let mut source = OpSource::new(&programs, &params);
+        let mut next = || source.next(0, Resume::at(SimTime::ZERO)).unwrap();
+        assert!(matches!(next(), Action::Compute(_)));
+        assert!(matches!(next(), Action::Send { .. }));
+        // Past the end: Done forever.
+        assert!(matches!(next(), Action::Done));
+        assert!(matches!(next(), Action::Done));
     }
 }

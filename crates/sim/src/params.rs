@@ -31,8 +31,8 @@ pub enum FairnessModel {
 
 /// Which implementation of the flow-rate solver the network uses.
 ///
-/// All three produce bit-identical rates, completion times, and reports;
-/// the difference is purely wall-clock cost. `Full` is retained as the
+/// Both produce bit-identical rates, completion times, and reports; the
+/// difference is purely wall-clock cost. `Full` is retained as the
 /// differential-testing oracle and as the `--rates full` ablation flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RateSolver {
@@ -44,12 +44,6 @@ pub enum RateSolver {
     /// every flow add/remove, an O(flows) completion scan, and eager
     /// per-event byte integration.
     Full,
-    /// Hierarchical max-min over the fat tree: per-subtree dirty bits track
-    /// which spine of the tree a batch of admissions/completions touched,
-    /// and each recompute re-fills only the flows inside the affected
-    /// maximal occupied subtrees (`--rates hierarchical`). On topologies
-    /// without a tree (hypercube) it degenerates to `Incremental`.
-    Hierarchical,
 }
 
 /// When a blocking send may start moving bytes.
@@ -226,16 +220,6 @@ impl MachineParams {
         self.leaf_bandwidth.min(self.software_bandwidth)
     }
 
-    /// End-to-end cost of a zero-byte message when both sides are ready:
-    /// the paper's 88 µs figure on the 1992 preset. This is the minimum
-    /// time any node-to-node causality needs to propagate, and therefore
-    /// the default conservative window width of the parallel engine
-    /// ([`crate::Simulation::sim_jobs`]).
-    #[inline]
-    pub fn min_message_latency(&self) -> SimDuration {
-        self.send_overhead + self.recv_overhead + self.wire_latency
-    }
-
     /// Validate internal consistency; called by the engine at startup.
     pub fn validate(&self) -> Result<(), String> {
         if self.packet_payload == 0 || self.packet_wire < self.packet_payload {
@@ -297,7 +281,6 @@ mod tests {
         let p = MachineParams::cm5_1992();
         let total = p.send_overhead + p.recv_overhead + p.wire_latency;
         assert_eq!(total, SimDuration::from_micros(88));
-        assert_eq!(p.min_message_latency(), total);
     }
 
     #[test]

@@ -35,13 +35,6 @@ pub struct SimPerf {
     pub flows_peak: usize,
     /// Host wall-clock seconds spent in the engine loop.
     pub wall_secs: f64,
-    /// Time windows executed by the parallel engine (0 for serial runs).
-    pub windows: u64,
-    /// Per-worker count of speculated node actions (empty for serial runs).
-    pub worker_events: Vec<u64>,
-    /// Host wall-clock seconds the merge thread spent staging windows and
-    /// collecting worker results (0 for serial runs).
-    pub merge_secs: f64,
 }
 
 impl SimPerf {
@@ -251,32 +244,6 @@ impl TraceRing {
         self.dropped
     }
 
-    /// Merge a window's worth of already-ordered events, accounting drops
-    /// at merge time. Equivalent to pushing each event in order, but when a
-    /// batch alone exceeds a bounded ring's capacity the doomed prefix is
-    /// never materialised: the eviction count is computed up front, so
-    /// `dropped` is exact even when whole windows arrive at once.
-    pub fn absorb(&mut self, events: &mut Vec<TraceEvent>) {
-        if self.cap == 0 {
-            self.buf.append(events);
-            return;
-        }
-        if events.len() >= self.cap {
-            // The batch tail replaces the entire ring: everything currently
-            // held plus the batch prefix is evicted.
-            let evicted = self.buf.len() + events.len() - self.cap;
-            self.dropped += evicted as u64;
-            self.buf.clear();
-            self.head = 0;
-            self.buf.extend(events.drain(events.len() - self.cap..));
-            events.clear();
-            return;
-        }
-        for ev in events.drain(..) {
-            self.push(ev);
-        }
-    }
-
     /// Drain the ring into a vector in recording order (oldest first).
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
         let mut out = std::mem::take(&mut self.buf);
@@ -322,47 +289,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 4);
         assert_eq!(r.take_events(), vec![ev(4), ev(5), ev(6)]);
-    }
-
-    /// `absorb` must account drops exactly like one-at-a-time pushes, for
-    /// every split of the event stream into windows — including windows
-    /// bigger than the ring itself.
-    #[test]
-    fn absorb_matches_sequential_push_accounting() {
-        let total = 11u64;
-        for cap in [1usize, 2, 3, 5, 16] {
-            let mut serial = TraceRing::bounded(cap);
-            for i in 0..total {
-                serial.push(ev(i));
-            }
-            for split in 0..=total {
-                let mut merged = TraceRing::bounded(cap);
-                let mut w1: Vec<TraceEvent> = (0..split).map(ev).collect();
-                let mut w2: Vec<TraceEvent> = (split..total).map(ev).collect();
-                merged.absorb(&mut w1);
-                merged.absorb(&mut w2);
-                assert_eq!(
-                    merged.dropped(),
-                    serial.dropped(),
-                    "cap {cap} split {split}"
-                );
-                assert_eq!(
-                    merged.take_events(),
-                    serial.clone().take_events(),
-                    "cap {cap} split {split}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn absorb_into_unbounded_ring_is_append() {
-        let mut r = TraceRing::unbounded(0);
-        let mut batch: Vec<TraceEvent> = (0..4).map(ev).collect();
-        r.absorb(&mut batch);
-        assert!(batch.is_empty());
-        assert_eq!(r.dropped(), 0);
-        assert_eq!(r.take_events(), (0..4).map(ev).collect::<Vec<_>>());
     }
 
     #[test]

@@ -343,24 +343,10 @@ pub fn run_tenants(
     tenants: &[TenantSpec],
     params: &MachineParams,
 ) -> Result<TenantReport, SimError> {
-    run_tenants_jobs(shared_n, placement, tenants, params, 1)
-}
-
-/// [`run_tenants`] with `sim_jobs` speculation workers inside the one
-/// shared simulation (see [`Simulation::sim_jobs`]); results are
-/// bit-identical at any worker count.
-pub fn run_tenants_jobs(
-    shared_n: usize,
-    placement: Placement,
-    tenants: &[TenantSpec],
-    params: &MachineParams,
-    sim_jobs: usize,
-) -> Result<TenantReport, SimError> {
     let sizes: Vec<usize> = tenants.iter().map(|t| t.programs.len()).collect();
     let layout = TenantLayout::new(shared_n, &sizes, placement)?;
     let merged = layout.merge_programs(tenants)?;
-    let sim = Simulation::new_on(Topology::FatTree(FatTree::new(shared_n)), params.clone())
-        .sim_jobs(sim_jobs);
+    let sim = Simulation::new_on(Topology::FatTree(FatTree::new(shared_n)), params.clone());
     let report = sim.run_ops(&merged)?;
     let slices = tenants
         .iter()
@@ -487,30 +473,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::Tenancy { .. }), "{err}");
-    }
-
-    #[test]
-    fn striped_tenants_are_jobs_invariant() {
-        let tenants = [spec("a", ring(16, 1024)), spec("b", ring(16, 512))];
-        let serial =
-            run_tenants(64, Placement::Striped, &tenants, &MachineParams::cm5_1992()).unwrap();
-        for jobs in [2usize, 4] {
-            let par = run_tenants_jobs(
-                64,
-                Placement::Striped,
-                &tenants,
-                &MachineParams::cm5_1992(),
-                jobs,
-            )
-            .unwrap();
-            assert_eq!(serial.report.makespan, par.report.makespan);
-            assert_eq!(serial.report.wire_bytes, par.report.wire_bytes);
-            for (a, b) in serial.tenants.iter().zip(&par.tenants) {
-                assert_eq!(a.makespan, b.makespan);
-                assert_eq!(a.messages, b.messages);
-                assert_eq!(a.payload_bytes, b.payload_bytes);
-            }
-        }
     }
 
     #[test]

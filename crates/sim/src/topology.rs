@@ -222,12 +222,12 @@ impl FatTree {
     }
 
     /// Allocation-free routing for the flow engine's route arena: writes the
-    /// same links [`FatTree::route`] produces into `out` and returns
-    /// `(links_written, lca_level)`. `out` must hold at least
-    /// `2 × levels` entries. Link indices are computed arithmetically —
-    /// up links are `level_offset[l] + group`, down links the same plus
-    /// `one_dir_links` — so no per-pair table is needed.
-    pub fn route_into(&self, src: usize, dst: usize, out: &mut [u32]) -> (usize, u32) {
+    /// same links [`FatTree::route`] produces into `out` and returns the
+    /// number of links written. `out` must hold at least `2 × levels`
+    /// entries. Link indices are computed arithmetically — up links are
+    /// `level_offset[l] + group`, down links the same plus `one_dir_links`
+    /// — so no per-pair table is needed.
+    pub fn route_into(&self, src: usize, dst: usize, out: &mut [u32]) -> usize {
         let lca = self.lca_level(src, dst);
         let mut k = 0usize;
         let mut g = src;
@@ -241,7 +241,7 @@ impl FatTree {
             out[k] = (self.one_dir_links + self.level_offset[l as usize] + group) as u32;
             k += 1;
         }
-        (k, lca)
+        k
     }
 }
 
@@ -760,8 +760,8 @@ mod tests {
     }
 
     /// `route_into` is the arena-writing twin of `route`; they must agree
-    /// link-for-link on every pair, and the fat-tree variant must also
-    /// report the LCA level. The stride bound must hold for every route.
+    /// link-for-link on every pair. The stride bound must hold for every
+    /// route.
     #[test]
     fn route_into_matches_route() {
         for n in [8usize, 13, 32, 64, 256] {
@@ -773,10 +773,9 @@ mod tests {
                     if src == dst {
                         continue;
                     }
-                    let (len, lca) = t.route_into(src, dst, &mut buf);
+                    let len = t.route_into(src, dst, &mut buf);
                     let expect = t.route(src, dst);
                     assert!(len <= stride, "stride bound violated");
-                    assert_eq!(lca, t.lca_level(src, dst));
                     let got: Vec<usize> = buf[..len].iter().map(|&l| l as usize).collect();
                     assert_eq!(got, expect, "fat tree n={n} {src}->{dst}");
                 }

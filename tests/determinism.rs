@@ -8,16 +8,11 @@
 //! one simulation re-run, a grid swept at different `--jobs` values, and
 //! a property test over random configurations.
 
-use cm5_bench::perf::pex_slice_programs;
 use cm5_bench::sweep::{
     exchange_report, irregular_report, run_irregular_grid, ExchangeCell, IrregularCell, SweepRunner,
 };
 use cm5_core::prelude::*;
-use cm5_sim::{
-    run_tenants_jobs, MachineParams, Op, OpProgram, Placement, RateSolver, SimDuration, SimReport,
-    Simulation, TenantSpec,
-};
-use cm5_workloads::synthetic::synthetic_pattern_exact;
+use cm5_sim::{MachineParams, SimReport, Simulation};
 use proptest::prelude::*;
 
 /// Exact comparison of every deterministic `SimReport` field (the trace is
@@ -204,17 +199,11 @@ fn observability_does_not_perturb_simulated_results() {
     }
 }
 
-fn hierarchical_params() -> MachineParams {
-    let mut p = MachineParams::cm5_1992();
-    p.rate_solver = RateSolver::Hierarchical;
-    p
-}
-
-/// The hierarchical solver at 1024 nodes is byte-identical across sweep
-/// worker counts: the subtree-dirty bookkeeping must be a pure function of
-/// the cell, never of which thread computed it or in what order.
+/// A 1024-node REX and a 128-node BEX are byte-identical across sweep
+/// worker counts: the large-N bookkeeping of the flow solver must be a pure
+/// function of the cell, never of which thread computed it or in what order.
 #[test]
-fn hierarchical_sweeps_are_identical_for_any_job_count() {
+fn sweeps_at_1024_nodes_are_identical_for_any_job_count() {
     // REX at 1024 nodes (an O(N log N) exchange is debug-feasible at that
     // size; full O(N²) exchanges are not) plus a full BEX at 128 for
     // contention depth.
@@ -230,40 +219,30 @@ fn hierarchical_sweeps_are_identical_for_any_job_count() {
             bytes: 64,
         },
     ];
-    let params = hierarchical_params();
-    let run_cell = |c: &ExchangeCell| {
-        run_schedule(&c.alg.schedule(c.n, c.bytes), &params)
-            .unwrap_or_else(|e| panic!("{:?} n={} bytes={}: {e}", c.alg, c.n, c.bytes))
-    };
-    let baseline = SweepRunner::new(1).run(&cells, |_, c| run_cell(c));
-    for jobs in [4usize] {
-        let par = SweepRunner::new(jobs).run(&cells, |_, c| run_cell(c));
-        assert_eq!(baseline.len(), par.len());
-        for ((cell, a), b) in cells.iter().zip(&baseline).zip(&par) {
-            assert_reports_identical(
-                a,
-                b,
-                &format!(
-                    "hierarchical jobs={jobs} {:?} n=1024 bytes={}",
-                    cell.alg, cell.bytes
-                ),
-            );
-            // Byte-identical includes the f64 per-node timings.
-            for (i, (x, y)) in a.nodes.iter().zip(&b.nodes).enumerate() {
-                assert_eq!(x.busy, y.busy, "node {i} busy");
-                assert_eq!(x.finished_at, y.finished_at, "node {i} finish");
-            }
+    let baseline = SweepRunner::new(1).run(&cells, |_, &c| exchange_report(c));
+    let par = SweepRunner::new(4).run(&cells, |_, &c| exchange_report(c));
+    assert_eq!(baseline.len(), par.len());
+    for ((cell, a), b) in cells.iter().zip(&baseline).zip(&par) {
+        assert_reports_identical(
+            a,
+            b,
+            &format!("jobs=4 {:?} n={} bytes={}", cell.alg, cell.n, cell.bytes),
+        );
+        // Byte-identical includes the f64 per-node timings.
+        for (i, (x, y)) in a.nodes.iter().zip(&b.nodes).enumerate() {
+            assert_eq!(x.busy, y.busy, "node {i} busy");
+            assert_eq!(x.finished_at, y.finished_at, "node {i} finish");
         }
     }
 }
 
-/// Observability sinks must not perturb the hierarchical solver at 1024
-/// nodes: trace + rate recording on or off, the simulated results are
-/// bit-identical (the 1024-node version of the small-N guarantee below).
+/// Observability sinks must not perturb a 1024-node simulation: trace +
+/// rate recording on or off, the simulated results are bit-identical (the
+/// 1024-node version of the small-N guarantee above).
 #[test]
-fn hierarchical_observability_is_pure_at_1024() {
+fn observability_is_pure_at_1024() {
     let programs = lower(&ExchangeAlg::Rex.schedule(1024, 256));
-    let params = hierarchical_params();
+    let params = MachineParams::cm5_1992();
     let plain = Simulation::new(1024, params.clone())
         .run_ops(&programs)
         .unwrap();
@@ -272,7 +251,7 @@ fn hierarchical_observability_is_pure_at_1024() {
         .record_rates(true)
         .run_ops(&programs)
         .unwrap();
-    assert_reports_identical(&plain, &observed, "hierarchical n=1024 obs on/off");
+    assert_reports_identical(&plain, &observed, "n=1024 obs on/off");
     for (i, (x, y)) in plain.nodes.iter().zip(&observed.nodes).enumerate() {
         assert_eq!(x.busy, y.busy, "node {i} busy");
         assert_eq!(x.blocked, y.blocked, "node {i} blocked");
@@ -281,211 +260,6 @@ fn hierarchical_observability_is_pure_at_1024() {
     }
     assert!(!observed.trace.is_empty());
     assert!(!observed.rate_samples.is_empty());
-}
-
-/// Every deterministic field, to the bit — including the recorded trace,
-/// the drop counter of a bounded ring, the rate samples, and per-node f64
-/// accounting. This is the contract the windowed parallel engine signs.
-fn assert_reports_deep_identical(a: &SimReport, b: &SimReport, what: &str) {
-    assert_reports_identical(a, b, what);
-    assert_eq!(a.trace, b.trace, "{what}: trace");
-    assert_eq!(a.trace_dropped, b.trace_dropped, "{what}: trace_dropped");
-    assert_eq!(a.rate_samples, b.rate_samples, "{what}: rate_samples");
-    for (i, (x, y)) in a.nodes.iter().zip(&b.nodes).enumerate() {
-        assert_eq!(x.busy, y.busy, "{what}: node {i} busy");
-        assert_eq!(x.blocked, y.blocked, "{what}: node {i} blocked");
-        assert_eq!(x.finished_at, y.finished_at, "{what}: node {i} finish");
-        assert_eq!(x.msgs_sent, y.msgs_sent, "{what}: node {i} msgs");
-        assert_eq!(x.payload_sent, y.payload_sent, "{what}: node {i} payload");
-    }
-    // Host wall-clock aside, even the engine's counters are schedule-free.
-    assert_eq!(a.perf.events, b.perf.events, "{what}: events");
-    assert_eq!(a.perf.recomputes, b.perf.recomputes, "{what}: recomputes");
-    assert_eq!(a.perf.flows, b.perf.flows, "{what}: flows");
-}
-
-/// The windowed engine's identity matrix: four representative workloads ×
-/// all three rate solvers × sim-jobs {2, 4, 8}, each compared to the serial
-/// engine (`sim_jobs = 1`) with the trace and rate sinks on.
-#[test]
-fn windowed_engine_matches_serial_across_solvers_and_workloads() {
-    let workloads: Vec<(&str, Vec<OpProgram>)> = vec![
-        (
-            "pex_slice@1024",
-            pex_slice_programs(1024, &[1, 2, 512, 513], |i| 128 + 16 * (i % 8) as u64),
-        ),
-        ("rex@128", lower(&ExchangeAlg::Rex.schedule(128, 256))),
-        (
-            "async_gs@32",
-            lower_with(
-                &gs(&synthetic_pattern_exact(32, 0.4, 256, 0xD17E)),
-                &LowerOptions {
-                    async_sends: true,
-                    ..Default::default()
-                },
-            ),
-        ),
-        ("bex@32", lower(&ExchangeAlg::Bex.schedule(32, 512))),
-    ];
-    for solver in [
-        RateSolver::Incremental,
-        RateSolver::Hierarchical,
-        RateSolver::Full,
-    ] {
-        let mut params = MachineParams::cm5_1992();
-        params.rate_solver = solver;
-        for (name, programs) in &workloads {
-            let n = programs.len();
-            let run = |jobs: usize| {
-                Simulation::new(n, params.clone())
-                    .record_trace(true)
-                    .record_rates(true)
-                    .sim_jobs(jobs)
-                    .run_ops(programs)
-                    .unwrap_or_else(|e| panic!("{name} {solver:?} jobs={jobs}: {e}"))
-            };
-            let serial = run(1);
-            for jobs in [2usize, 4, 8] {
-                let par = run(jobs);
-                assert_reports_deep_identical(
-                    &serial,
-                    &par,
-                    &format!("{name} {solver:?} jobs={jobs}"),
-                );
-            }
-        }
-    }
-}
-
-/// Striped tenants on the shared tree: the windowed engine must preserve
-/// the whole-machine report *and* every per-tenant slice.
-#[test]
-fn windowed_engine_matches_serial_for_striped_tenants() {
-    let ring = |n: usize, bytes: u64| -> Vec<OpProgram> {
-        (0..n)
-            .map(|i| {
-                vec![
-                    Op::Isend {
-                        to: (i + 1) % n,
-                        bytes,
-                        tag: 7,
-                    },
-                    Op::Recv {
-                        from: (i + n - 1) % n,
-                        tag: 7,
-                    },
-                    Op::WaitAll,
-                ]
-            })
-            .collect()
-    };
-    let specs = vec![
-        TenantSpec {
-            name: "a".to_string(),
-            programs: ring(32, 1024),
-        },
-        TenantSpec {
-            name: "b".to_string(),
-            programs: ring(16, 512),
-        },
-        TenantSpec {
-            name: "c".to_string(),
-            programs: ring(16, 64),
-        },
-    ];
-    for solver in [
-        RateSolver::Incremental,
-        RateSolver::Hierarchical,
-        RateSolver::Full,
-    ] {
-        let mut params = MachineParams::cm5_1992();
-        params.rate_solver = solver;
-        let serial = run_tenants_jobs(64, Placement::Striped, &specs, &params, 1)
-            .unwrap_or_else(|e| panic!("tenants {solver:?} serial: {e}"));
-        for jobs in [2usize, 4, 8] {
-            let par = run_tenants_jobs(64, Placement::Striped, &specs, &params, jobs)
-                .unwrap_or_else(|e| panic!("tenants {solver:?} jobs={jobs}: {e}"));
-            let what = format!("tenants {solver:?} jobs={jobs}");
-            assert_reports_deep_identical(&serial.report, &par.report, &what);
-            for (s, p) in serial.tenants.iter().zip(&par.tenants) {
-                assert_eq!(s.makespan, p.makespan, "{what}: slice {}", s.name);
-                assert_eq!(s.messages, p.messages, "{what}: slice {}", s.name);
-                assert_eq!(s.payload_bytes, p.payload_bytes, "{what}: slice {}", s.name);
-            }
-        }
-    }
-}
-
-/// A bounded trace ring under the windowed engine: merge-time drop
-/// accounting must land on exactly the serial ring state.
-#[test]
-fn windowed_bounded_ring_matches_serial_drop_for_drop() {
-    let programs = lower(&ExchangeAlg::Pex.schedule(32, 512));
-    let run = |jobs: usize| {
-        Simulation::new(32, MachineParams::cm5_1992())
-            .record_trace(true)
-            .trace_capacity(48)
-            .sim_jobs(jobs)
-            .run_ops(&programs)
-            .unwrap()
-    };
-    let serial = run(1);
-    assert!(serial.trace_dropped > 0, "workload must overflow the ring");
-    for jobs in [2usize, 8] {
-        let par = run(jobs);
-        assert_eq!(serial.trace, par.trace, "jobs={jobs}: ring tail");
-        assert_eq!(
-            serial.trace_dropped, par.trace_dropped,
-            "jobs={jobs}: drop count"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Window scheduling is invisible: for random irregular op programs,
-    /// any (window width, worker count) pair produces the serial report.
-    #[test]
-    fn random_programs_are_window_schedule_independent(
-        n_ix in 0usize..2,
-        density in 0.15f64..0.7,
-        bytes in 16u64..768,
-        seed in 0u64..1000,
-        async_sends in any::<bool>(),
-        jobs in 2usize..5,
-        width_ix in 0usize..4,
-    ) {
-        let n = [8usize, 16][n_ix];
-        let pattern = synthetic_pattern_exact(n, density, bytes, 0xBEEF + seed);
-        let programs = lower_with(
-            &gs(&pattern),
-            &LowerOptions { async_sends, ..Default::default() },
-        );
-        let params = MachineParams::cm5_1992();
-        let serial = Simulation::new(n, params.clone())
-            .record_trace(true)
-            .run_ops(&programs)
-            .unwrap();
-        let widths = [
-            Some(SimDuration::from_micros(1)),
-            Some(SimDuration::from_micros(10)),
-            None, // engine default: the 88 µs minimum message latency
-            Some(SimDuration::from_millis(1)),
-        ];
-        let mut sim = Simulation::new(n, params)
-            .record_trace(true)
-            .sim_jobs(jobs);
-        if let Some(w) = widths[width_ix] {
-            sim = sim.window_width(w);
-        }
-        let par = sim.run_ops(&programs).unwrap();
-        prop_assert_eq!(serial.makespan, par.makespan);
-        prop_assert_eq!(serial.messages, par.messages);
-        prop_assert_eq!(serial.wire_bytes, par.wire_bytes);
-        prop_assert_eq!(&serial.trace, &par.trace);
-        prop_assert_eq!(serial.perf.events, par.perf.events);
-    }
 }
 
 proptest! {

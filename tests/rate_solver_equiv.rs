@@ -90,10 +90,9 @@ fn step_strategy(n: usize) -> impl Strategy<Value = Step> {
         })
 }
 
-/// Drive both solvers through the same schedule, asserting equivalence at
-/// every observation point.
-fn run_schedule(fairness: FairnessModel, steps: &[Step]) -> Result<(), TestCaseError> {
-    let n = 32;
+/// Drive both solvers through the same schedule on an `n`-node tree,
+/// asserting equivalence at every observation point.
+fn run_schedule(fairness: FairnessModel, n: usize, steps: &[Step]) -> Result<(), TestCaseError> {
     let pi = params_for(fairness, RateSolver::Incremental, false);
     let pf = params_for(fairness, RateSolver::Full, false);
     let cap = pi.flow_cap();
@@ -164,7 +163,7 @@ proptest! {
     fn max_min_solvers_are_bit_identical(
         steps in prop::collection::vec(step_strategy(32), 1..24),
     ) {
-        run_schedule(FairnessModel::MaxMin, &steps)?;
+        run_schedule(FairnessModel::MaxMin, 32, &steps)?;
     }
 
     /// Same property under the equal-share ablation model.
@@ -172,7 +171,16 @@ proptest! {
     fn equal_share_solvers_are_bit_identical(
         steps in prop::collection::vec(step_strategy(32), 1..24),
     ) {
-        run_schedule(FairnessModel::EqualShare, &steps)?;
+        run_schedule(FairnessModel::EqualShare, 32, &steps)?;
+    }
+
+    /// A 64-node tree is one level deeper than the 32-node one, so flows
+    /// can bottleneck at more distinct levels.
+    #[test]
+    fn max_min_solvers_are_bit_identical_at_64(
+        steps in prop::collection::vec(step_strategy(64), 1..16),
+    ) {
+        run_schedule(FairnessModel::MaxMin, 64, &steps)?;
     }
 
     /// Whole simulations: every exchange algorithm, machine size, and send
@@ -240,5 +248,22 @@ fn async_programs_are_bit_identical_across_solvers() {
             let b = run(RateSolver::Full);
             assert_reports_bitwise(&a, &b, &format!("async eager={eager} {fairness:?}"));
         }
+    }
+}
+
+/// Whole REX and PEX simulations at 128 nodes: deep enough for contention
+/// at every level of the tree, small enough for a debug-build test run.
+#[test]
+fn exchange_at_128_nodes_is_bit_identical_across_solvers() {
+    for alg in [ExchangeAlg::Rex, ExchangeAlg::Pex] {
+        let programs = lower(&alg.schedule(128, 256));
+        let run = |solver| {
+            Simulation::new(128, params_for(FairnessModel::MaxMin, solver, false))
+                .run_ops(&programs)
+                .unwrap()
+        };
+        let a = run(RateSolver::Incremental);
+        let b = run(RateSolver::Full);
+        assert_reports_bitwise(&a, &b, &format!("{alg:?} n=128"));
     }
 }

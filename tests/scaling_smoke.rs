@@ -8,25 +8,19 @@
 //! ceilings: rate recomputes grow sub-quadratically in N (they track
 //! completion instants, not pairs), and the event count stays proportional
 //! to messages. Third, wall-clock bounds: a 4096-node REX and a truncated
-//! 16384-node PEX complete in seconds under the hierarchical solver.
+//! 16384-node PEX complete in seconds.
 //!
-//! Every large run uses `--rates hierarchical`; the differential wall in
-//! `tests/solver_hierarchy_equiv.rs` guarantees the numbers asserted here
-//! are exactly the numbers the oracle solvers would produce.
+//! Every run uses the default incremental solver; the differential tests
+//! in `tests/rate_solver_equiv.rs` guarantee it produces exactly the
+//! numbers the full-recompute oracle would.
 
 use std::time::{Duration, Instant};
 
 use cm5_core::prelude::*;
-use cm5_sim::{MachineParams, RateSolver, SimReport};
-
-fn hierarchical_params() -> MachineParams {
-    let mut p = MachineParams::cm5_1992();
-    p.rate_solver = RateSolver::Hierarchical;
-    p
-}
+use cm5_sim::{MachineParams, SimReport};
 
 fn run_exchange(alg: ExchangeAlg, n: usize, bytes: u64) -> SimReport {
-    run_schedule(&alg.schedule(n, bytes), &hierarchical_params())
+    run_schedule(&alg.schedule(n, bytes), &MachineParams::cm5_1992())
         .unwrap_or_else(|e| panic!("{} n={n} bytes={bytes}: {e}", alg.name()))
 }
 
@@ -166,7 +160,7 @@ mod release_only {
             }
         }
         let start = Instant::now();
-        let r = Simulation::new(n, hierarchical_params())
+        let r = Simulation::new(n, MachineParams::cm5_1992())
             .run_ops(&programs)
             .unwrap();
         let wall = start.elapsed();
