@@ -5,43 +5,38 @@
 //! cargo run --release -p cm5-bench --bin report            # everything
 //! cargo run --release -p cm5-bench --bin report -- fig5 table11
 //! cargo run --release -p cm5-bench --bin report -- --jobs 4   # 4 workers
+//! cargo run --release -p cm5-bench --bin report -- --help     # every flag
 //! ```
 //!
 //! Sections: `fig5 fig6 fig7 fig8 table5 fig10 fig11 table11 table12
-//! model`.
+//! model` by default; `beyond`, `perf`, `certify` and `watch` are opt-in,
+//! and `all` runs everything. The flags, with their help, are the `REPORT`
+//! table below; a malformed command line exits 2 with the usage.
 //! `model` scores the `cm5-model` advisor's predicted winners against the
-//! simulated winners on every grid; `--gate F` makes the binary exit
-//! nonzero if Fig 5 + Table 11 agreement falls below `F` (CI hook).
-//! `perf` (opt-in, like `beyond`) measures the *simulator's* host cost —
-//! wall-clock, events/sec, incremental-vs-full solver speedup — and writes
-//! `BENCH_sim.json`; `--quick` runs one repetition per case. It records,
-//! it does not gate: `watch` is the one perf gate.
-//! `perf` is excluded from the default section set so default output stays
-//! byte-identical across runs and `--jobs` values (wall-clock never is).
-//! `watch` (opt-in) is the perf-regression watchdog: it re-reads the
-//! written `BENCH_sim.json` (including the `serve_replay` cell merged by
-//! `cm5 serve --replay --bench-json`) against the `--baseline` floors,
-//! writes a `cm5-watch/1` verdict (`--watch-json PATH`), and exits nonzero
-//! on any miss — including a baseline cell missing from the artifact.
-//! `--prom-lint PATH` runs the offline Prometheus-exposition linter over a
-//! scraped `GET /metrics` body.
-//! `certify` (opt-in) cross-checks every Fig 5/6–8/10/11 grid point
-//! against `cm5-verify`'s static `[LB, UB]` makespan certificates and
-//! exits nonzero on a containment miss or a regular-exchange tightness
-//! above 2.0× at ≥ 1 KB (the CI certify-smoke gate); `--csv` adds
-//! `certify.csv`.
-//! `--jobs N` fans the grid cells across `N` worker threads (`0` = one per
-//! hardware thread); output is byte-identical to the serial run because
-//! results are merged in canonical grid order before printing.
-//! `--trace-out DIR` additionally writes one Chrome-trace JSON per Fig 5
-//! exchange algorithm at 32 nodes (rerun serially with the `cm5-obs` sinks
-//! on, so the files are identical across `--jobs` values).
+//! simulated winners on every grid (`--gate F` is the CI hook).
+//! `perf` measures the *simulator's* host cost (wall-clock, events/sec,
+//! incremental-vs-full solver speedup) and writes `--bench-json`; it
+//! records and does not gate, and stays out of the default set because
+//! wall-clock is never byte-identical.
+//! `watch` is the one perf gate: it checks the `--bench-json` artifact
+//! (including the `serve_replay` cell `cm5 serve --replay --bench-json`
+//! merges) against the `--baseline` floors and exits nonzero on any miss,
+//! including a baseline cell missing from the artifact.
+//! `certify` cross-checks every Fig 5/6–8/10/11 grid point against
+//! `cm5-verify`'s static `[LB, UB]` makespan certificates and exits nonzero
+//! on a containment miss or a regular-exchange tightness above 2.0× at
+//! ≥ 1 KB (the CI certify-smoke gate).
+//! Default output is byte-identical at any `--jobs`: results merge in
+//! canonical grid order, and `--trace-out` traces rerun serially.
 //! Absolute times are not expected to match 1992 hardware; orderings,
 //! ratios and crossover locations are the reproduction targets (see
 //! EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 
+use std::path::{Path, PathBuf};
+
+use cm5_bench::args::{Command, Flag};
 use cm5_bench::model_validation as mv;
 use cm5_bench::paper::{TABLE_11, TABLE_12, TABLE_5};
 use cm5_bench::runners::*;
@@ -49,209 +44,156 @@ use cm5_bench::sweep::SweepRunner;
 use cm5_core::prelude::*;
 use cm5_sim::{MachineParams, Simulation};
 
-/// When `--csv <dir>` is given, every section also writes its data there.
-static CSV_DIR: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
+#[rustfmt::skip]
+const REPORT: Command = Command {
+    synopsis: "report [SECTION]...",
+    about: "regenerate the paper's tables and figures on the simulated CM-5\n\
+            Sections: fig5 fig6 fig7 fig8 table5 fig10 fig11 table11 table12 model (the\n\
+            default set), the opt-in beyond perf certify watch, or all.",
+    flags: &[&[
+        Flag::switch("quick", "perf: one repetition per case instead of three"),
+        Flag::value("baseline", "FILE", "watch: the floors (`name min_events_per_sec` lines)"),
+        Flag::value("bench-json", "PATH", "perf writes, watch reads it (default BENCH_sim.json)"),
+        Flag::value("trace-out", "DIR", "write Chrome traces of the Fig 5 algorithms at 32 nodes"),
+        Flag::value("watch-json", "PATH", "watch: write the cm5-watch/1 verdict"),
+        Flag::value("prom-lint", "PATH", "first lint a scraped GET /metrics body"),
+        Flag::value("csv", "DIR", "also write each section's data as CSV into DIR"),
+        Flag::value("gate", "F", "model: exit 1 if Fig 5 + Table 11 agreement is below F"),
+        Flag::value("jobs", "N", "worker threads (default 1, 0 = one per core)"),
+    ]],
+};
 
-/// Worker pool shared by every section (`--jobs N`, default serial).
-static JOBS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+/// A report section: its name on the command line and what it runs.
+type Section = (&'static str, fn(&Opts));
 
-/// Minimum Fig 5 + Table 11 winner-agreement fraction (`--gate F`).
-static GATE: std::sync::OnceLock<Option<f64>> = std::sync::OnceLock::new();
-
-/// `--quick`: one timed repetition per perf case instead of three.
-static QUICK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-/// `--baseline F`: the events/sec floors the `watch` section gates on.
-static BASELINE: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
-
-/// `--bench-json PATH`: where the perf section writes its artifact.
-static BENCH_JSON: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
-
-/// `--trace-out DIR`: write Chrome-trace JSON for the Fig 5 algorithms
-/// there (one file per exchange algorithm at 32 nodes).
-static TRACE_OUT: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
-
-/// `--watch-json PATH`: where the `watch` section writes its `cm5-watch/1`
-/// verdict document.
-static WATCH_JSON: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
-
-fn runner() -> SweepRunner {
-    SweepRunner::new(*JOBS.get().unwrap_or(&1))
+/// The command line, read once and passed to the sections that use it.
+struct Opts {
+    sections: Vec<String>,
+    jobs: usize,
+    csv_dir: Option<PathBuf>,
+    gate: Option<f64>,
+    quick: bool,
+    baseline: Option<PathBuf>,
+    bench_json: PathBuf,
+    trace_out: Option<PathBuf>,
+    watch_json: Option<PathBuf>,
+    prom_lint: Option<PathBuf>,
 }
 
-fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
-    let Some(Some(dir)) = CSV_DIR.get().map(|d| d.as_ref()) else {
-        return;
-    };
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
+impl Opts {
+    fn parse(raw: &[String]) -> Result<Option<Opts>, String> {
+        let args = REPORT.parse(raw)?;
+        if args.has("help") {
+            return Ok(None);
+        }
+        let path = |name| args.get(name).map(PathBuf::from);
+        let opts = Opts {
+            sections: args.positional.clone(),
+            jobs: args.usize_or("jobs", 1)?,
+            csv_dir: path("csv"),
+            gate: args.parsed("gate", "an agreement fraction")?,
+            quick: args.has("quick"),
+            baseline: path("baseline"),
+            bench_json: path("bench-json").unwrap_or_else(|| PathBuf::from("BENCH_sim.json")),
+            trace_out: path("trace-out"),
+            watch_json: path("watch-json"),
+            prom_lint: path("prom-lint"),
+        };
+        for dir in [&opts.csv_dir, &opts.trace_out].into_iter().flatten() {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("could not create {}: {e}", dir.display()))?;
+        }
+        Ok(Some(opts))
     }
-    let path = dir.join(format!("{name}.csv"));
-    if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("warning: could not write {}: {e}", path.display());
+
+    /// Worker pool shared by every section.
+    fn runner(&self) -> SweepRunner {
+        SweepRunner::new(self.jobs)
+    }
+
+    /// With `--csv DIR`, write one section's data to `DIR/<name>.csv`.
+    fn write_csv(&self, name: &str, header: &[&str], rows: &[Vec<String>]) {
+        let Some(dir) = &self.csv_dir else {
+            return;
+        };
+        let mut out = String::new();
+        out.push_str(&header.join(","));
+        out.push('\n');
+        for row in rows {
+            out.push_str(&row.join(","));
+            out.push('\n');
+        }
+        let path = dir.join(format!("{name}.csv"));
+        if let Err(e) = std::fs::write(&path, out) {
+            eprintln!("warning: could not write {}: {e}", path.display());
+        }
     }
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut args: Vec<String> = Vec::new();
-    let mut csv_dir = None;
-    let mut jobs = 1usize;
-    let mut gate = None;
-    let mut quick = false;
-    let mut baseline = None;
-    let mut bench_json = std::path::PathBuf::from("BENCH_sim.json");
-    let mut trace_out = None;
-    let mut watch_json = None;
-    let mut prom_lint = None;
-    let mut it = raw.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--quick" {
-            quick = true;
-        } else if a == "--baseline" {
-            let f = it.next().unwrap_or_else(|| {
-                eprintln!("--baseline needs a floors file (name min_events_per_sec lines)");
-                std::process::exit(2);
-            });
-            baseline = Some(std::path::PathBuf::from(f));
-        } else if a == "--bench-json" {
-            let f = it.next().unwrap_or_else(|| {
-                eprintln!("--bench-json needs a path");
-                std::process::exit(2);
-            });
-            bench_json = std::path::PathBuf::from(f);
-        } else if a == "--trace-out" {
-            let dir = it.next().unwrap_or_else(|| {
-                eprintln!("--trace-out needs a directory");
-                std::process::exit(2);
-            });
-            std::fs::create_dir_all(&dir).expect("create trace dir");
-            trace_out = Some(std::path::PathBuf::from(dir));
-        } else if a == "--watch-json" {
-            let f = it.next().unwrap_or_else(|| {
-                eprintln!("--watch-json needs a path for the cm5-watch/1 verdict");
-                std::process::exit(2);
-            });
-            watch_json = Some(std::path::PathBuf::from(f));
-        } else if a == "--prom-lint" {
-            let f = it.next().unwrap_or_else(|| {
-                eprintln!("--prom-lint needs a scraped /metrics file to check");
-                std::process::exit(2);
-            });
-            prom_lint = Some(std::path::PathBuf::from(f));
-        } else if a == "--csv" {
-            let dir = it.next().unwrap_or_else(|| "report_csv".to_string());
-            std::fs::create_dir_all(&dir).expect("create csv dir");
-            csv_dir = Some(std::path::PathBuf::from(dir));
-        } else if a == "--gate" {
-            let f = it.next().unwrap_or_else(|| {
-                eprintln!("--gate needs an agreement fraction, e.g. 0.90");
-                std::process::exit(2);
-            });
-            gate = Some(f.parse().unwrap_or_else(|_| {
-                eprintln!("--gate: not a number: {f}");
-                std::process::exit(2);
-            }));
-        } else if a == "--jobs" {
-            let n = it.next().unwrap_or_else(|| {
-                eprintln!("--jobs needs a thread count (0 = all cores)");
-                std::process::exit(2);
-            });
-            jobs = n.parse().unwrap_or_else(|_| {
-                eprintln!("--jobs: not a number: {n}");
-                std::process::exit(2);
-            });
-        } else if a.starts_with("--") {
-            eprintln!("unknown flag {a}");
-            std::process::exit(2);
-        } else {
-            args.push(a);
+    let o = match Opts::parse(&raw) {
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            print!("{}", REPORT.usage());
+            return;
         }
-    }
-    CSV_DIR.set(csv_dir).expect("set once");
-    JOBS.set(jobs).expect("set once");
-    GATE.set(gate).expect("set once");
-    QUICK.set(quick).expect("set once");
-    BASELINE.set(baseline).expect("set once");
-    BENCH_JSON.set(bench_json).expect("set once");
-    TRACE_OUT.set(trace_out).expect("set once");
-    WATCH_JSON.set(watch_json).expect("set once");
-    if let Some(path) = prom_lint {
-        run_prom_lint(&path);
+        Err(e) => exit_with(2, e),
+    };
+    if let Some(path) = &o.prom_lint {
+        run_prom_lint(path);
     }
     // `beyond`, `perf`, `certify` and `watch` are opt-in: the default
     // section set must stay byte-identical across runs, perf output
     // includes wall-clock, and certify/watch are gates (they exit nonzero
     // on a violation) rather than reproduction tables.
-    let want = |s: &str| {
-        args.is_empty() && s != "beyond" && s != "perf" && s != "certify" && s != "watch"
-            || args.iter().any(|a| a == s || a == "all")
-    };
-
-    if want("fig5") {
-        fig5();
+    let sections: [Section; 14] = [
+        ("fig5", fig5),
+        ("fig6", |o| fig_scaling(o, "Figure 6", &[0, 256])),
+        ("fig7", |o| fig_scaling(o, "Figure 7", &[512])),
+        ("fig8", |o| fig_scaling(o, "Figure 8", &[1920])),
+        ("table5", table5),
+        ("fig10", fig10),
+        ("fig11", fig11),
+        ("table11", table11),
+        ("table12", table12),
+        ("certify", certify),
+        ("beyond", beyond),
+        ("model", model),
+        ("perf", perf),
+        ("watch", watch),
+    ];
+    for (name, run) in sections {
+        let default = !["beyond", "perf", "certify", "watch"].contains(&name);
+        if (o.sections.is_empty() && default) || o.sections.iter().any(|a| a == name || a == "all")
+        {
+            run(&o);
+        }
     }
-    if want("fig6") {
-        fig_scaling("Figure 6", &[0, 256]);
-    }
-    if want("fig7") {
-        fig_scaling("Figure 7", &[512]);
-    }
-    if want("fig8") {
-        fig_scaling("Figure 8", &[1920]);
-    }
-    if want("table5") {
-        table5();
-    }
-    if want("fig10") {
-        fig10();
-    }
-    if want("fig11") {
-        fig11();
-    }
-    if want("table11") {
-        table11();
-    }
-    if want("table12") {
-        table12();
-    }
-    if want("certify") {
-        certify();
-    }
-    if want("beyond") {
-        beyond();
-    }
-    if want("model") {
-        model();
-    }
-    if want("perf") {
-        perf();
-    }
-    if want("watch") {
-        watch();
-    }
-    write_traces();
+    write_traces(&o);
 }
 
 /// `--prom-lint PATH`: run the offline Prometheus-exposition linter over a
 /// scraped `/metrics` body (CI pipes `curl` output here). Exits nonzero on
 /// the first format violation.
-fn run_prom_lint(path: &std::path::Path) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("could not read {}: {e}", path.display());
-        std::process::exit(2);
-    });
-    match cm5_obs::lint_prometheus(&text) {
+fn run_prom_lint(path: &Path) {
+    match cm5_obs::lint_prometheus(&read(path)) {
         Ok(samples) => println!("prom-lint: {} — {samples} samples, clean", path.display()),
-        Err(e) => {
-            eprintln!("prom-lint: {} — {e}", path.display());
-            std::process::exit(1);
-        }
+        Err(e) => exit_with(1, format!("prom-lint: {} — {e}", path.display())),
     }
+}
+
+/// Print `msg` on stderr and exit with `code`: 2 for bad input, 1 when a
+/// check fails.
+fn exit_with(code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
+}
+
+/// The contents of `path`, or exit 2.
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| exit_with(2, format!("could not read {}: {e}", path.display())))
 }
 
 /// The `watch` section: the perf-regression watchdog. Reads the
@@ -260,38 +202,23 @@ fn run_prom_lint(path: &std::path::Path) {
 /// verdict, optionally writes the `cm5-watch/1` document (`--watch-json`),
 /// and exits nonzero if any floor is missed or any baseline cell is
 /// missing from the artifact.
-fn watch() {
+fn watch(o: &Opts) {
     use cm5_bench::watch as w;
     header(
         "Perf-regression watchdog (opt-in gate)",
         "BENCH_sim.json vs ci/perf_baseline.txt floors; missing cells fail \
          closed. Verdict JSON is a timing artifact — never byte-diffed",
     );
-    let bench = BENCH_JSON.get().expect("set in main");
-    let Some(Some(baseline)) = BASELINE.get().map(|b| b.as_ref()) else {
-        eprintln!("watch needs --baseline <floors file>");
-        std::process::exit(2);
+    let Some(baseline) = &o.baseline else {
+        exit_with(2, "watch needs --baseline <floors file>");
     };
-    let bench_text = std::fs::read_to_string(bench).unwrap_or_else(|e| {
-        eprintln!("could not read {}: {e}", bench.display());
-        std::process::exit(2);
-    });
-    let baseline_text = std::fs::read_to_string(baseline).unwrap_or_else(|e| {
-        eprintln!("could not read {}: {e}", baseline.display());
-        std::process::exit(2);
-    });
-    let verdict = w::watch(&bench_text, &baseline_text).unwrap_or_else(|e| {
-        eprintln!("watch: {e}");
-        std::process::exit(2);
-    });
+    let verdict = w::watch(&read(&o.bench_json), &read(baseline))
+        .unwrap_or_else(|e| exit_with(2, format!("watch: {e}")));
     print!("{}", w::verdict_table(&verdict));
-    if let Some(Some(path)) = WATCH_JSON.get().map(|p| p.as_ref()) {
+    if let Some(path) = &o.watch_json {
         match std::fs::write(path, w::verdict_json(&verdict)) {
             Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("could not write {}: {e}", path.display());
-                std::process::exit(2);
-            }
+            Err(e) => exit_with(2, format!("could not write {}: {e}", path.display())),
         }
     }
     if verdict.pass {
@@ -310,8 +237,8 @@ fn watch() {
 /// with the observability sinks on and export one Chrome-trace JSON each.
 /// Runs serially outside the worker pool, so the files are byte-identical
 /// across `--jobs` values.
-fn write_traces() {
-    let Some(Some(dir)) = TRACE_OUT.get().map(|d| d.as_ref()) else {
+fn write_traces(o: &Opts) {
+    let Some(dir) = &o.trace_out else {
         return;
     };
     let n = 32;
@@ -348,7 +275,7 @@ fn header(title: &str, claim: &str) {
     println!("================================================================");
 }
 
-fn fig5() {
+fn fig5(o: &Opts) {
     header(
         "Figure 5 — Complete exchange on 32 nodes vs message size (ms)",
         "LEX far worst; PEX/REX/BEX indistinguishable when small; for large \
@@ -362,7 +289,7 @@ fn fig5() {
         .iter()
         .flat_map(|&bytes| ExchangeAlg::ALL.map(|alg| (alg, bytes)))
         .collect();
-    let ms = runner().run(&cells, |_, &(alg, bytes)| {
+    let ms = o.runner().run(&cells, |_, &(alg, bytes)| {
         exchange_time(alg, 32, bytes).as_millis_f64()
     });
     let mut rows = Vec::new();
@@ -377,7 +304,7 @@ fn fig5() {
         println!();
         rows.push(row);
     }
-    write_csv(
+    o.write_csv(
         "fig5",
         &[
             "bytes",
@@ -390,7 +317,7 @@ fn fig5() {
     );
 }
 
-fn fig_scaling(title: &str, msg_sizes: &[u64]) {
+fn fig_scaling(o: &Opts, title: &str, msg_sizes: &[u64]) {
     header(
         &format!("{title} — Complete exchange vs machine size (ms), msg ∈ {msg_sizes:?} B"),
         "0 B: REX best at every size (lg N steps). Larger messages: BEX/PEX \
@@ -406,7 +333,7 @@ fn fig_scaling(title: &str, msg_sizes: &[u64]) {
                 .flat_map(move |&n| ExchangeAlg::ALL.map(move |alg| (alg, n, bytes)))
         })
         .collect();
-    let ms = runner().run(&cells, |_, &(alg, n, bytes)| {
+    let ms = o.runner().run(&cells, |_, &(alg, n, bytes)| {
         exchange_time(alg, n, bytes).as_millis_f64()
     });
     let mut next = ms.iter();
@@ -426,7 +353,7 @@ fn fig_scaling(title: &str, msg_sizes: &[u64]) {
     }
 }
 
-fn table5() {
+fn table5(o: &Opts) {
     header(
         "Table 5 — 2-D FFT (seconds); measured | paper",
         "Linear worst by far (catastrophic at 256 procs); the other three \
@@ -440,7 +367,7 @@ fn table5() {
                 .flat_map(move |row| ExchangeAlg::ALL.map(move |alg| (alg, procs, row.side)))
         })
         .collect();
-    let secs = runner().run(&cells, |_, &(alg, procs, side)| {
+    let secs = o.runner().run(&cells, |_, &(alg, procs, side)| {
         fft_time(alg, procs, side).as_secs_f64()
     });
     let mut next = secs.iter();
@@ -462,7 +389,7 @@ fn table5() {
     }
 }
 
-fn fig10() {
+fn fig10(o: &Opts) {
     header(
         "Figure 10 — Broadcast on 32 nodes vs message size (ms)",
         "LIB far worst; system broadcast wins below ~1 KB, REB wins above",
@@ -475,7 +402,7 @@ fn fig10() {
         .iter()
         .flat_map(|&bytes| BroadcastAlg::ALL.map(|alg| (alg, bytes)))
         .collect();
-    let ms = runner().run(&cells, |_, &(alg, bytes)| {
+    let ms = o.runner().run(&cells, |_, &(alg, bytes)| {
         broadcast_time(alg, 32, bytes).as_millis_f64()
     });
     let mut next = ms.iter();
@@ -488,7 +415,7 @@ fn fig10() {
     }
 }
 
-fn fig11() {
+fn fig11(o: &Opts) {
     header(
         "Figure 11 — REB vs system broadcast vs machine size (ms)",
         "System broadcast nearly flat in N; REB grows with lg N; the \
@@ -503,7 +430,7 @@ fn fig11() {
                 .flat_map(move |&n| FIG11_ALGS.map(move |alg| (alg, n, bytes)))
         })
         .collect();
-    let ms = runner().run(&cells, |_, &(alg, n, bytes)| {
+    let ms = o.runner().run(&cells, |_, &(alg, n, bytes)| {
         broadcast_time(alg, n, bytes).as_millis_f64()
     });
     let mut next = ms.iter();
@@ -518,7 +445,7 @@ fn fig11() {
     }
 }
 
-fn table11() {
+fn table11(o: &Opts) {
     header(
         "Table 11 — Synthetic irregular patterns, 32 nodes (ms); measured | paper",
         "Linear worst everywhere; Greedy best below 50 % density; \
@@ -534,7 +461,7 @@ fn table11() {
         .iter()
         .flat_map(|row| IrregularAlg::ALL.map(|alg| (alg, row.density, row.msg)))
         .collect();
-    let ms = runner().run(&cells, |_, &(alg, density, msg)| {
+    let ms = o.runner().run(&cells, |_, &(alg, density, msg)| {
         table11_cell(alg, density, msg)
     });
     let mut next = ms.iter();
@@ -548,7 +475,7 @@ fn table11() {
     }
 }
 
-fn table12() {
+fn table12(o: &Opts) {
     header(
         "Table 12 — Real irregular patterns, 32 nodes (ms); measured | paper",
         "Greedy best on every real problem (all densities < 50 %); \
@@ -562,7 +489,7 @@ fn table12() {
     let cells: Vec<(IrregularAlg, usize)> = (0..patterns.len())
         .flat_map(|pi| IrregularAlg::ALL.map(move |alg| (alg, pi)))
         .collect();
-    let ms = runner().run(&cells, |_, &(alg, pi)| {
+    let ms = o.runner().run(&cells, |_, &(alg, pi)| {
         irregular_time(alg, &patterns[pi].1).as_millis_f64()
     });
     let mut next = ms.iter();
@@ -589,7 +516,7 @@ fn table12() {
 }
 
 /// Extensions beyond the paper (opt-in: `report beyond`).
-fn beyond() {
+fn beyond(o: &Opts) {
     header(
         "Beyond the paper — what-if machines and the crystal-router baseline",
         "not in the paper; extensions DESIGN.md motivates",
@@ -633,7 +560,7 @@ fn beyond() {
             format!("{asy:.4}"),
         ]);
     }
-    write_csv(
+    o.write_csv(
         "beyond_async",
         &["algorithm", "blocking_ms", "isend_ms"],
         &rows,
@@ -683,7 +610,7 @@ fn beyond() {
             format!("{c:.4}"),
         ]);
     }
-    write_csv(
+    o.write_csv(
         "beyond_crystal",
         &["bytes", "greedy_ms", "crystal_ms"],
         &rows,
@@ -717,7 +644,7 @@ fn beyond() {
 
 /// Simulator performance (`report perf`): host-side cost of the hot loop
 /// and the incremental solver's speedup over the full-recompute oracle.
-fn perf() {
+fn perf(o: &Opts) {
     use cm5_bench::perf as p;
     header(
         "Simulator performance — host cost of the hot loop (opt-in)",
@@ -725,7 +652,7 @@ fn perf() {
          incremental solver vs the --rates full oracle. Large grids \
          (1024-16384 nodes): incremental solver, no oracle",
     );
-    let quick = *QUICK.get().unwrap_or(&false);
+    let quick = o.quick;
     let reps = if quick { 1 } else { 3 };
     let measurements = p::run_perf_suite(reps);
     println!(
@@ -755,14 +682,11 @@ fn perf() {
                 .map_or("n/a".to_string(), |s| format!("{s:.2}x")),
         );
     }
-    let json_path = BENCH_JSON.get().expect("set in main");
+    let json_path = &o.bench_json;
     let json = p::to_json(&measurements, quick);
     match std::fs::write(json_path, &json) {
         Ok(()) => println!("\nwrote {}", json_path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", json_path.display());
-            std::process::exit(1);
-        }
+        Err(e) => exit_with(1, format!("could not write {}: {e}", json_path.display())),
     }
 }
 
@@ -811,7 +735,7 @@ fn cert_row(
 /// check the simulated makespan lands inside `[LB, UB]`. Exits nonzero on
 /// any containment miss, or if a regular exchange algorithm certifies
 /// looser than 2.0× at ≥ 1 KB — this is the CI certify-smoke gate.
-fn certify() {
+fn certify(o: &Opts) {
     header(
         "Certify — static [LB, UB] makespan certificates vs simulation",
         "not in the paper; every simulated Fig 5/6-8/10/11 grid point must \
@@ -848,7 +772,7 @@ fn certify() {
         }
     }
     let params = MachineParams::cm5_1992();
-    let rows: Vec<CertRow> = runner().run(&cells, |_, cell| match *cell {
+    let rows: Vec<CertRow> = o.runner().run(&cells, |_, cell| match *cell {
         Cell::Exchange(fig, alg, n, bytes) => {
             let cert = cm5_verify::certify_schedule(
                 &alg.schedule(n, bytes),
@@ -924,7 +848,7 @@ fn certify() {
             ));
         }
     }
-    write_csv(
+    o.write_csv(
         "certify",
         &[
             "figure",
@@ -970,14 +894,14 @@ fn certify() {
 
 /// Model validation: the `cm5-model` advisor scored against the simulator
 /// on every grid, plus the four regime boundaries (`report model`).
-fn model() {
+fn model(o: &Opts) {
     header(
         "Model validation — advisor-predicted vs simulated winners",
         "not in the paper; scores the cm5-model closed-form cost models: \
          the advisor should pick the simulated winner (or a runner-up it \
          prices within 10%) on >= 90% of Fig 5 + Table 11 cells",
     );
-    let runner = runner();
+    let runner = o.runner();
     let fig5 = mv::fig5_grid(&runner);
     let scaling = mv::scaling_grid(&runner);
     let fig10 = mv::fig10_grid(&runner);
@@ -1018,7 +942,7 @@ fn model() {
             grid.mean_abs_err() * 100.0
         );
     }
-    write_csv(
+    o.write_csv(
         "model_validation",
         &[
             "grid",
@@ -1060,8 +984,8 @@ fn model() {
         "\ngate metric (Fig 5 + Table 11): {gated_hits}/{gated_cells} cells agree = {:.1}%",
         gated * 100.0
     );
-    if let Some(Some(min)) = GATE.get() {
-        if gated < *min {
+    if let Some(min) = o.gate {
+        if gated < min {
             eprintln!(
                 "model gate FAILED: agreement {:.3} below required {:.3}",
                 gated, min
@@ -1069,5 +993,35 @@ fn model() {
             std::process::exit(1);
         }
         println!("gate passed (>= {:.0}% required)", min * 100.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn the_table_rejects_unknown_flags_and_accepts_help() {
+        assert!(Opts::parse(&argv("--help")).unwrap().is_none());
+        for (line, err) in [
+            ("fig5 --bogus", "unknown flag '--bogus'"),
+            ("--csv", "--csv needs"),
+        ] {
+            assert!(
+                Opts::parse(&argv(line)).err().unwrap().starts_with(err),
+                "{line}"
+            );
+        }
+        let o = Opts::parse(&argv("fig5 table11 --jobs 4 --quick"))
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (o.sections.len(), o.jobs, o.quick, o.gate),
+            (2, 4, true, None)
+        );
     }
 }

@@ -8,6 +8,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod args;
 pub mod model_validation;
 pub mod paper;
 pub mod perf;

@@ -124,9 +124,9 @@ pub fn verdict_json(v: &WatchVerdict) -> String {
     );
     for (i, c) in v.checks.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events_per_sec\": {:.1}, \"floor\": {:.1}, \
+            "    {{\"name\": {}, \"events_per_sec\": {:.1}, \"floor\": {:.1}, \
              \"ratio\": {:.3}, \"pass\": {}}}{}\n",
-            c.name,
+            cm5_obs::json_str(&c.name),
             c.events_per_sec,
             c.floor,
             c.ratio,
@@ -139,7 +139,7 @@ pub fn verdict_json(v: &WatchVerdict) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{name}\""));
+        cm5_obs::push_json_str(&mut out, name);
     }
     out.push_str("]\n}\n");
     out
@@ -222,6 +222,24 @@ mod tests {
         assert!(!v.pass);
         assert_eq!(v.missing, vec!["serve_replay".to_string()]);
         assert!(verdict_json(&v).contains("\"missing\": [\"serve_replay\"]"));
+    }
+
+    #[test]
+    fn hostile_names_round_trip_through_the_verdict() {
+        // Baseline names come from a file: quotes and backslashes in them
+        // must still yield a verdict document that parses.
+        let (found, lost) = (r#"rex"64\x"#, r#"gone\"cell"#);
+        let bench = format!(
+            "{{\"schema\": \"cm5-bench-sim-perf/4\", \"grids\": \
+             [{{\"name\": {}, \"events_per_sec\": 10.0}}]}}",
+            cm5_obs::json_str(found)
+        );
+        let v = watch(&bench, &format!("{found} 5\n{lost} 1\n")).unwrap();
+        let doc = Json::parse(&verdict_json(&v)).unwrap();
+        let checks = doc.get("checks").and_then(Json::as_arr).unwrap();
+        assert_eq!(checks[0].get("name").and_then(Json::as_str), Some(found));
+        let missing = doc.get("missing").and_then(Json::as_arr).unwrap();
+        assert_eq!(missing[0].as_str(), Some(lost));
     }
 
     #[test]

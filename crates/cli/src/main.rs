@@ -1,112 +1,19 @@
 //! `cm5` — schedule and simulate CM-5 communication patterns from the shell.
 //!
-//! ```text
-//! cm5 exchange  --alg bex -n 32 --bytes 1024 [--machine vector] [--async] [--render]
-//! cm5 broadcast --alg reb -n 64 --bytes 4096 [--root 0]
-//! cm5 irregular --alg gs  -n 32 --density 0.25 --bytes 256 [--seed 7] [--pattern paper] [--render]
-//! cm5 workload  --name euler2k [-n 32] [--alg gs]
-//! cm5 sweep     [--grid exchange|irregular] [--jobs N]
-//! cm5 bench     [--quick] [--json PATH]
-//! ```
-//!
-//! Every command prints the schedule's shape metrics and the simulated run
-//! report. For the paper's full evaluation use
+//! `cm5 --help` lists the subcommands and `cm5 <command> --help` a
+//! command's flags; both are generated from the flag tables at the end of
+//! this file. For the paper's full evaluation use
 //! `cargo run --release -p cm5-bench --bin report`.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
+use cm5_bench::args::{Args, Command};
 use cm5_core::irregular::crystal;
 use cm5_core::prelude::*;
 use cm5_model::prelude::*;
 use cm5_sim::{FatTree, MachineParams, SimReport, Simulation};
-
-/// Minimal `--key value` / `--flag` argument map (no external deps).
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Args {
-        let mut positional = Vec::new();
-        let mut flags: Vec<(String, Option<String>)> = Vec::new();
-        let mut it = raw.iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = it
-                    .peek()
-                    .filter(|v| !v.starts_with("--"))
-                    .map(|v| v.to_string());
-                if value.is_some() {
-                    it.next();
-                }
-                flags.push((name.to_string(), value));
-            } else {
-                positional.push(a.clone());
-            }
-        }
-        Args { positional, flags }
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(k, _)| k == name)
-    }
-
-    fn usize_or(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects an integer, got '{v}'")),
-        }
-    }
-
-    fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects an integer, got '{v}'")),
-        }
-    }
-
-    fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a number, got '{v}'")),
-        }
-    }
-
-    /// Reject any flag this command does not understand. A typo like
-    /// `--byte` must fail loudly, not silently fall back to a default.
-    fn check_flags(&self, allowed: &[&str]) -> Result<(), String> {
-        for (k, _) in &self.flags {
-            if !allowed.contains(&k.as_str()) {
-                return Err(format!(
-                    "unknown flag '--{k}' (valid flags: {})\n\n{USAGE}",
-                    allowed
-                        .iter()
-                        .map(|f| format!("--{f}"))
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                ));
-            }
-        }
-        Ok(())
-    }
-}
 
 fn machine(args: &Args) -> Result<MachineParams, String> {
     let mut params = match args.get("machine").unwrap_or("1992") {
@@ -123,15 +30,10 @@ fn machine(args: &Args) -> Result<MachineParams, String> {
     // ablation/differential-testing hook; simulated results are identical
     // by construction, only the host cost changes.
     match args.get("rates") {
-        None if !args.has("rates") => {}
+        None => {}
         Some("incremental") => params.rate_solver = cm5_sim::RateSolver::Incremental,
         Some("full") => params.rate_solver = cm5_sim::RateSolver::Full,
-        other => {
-            return Err(format!(
-                "--rates expects full | incremental, got '{}'",
-                other.unwrap_or("")
-            ))
-        }
+        Some(other) => return Err(format!("--rates expects full | incremental, got '{other}'")),
     }
     Ok(params)
 }
@@ -210,9 +112,6 @@ fn advise_print(w: &Workload, params: &MachineParams, n: usize) -> Recommendatio
 }
 
 fn cmd_exchange(args: &Args) -> Result<(), String> {
-    args.check_flags(&[
-        "alg", "n", "bytes", "machine", "rates", "topology", "async", "render",
-    ])?;
     let n = args.usize_or("n", 32)?;
     let bytes = args.u64_or("bytes", 1024)?;
     let params = machine(args)?;
@@ -254,7 +153,6 @@ fn cmd_exchange(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_broadcast(args: &Args) -> Result<(), String> {
-    args.check_flags(&["alg", "n", "bytes", "root", "machine", "rates"])?;
     let n = args.usize_or("n", 32)?;
     let bytes = args.u64_or("bytes", 1024)?;
     let root = args.usize_or("root", 0)?;
@@ -303,9 +201,6 @@ fn irregular_pattern(args: &Args, n: usize) -> Result<Pattern, String> {
 }
 
 fn cmd_irregular(args: &Args) -> Result<(), String> {
-    args.check_flags(&[
-        "alg", "n", "density", "bytes", "seed", "pattern", "machine", "rates", "async", "render",
-    ])?;
     let n = args.usize_or("n", 32)?;
     let params = machine(args)?;
     let pattern = irregular_pattern(args, n)?;
@@ -347,7 +242,6 @@ fn cmd_irregular(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_workload(args: &Args) -> Result<(), String> {
-    args.check_flags(&["name", "n", "machine", "rates"])?;
     let n = args.usize_or("n", 32)?;
     let params = machine(args)?;
     let name = args.get("name").unwrap_or("euler2k");
@@ -383,9 +277,6 @@ fn named_workload(name: &str, n: usize) -> Result<Pattern, String> {
 
 /// `cm5 advise` — price the candidates without simulating anything.
 fn cmd_advise(args: &Args) -> Result<(), String> {
-    args.check_flags(&[
-        "n", "bytes", "density", "seed", "pattern", "name", "machine", "json",
-    ])?;
     let n = args.usize_or("n", 32)?;
     let json = args.has("json");
     let params = machine(args)?;
@@ -435,7 +326,6 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     use cm5_bench::sweep::{run_exchange_grid, run_irregular_grid, SweepRunner};
-    args.check_flags(&["grid", "jobs"])?;
     let runner = SweepRunner::new(args.usize_or("jobs", 0)?);
     match args.get("grid").unwrap_or("exchange") {
         "exchange" => {
@@ -495,7 +385,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 /// and write the `BENCH_sim.json` artifact.
 fn cmd_bench(args: &Args) -> Result<(), String> {
     use cm5_bench::perf;
-    args.check_flags(&["quick", "json", "large"])?;
     let quick = args.has("quick");
     let reps = if quick { 1 } else { 3 };
     println!(
@@ -701,26 +590,7 @@ fn tenant_merged_schedule(
 /// `cm5 lint` — statically verify a schedule (deadlock freedom, byte
 /// conservation, step shape, predicted contention) without simulating it.
 fn cmd_lint(args: &Args) -> Result<(), String> {
-    use cm5_verify::{
-        broadcast_policy, exchange_policy, irregular_policy, verify_programs, verify_schedule,
-    };
-    args.check_flags(&[
-        "alg",
-        "n",
-        "bytes",
-        "density",
-        "seed",
-        "pattern",
-        "pattern-file",
-        "root",
-        "machine",
-        "all",
-        "json",
-        "sarif",
-        "certify",
-        "async",
-        "inject",
-    ])?;
+    use cm5_verify::{verify_programs, verify_schedule};
     let params = machine(args)?;
     let json = args.has("json");
     let sarif = args.has("sarif");
@@ -750,8 +620,8 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
                 reports.push((t.name.clone(), report));
             } else if json {
                 rows.push(format!(
-                    "{{\"target\":\"{}\",\"report\":{}}}",
-                    t.name,
+                    "{{\"target\":{},\"report\":{}}}",
+                    cm5_obs::json_str(&t.name),
                     report.render_json()
                 ));
             } else {
@@ -782,58 +652,8 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
         };
     }
 
-    // Single target: build (schedule, pattern, policy) from the algorithm
-    // family, mirroring the exchange/broadcast/irregular commands.
-    let n = args.usize_or("n", 32)?;
-    let bytes = args.u64_or("bytes", 1024)?;
     let name = args.get("alg").unwrap_or("bex");
-    let (schedule, pattern, mut opts) = match name {
-        "lex" | "pex" | "rex" | "bex" => {
-            let alg = match name {
-                "lex" => ExchangeAlg::Lex,
-                "pex" => ExchangeAlg::Pex,
-                "rex" => ExchangeAlg::Rex,
-                _ => ExchangeAlg::Bex,
-            };
-            (
-                alg.schedule(n, bytes),
-                Some(Pattern::complete_exchange(n, bytes)),
-                exchange_policy(alg),
-            )
-        }
-        "lib" | "reb" => {
-            let root = args.usize_or("root", 0)?;
-            let schedule = if name == "lib" {
-                lib_linear(n, root, bytes)
-            } else {
-                reb(n, root, bytes)
-            };
-            (schedule, None, broadcast_policy(BroadcastAlg::Recursive))
-        }
-        "ls" | "ps" | "bs" | "gs" | "crystal" => {
-            let pattern = match args.get("pattern-file") {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("could not read {path}: {e}"))?;
-                    Pattern::parse_text(&text)?
-                }
-                None => irregular_pattern(args, n)?,
-            };
-            let (schedule, opts) = match name {
-                "ls" => (ls(&pattern), irregular_policy(IrregularAlg::Ls)),
-                "ps" => (ps(&pattern), irregular_policy(IrregularAlg::Ps)),
-                "bs" => (bs(&pattern), irregular_policy(IrregularAlg::Bs)),
-                "gs" => (gs(&pattern), irregular_policy(IrregularAlg::Gs)),
-                _ => (crystal(&pattern), cm5_verify::VerifyOptions::default()),
-            };
-            (schedule, Some(pattern), opts)
-        }
-        other => {
-            return Err(format!(
-                "unknown --alg '{other}' (lex|pex|rex|bex|lib|reb|ls|ps|bs|gs|crystal)"
-            ))
-        }
-    };
+    let (schedule, pattern, mut opts) = target(args)?;
     opts.params = params;
     opts.lower.async_sends = args.has("async");
 
@@ -896,28 +716,10 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 /// static buffer-occupancy bounds for one schedule, optionally
 /// cross-checked against a simulation (`--sim-check`).
 fn cmd_certify(args: &Args) -> Result<(), String> {
-    args.check_flags(&[
-        "alg",
-        "n",
-        "bytes",
-        "density",
-        "seed",
-        "pattern",
-        "pattern-file",
-        "root",
-        "machine",
-        "rates",
-        "async",
-        "json",
-        "steps",
-        "sim-check",
-        "budget-eager",
-        "budget-pending",
-    ])?;
     let json = args.has("json");
 
     let params = machine(args)?;
-    let schedule = trace_schedule(args)?;
+    let (schedule, ..) = target(args)?;
     let opts = LowerOptions {
         async_sends: args.has("async"),
         ..Default::default()
@@ -969,18 +771,9 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
         }
     }
 
-    let parse_budget = |flag: &str| -> Result<Option<u64>, String> {
-        match args.get(flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{flag} expects bytes, got '{v}'")),
-        }
-    };
     let budget = cm5_verify::OccupancyBudget {
-        eager_bytes: parse_budget("budget-eager")?,
-        pending_bytes: parse_budget("budget-pending")?,
+        eager_bytes: args.parsed("budget-eager", "bytes")?,
+        pending_bytes: args.parsed("budget-pending", "bytes")?,
     };
     let occ = bounds.diagnose(&budget);
     if !occ.is_empty() && !json {
@@ -1022,19 +815,37 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Build the schedule a trace run will observe, mirroring `cm5 lint`'s
-/// single-target construction (same `--alg` vocabulary).
-fn trace_schedule(args: &Args) -> Result<Schedule, String> {
+/// The one schedule `lint`, `certify` and `trace` work on, built from their
+/// shared flags: the schedule, the pattern it must conserve, and the
+/// verify policy its algorithm family promises.
+fn target(args: &Args) -> Result<(Schedule, Option<Pattern>, cm5_verify::VerifyOptions), String> {
+    use cm5_verify::{broadcast_policy, exchange_policy, irregular_policy};
     let n = args.usize_or("n", 32)?;
     let bytes = args.u64_or("bytes", 1024)?;
     let name = args.get("alg").unwrap_or("bex");
-    match name {
-        "lex" => Ok(ExchangeAlg::Lex.schedule(n, bytes)),
-        "pex" => Ok(ExchangeAlg::Pex.schedule(n, bytes)),
-        "rex" => Ok(ExchangeAlg::Rex.schedule(n, bytes)),
-        "bex" => Ok(ExchangeAlg::Bex.schedule(n, bytes)),
-        "lib" => Ok(lib_linear(n, args.usize_or("root", 0)?, bytes)),
-        "reb" => Ok(reb(n, args.usize_or("root", 0)?, bytes)),
+    Ok(match name {
+        "lex" | "pex" | "rex" | "bex" => {
+            let alg = match name {
+                "lex" => ExchangeAlg::Lex,
+                "pex" => ExchangeAlg::Pex,
+                "rex" => ExchangeAlg::Rex,
+                _ => ExchangeAlg::Bex,
+            };
+            (
+                alg.schedule(n, bytes),
+                Some(Pattern::complete_exchange(n, bytes)),
+                exchange_policy(alg),
+            )
+        }
+        "lib" | "reb" => {
+            let root = args.usize_or("root", 0)?;
+            let schedule = if name == "lib" {
+                lib_linear(n, root, bytes)
+            } else {
+                reb(n, root, bytes)
+            };
+            (schedule, None, broadcast_policy(BroadcastAlg::Recursive))
+        }
         "ls" | "ps" | "bs" | "gs" | "crystal" => {
             let pattern = match args.get("pattern-file") {
                 Some(path) => {
@@ -1044,44 +855,28 @@ fn trace_schedule(args: &Args) -> Result<Schedule, String> {
                 }
                 None => irregular_pattern(args, n)?,
             };
-            Ok(match name {
-                "ls" => ls(&pattern),
-                "ps" => ps(&pattern),
-                "bs" => bs(&pattern),
-                "gs" => gs(&pattern),
-                _ => crystal(&pattern),
-            })
+            let (schedule, opts) = match name {
+                "ls" => (ls(&pattern), irregular_policy(IrregularAlg::Ls)),
+                "ps" => (ps(&pattern), irregular_policy(IrregularAlg::Ps)),
+                "bs" => (bs(&pattern), irregular_policy(IrregularAlg::Bs)),
+                "gs" => (gs(&pattern), irregular_policy(IrregularAlg::Gs)),
+                _ => (crystal(&pattern), cm5_verify::VerifyOptions::default()),
+            };
+            (schedule, Some(pattern), opts)
         }
-        other => Err(format!(
-            "unknown --alg '{other}' (lex|pex|rex|bex|lib|reb|ls|ps|bs|gs|crystal)"
-        )),
-    }
+        other => {
+            return Err(format!(
+                "unknown --alg '{other}' (lex|pex|rex|bex|lib|reb|ls|ps|bs|gs|crystal)"
+            ))
+        }
+    })
 }
 
 /// `cm5 trace` — run one schedule with the trace and rate sinks enabled and
 /// export/render the observability views.
 fn cmd_trace(args: &Args) -> Result<(), String> {
-    args.check_flags(&[
-        "alg",
-        "n",
-        "bytes",
-        "density",
-        "seed",
-        "pattern",
-        "pattern-file",
-        "root",
-        "machine",
-        "rates",
-        "topology",
-        "async",
-        "out",
-        "timeline",
-        "links",
-        "json",
-        "width",
-    ])?;
     let params = machine(args)?;
-    let schedule = trace_schedule(args)?;
+    let (schedule, ..) = target(args)?;
     let n = schedule.n();
     let width = args.usize_or("width", 64)?;
     let topo = topology(args, n)?;
@@ -1161,31 +956,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use cm5_bench::querygen::{generate_trace, TraceMix};
     use cm5_serve::{replay, resolve_jobs, Service, ServiceConfig};
 
-    args.check_flags(&[
-        "record",
-        "queries",
-        "seed",
-        "mix",
-        "replay",
-        "qps",
-        "jobs",
-        "shards",
-        "out",
-        "metrics-json",
-        "timing-json",
-        "bench-json",
-        "tcp",
-        "machine",
-        "rates",
-        "spans-out",
-        "trace-out",
-        "metrics-out",
-        "flight-dir",
-        "flight-cap",
-        "slo-ms",
-        "trace-ring",
-    ])?;
-
     // Record mode: write a deterministic query trace and exit.
     if let Some(path) = args.get("record") {
         let mix = TraceMix::parse(args.get("mix").unwrap_or("mixed"))?;
@@ -1205,20 +975,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let trace_ring = match args.get("trace-ring") {
-        Some(_) => Some(args.usize_or("trace-ring", 0)?),
-        None => None,
-    };
-    let flight_slo_ms = match args.get("slo-ms") {
-        Some(_) => Some(args.u64_or("slo-ms", 0)?),
-        None => None,
-    };
     let service = Service::new(ServiceConfig {
         params,
         shards,
-        trace_ring,
+        trace_ring: args.parsed("trace-ring", "an integer")?,
         flight_capacity: args.usize_or("flight-cap", 64)?,
-        flight_slo_ms,
+        flight_slo_ms: args.parsed("slo-ms", "an integer")?,
         flight_dir: args.get("flight-dir").map(std::path::PathBuf::from),
     });
 
@@ -1228,10 +990,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let trace =
             std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
         let jobs = args.usize_or("jobs", 0)?;
-        let qps_target = match args.get("qps") {
-            None => None,
-            Some(_) => Some(args.f64_or("qps", 0.0)?).filter(|q| *q > 0.0),
-        };
+        let qps_target = args.parsed("qps", "a number")?.filter(|q: &f64| *q > 0.0);
         let result = replay(&service, &trace, jobs, qps_target);
         let metrics = service.metrics();
         let hit_rate = metrics
@@ -1418,108 +1177,226 @@ fn merge_serve_cell(
     std::fs::write(path, Json::Obj(fields).render()).map_err(|e| format!("write {path}: {e}"))
 }
 
-const USAGE: &str = "\
-cm5 — schedule and simulate CM-5 communication patterns
+// The flag tables: parsing, validation, usage and `--help` all come from
+// these declarations. Flags several commands share are declared once.
+#[rustfmt::skip]
+mod table {
+    use cm5_bench::args::{Command, Flag};
 
-USAGE:
-  cm5 exchange  [--alg lex|pex|rex|bex|auto] [-n N] [--bytes B] [--machine 1992|vector|buffered]
-                [--topology fat-tree|hypercube] [--async] [--render]
-  cm5 broadcast [--alg lib|reb|system|auto] [-n N] [--bytes B] [--root R]
-  cm5 irregular [--alg ls|ps|bs|gs|crystal|auto] [-n N] [--density D] [--bytes B] [--seed S] [--pattern paper] [--render]
-  cm5 workload  [--name cg|euler545|euler2k|euler3k|euler9k] [-n N]
-  cm5 advise    exchange|broadcast|irregular [-n N] [--bytes B] [--density D] [--name W]
-  cm5 sweep     [--grid exchange|irregular] [--jobs N]   (0 = one worker per core)
-  cm5 lint      [--alg lex|..|bex|lib|reb|ls|..|gs|crystal] [-n N] [--bytes B] [--density D]
-                [--seed S] [--pattern paper] [--pattern-file PATH] [--all] [--json] [--sarif]
-                [--certify] [--async] [--inject swap-order|drop-recv|retag]
-  cm5 certify   [--alg lex|..|bex|lib|reb|ls|..|gs|crystal] [-n N] [--bytes B] [--density D]
-                [--seed S] [--pattern paper] [--pattern-file PATH] [--async] [--json] [--steps]
-                [--sim-check] [--budget-eager B] [--budget-pending B]
-  cm5 bench     [--quick] [--large] [--json PATH]
-                (simulator host-cost suite -> BENCH_sim.json; --large adds the
-                1024/4096/16384-node cells)
-  cm5 trace     [--alg lex|..|bex|lib|reb|ls|..|gs|crystal] [-n N] [--bytes B] [--density D]
-                [--seed S] [--pattern paper] [--pattern-file PATH] [--out trace.json]
-                [--timeline] [--links] [--json] [--width W] [--async]
-  cm5 serve     [--tcp ADDR] [--shards N] [--machine M]  (JSON-lines on stdin/stdout)
-  cm5 serve     --record PATH [--queries K] [--seed S] [--mix advise|mixed]
-  cm5 serve     --replay PATH [--qps N] [--jobs N] [--shards N] [--out PATH]
-                [--metrics-json PATH] [--timing-json PATH] [--bench-json PATH]
-                [--spans-out PATH] [--trace-out PATH] [--metrics-out PATH]
-                [--flight-dir DIR] [--flight-cap N] [--slo-ms MS] [--trace-ring N]
+    const N: Flag = Flag::value("n", "N", "number of nodes (default 32)").short("-n");
+    const BYTES: Flag = Flag::value("bytes", "B", "bytes per message");
+    const DENSITY: Flag = Flag::value("density", "D", "random pattern density (default 0.25)");
+    const SEED: Flag = Flag::value("seed", "S", "random pattern seed");
+    const PATTERN: Flag = Flag::value("pattern", "paper", "the Table 6 pattern (needs -n 8)");
+    const ROOT: Flag = Flag::value("root", "R", "broadcast root node (default 0)");
+    const MACHINE: Flag = Flag::value("machine", "M", "1992 | vector | buffered (default 1992)");
+    const RATES: Flag = Flag::value("rates", "R", "full | incremental rate solver (same results)");
+    const TOPOLOGY: Flag = Flag::value("topology", "T", "fat-tree | hypercube (default fat-tree)");
+    const ASYNC: Flag = Flag::switch("async", "lower sends as non-blocking isends");
+    const RENDER: Flag = Flag::switch("render", "print the schedule's step table");
+    const JSON: Flag = Flag::switch("json", "print the schema-stamped JSON document");
+    const JOBS: Flag = Flag::value("jobs", "N", "worker threads (default 0 = one per core)");
 
-`--alg auto` asks the cm5-model cost models to pick; `cm5 advise` prints
-the prediction table without running the simulator.
-`cm5 lint` statically verifies a schedule before it runs: CMMD deadlock
-analysis, byte conservation against the pattern, step-shape lints, and
-predicted fat-tree hotspots. `--all` sweeps every builtin generator
-(the CI gate, including the multi-tenant Subtree/Striped placements);
-`--inject` deliberately breaks the lowered programs to demonstrate a
-finding. `--json --sarif` renders the findings as a SARIF 2.1.0 log for
-code-review tooling; `--certify` appends a certified makespan interval.
-`cm5 certify` statically computes a makespan interval [LB, UB] plus
-per-node buffer-occupancy bounds from the lowered programs alone:
-`--sim-check` runs the simulator and fails unless the measured makespan
-lands inside the interval and measured peak buffering stays under the
-static bound; `--budget-eager`/`--budget-pending` gate the bounds
-against a byte budget (V040/V041); `--steps` prints the per-step
-critical-path transcript.
-`cm5 serve` runs the scheduling service: one JSON request per line
-(`{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":32,\"bytes\":1024},\"verify\":true}`),
-one schema-stamped response line back. `--record` writes a deterministic
-query trace, `--replay` drives one through a worker pool and reports
-sustained queries/sec (`--bench-json` merges the cell into
-BENCH_sim.json for `report watch` to gate). `cm5 advise --json` prints
-the same `cm5-advise/1` document the service returns.
-Service telemetry: every query carries a request span with typed child
-phases (parse, advise-hit/miss, verify, simulate, render). `--spans-out`
-writes the canonical `cm5-serve-spans/1` document (deterministic: byte-
-identical at any --jobs), `--trace-out` the `cm5-serve-trace/1` Chrome
-trace (one track per worker), `--metrics-out` live JSON snapshots
-(rewritten every second under `--tcp`, final flush at shutdown; wall-
-clock, never diffed). `GET /metrics` on the `--tcp` listener serves
-Prometheus text. The flight recorder keeps the last `--flight-cap`
-spanned queries; erroring (and, with `--slo-ms`, slow) queries dump
-deterministic `cm5-flight/1` files into `--flight-dir`. `--trace-ring N`
-bounds each simulation's event ring; overflow counts surface as the
-deterministic `sim_trace_dropped` counter.
-`cm5 trace` reruns one schedule with the trace and rate sinks on and
-exports the observability views: `--out` writes Chrome Trace Format JSON
-(Perfetto / chrome://tracing), `--timeline` draws a per-node Gantt chart,
-`--links` draws per-level utilization sparklines, `--json` prints the
-metrics registry. Simulated results are bit-identical with tracing on.
-Simulating commands also take `--rates full|incremental` to select the
-network rate solver (`full` = the original per-admission recompute, kept
-as an ablation/differential-testing oracle; results are bit-identical).
+    /// The schedule `lint`, `certify` and `trace` work on.
+    const TARGET: &[Flag] = &[
+        Flag::value("alg", "ALG", "lex|pex|rex|bex|lib|reb|ls|ps|bs|gs|crystal (default bex)"),
+        N, BYTES, DENSITY, SEED, PATTERN,
+        Flag::value("pattern-file", "PATH", "read the irregular pattern from a file"),
+        ROOT, MACHINE,
+    ];
 
-The full paper evaluation: cargo run --release -p cm5-bench --bin report
-";
+    pub const EXCHANGE: Command = Command {
+        synopsis: "cm5 exchange",
+        about: "simulate a complete exchange (LEX, PEX, REX or BEX)",
+        flags: &[&[
+            Flag::value("alg", "ALG", "lex | pex | rex | bex | auto (default bex)"),
+            N,
+            Flag::value("bytes", "B", "bytes per node pair (default 1024)"),
+            MACHINE, RATES, TOPOLOGY, ASYNC, RENDER,
+        ]],
+    };
+    pub const BROADCAST: Command = Command {
+        synopsis: "cm5 broadcast",
+        about: "simulate a broadcast (LIB, REB or the system broadcast)",
+        flags: &[&[
+            Flag::value("alg", "ALG", "lib | reb | system | auto (default reb)"),
+            N,
+            Flag::value("bytes", "B", "bytes broadcast (default 1024)"),
+            ROOT, MACHINE, RATES,
+        ]],
+    };
+    pub const IRREGULAR: Command = Command {
+        synopsis: "cm5 irregular",
+        about: "simulate an irregular pattern scheduled by LS, PS, BS, GS or crystal",
+        flags: &[&[
+            Flag::value("alg", "ALG", "ls | ps | bs | gs | crystal | auto (default gs)"),
+            N, DENSITY,
+            Flag::value("bytes", "B", "bytes per message (default 256)"),
+            SEED, PATTERN, MACHINE, RATES, ASYNC, RENDER,
+        ]],
+    };
+    pub const WORKLOAD: Command = Command {
+        synopsis: "cm5 workload",
+        about: "run the four irregular schedulers on a Table 12 workload",
+        flags: &[&[
+            Flag::value("name", "W", "cg|euler545|euler2k|euler3k|euler9k (default euler2k)"),
+            N, MACHINE, RATES,
+        ]],
+    };
+    pub const ADVISE: Command = Command {
+        synopsis: "cm5 advise exchange|broadcast|irregular",
+        about: "price every candidate algorithm with the cost models, without simulating",
+        flags: &[&[
+            N, BYTES, DENSITY, SEED, PATTERN,
+            Flag::value("name", "W", "irregular: a Table 12 workload instead of a pattern"),
+            MACHINE,
+            Flag::switch("json", "print the cm5-advise/1 document `cm5 serve` returns"),
+        ]],
+    };
+    pub const SWEEP: Command = Command {
+        synopsis: "cm5 sweep",
+        about: "run a paper grid on a worker pool, printed in canonical order",
+        flags: &[&[Flag::value("grid", "G", "exchange | irregular (default exchange)"), JOBS]],
+    };
+    pub const BENCH: Command = Command {
+        synopsis: "cm5 bench",
+        about: "time the simulator itself (host cost) and write BENCH_sim.json",
+        flags: &[&[
+            Flag::switch("quick", "one repetition per grid instead of three"),
+            Flag::value("json", "PATH", "where to write the artifact (default BENCH_sim.json)"),
+            Flag::switch("large", "add the 1024/4096/16384-node cells"),
+        ]],
+    };
+    pub const LINT: Command = Command {
+        synopsis: "cm5 lint",
+        about: "statically verify a schedule: deadlocks, conservation, step shape, hotspots",
+        flags: &[TARGET, &[
+            Flag::switch("all", "verify every builtin generator (the CI gate)"),
+            JSON,
+            Flag::switch("sarif", "with --json: print a SARIF 2.1.0 log instead"),
+            Flag::switch("certify", "append a certified makespan interval"),
+            ASYNC,
+            Flag::value("inject", "F", "swap-order | drop-recv | retag: plant a fault"),
+        ]],
+    };
+    pub const CERTIFY: Command = Command {
+        synopsis: "cm5 certify",
+        about: "certify a makespan interval [LB, UB] and buffer bounds without simulating",
+        flags: &[TARGET, &[
+            RATES, ASYNC, JSON,
+            Flag::switch("steps", "print the per-step critical-path transcript"),
+            Flag::switch("sim-check", "also simulate; fail unless the run stays inside the bounds"),
+            Flag::value("budget-eager", "B", "fail if eager buffering may exceed B per node"),
+            Flag::value("budget-pending", "B", "fail if pending bytes may exceed B per node"),
+        ]],
+    };
+    pub const TRACE: Command = Command {
+        synopsis: "cm5 trace",
+        about: "rerun one schedule with tracing on (results unchanged) and export the views",
+        flags: &[TARGET, &[
+            RATES, TOPOLOGY, ASYNC,
+            Flag::value("out", "PATH", "write a Chrome trace (Perfetto / chrome://tracing)"),
+            Flag::switch("timeline", "draw a per-node Gantt chart"),
+            Flag::switch("links", "draw per-level link-utilization sparklines"),
+            Flag::switch("json", "print the cm5-metrics/1 document"),
+            Flag::value("width", "W", "chart width in columns (default 64)"),
+        ]],
+    };
+    pub const SERVE: Command = Command {
+        synopsis: "cm5 serve",
+        about: "run the scheduling service: one JSON query per line on stdin (and --tcp)\n\
+                e.g. {\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":32,\"bytes\":1024}}\n\
+                --record writes a query trace; --replay runs one and reports queries/sec.",
+        flags: &[&[
+            Flag::value("record", "PATH", "write a query trace and exit"),
+            Flag::value("queries", "K", "queries to record (default 256)"),
+            Flag::value("seed", "S", "trace seed (default 1)"),
+            Flag::value("mix", "MIX", "advise | mixed (default mixed)"),
+            Flag::value("replay", "PATH", "replay a recorded trace"),
+            Flag::value("qps", "Q", "replay arrival rate (default unpaced)"),
+            JOBS,
+            Flag::value("shards", "N", "advisor cache shards (default 8)"),
+            Flag::value("out", "PATH", "write the replay's responses"),
+            Flag::value("metrics-json", "PATH", "write the deterministic metrics document"),
+            Flag::value("timing-json", "PATH", "write the wall-clock timing document"),
+            Flag::value("bench-json", "PATH", "merge the serve_replay cell for `report watch`"),
+            Flag::value("tcp", "ADDR", "also serve JSON-lines and GET /metrics on ADDR"),
+            MACHINE, RATES,
+            Flag::value("spans-out", "PATH", "write the span trees (identical at any --jobs)"),
+            Flag::value("trace-out", "PATH", "write a Chrome trace of the spans"),
+            Flag::value("metrics-out", "PATH", "write live metrics snapshots"),
+            Flag::value("flight-dir", "DIR", "dump erroring (and --slo-ms slow) queries here"),
+            Flag::value("flight-cap", "N", "flight recorder size (default 64)"),
+            Flag::value("slo-ms", "MS", "also dump queries slower than MS (0 = all)"),
+            Flag::value("trace-ring", "N", "bound each simulation's event ring to N events"),
+        ]],
+    };
+}
+
+type Run = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand, in `cm5 --help` order.
+const COMMANDS: [(Command, Run); 11] = [
+    (table::EXCHANGE, cmd_exchange),
+    (table::BROADCAST, cmd_broadcast),
+    (table::IRREGULAR, cmd_irregular),
+    (table::WORKLOAD, cmd_workload),
+    (table::ADVISE, cmd_advise),
+    (table::SWEEP, cmd_sweep),
+    (table::LINT, cmd_lint),
+    (table::CERTIFY, cmd_certify),
+    (table::BENCH, cmd_bench),
+    (table::TRACE, cmd_trace),
+    (table::SERVE, cmd_serve),
+];
+
+/// `advise` for `cm5 advise exchange|broadcast|irregular`.
+fn subcommand(cmd: &Command) -> &'static str {
+    cmd.synopsis.split(' ').nth(1).unwrap_or("")
+}
+
+/// The top-level usage: one line per subcommand.
+fn usage() -> String {
+    let mut out = String::from(
+        "cm5 — schedule and simulate CM-5 communication patterns\n\n\
+         USAGE:\n  cm5 <COMMAND> [FLAGS]   (`cm5 <COMMAND> --help` lists its flags)\n\n\
+         COMMANDS:\n",
+    );
+    for (cmd, _) in &COMMANDS {
+        let summary = cmd.about.lines().next().unwrap_or("");
+        out.push_str(&format!("  {:<10} {summary}\n", subcommand(cmd)));
+    }
+    out.push_str("\nThe full paper evaluation: cargo run --release -p cm5-bench --bin report\n");
+    out
+}
+
+/// The subcommand `raw` names, and `raw` parsed against its flag table.
+fn parse_command(raw: &[String]) -> Result<(&'static Command, Run, Args), String> {
+    let (cmd, run) = match raw.first() {
+        None => return Err(usage()),
+        Some(name) => COMMANDS
+            .iter()
+            .find(|(cmd, _)| subcommand(cmd) == name)
+            .ok_or_else(|| format!("unknown command '{name}'\n\n{}", usage()))?,
+    };
+    Ok((cmd, *run, cmd.parse(raw)?))
+}
 
 fn dispatch(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw);
-    match args.positional.first().map(String::as_str) {
-        Some("exchange") => cmd_exchange(&args),
-        Some("broadcast") => cmd_broadcast(&args),
-        Some("irregular") => cmd_irregular(&args),
-        Some("workload") => cmd_workload(&args),
-        Some("advise") => cmd_advise(&args),
-        Some("sweep") => cmd_sweep(&args),
-        Some("lint") => cmd_lint(&args),
-        Some("certify") => cmd_certify(&args),
-        Some("bench") => cmd_bench(&args),
-        Some("trace") => cmd_trace(&args),
-        Some("serve") => cmd_serve(&args),
-        Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-        None => Err(USAGE.to_string()),
+    if raw.first().is_some_and(|a| a == "--help") {
+        print!("{}", usage());
+        return Ok(());
     }
+    let (cmd, run, args) = parse_command(raw)?;
+    if args.has("help") {
+        print!("{}", cmd.usage());
+        return Ok(());
+    }
+    run(&args)
 }
 
 fn main() -> ExitCode {
-    // Accept both `-n 32` and `--n 32` by normalizing.
-    let raw: Vec<String> = std::env::args()
-        .skip(1)
-        .map(|a| if a == "-n" { "--n".to_string() } else { a })
-        .collect();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&raw) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
@@ -1864,5 +1741,48 @@ mod tests {
         assert!(!json.contains("\"pex_16k\""), "{json}");
         std::fs::remove_file(&path).ok();
         assert!(dispatch(&argv("bench --jobs 3")).is_err());
+    }
+
+    /// `Args::parse`: a whole `cm5` command line, parsed as `dispatch` does.
+    trait ParseArgv {
+        fn parse(raw: &[String]) -> Self;
+    }
+
+    impl ParseArgv for Args {
+        fn parse(raw: &[String]) -> Args {
+            parse_command(raw).expect("a valid command line").2
+        }
+    }
+
+    #[test]
+    fn the_table_decides_which_flags_take_a_value() {
+        dispatch(&argv("advise --json exchange --n 32 --bytes 1024")).unwrap();
+        let err = dispatch(&argv("exchange --alg pex --n 8 --bytes")).unwrap_err();
+        assert!(err.starts_with("--bytes needs a value"), "{err}");
+        assert_eq!(
+            Args::parse(&argv("exchange -n 8"))
+                .usize_or("n", 32)
+                .unwrap(),
+            8
+        );
+    }
+
+    #[test]
+    fn every_command_has_help_listing_exactly_its_table() {
+        dispatch(&argv("--help")).unwrap();
+        for (cmd, _) in &COMMANDS {
+            let help = argv(&format!("{} --help", subcommand(cmd)));
+            dispatch(&help).unwrap();
+            assert_eq!(parse_command(&help).unwrap().0.synopsis, cmd.synopsis);
+            let usage = cmd.usage();
+            let (_, rows) = usage.split_once("FLAGS:\n").unwrap();
+            let listed: Vec<&str> = rows
+                .lines()
+                .filter_map(|row| row.split("--").nth(1)?.split(' ').next())
+                .collect();
+            let flags = cmd.flags.iter().copied().flatten();
+            let table: Vec<&str> = flags.map(|f| f.name).chain(["help"]).collect();
+            assert_eq!(listed, table, "{usage}");
+        }
     }
 }

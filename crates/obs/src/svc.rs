@@ -26,7 +26,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::schema::schema_field;
+use crate::schema::{json_str, schema_field};
 
 /// Typed phases of one service query, in lifecycle order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,23 +175,6 @@ impl QueryCtx {
     }
 }
 
-/// Escape a string for embedding in a JSON document.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Canonical phase name: `Advise` phases become `advise-hit`/`advise-miss`
 /// by first occurrence of their cache key in `seen`; everything else keeps
 /// its [`PhaseKind::name`].
@@ -212,14 +195,14 @@ fn canonical_phase_name(p: &PhaseSpan, seen: &mut HashSet<String>) -> String {
 /// object line — shared by [`spans_json`] and the flight-recorder dump.
 fn query_json(span: &QuerySpan, seen: &mut HashSet<String>) -> String {
     let mut out = format!(
-        "{{\"seq\": {}, \"id\": {}, \"kind\": \"{}\", \"ok\": {}",
+        "{{\"seq\": {}, \"id\": {}, \"kind\": {}, \"ok\": {}",
         span.seq,
         span.id,
-        esc(&span.kind),
+        json_str(&span.kind),
         span.ok
     );
     if let Some(e) = &span.error {
-        out.push_str(&format!(", \"error\": \"{}\"", esc(e)));
+        out.push_str(&format!(", \"error\": {}", json_str(e)));
     }
     out.push_str(", \"phases\": [");
     for (i, p) in span.phases.iter().enumerate() {
@@ -231,7 +214,7 @@ fn query_json(span: &QuerySpan, seen: &mut HashSet<String>) -> String {
             canonical_phase_name(p, seen)
         ));
         if !p.detail.is_empty() {
-            out.push_str(&format!(", \"detail\": \"{}\"", esc(&p.detail)));
+            out.push_str(&format!(", \"detail\": {}", json_str(&p.detail)));
         }
         out.push('}');
     }
@@ -286,12 +269,11 @@ pub fn spans_chrome_trace(spans: &[QuerySpan]) -> String {
     for s in &order {
         let status = if s.ok { "ok" } else { "error" };
         ev.push(format!(
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{} #{}\",\"args\":{{\"seq\":{},\"status\":\"{}\"}}}}",
+            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{},\"args\":{{\"seq\":{},\"status\":\"{}\"}}}}",
             s.worker,
             us(s.start_ns),
             us(s.total_ns),
-            esc(&s.kind),
-            s.id,
+            json_str(&format!("{} #{}", s.kind, s.id)),
             s.seq,
             status
         ));
@@ -300,7 +282,7 @@ pub fn spans_chrome_trace(spans: &[QuerySpan]) -> String {
             let args = if p.detail.is_empty() {
                 String::new()
             } else {
-                format!(",\"args\":{{\"detail\":\"{}\"}}", esc(&p.detail))
+                format!(",\"args\":{{\"detail\":{}}}", json_str(&p.detail))
             };
             ev.push(format!(
                 "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\"{}}}",
@@ -334,10 +316,10 @@ pub fn flight_json(span: &QuerySpan, reason: &str) -> String {
     let mut seen: HashSet<String> = HashSet::new();
     let mut out = String::from("{\n  ");
     out.push_str(&schema_field("flight", 1));
-    out.push_str(&format!(",\n  \"reason\": \"{}\"", esc(reason)));
+    out.push_str(&format!(",\n  \"reason\": {}", json_str(reason)));
     out.push_str(&format!(
-        ",\n  \"request\": \"{}\"",
-        esc(&span.request_line)
+        ",\n  \"request\": {}",
+        json_str(&span.request_line)
     ));
     out.push_str(",\n  \"span\": ");
     out.push_str(&query_json(span, &mut seen));

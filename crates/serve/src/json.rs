@@ -67,7 +67,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => write_num(*x, out),
-            Json::Str(s) => write_str(s, out),
+            Json::Str(s) => cm5_obs::push_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -84,7 +84,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_str(k, out);
+                    cm5_obs::push_json_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -175,24 +175,6 @@ fn write_num(x: f64, out: &mut String) {
     } else {
         let _ = write!(out, "{x}");
     }
-}
-
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

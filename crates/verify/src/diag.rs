@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use cm5_obs::json_str;
+
 /// How bad a finding is.
 ///
 /// `Error` and `Warning` findings fail a lint run; `Advice` findings are
@@ -390,14 +392,14 @@ impl Diagnostics {
             if let Some(o) = d.span.op {
                 out.push_str(&format!(",\"op\":{o}"));
             }
-            out.push_str(&format!(",\"message\":{}", json_escape(&d.message)));
+            out.push_str(&format!(",\"message\":{}", json_str(&d.message)));
             if !d.witness.is_empty() {
                 out.push_str(",\"witness\":[");
                 for (j, w) in d.witness.iter().enumerate() {
                     if j > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_escape(w));
+                    out.push_str(&json_str(w));
                 }
                 out.push(']');
             }
@@ -420,25 +422,6 @@ impl IntoIterator for Diagnostics {
     fn into_iter(self) -> Self::IntoIter {
         self.diags.into_iter()
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

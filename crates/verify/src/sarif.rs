@@ -12,7 +12,8 @@
 //! [`Span`](crate::Span) as a *logical location* (`step 3 node 7 op 1`)
 //! plus the span coordinates in the result's property bag.
 
-use crate::diag::{json_escape, Code, Diagnostics, Severity};
+use crate::diag::{Code, Diagnostics, Severity};
+use cm5_obs::json_str;
 
 /// SARIF severity level for a diagnostic severity.
 fn level(sev: Severity) -> &'static str {
@@ -42,7 +43,7 @@ pub fn render_sarif(targets: &[(String, &Diagnostics)]) -> String {
             "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":{}}},\
              \"defaultConfiguration\":{{\"level\":\"{}\"}}}}",
             code.as_str(),
-            json_escape(code.title()),
+            json_str(code.title()),
             level(code.severity()),
         ));
     }
@@ -63,16 +64,16 @@ pub fn render_sarif(targets: &[(String, &Diagnostics)]) -> String {
                  \"message\":{{\"text\":{}}}",
                 d.code.as_str(),
                 level(d.severity),
-                json_escape(&d.message),
+                json_str(&d.message),
             ));
             out.push_str(&format!(
                 ",\"locations\":[{{\"logicalLocations\":[{{\"name\":{},\
                  \"fullyQualifiedName\":{}}}]}}]",
-                json_escape(&d.span.to_string()),
-                json_escape(&format!("{target}::{}", d.span)),
+                json_str(&d.span.to_string()),
+                json_str(&format!("{target}::{}", d.span)),
             ));
             out.push_str(",\"properties\":{");
-            out.push_str(&format!("\"target\":{}", json_escape(target)));
+            out.push_str(&format!("\"target\":{}", json_str(target)));
             if let Some(s) = d.span.step {
                 out.push_str(&format!(",\"step\":{s}"));
             }
@@ -88,7 +89,7 @@ pub fn render_sarif(targets: &[(String, &Diagnostics)]) -> String {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_escape(w));
+                    out.push_str(&json_str(w));
                 }
                 out.push(']');
             }
