@@ -47,7 +47,7 @@ pub mod schedule;
 pub use analysis::{render_schedule, ScheduleSummary};
 pub use broadcast::BroadcastAlg;
 pub use irregular::IrregularAlg;
-pub use pattern::Pattern;
+pub use pattern::{Pattern, Support};
 pub use regular::ExchangeAlg;
 pub use schedule::{CommOp, Schedule, ScheduleError, Step};
 
@@ -64,7 +64,7 @@ pub mod prelude {
     };
     pub use crate::irregular::{bs, crystal, crystal_route_payload, gs, ls, ps, IrregularAlg};
     pub use crate::optimize::balance_crossings;
-    pub use crate::pattern::Pattern;
+    pub use crate::pattern::{Pattern, Support};
     pub use crate::regular::{bex, bex_partner, lex, pex, rex, rex_partner, ExchangeAlg};
     pub use crate::schedule::{CommOp, Schedule, ScheduleError, Step};
 }

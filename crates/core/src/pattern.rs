@@ -77,22 +77,18 @@ impl Pattern {
     }
 
     /// A deterministic pseudo-random pattern: each ordered pair carries
-    /// `bytes` with probability `density`. Uses a self-contained xorshift
-    /// generator so `cm5-core` needs no RNG dependency (the richer seeded
-    /// generators live in `cm5-workloads::synthetic`).
+    /// `bytes` with probability `density`. The pairs are those of
+    /// [`Support::seeded_random`] with the same `n`, `density` and `seed`.
     pub fn seeded_random(n: usize, density: f64, bytes: u64, seed: u64) -> Pattern {
-        assert!((0.0..=1.0).contains(&density), "density out of range");
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut p = Pattern::new(n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && next() < density {
+        Pattern::from_support(&Support::seeded_random(n, density, seed), bytes)
+    }
+
+    /// The pattern in which every pair of `support` carries `bytes`.
+    pub fn from_support(support: &Support, bytes: u64) -> Pattern {
+        let mut p = Pattern::new(support.n());
+        for i in 0..p.n {
+            for j in 0..p.n {
+                if support.contains(i, j) {
                     p.set(i, j, bytes);
                 }
             }
@@ -219,6 +215,57 @@ impl Pattern {
     }
 }
 
+/// The support of a pattern: which ordered pairs communicate, one bit per
+/// pair. An irregular pattern that sends the same byte count on every pair
+/// is fully described by its support, in `n²` bits instead of `n²` words.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Support {
+    n: usize,
+    bits: Vec<u64>,
+}
+
+impl Support {
+    /// A deterministic pseudo-random support: each ordered pair `i != j`
+    /// is present with probability `density`. Uses a self-contained
+    /// xorshift generator, drawn once per off-diagonal pair in row-major
+    /// order, so `cm5-core` needs no RNG dependency (the richer seeded
+    /// generators live in `cm5-workloads::synthetic`).
+    pub fn seeded_random(n: usize, density: f64, seed: u64) -> Support {
+        assert!(n >= 2, "pattern needs at least 2 nodes");
+        assert!((0.0..=1.0).contains(&density), "density out of range");
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut bits = vec![0u64; (n * n).div_ceil(64)];
+        for i in 0..n {
+            for j in 0..n {
+                if i != j && next() < density {
+                    let k = i * n + j;
+                    bits[k / 64] |= 1 << (k % 64);
+                }
+            }
+        }
+        Support { n, bits }
+    }
+
+    /// Number of nodes.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Whether `i` sends to `j`.
+    #[inline]
+    pub fn contains(&self, i: usize, j: usize) -> bool {
+        let k = i * self.n + j;
+        self.bits[k / 64] >> (k % 64) & 1 == 1
+    }
+}
+
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for i in 0..self.n {
@@ -302,6 +349,43 @@ mod tests {
             .unwrap_err()
             .contains("diagonal"));
         assert!(Pattern::parse_text("").is_err());
+    }
+
+    /// The draw loop `seeded_random` used before supports existed, kept
+    /// as the reference its output must match bit for bit.
+    fn dense_seeded_random(n: usize, density: f64, bytes: u64, seed: u64) -> Pattern {
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut p = Pattern::new(n);
+        for i in 0..n {
+            for j in 0..n {
+                if i != j && next() < density {
+                    p.set(i, j, bytes);
+                }
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn seeded_random_is_its_support_with_bytes() {
+        for n in [2, 3, 8, 33, 64] {
+            for density in [0.0, 0.1, 0.5, 1.0] {
+                for seed in 0..4 {
+                    let support = Support::seeded_random(n, density, seed);
+                    for bytes in [0, 1, 1920] {
+                        let p = Pattern::seeded_random(n, density, bytes, seed);
+                        assert_eq!(p, dense_seeded_random(n, density, bytes, seed));
+                        assert_eq!(p, Pattern::from_support(&support, bytes));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -60,7 +60,16 @@ impl PatternStats {
     ///
     /// Panics if the tree is smaller than the pattern.
     pub fn of(pattern: &Pattern, tree: &FatTree) -> PatternStats {
-        let n = pattern.n();
+        PatternStats::of_cells(pattern.n(), tree, |i, j| pattern.get(i, j))
+    }
+
+    /// Statistics of the `n`-node pattern whose entry `(i, j)` is
+    /// `cell(i, j)`, read only off the diagonal. This lets a caller that
+    /// holds a [`cm5_core::Support`] skip building the dense matrix.
+    ///
+    /// Panics if `n < 2` or the tree has fewer than `n` nodes.
+    pub fn of_cells(n: usize, tree: &FatTree, cell: impl Fn(usize, usize) -> u64) -> PatternStats {
+        assert!(n >= 2, "pattern needs at least 2 nodes");
         assert!(
             tree.nodes() >= n,
             "tree has {} nodes but pattern needs {n}",
@@ -80,7 +89,7 @@ impl PatternStats {
                 if i == j {
                     continue;
                 }
-                let b = pattern.get(i, j);
+                let b = cell(i, j);
                 if b > 0 {
                     nonzero += 1;
                     total += b;
@@ -93,7 +102,7 @@ impl PatternStats {
                 }
                 if i < j {
                     let ab = b > 0;
-                    let ba = pattern.get(j, i) > 0;
+                    let ba = cell(j, i) > 0;
                     if ab || ba {
                         pair_deg[i] += 1;
                         pair_deg[j] += 1;
@@ -110,13 +119,13 @@ impl PatternStats {
         // Pairing-class statistics. For a power-of-two machine these are
         // exact predictions of the PS / BS schedule lengths: class j is a
         // step iff some pair {i, partner(i, j)} carries traffic.
-        let (ps_steps, ps_occupancy) = class_stats(pattern, |i, j| i ^ j);
-        let (bs_steps, bs_occupancy) = class_stats(pattern, |i, j| bex_partner(i, j, n));
+        let (ps_steps, ps_occupancy) = class_stats(n, &cell, |i, j| i ^ j);
+        let (bs_steps, bs_occupancy) = class_stats(n, &cell, |i, j| bex_partner(i, j, n));
 
         PatternStats {
             n,
             nonzero_pairs: nonzero,
-            density: pattern.density(),
+            density: nonzero as f64 / (n * (n - 1)) as f64,
             avg_msg_bytes: if nonzero == 0 {
                 0.0
             } else {
@@ -144,8 +153,11 @@ impl PatternStats {
 
 /// Count nonempty pairing classes and their mean node-occupancy for the
 /// pairing family `partner(i, class)`.
-fn class_stats(pattern: &Pattern, partner: impl Fn(usize, usize) -> usize) -> (usize, f64) {
-    let n = pattern.n();
+fn class_stats(
+    n: usize,
+    cell: impl Fn(usize, usize) -> u64,
+    partner: impl Fn(usize, usize) -> usize,
+) -> (usize, f64) {
     if !n.is_power_of_two() || n < 2 {
         // The pairing schedulers require a power of two; report the
         // worst case so the models stay defined.
@@ -157,7 +169,7 @@ fn class_stats(pattern: &Pattern, partner: impl Fn(usize, usize) -> usize) -> (u
         let mut active_nodes = 0usize;
         for i in 0..n {
             let p = partner(i, class);
-            if p != i && (pattern.get(i, p) > 0 || pattern.get(p, i) > 0) {
+            if p != i && (cell(i, p) > 0 || cell(p, i) > 0) {
                 active_nodes += 1;
             }
         }
@@ -177,6 +189,7 @@ fn class_stats(pattern: &Pattern, partner: impl Fn(usize, usize) -> usize) -> (u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cm5_core::Support;
 
     #[test]
     fn complete_exchange_stats() {
@@ -215,5 +228,43 @@ mod tests {
         // GS finds a 6-step schedule for P (Table 10); the max pair
         // degree lower-bounds it.
         assert!(s.max_pair_degree <= 6);
+    }
+
+    /// Field-by-field equality, with every `f64` compared by its bits.
+    fn assert_same_bits(a: &PatternStats, b: &PatternStats) {
+        assert_eq!(a, b);
+        for (x, y) in [
+            (a.density, b.density),
+            (a.avg_msg_bytes, b.avg_msg_bytes),
+            (a.ps_occupancy, b.ps_occupancy),
+            (a.bs_occupancy, b.bs_occupancy),
+            (a.root_crossing_frac, b.root_crossing_frac),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn support_stats_match_dense_stats_bit_for_bit() {
+        for n in (1..=8).map(|k| 1usize << k) {
+            let tree = FatTree::new(n);
+            for density in [0.0, 0.1, 0.5, 1.0] {
+                for seed in 1..=4 {
+                    let support = Support::seeded_random(n, density, seed);
+                    for bytes in [0, 1920] {
+                        let dense = Pattern::seeded_random(n, density, bytes, seed);
+                        let sparse = PatternStats::of_cells(n, &tree, |i, j| {
+                            if support.contains(i, j) {
+                                bytes
+                            } else {
+                                0
+                            }
+                        });
+                        assert_same_bits(&sparse, &PatternStats::of(&dense, &tree));
+                        assert_eq!(sparse.density.to_bits(), dense.density().to_bits());
+                    }
+                }
+            }
+        }
     }
 }

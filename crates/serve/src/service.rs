@@ -25,6 +25,7 @@
 //! (`cm5-serve-timing/1`) that is excluded from determinism comparisons —
 //! the same split the simulator makes for [`cm5_sim::SimPerf`].
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -341,8 +342,19 @@ impl Service {
                 seed,
             } => {
                 self.counters.q_irregular.fetch_add(1, Ordering::Relaxed);
-                let pattern = Pattern::seeded_random(*n, *density, (*bytes).max(1), *seed);
-                self.answer_pattern(ctx, req, &pattern, &mut fields)?;
+                // Advice needs only the support: the dense n×n matrix is
+                // built only when a schedule is verified or simulated.
+                let support = Support::seeded_random(*n, *density, *seed);
+                let bytes = (*bytes).max(1);
+                let stats = PatternStats::of_cells(*n, &FatTree::new(*n), |i, j| {
+                    if support.contains(i, j) {
+                        bytes
+                    } else {
+                        0
+                    }
+                });
+                let pattern = || Cow::Owned(Pattern::from_support(&support, bytes));
+                self.answer_pattern(ctx, req, stats, pattern, &mut fields)?;
             }
             Query::Pattern { text } => {
                 self.counters.q_pattern.fetch_add(1, Ordering::Relaxed);
@@ -354,12 +366,14 @@ impl Service {
                         crate::request::MAX_NODES
                     ));
                 }
-                self.answer_pattern(ctx, req, &pattern, &mut fields)?;
+                let stats = PatternStats::of(&pattern, &FatTree::new(n));
+                self.answer_pattern(ctx, req, stats, || Cow::Borrowed(&pattern), &mut fields)?;
             }
             Query::Workload { name, n } => {
                 self.counters.q_workload.fetch_add(1, Ordering::Relaxed);
                 let pattern = self.workload(ctx, name, *n)?;
-                self.answer_pattern(ctx, req, &pattern, &mut fields)?;
+                let stats = PatternStats::of(&pattern, &FatTree::new(*n));
+                self.answer_pattern(ctx, req, stats, || Cow::Borrowed(&*pattern), &mut fields)?;
             }
             Query::Tenants {
                 shared_n,
@@ -375,17 +389,18 @@ impl Service {
         Ok(fields)
     }
 
-    /// Classify + advise + verify + simulate an irregular pattern.
-    fn answer_pattern(
+    /// Advise + verify + simulate an irregular pattern with statistics
+    /// `stats`. `pattern` is called at most once, and only when a
+    /// schedule is needed.
+    fn answer_pattern<'p>(
         &self,
         ctx: &mut QueryCtx,
         req: &Request,
-        pattern: &Pattern,
+        stats: PatternStats,
+        pattern: impl FnOnce() -> Cow<'p, Pattern>,
         fields: &mut Vec<(String, Json)>,
     ) -> Result<(), String> {
-        let n = pattern.n();
-        let tree = FatTree::new(n);
-        let stats = PatternStats::of(pattern, &tree);
+        let n = stats.n;
         let w = Workload::Irregular(stats.clone());
         let rec = self.advise(ctx, &w, n);
         let alg = match rec.algorithm {
@@ -393,20 +408,23 @@ impl Service {
             other => return Err(format!("advisor returned non-irregular pick {other}")),
         };
         fields.push(("stats".into(), stats_json(&stats)));
-        if req.verify {
-            let schedule = alg.schedule(pattern);
-            fields.push((
-                "verify".into(),
-                self.verified(ctx, req, rec.algorithm.name(), || {
-                    let mut opts = irregular_policy(alg);
-                    opts.params = self.params.clone();
-                    summarize(&verify_schedule(&schedule, Some(pattern), &opts))
-                }),
-            ));
-        }
-        if req.simulate {
-            let report = self.simulate_schedule(ctx, &alg.schedule(pattern), n)?;
-            fields.push(("simulated".into(), sim_json(&report)));
+        if req.verify || req.simulate {
+            let pattern = pattern();
+            if req.verify {
+                let schedule = alg.schedule(&pattern);
+                fields.push((
+                    "verify".into(),
+                    self.verified(ctx, req, rec.algorithm.name(), || {
+                        let mut opts = irregular_policy(alg);
+                        opts.params = self.params.clone();
+                        summarize(&verify_schedule(&schedule, Some(&pattern), &opts))
+                    }),
+                ));
+            }
+            if req.simulate {
+                let report = self.simulate_schedule(ctx, &alg.schedule(&pattern), n)?;
+                fields.push(("simulated".into(), sim_json(&report)));
+            }
         }
         fields.push(("recommendation".into(), recommendation_json(&rec)));
         Ok(())
