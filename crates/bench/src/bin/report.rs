@@ -14,6 +14,9 @@
 //! table below; a malformed command line exits 2 with the usage.
 //! `model` scores the `cm5-model` advisor's predicted winners against the
 //! simulated winners on every grid (`--gate F` is the CI hook).
+//! The grid sections, `certify` and `model` read makespans from one
+//! [`SimTable`] per run, so each cell is simulated once: `model` after the
+//! figures adds only LIB at 64–256 nodes, `model` alone simulates its grids.
 //! `perf` measures the *simulator's* host cost (wall-clock, events/sec,
 //! incremental-vs-full solver speedup) and writes `--bench-json`; it
 //! records and does not gate, and stays out of the default set because
@@ -34,13 +37,14 @@
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 
 use cm5_bench::args::{Command, Flag};
 use cm5_bench::model_validation as mv;
 use cm5_bench::paper::{TABLE_11, TABLE_12, TABLE_5};
 use cm5_bench::runners::*;
-use cm5_bench::sweep::SweepRunner;
+use cm5_bench::sweep::{table11_keys, SimKey, SimTable, SweepRunner};
 use cm5_core::prelude::*;
 use cm5_sim::{MachineParams, Simulation};
 
@@ -66,10 +70,33 @@ const REPORT: Command = Command {
 /// A report section: its name on the command line and what it runs.
 type Section = (&'static str, fn(&Opts));
 
+/// Every section, in the order they print. `beyond`, `perf`, `certify` and
+/// `watch` are opt-in: the default section set must stay byte-identical
+/// across runs, perf output includes wall-clock, and certify/watch are
+/// gates (they exit nonzero on a violation) rather than reproduction tables.
+const SECTIONS: [Section; 14] = [
+    ("fig5", fig5),
+    ("fig6", |o| fig_scaling(o, "Figure 6", &[0, 256])),
+    ("fig7", |o| fig_scaling(o, "Figure 7", &[512])),
+    ("fig8", |o| fig_scaling(o, "Figure 8", &[1920])),
+    ("table5", table5),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("table11", table11),
+    ("table12", table12),
+    ("certify", certify),
+    ("beyond", beyond),
+    ("model", model),
+    ("perf", perf),
+    ("watch", watch),
+];
+const OPT_IN: [&str; 4] = ["beyond", "perf", "certify", "watch"];
+
 /// The command line, read once and passed to the sections that use it.
 struct Opts {
     sections: Vec<String>,
-    jobs: usize,
+    /// Worker pool shared by every section.
+    runner: SweepRunner,
     csv_dir: Option<PathBuf>,
     gate: Option<f64>,
     quick: bool,
@@ -78,6 +105,8 @@ struct Opts {
     trace_out: Option<PathBuf>,
     watch_json: Option<PathBuf>,
     prom_lint: Option<PathBuf>,
+    /// The run's simulated grid cells, shared by every section.
+    cells: RefCell<SimTable>,
 }
 
 impl Opts {
@@ -87,9 +116,10 @@ impl Opts {
             return Ok(None);
         }
         let path = |name| args.get(name).map(PathBuf::from);
+        let runner = SweepRunner::new(args.usize_or("jobs", 1)?);
         let opts = Opts {
             sections: args.positional.clone(),
-            jobs: args.usize_or("jobs", 1)?,
+            runner,
             csv_dir: path("csv"),
             gate: args.parsed("gate", "an agreement fraction")?,
             quick: args.has("quick"),
@@ -98,6 +128,7 @@ impl Opts {
             trace_out: path("trace-out"),
             watch_json: path("watch-json"),
             prom_lint: path("prom-lint"),
+            cells: RefCell::new(SimTable::new(runner)),
         };
         for dir in [&opts.csv_dir, &opts.trace_out].into_iter().flatten() {
             std::fs::create_dir_all(dir)
@@ -106,9 +137,9 @@ impl Opts {
         Ok(Some(opts))
     }
 
-    /// Worker pool shared by every section.
-    fn runner(&self) -> SweepRunner {
-        SweepRunner::new(self.jobs)
+    /// Simulated milliseconds of `keys`, in order, from the run's table.
+    fn ms(&self, keys: &[SimKey]) -> Vec<f64> {
+        self.cells.borrow_mut().millis(keys)
     }
 
     /// With `--csv DIR`, write one section's data to `DIR/<name>.csv`.
@@ -143,28 +174,8 @@ fn main() {
     if let Some(path) = &o.prom_lint {
         run_prom_lint(path);
     }
-    // `beyond`, `perf`, `certify` and `watch` are opt-in: the default
-    // section set must stay byte-identical across runs, perf output
-    // includes wall-clock, and certify/watch are gates (they exit nonzero
-    // on a violation) rather than reproduction tables.
-    let sections: [Section; 14] = [
-        ("fig5", fig5),
-        ("fig6", |o| fig_scaling(o, "Figure 6", &[0, 256])),
-        ("fig7", |o| fig_scaling(o, "Figure 7", &[512])),
-        ("fig8", |o| fig_scaling(o, "Figure 8", &[1920])),
-        ("table5", table5),
-        ("fig10", fig10),
-        ("fig11", fig11),
-        ("table11", table11),
-        ("table12", table12),
-        ("certify", certify),
-        ("beyond", beyond),
-        ("model", model),
-        ("perf", perf),
-        ("watch", watch),
-    ];
-    for (name, run) in sections {
-        let default = !["beyond", "perf", "certify", "watch"].contains(&name);
+    for (name, run) in SECTIONS {
+        let default = !OPT_IN.contains(&name);
         if (o.sections.is_empty() && default) || o.sections.iter().any(|a| a == name || a == "all")
         {
             run(&o);
@@ -275,35 +286,71 @@ fn header(title: &str, claim: &str) {
     println!("================================================================");
 }
 
+/// Every exchange algorithm at each `(n, bytes)` point, in point order.
+fn exchanges(points: Vec<(usize, u64)>) -> Vec<SimKey> {
+    let each = |(n, bytes)| ExchangeAlg::ALL.map(|alg| SimKey::Exchange(alg, n, bytes));
+    points.into_iter().flat_map(each).collect()
+}
+
+/// `algs` at each `(n, bytes)` point, in point order.
+fn broadcasts(points: Vec<(usize, u64)>, algs: &[BroadcastAlg]) -> Vec<SimKey> {
+    let each = |(n, bytes)| {
+        algs.iter()
+            .map(move |&alg| SimKey::Broadcast(alg, n, bytes))
+    };
+    points.into_iter().flat_map(each).collect()
+}
+
+/// Print a table: a header of `first` and `columns`, then one row per
+/// label, the label and then its share of `ms`. Returns the rows for
+/// `--csv`.
+fn print_rows(
+    first: &str,
+    columns: &[&str],
+    labels: &[impl std::fmt::Display],
+    ms: &[f64],
+) -> Vec<Vec<String>> {
+    print!("{first:>8}");
+    for c in columns {
+        print!(" {c:>12}");
+    }
+    println!();
+    let mut rows = Vec::new();
+    for (label, ms) in labels.iter().zip(ms.chunks(ms.len() / labels.len())) {
+        print!("{label:>8}");
+        let mut row = vec![label.to_string()];
+        for t in ms {
+            print!(" {t:>12.3}");
+            row.push(format!("{t:.4}"));
+        }
+        println!();
+        rows.push(row);
+    }
+    rows
+}
+
+/// One table per message size, a row per machine size.
+fn print_size_sweep(msg_sizes: &[u64], columns: &[&str], ms: &[f64]) {
+    for (bytes, ms) in msg_sizes.iter().zip(ms.chunks(ms.len() / msg_sizes.len())) {
+        println!("message size {bytes} B:");
+        print_rows("nodes", columns, &MACHINE_SIZES, ms);
+    }
+}
+
+/// Column names of the exchange figures, in `ExchangeAlg::ALL` order.
+const EXCHANGE_COLUMNS: [&str; 4] = ["Linear", "Pairwise", "Recursive", "Balanced"];
+
+/// The two broadcasts Figure 11 compares.
+const FIG11_ALGS: [BroadcastAlg; 2] = [BroadcastAlg::Recursive, BroadcastAlg::System];
+
 fn fig5(o: &Opts) {
     header(
         "Figure 5 — Complete exchange on 32 nodes vs message size (ms)",
         "LEX far worst; PEX/REX/BEX indistinguishable when small; for large \
          messages PEX beats REX and BEX beats PEX",
     );
-    println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>12}",
-        "bytes", "Linear", "Pairwise", "Recursive", "Balanced"
-    );
-    let cells: Vec<(ExchangeAlg, u64)> = FIG5_MSG_SIZES
-        .iter()
-        .flat_map(|&bytes| ExchangeAlg::ALL.map(|alg| (alg, bytes)))
-        .collect();
-    let ms = o.runner().run(&cells, |_, &(alg, bytes)| {
-        exchange_time(alg, 32, bytes).as_millis_f64()
-    });
-    let mut rows = Vec::new();
-    for (r, &bytes) in FIG5_MSG_SIZES.iter().enumerate() {
-        print!("{bytes:>8}");
-        let mut row = vec![bytes.to_string()];
-        for c in 0..ExchangeAlg::ALL.len() {
-            let ms = ms[r * ExchangeAlg::ALL.len() + c];
-            print!(" {ms:>12.3}");
-            row.push(format!("{ms:.4}"));
-        }
-        println!();
-        rows.push(row);
-    }
+    let ms = o.ms(&exchanges(on_32_nodes(&FIG5_MSG_SIZES)));
+    let rows = print_rows("bytes", &EXCHANGE_COLUMNS, &FIG5_MSG_SIZES, &ms);
     o.write_csv(
         "fig5",
         &[
@@ -325,32 +372,8 @@ fn fig_scaling(o: &Opts, title: &str, msg_sizes: &[u64]) {
          own Table 5 at 256 procs shows REX slightly behind — our model \
          follows the Table 5 shape (see EXPERIMENTS.md)",
     );
-    let cells: Vec<(ExchangeAlg, usize, u64)> = msg_sizes
-        .iter()
-        .flat_map(|&bytes| {
-            MACHINE_SIZES
-                .iter()
-                .flat_map(move |&n| ExchangeAlg::ALL.map(move |alg| (alg, n, bytes)))
-        })
-        .collect();
-    let ms = o.runner().run(&cells, |_, &(alg, n, bytes)| {
-        exchange_time(alg, n, bytes).as_millis_f64()
-    });
-    let mut next = ms.iter();
-    for &bytes in msg_sizes {
-        println!("message size {bytes} B:");
-        println!(
-            "{:>8} {:>12} {:>12} {:>12} {:>12}",
-            "nodes", "Linear", "Pairwise", "Recursive", "Balanced"
-        );
-        for &n in &MACHINE_SIZES {
-            print!("{n:>8}");
-            for _ in ExchangeAlg::ALL {
-                print!(" {:>12.3}", next.next().expect("grid size"));
-            }
-            println!();
-        }
-    }
+    let ms = o.ms(&exchanges(size_sweep(msg_sizes)));
+    print_size_sweep(msg_sizes, &EXCHANGE_COLUMNS, &ms);
 }
 
 fn table5(o: &Opts) {
@@ -367,7 +390,7 @@ fn table5(o: &Opts) {
                 .flat_map(move |row| ExchangeAlg::ALL.map(move |alg| (alg, procs, row.side)))
         })
         .collect();
-    let secs = o.runner().run(&cells, |_, &(alg, procs, side)| {
+    let secs = o.runner.run(&cells, |_, &(alg, procs, side)| {
         fft_time(alg, procs, side).as_secs_f64()
     });
     let mut next = secs.iter();
@@ -394,25 +417,11 @@ fn fig10(o: &Opts) {
         "Figure 10 — Broadcast on 32 nodes vs message size (ms)",
         "LIB far worst; system broadcast wins below ~1 KB, REB wins above",
     );
-    println!(
-        "{:>8} {:>12} {:>12} {:>12}",
-        "bytes", "LIB", "REB", "System"
-    );
-    let cells: Vec<(BroadcastAlg, u64)> = FIG10_MSG_SIZES
-        .iter()
-        .flat_map(|&bytes| BroadcastAlg::ALL.map(|alg| (alg, bytes)))
-        .collect();
-    let ms = o.runner().run(&cells, |_, &(alg, bytes)| {
-        broadcast_time(alg, 32, bytes).as_millis_f64()
-    });
-    let mut next = ms.iter();
-    for &bytes in &FIG10_MSG_SIZES {
-        print!("{bytes:>8}");
-        for _ in BroadcastAlg::ALL {
-            print!(" {:>12.3}", next.next().expect("grid size"));
-        }
-        println!();
-    }
+    let ms = o.ms(&broadcasts(
+        on_32_nodes(&FIG10_MSG_SIZES),
+        &BroadcastAlg::ALL,
+    ));
+    print_rows("bytes", &["LIB", "REB", "System"], &FIG10_MSG_SIZES, &ms);
 }
 
 fn fig11(o: &Opts) {
@@ -421,28 +430,8 @@ fn fig11(o: &Opts) {
         "System broadcast nearly flat in N; REB grows with lg N; the \
          crossover message size moves up to ~2 KB at 256 nodes",
     );
-    const FIG11_ALGS: [BroadcastAlg; 2] = [BroadcastAlg::Recursive, BroadcastAlg::System];
-    let cells: Vec<(BroadcastAlg, usize, u64)> = [256u64, 1024, 2048, 8192]
-        .iter()
-        .flat_map(|&bytes| {
-            MACHINE_SIZES
-                .iter()
-                .flat_map(move |&n| FIG11_ALGS.map(move |alg| (alg, n, bytes)))
-        })
-        .collect();
-    let ms = o.runner().run(&cells, |_, &(alg, n, bytes)| {
-        broadcast_time(alg, n, bytes).as_millis_f64()
-    });
-    let mut next = ms.iter();
-    for &bytes in &[256u64, 1024, 2048, 8192] {
-        println!("message size {bytes} B:");
-        println!("{:>8} {:>12} {:>12}", "nodes", "REB", "System");
-        for &n in &MACHINE_SIZES {
-            let reb = next.next().expect("grid size");
-            let sys = next.next().expect("grid size");
-            println!("{n:>8} {reb:>12.3} {sys:>12.3}");
-        }
-    }
+    let ms = o.ms(&broadcasts(size_sweep(&FIG11_MSG_SIZES), &FIG11_ALGS));
+    print_size_sweep(&FIG11_MSG_SIZES, &["REB", "System"], &ms);
 }
 
 fn table11(o: &Opts) {
@@ -456,20 +445,15 @@ fn table11(o: &Opts) {
         "density", "msg", "Linear", "Pairwise", "Balanced", "Greedy"
     );
     // Both the paper's columns and IrregularAlg::ALL run
-    // (Linear, Pairwise, Balanced, Greedy).
-    let cells: Vec<(IrregularAlg, f64, u64)> = TABLE_11
-        .iter()
-        .flat_map(|row| IrregularAlg::ALL.map(|alg| (alg, row.density, row.msg)))
-        .collect();
-    let ms = o.runner().run(&cells, |_, &(alg, density, msg)| {
-        table11_cell(alg, density, msg)
-    });
-    let mut next = ms.iter();
-    for row in &TABLE_11 {
+    // (Linear, Pairwise, Balanced, Greedy); each cell is the mean over
+    // TABLE11_SEEDS patterns, and the keys run seed-major within a row.
+    let ms = o.ms(&table11_keys());
+    let k = IrregularAlg::ALL.len();
+    for (row, runs) in TABLE_11.iter().zip(ms.chunks(TABLE11_SEEDS as usize * k)) {
         print!("{:>8.0}% {:>6}", row.density * 100.0, row.msg);
-        for i in 0..IrregularAlg::ALL.len() {
-            let t = next.next().expect("grid size");
-            print!(" {:>8.3}|{:<8.3}", t, row.times_ms[i]);
+        for (a, paper) in row.times_ms.iter().enumerate() {
+            let t = runs.iter().skip(a).step_by(k).sum::<f64>() / TABLE11_SEEDS as f64;
+            print!(" {t:>8.3}|{paper:<8.3}");
         }
         println!();
     }
@@ -489,7 +473,7 @@ fn table12(o: &Opts) {
     let cells: Vec<(IrregularAlg, usize)> = (0..patterns.len())
         .flat_map(|pi| IrregularAlg::ALL.map(move |alg| (alg, pi)))
         .collect();
-    let ms = o.runner().run(&cells, |_, &(alg, pi)| {
+    let ms = o.runner.run(&cells, |_, &(alg, pi)| {
         irregular_time(alg, &patterns[pi].1).as_millis_f64()
     });
     let mut next = ms.iter();
@@ -707,27 +691,23 @@ struct CertRow {
     contained: bool,
 }
 
-fn cert_row(
-    fig: &'static str,
-    alg: &'static str,
-    gated: bool,
-    n: usize,
-    bytes: u64,
-    cert: &cm5_verify::Certificate,
-    sim: cm5_sim::SimDuration,
-) -> CertRow {
-    CertRow {
-        fig,
-        alg,
-        gated,
-        n,
-        bytes,
-        lb_ms: cert.lb.as_millis_f64(),
-        ub_ms: cert.ub.as_millis_f64(),
-        sim_ms: sim.as_millis_f64(),
-        tightness: cert.tightness(),
-        contained: cert.contains(sim),
-    }
+/// The grid points `certify` checks, with the figure each belongs to: the
+/// cells Figures 5–8, 10 and 11 print.
+fn certify_cells() -> Vec<(&'static str, SimKey)> {
+    let figure = |fig, keys: Vec<SimKey>| keys.into_iter().map(move |key| (fig, key));
+    figure("fig5", exchanges(on_32_nodes(&FIG5_MSG_SIZES)))
+        .chain(figure("fig6", exchanges(size_sweep(&[0, 256]))))
+        .chain(figure("fig7", exchanges(size_sweep(&[512]))))
+        .chain(figure("fig8", exchanges(size_sweep(&[1920]))))
+        .chain(figure(
+            "fig10",
+            broadcasts(on_32_nodes(&FIG10_MSG_SIZES), &BroadcastAlg::ALL),
+        ))
+        .chain(figure(
+            "fig11",
+            broadcasts(size_sweep(&FIG11_MSG_SIZES), &FIG11_ALGS),
+        ))
+        .collect()
 }
 
 /// Static certification sweep (`report certify`, opt-in): certify every
@@ -742,67 +722,37 @@ fn certify(o: &Opts) {
          land inside its certified interval, and the four exchange \
          algorithms must certify within 2.0x at >= 1 KB",
     );
-    enum Cell {
-        Exchange(&'static str, ExchangeAlg, usize, u64),
-        Broadcast(&'static str, BroadcastAlg, usize, u64),
-    }
-    let mut cells: Vec<Cell> = Vec::new();
-    for &bytes in &FIG5_MSG_SIZES {
-        for alg in ExchangeAlg::ALL {
-            cells.push(Cell::Exchange("fig5", alg, 32, bytes));
-        }
-    }
-    for &(fig, bytes) in &[("fig6", 0u64), ("fig6", 256), ("fig7", 512), ("fig8", 1920)] {
-        for &n in &MACHINE_SIZES {
-            for alg in ExchangeAlg::ALL {
-                cells.push(Cell::Exchange(fig, alg, n, bytes));
-            }
-        }
-    }
-    for &bytes in &FIG10_MSG_SIZES {
-        for alg in BroadcastAlg::ALL {
-            cells.push(Cell::Broadcast("fig10", alg, 32, bytes));
-        }
-    }
-    for &bytes in &[256u64, 1024, 2048, 8192] {
-        for &n in &MACHINE_SIZES {
-            for alg in [BroadcastAlg::Recursive, BroadcastAlg::System] {
-                cells.push(Cell::Broadcast("fig11", alg, n, bytes));
-            }
-        }
-    }
+    let cells = certify_cells();
+    let keys: Vec<SimKey> = cells.iter().map(|&(_, key)| key).collect();
+    let sims = o.cells.borrow_mut().makespans(&keys);
     let params = MachineParams::cm5_1992();
-    let rows: Vec<CertRow> = o.runner().run(&cells, |_, cell| match *cell {
-        Cell::Exchange(fig, alg, n, bytes) => {
-            let cert = cm5_verify::certify_schedule(
-                &alg.schedule(n, bytes),
-                &LowerOptions::default(),
-                &params,
-            )
-            .unwrap_or_else(|e| panic!("certify {} n={n} bytes={bytes}: {e}", alg.name()));
-            cert_row(
-                fig,
-                alg.name(),
-                true,
-                n,
-                bytes,
-                &cert,
-                exchange_time(alg, n, bytes),
-            )
-        }
-        Cell::Broadcast(fig, alg, n, bytes) => {
-            let programs = broadcast_programs(alg, n, 0, bytes);
-            let cert = cm5_verify::certify_programs(&programs, &params)
-                .unwrap_or_else(|e| panic!("certify {} n={n} bytes={bytes}: {e}", alg.name()));
-            cert_row(
-                fig,
-                alg.name(),
-                false,
-                n,
-                bytes,
-                &cert,
-                broadcast_time(alg, n, bytes),
-            )
+    let rows: Vec<CertRow> = o.runner.run(&cells, |i, &(fig, key)| {
+        let (alg, gated, n, bytes, cert) = match key {
+            SimKey::Exchange(alg, n, bytes) => {
+                let schedule = alg.schedule(n, bytes);
+                let cert =
+                    cm5_verify::certify_schedule(&schedule, &LowerOptions::default(), &params);
+                (alg.name(), true, n, bytes, cert)
+            }
+            SimKey::Broadcast(alg, n, bytes) => {
+                let cert =
+                    cm5_verify::certify_programs(&broadcast_programs(alg, n, 0, bytes), &params);
+                (alg.name(), false, n, bytes, cert)
+            }
+            SimKey::Table11(..) => unreachable!("certify covers the regular grids"),
+        };
+        let cert = cert.unwrap_or_else(|e| panic!("certify {alg} n={n} bytes={bytes}: {e}"));
+        CertRow {
+            fig,
+            alg,
+            gated,
+            n,
+            bytes,
+            lb_ms: cert.lb.as_millis_f64(),
+            ub_ms: cert.ub.as_millis_f64(),
+            sim_ms: sims[i].as_millis_f64(),
+            tightness: cert.tightness(),
+            contained: cert.contains(sims[i]),
         }
     });
 
@@ -901,12 +851,12 @@ fn model(o: &Opts) {
          the advisor should pick the simulated winner (or a runner-up it \
          prices within 10%) on >= 90% of Fig 5 + Table 11 cells",
     );
-    let runner = o.runner();
-    let fig5 = mv::fig5_grid(&runner);
-    let scaling = mv::scaling_grid(&runner);
-    let fig10 = mv::fig10_grid(&runner);
-    let fig11 = mv::fig11_grid(&runner);
-    let table11 = mv::table11_grid(&runner);
+    let table = &mut o.cells.borrow_mut();
+    let fig5 = mv::fig5_grid(table);
+    let scaling = mv::scaling_grid(table);
+    let fig10 = mv::fig10_grid(table);
+    let fig11 = mv::fig11_grid(table);
+    let table11 = mv::table11_grid(table);
 
     let mut rows = Vec::new();
     for grid in [&fig5, &scaling, &fig10, &fig11, &table11] {
@@ -999,6 +949,22 @@ fn model(o: &Opts) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    use std::sync::Mutex;
+
+    /// Keys [`counted`] has simulated.
+    static SIMULATED: Mutex<Vec<SimKey>> = Mutex::new(Vec::new());
+
+    /// A stand-in simulator: a fixed makespan per key, and a panic when a
+    /// key is simulated a second time.
+    fn counted(key: &SimKey) -> cm5_sim::SimDuration {
+        let mut seen = SIMULATED.lock().unwrap();
+        assert!(!seen.contains(key), "{key:?} simulated twice");
+        seen.push(*key);
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        cm5_sim::SimDuration(1_000_000 + h.finish() % 1_000_000)
+    }
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -1020,8 +986,36 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(
-            (o.sections.len(), o.jobs, o.quick, o.gate),
+            (o.sections.len(), o.runner.jobs(), o.quick, o.gate),
             (2, 4, true, None)
         );
+    }
+
+    #[test]
+    fn the_default_report_simulates_each_distinct_cell_once() {
+        let o = Opts::parse(&argv("--jobs 2")).unwrap().unwrap();
+        *o.cells.borrow_mut() = SimTable::with_simulator(SweepRunner::new(2), counted);
+        let misses = || o.cells.borrow().misses();
+        // The default sections in order, but for table5 and table12: they
+        // simulate programs no other section prints, outside the table.
+        for (name, run) in SECTIONS {
+            if !OPT_IN.contains(&name) && !["table5", "table12", "model"].contains(&name) {
+                run(&o);
+            }
+        }
+        // Figures 5-8, 10, 11 and Table 11 print 316 cells; 24 of them
+        // twice (the 32-node points Figures 6-8 share with Figure 5, and
+        // Figure 11 with Figure 10).
+        assert_eq!(misses(), 292);
+        model(&o);
+        // The model's 332 cells add only LIB at 64-256 nodes on the
+        // Figure 11 sizes.
+        assert_eq!(misses(), 304);
+        // `report all` certifies the figures' cells without simulating.
+        let keys: Vec<SimKey> = certify_cells().into_iter().map(|(_, k)| k).collect();
+        assert_eq!(keys.len(), 156);
+        o.cells.borrow_mut().makespans(&keys);
+        assert_eq!(misses(), 304);
+        assert_eq!(SIMULATED.lock().unwrap().len(), 304);
     }
 }

@@ -1,12 +1,16 @@
 //! Model validation: score the `cm5-model` advisor against the simulator.
 //!
-//! Walks the same grids the paper's figures and tables walk — Figure 5,
-//! the Figure 6–8 machine-size sweep, Figures 10/11 and Table 11 — and,
-//! per cell, compares the algorithm the [`cm5_model::Advisor`] picks from
-//! its closed-form cost models against the winner the simulator actually
+//! Scores the grids the paper's figures and tables print — Figure 5, the
+//! Figure 6–8 machine-size sweep, Figures 10/11 and Table 11 — and, per
+//! cell, compares the algorithm the [`cm5_model::Advisor`] picks from its
+//! closed-form cost models against the winner the simulator actually
 //! produces. A cell *agrees* when the picks coincide, or when the
 //! simulated winner was predicted within 10 % of the pick (the models
 //! cannot be asked to split near-ties they price as near-ties).
+//!
+//! The simulated times come from a [`SimTable`]: in the default `report`
+//! the figure sections have already filled it, so only LIB at 64–256
+//! nodes is new; `report model` alone simulates every cell itself.
 //!
 //! The `report model` section prints these grids plus the four regime
 //! boundaries the paper's discussion hangs on (BEX-vs-PEX message-size
@@ -17,24 +21,20 @@
 use cm5_core::prelude::*;
 use cm5_model::prelude::*;
 use cm5_sim::{FatTree, MachineParams};
-use cm5_workloads::synthetic::synthetic_pattern_exact;
 
+use crate::paper::TABLE_11;
 use crate::runners::{
-    broadcast_time, exchange_time, irregular_time, FIG10_MSG_SIZES, FIG5_MSG_SIZES, MACHINE_SIZES,
-    TABLE11_SEEDS,
+    on_32_nodes, size_sweep, table11_pattern, FIG10_MSG_SIZES, FIG11_MSG_SIZES, FIG5_MSG_SIZES,
+    SCALING_MSG_SIZES, TABLE11_SEEDS,
 };
-use crate::sweep::SweepRunner;
+use crate::sweep::{table11_keys, SimKey, SimTable};
 
-/// Message sizes of the Figure 6–8 machine-size sweep (bytes).
-pub const SCALING_MSG_SIZES: [u64; 4] = [0, 256, 512, 1920];
-/// Message sizes of the Figure 11 machine-size sweep (bytes).
-pub const FIG11_MSG_SIZES: [u64; 4] = [256, 1024, 2048, 8192];
 /// A sim winner predicted within this factor of the pick still agrees.
 pub const MARGIN: f64 = 1.10;
 
 /// One grid cell: every candidate priced by the model and timed by the
 /// simulator, in the same (candidate) order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Human-readable cell coordinates, e.g. `n=32 b=1920`.
     pub label: String,
@@ -77,7 +77,7 @@ impl Cell {
 }
 
 /// A scored grid of cells.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridReport {
     /// Which figure or table this grid reproduces.
     pub name: &'static str,
@@ -129,33 +129,40 @@ fn predictions(w: &Workload, params: &MachineParams, tree: &FatTree) -> (Vec<Alg
     (algs, ms)
 }
 
-/// Exchange grid over `(n, bytes)` points: all four §3 algorithms,
-/// simulated in parallel and priced by the advisor.
-pub fn exchange_grid(
-    runner: &SweepRunner,
+/// The table cell of a regular candidate on `n` nodes with `bytes`.
+fn regular_key(alg: Algorithm, n: usize, bytes: u64) -> SimKey {
+    match alg {
+        Algorithm::Exchange(a) => SimKey::Exchange(a, n, bytes),
+        Algorithm::Broadcast(a) => SimKey::Broadcast(a, n, bytes),
+        Algorithm::Irregular(a) => unreachable!("{} needs a pattern", a.name()),
+    }
+}
+
+/// A grid of one regular family over `(n, bytes)` points: every candidate
+/// of `workload(n, bytes)` priced by the advisor and timed from `table`.
+fn regular_grid(
+    table: &mut SimTable,
     name: &'static str,
-    points: &[(usize, u64)],
+    points: Vec<(usize, u64)>,
+    workload: fn(usize, u64) -> Workload,
 ) -> GridReport {
     let params = MachineParams::cm5_1992();
-    let sims: Vec<(ExchangeAlg, usize, u64)> = points
+    let keys: Vec<SimKey> = points
         .iter()
-        .flat_map(|&(n, bytes)| ExchangeAlg::ALL.map(move |alg| (alg, n, bytes)))
+        .flat_map(|&(n, bytes)| {
+            let algs = workload(n, bytes).candidates();
+            algs.into_iter().map(move |a| regular_key(a, n, bytes))
+        })
         .collect();
-    let ms = runner.run(&sims, |_, &(alg, n, bytes)| {
-        exchange_time(alg, n, bytes).as_millis_f64()
-    });
+    let mut ms = table.millis(&keys).into_iter();
     let cells = points
-        .iter()
-        .enumerate()
-        .map(|(i, &(n, bytes))| {
-            let tree = FatTree::new(n);
-            let w = Workload::Exchange { n, bytes };
-            let (algs, pred_ms) = predictions(&w, &params, &tree);
-            let k = ExchangeAlg::ALL.len();
+        .into_iter()
+        .map(|(n, bytes)| {
+            let (algs, pred_ms) = predictions(&workload(n, bytes), &params, &FatTree::new(n));
             Cell {
                 label: format!("n={n} b={bytes}"),
+                sim_ms: ms.by_ref().take(algs.len()).collect(),
                 algs,
-                sim_ms: ms[i * k..(i + 1) * k].to_vec(),
                 pred_ms,
             }
         })
@@ -163,121 +170,69 @@ pub fn exchange_grid(
     GridReport { name, cells }
 }
 
-/// Broadcast grid over `(n, bytes)` points: LIB, REB and the system
-/// broadcast, simulated in parallel and priced by the advisor.
-pub fn broadcast_grid(
-    runner: &SweepRunner,
-    name: &'static str,
-    points: &[(usize, u64)],
-) -> GridReport {
-    let params = MachineParams::cm5_1992();
-    let sims: Vec<(BroadcastAlg, usize, u64)> = points
-        .iter()
-        .flat_map(|&(n, bytes)| BroadcastAlg::ALL.map(move |alg| (alg, n, bytes)))
-        .collect();
-    let ms = runner.run(&sims, |_, &(alg, n, bytes)| {
-        broadcast_time(alg, n, bytes).as_millis_f64()
-    });
-    let cells = points
-        .iter()
-        .enumerate()
-        .map(|(i, &(n, bytes))| {
-            let tree = FatTree::new(n);
-            let w = Workload::Broadcast { n, bytes };
-            let (algs, pred_ms) = predictions(&w, &params, &tree);
-            let k = BroadcastAlg::ALL.len();
-            Cell {
-                label: format!("n={n} b={bytes}"),
-                algs,
-                sim_ms: ms[i * k..(i + 1) * k].to_vec(),
-                pred_ms,
-            }
-        })
-        .collect();
-    GridReport { name, cells }
+fn exchange(n: usize, bytes: u64) -> Workload {
+    Workload::Exchange { n, bytes }
+}
+
+fn broadcast(n: usize, bytes: u64) -> Workload {
+    Workload::Broadcast { n, bytes }
 }
 
 /// The Figure 5 grid: 32 nodes, every Figure 5 message size.
-pub fn fig5_grid(runner: &SweepRunner) -> GridReport {
-    let points: Vec<(usize, u64)> = FIG5_MSG_SIZES.iter().map(|&b| (32, b)).collect();
-    exchange_grid(runner, "Figure 5 (exchange, 32 nodes)", &points)
+pub fn fig5_grid(table: &mut SimTable) -> GridReport {
+    let points = on_32_nodes(&FIG5_MSG_SIZES);
+    regular_grid(table, "Figure 5 (exchange, 32 nodes)", points, exchange)
 }
 
 /// The Figure 6–8 grid: every machine size × {0, 256, 512, 1920} B.
-pub fn scaling_grid(runner: &SweepRunner) -> GridReport {
-    let points: Vec<(usize, u64)> = SCALING_MSG_SIZES
-        .iter()
-        .flat_map(|&b| MACHINE_SIZES.map(move |n| (n, b)))
-        .collect();
-    exchange_grid(runner, "Figures 6-8 (exchange scaling)", &points)
+pub fn scaling_grid(table: &mut SimTable) -> GridReport {
+    let points = size_sweep(&SCALING_MSG_SIZES);
+    regular_grid(table, "Figures 6-8 (exchange scaling)", points, exchange)
 }
 
 /// The Figure 10 grid: broadcast on 32 nodes, every Figure 10 size.
-pub fn fig10_grid(runner: &SweepRunner) -> GridReport {
-    let points: Vec<(usize, u64)> = FIG10_MSG_SIZES.iter().map(|&b| (32, b)).collect();
-    broadcast_grid(runner, "Figure 10 (broadcast, 32 nodes)", &points)
+pub fn fig10_grid(table: &mut SimTable) -> GridReport {
+    let points = on_32_nodes(&FIG10_MSG_SIZES);
+    regular_grid(table, "Figure 10 (broadcast, 32 nodes)", points, broadcast)
 }
 
 /// The Figure 11 grid: broadcast, every machine size × Figure 11 size.
-pub fn fig11_grid(runner: &SweepRunner) -> GridReport {
-    let points: Vec<(usize, u64)> = FIG11_MSG_SIZES
-        .iter()
-        .flat_map(|&b| MACHINE_SIZES.map(move |n| (n, b)))
-        .collect();
-    broadcast_grid(runner, "Figure 11 (broadcast scaling)", &points)
+pub fn fig11_grid(table: &mut SimTable) -> GridReport {
+    let points = size_sweep(&FIG11_MSG_SIZES);
+    regular_grid(table, "Figure 11 (broadcast scaling)", points, broadcast)
 }
 
-/// The Table 11 grid: 32 nodes, 4 densities × 2 message sizes; both the
-/// simulated times and the model predictions are per-cell means over the
-/// same [`TABLE11_SEEDS`] synthetic patterns the report section uses.
-pub fn table11_grid(runner: &SweepRunner) -> GridReport {
+/// The Table 11 grid: the paper's 32-node density × message-size rows;
+/// both the simulated times and the model predictions are per-cell means
+/// over the same [`TABLE11_SEEDS`] synthetic patterns the report section
+/// uses.
+pub fn table11_grid(table: &mut SimTable) -> GridReport {
     let params = MachineParams::cm5_1992();
     let tree = FatTree::new(32);
-    let points: [(f64, u64); 8] = [
-        (0.10, 256),
-        (0.10, 512),
-        (0.25, 256),
-        (0.25, 512),
-        (0.50, 256),
-        (0.50, 512),
-        (0.75, 256),
-        (0.75, 512),
-    ];
-    let sims: Vec<(IrregularAlg, f64, u64, u64)> = points
+    let seeds = TABLE11_SEEDS as f64;
+    let ms = table.millis(&table11_keys());
+    // One run of the four algorithms per (row, seed), in key order.
+    let mut runs = ms.chunks(IrregularAlg::ALL.len());
+    let cells = TABLE_11
         .iter()
-        .flat_map(|&(density, msg)| {
-            (0..TABLE11_SEEDS)
-                .flat_map(move |seed| IrregularAlg::ALL.map(move |alg| (alg, density, msg, seed)))
-        })
-        .collect();
-    let ms = runner.run(&sims, |_, &(alg, density, msg, seed)| {
-        let pattern = synthetic_pattern_exact(32, density, msg, 0x7AB1E + seed);
-        irregular_time(alg, &pattern).as_millis_f64()
-    });
-    let k = IrregularAlg::ALL.len();
-    let cells = points
-        .iter()
-        .enumerate()
-        .map(|(i, &(density, msg))| {
-            let mut sim_ms = vec![0.0; k];
-            let mut pred_ms = vec![0.0; k];
+        .map(|row| {
+            let mut sim_ms = vec![0.0; IrregularAlg::ALL.len()];
+            let mut pred_ms = sim_ms.clone();
             let mut algs = Vec::new();
             for seed in 0..TABLE11_SEEDS {
-                let base = (i as u64 * TABLE11_SEEDS + seed) as usize * k;
-                for (a, s) in sim_ms.iter_mut().enumerate() {
-                    *s += ms[base + a] / TABLE11_SEEDS as f64;
-                }
-                let pattern = synthetic_pattern_exact(32, density, msg, 0x7AB1E + seed);
-                let stats = PatternStats::of(&pattern, &tree);
-                let w = Workload::Irregular(stats);
+                let pattern = table11_pattern(row.density, row.msg, seed);
+                let w = Workload::Irregular(PatternStats::of(&pattern, &tree));
                 let (cand, pred) = predictions(&w, &params, &tree);
                 algs = cand;
-                for (a, p) in pred_ms.iter_mut().enumerate() {
-                    *p += pred[a] / TABLE11_SEEDS as f64;
+                for (s, t) in sim_ms.iter_mut().zip(runs.next().expect("grid size")) {
+                    *s += t / seeds;
+                }
+                for (p, pred) in pred_ms.iter_mut().zip(pred) {
+                    *p += pred / seeds;
                 }
             }
             Cell {
-                label: format!("d={:.0}% b={msg}", density * 100.0),
+                label: format!("d={:.0}% b={}", row.density * 100.0, row.msg),
                 algs,
                 sim_ms,
                 pred_ms,
@@ -289,6 +244,9 @@ pub fn table11_grid(runner: &SweepRunner) -> GridReport {
         cells,
     }
 }
+
+/// A cell's time for its `i`-th candidate: simulated or predicted.
+type By<'a> = &'a dyn Fn(&Cell, usize) -> f64;
 
 /// One of the four regime boundaries the paper's discussion identifies.
 #[derive(Debug, Clone)]
@@ -311,124 +269,99 @@ pub fn boundaries(
     fig11: &GridReport,
     table11: &GridReport,
 ) -> Vec<Boundary> {
-    let mut out = Vec::new();
+    // Each boundary is located twice: on the simulated and on the
+    // predicted times of the same cells.
+    let sim: By = &|c, i| c.sim_ms[i];
+    let model: By = &|c, i| c.pred_ms[i];
+    let fastest =
+        |c: &Cell, by: By| c.algs[argmin(&(0..c.algs.len()).map(|i| by(c, i)).collect::<Vec<_>>())];
+    // "Leads" means a >0.5 % margin: the paper calls the small-message
+    // cells indistinguishable, so sub-noise gaps must not move a boundary.
+    let lead = |c: &Cell, a: Algorithm, b: Algorithm, by: By| {
+        let at = |x| c.algs.iter().position(|&y| y == x).expect("candidate");
+        by(c, at(a)) < 0.995 * by(c, at(b))
+    };
+    let [bex, pex, rex] =
+        [ExchangeAlg::Bex, ExchangeAlg::Pex, ExchangeAlg::Rex].map(Algorithm::Exchange);
+    let reb = Algorithm::Broadcast(BroadcastAlg::Recursive);
+    let sys = Algorithm::Broadcast(BroadcastAlg::System);
+    let gs = Algorithm::Irregular(IrregularAlg::Gs);
 
     // 1. BEX pulls ahead of PEX on 32 nodes once messages are non-zero.
-    // "Leads" means a >0.5 % margin: the paper calls the small-message
-    // cells indistinguishable, so sub-noise gaps must not move the
-    // boundary.
-    let lead = |c: &Cell, a: Algorithm, b: Algorithm, ms: &dyn Fn(&Cell, usize) -> f64| {
-        let (ia, ib) = (
-            c.algs.iter().position(|&x| x == a).expect("candidate"),
-            c.algs.iter().position(|&x| x == b).expect("candidate"),
-        );
-        ms(c, ia) < 0.995 * ms(c, ib)
-    };
-    let bex = Algorithm::Exchange(ExchangeAlg::Bex);
-    let pex = Algorithm::Exchange(ExchangeAlg::Pex);
-    let first_bex = |by: &dyn Fn(&Cell, usize) -> f64| {
+    let first_bex = |by: By| {
         fig5.cells
             .iter()
             .zip(&FIG5_MSG_SIZES)
             .find(|(c, _)| lead(c, bex, pex, by))
             .map_or("never".to_string(), |(_, b)| format!("{b} B"))
     };
-    let sim_at = first_bex(&|c: &Cell, i: usize| c.sim_ms[i]);
-    let model_at = first_bex(&|c: &Cell, i: usize| c.pred_ms[i]);
-    out.push(Boundary {
-        claim: "BEX overtakes PEX on 32 nodes once messages are non-trivial",
-        reproduced: sim_at == model_at,
-        simulated: format!("BEX leads from {sim_at}"),
-        modeled: format!("BEX leads from {model_at}"),
-    });
-
     // 2. REX wins the 0-byte exchange at every machine size.
-    let rex = Algorithm::Exchange(ExchangeAlg::Rex);
-    let zero_cells: Vec<&Cell> = scaling
+    let zero: Vec<&Cell> = scaling
         .cells
         .iter()
         .filter(|c| c.label.ends_with(" b=0"))
         .collect();
-    let sim_all = zero_cells.iter().all(|c| c.algs[c.sim_winner()] == rex);
-    let model_all = zero_cells.iter().all(|c| c.algs[c.pick()] == rex);
-    out.push(Boundary {
-        claim: "REX wins the 0-byte exchange at every size through N=256",
-        reproduced: sim_all == model_all,
-        simulated: format!(
-            "REX best in {}/{} sizes",
-            zero_cells
-                .iter()
-                .filter(|c| c.algs[c.sim_winner()] == rex)
-                .count(),
-            zero_cells.len()
-        ),
-        modeled: format!(
-            "REX best in {}/{} sizes",
-            zero_cells
-                .iter()
-                .filter(|c| c.algs[c.pick()] == rex)
-                .count(),
-            zero_cells.len()
-        ),
-    });
-
+    let rex_wins = |by: By| zero.iter().filter(|c| fastest(c, by) == rex).count();
     // 3. The REB/system crossover message size at 256 nodes.
-    let reb = Algorithm::Broadcast(BroadcastAlg::Recursive);
-    let sys = Algorithm::Broadcast(BroadcastAlg::System);
-    let cross = |by: &dyn Fn(&Cell, usize) -> f64| {
+    let cross = |by: By| {
         fig11
             .cells
             .iter()
-            .zip(
-                FIG11_MSG_SIZES
-                    .iter()
-                    .flat_map(|&b| MACHINE_SIZES.map(move |n| (n, b))),
-            )
-            .filter(|(_, (n, _))| *n == 256)
-            .filter(|(c, _)| lead(c, sys, reb, by))
+            .zip(size_sweep(&FIG11_MSG_SIZES))
+            .filter(|(c, (n, _))| *n == 256 && lead(c, sys, reb, by))
             .last()
             .map_or("never".to_string(), |(_, (_, b))| format!("{b} B"))
     };
-    let sim_at = cross(&|c: &Cell, i: usize| c.sim_ms[i]);
-    let model_at = cross(&|c: &Cell, i: usize| c.pred_ms[i]);
-    out.push(Boundary {
-        claim: "system broadcast still beats REB at 1-2 KB on 256 nodes",
-        reproduced: sim_at == model_at,
-        simulated: format!("system leads through {sim_at}"),
-        modeled: format!("system leads through {model_at}"),
-    });
-
     // 4. GS stops winning at 50 % density (Table 11's flip).
-    let gs = Algorithm::Irregular(IrregularAlg::Gs);
-    let flip = |by: &dyn Fn(&Cell, usize) -> f64| {
+    let flip = |by: By| {
         table11
             .cells
             .iter()
-            .find(|c| {
-                let best = argmin(&(0..c.algs.len()).map(|i| by(c, i)).collect::<Vec<_>>());
-                c.algs[best] != gs
-            })
+            .find(|c| fastest(c, by) != gs)
             .map_or("never".to_string(), |c| c.label.clone())
     };
-    let sim_at = flip(&|c: &Cell, i: usize| c.sim_ms[i]);
-    let model_at = flip(&|c: &Cell, i: usize| c.pred_ms[i]);
-    out.push(Boundary {
-        claim: "GS best below 50 % density; PS/BS take over at >= 50 %",
-        reproduced: sim_at.split_whitespace().next() == model_at.split_whitespace().next(),
-        simulated: format!("first non-GS win at {sim_at}"),
-        modeled: format!("first non-GS win at {model_at}"),
-    });
 
-    out
+    let (bex_sim, bex_model) = (first_bex(sim), first_bex(model));
+    let (rex_sim, rex_model) = (rex_wins(sim), rex_wins(model));
+    let (sys_sim, sys_model) = (cross(sim), cross(model));
+    let (gs_sim, gs_model) = (flip(sim), flip(model));
+    let word = |s: &str| s.split_whitespace().next().map(str::to_string);
+    vec![
+        Boundary {
+            claim: "BEX overtakes PEX on 32 nodes once messages are non-trivial",
+            reproduced: bex_sim == bex_model,
+            simulated: format!("BEX leads from {bex_sim}"),
+            modeled: format!("BEX leads from {bex_model}"),
+        },
+        Boundary {
+            claim: "REX wins the 0-byte exchange at every size through N=256",
+            reproduced: (rex_sim == zero.len()) == (rex_model == zero.len()),
+            simulated: format!("REX best in {rex_sim}/{} sizes", zero.len()),
+            modeled: format!("REX best in {rex_model}/{} sizes", zero.len()),
+        },
+        Boundary {
+            claim: "system broadcast still beats REB at 1-2 KB on 256 nodes",
+            reproduced: sys_sim == sys_model,
+            simulated: format!("system leads through {sys_sim}"),
+            modeled: format!("system leads through {sys_model}"),
+        },
+        Boundary {
+            claim: "GS best below 50 % density; PS/BS take over at >= 50 %",
+            reproduced: word(&gs_sim) == word(&gs_model),
+            simulated: format!("first non-GS win at {gs_sim}"),
+            modeled: format!("first non-GS win at {gs_model}"),
+        },
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepRunner;
 
     #[test]
     fn fig5_grid_agrees_and_prices_accurately() {
-        let grid = fig5_grid(&SweepRunner::new(0));
+        let grid = fig5_grid(&mut SimTable::new(SweepRunner::new(0)));
         assert_eq!(grid.cells.len(), FIG5_MSG_SIZES.len());
         assert!(
             grid.agreement() >= 0.9,
@@ -440,6 +373,32 @@ mod tests {
             "fig5 mean model error {:.3} too large",
             grid.mean_abs_err()
         );
+    }
+
+    #[test]
+    fn grids_read_the_same_from_a_prefilled_table() {
+        let mut fresh = SimTable::new(SweepRunner::new(1));
+        let mut warm = SimTable::new(SweepRunner::new(2));
+        // Part of the warm table filled first, in another order, the way
+        // the figure sections fill it before the model section runs.
+        let mut early = vec![
+            SimKey::Broadcast(BroadcastAlg::System, 16, 256),
+            SimKey::Exchange(ExchangeAlg::Bex, 8, 1024),
+            SimKey::Exchange(ExchangeAlg::Lex, 16, 256),
+        ];
+        for alg in IrregularAlg::ALL {
+            early.extend((0..TABLE11_SEEDS).map(|seed| SimKey::table11(alg, 0.25, 512, seed)));
+        }
+        warm.makespans(&early);
+        let points = vec![(8, 0), (8, 1024), (16, 256)];
+        for workload in [exchange, broadcast] {
+            assert_eq!(
+                regular_grid(&mut warm, "g", points.clone(), workload),
+                regular_grid(&mut fresh, "g", points.clone(), workload)
+            );
+        }
+        assert_eq!(table11_grid(&mut warm), table11_grid(&mut fresh));
+        assert_eq!(warm.misses(), fresh.misses());
     }
 
     #[test]

@@ -10,16 +10,32 @@ use cm5_workloads::synthetic::synthetic_pattern_exact;
 pub const MACHINE_SIZES: [usize; 4] = [32, 64, 128, 256];
 /// Message-size sweep of Figure 5 (bytes).
 pub const FIG5_MSG_SIZES: [u64; 9] = [0, 16, 64, 128, 256, 512, 1024, 1920, 2048];
+/// Message sizes of the Figure 6–8 machine-size sweep (bytes).
+pub const SCALING_MSG_SIZES: [u64; 4] = [0, 256, 512, 1920];
 /// Message-size sweep of Figure 10 (bytes).
 pub const FIG10_MSG_SIZES: [u64; 8] = [0, 256, 512, 1024, 2048, 4096, 8192, 16384];
+/// Message sizes of the Figure 11 machine-size sweep (bytes).
+pub const FIG11_MSG_SIZES: [u64; 4] = [256, 1024, 2048, 8192];
 /// Number of synthetic-pattern seeds averaged per Table 11 cell.
 pub const TABLE11_SEEDS: u64 = 5;
 
+/// `(32, bytes)` points: the 32-node sweeps of Figures 5 and 10.
+pub fn on_32_nodes(msg_sizes: &[u64]) -> Vec<(usize, u64)> {
+    msg_sizes.iter().map(|&b| (32, b)).collect()
+}
+
+/// `(n, bytes)` points of a machine-size sweep, message size major:
+/// Figures 6–8 and 11.
+pub fn size_sweep(msg_sizes: &[u64]) -> Vec<(usize, u64)> {
+    msg_sizes
+        .iter()
+        .flat_map(|&b| MACHINE_SIZES.map(move |n| (n, b)))
+        .collect()
+}
+
 /// Simulated time of one complete exchange.
 pub fn exchange_time(alg: ExchangeAlg, n: usize, bytes: u64) -> SimDuration {
-    run_schedule(&alg.schedule(n, bytes), &MachineParams::cm5_1992())
-        .unwrap_or_else(|e| panic!("{} n={n} bytes={bytes}: {e}", alg.name()))
-        .makespan
+    exchange_time_with(alg, n, bytes, &MachineParams::cm5_1992())
 }
 
 /// Simulated time of one complete exchange under explicit parameters
@@ -61,15 +77,10 @@ pub fn irregular_time(alg: IrregularAlg, pattern: &Pattern) -> SimDuration {
         .makespan
 }
 
-/// Mean simulated milliseconds over [`TABLE11_SEEDS`] synthetic patterns
-/// (Table 11 cell).
-pub fn table11_cell(alg: IrregularAlg, density: f64, msg: u64) -> f64 {
-    let mut total = 0.0;
-    for seed in 0..TABLE11_SEEDS {
-        let pattern = synthetic_pattern_exact(32, density, msg, 0x7AB1E + seed);
-        total += irregular_time(alg, &pattern).as_millis_f64();
-    }
-    total / TABLE11_SEEDS as f64
+/// The synthetic pattern of one Table 11 seed: 32 nodes, exactly
+/// `density` of the ordered pairs communicating `msg` bytes each.
+pub fn table11_pattern(density: f64, msg: u64, seed: u64) -> Pattern {
+    synthetic_pattern_exact(32, density, msg, 0x7AB1E + seed)
 }
 
 /// The five Table 12 workload patterns on `parts` processors, with names.
@@ -114,7 +125,7 @@ mod tests {
         assert!(exchange_time(ExchangeAlg::Pex, 8, 64).as_nanos() > 0);
         assert!(broadcast_time(BroadcastAlg::Recursive, 8, 64).as_nanos() > 0);
         assert!(fft_time(ExchangeAlg::Bex, 8, 64).as_nanos() > 0);
-        assert!(table11_cell(IrregularAlg::Gs, 0.1, 256) > 0.0);
+        assert!(irregular_time(IrregularAlg::Gs, &table11_pattern(0.1, 256, 0)).as_nanos() > 0);
     }
 
     #[test]

@@ -13,12 +13,17 @@
 //! serial loop regardless of thread count or OS scheduling — the only
 //! thing parallelism can change is wall-clock time.
 
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
 use cm5_core::prelude::*;
-use cm5_sim::{MachineParams, SimReport};
+use cm5_sim::{MachineParams, SimDuration, SimReport};
 
-use crate::runners::{FIG5_MSG_SIZES, MACHINE_SIZES, TABLE11_SEEDS};
+use crate::runners::{
+    broadcast_time, exchange_time, irregular_time, table11_pattern, FIG5_MSG_SIZES, MACHINE_SIZES,
+    TABLE11_SEEDS,
+};
 
 /// A fixed-size worker pool that maps a function over a slice of work
 /// items and returns the results in input order.
@@ -178,12 +183,7 @@ pub fn irregular_grid(densities: &[f64], msgs: &[u64]) -> Vec<IrregularCell> {
 /// Full simulation report for one irregular synthetic cell (32 nodes,
 /// matching Table 11's machine size).
 pub fn irregular_report(cell: IrregularCell) -> SimReport {
-    let pattern = cm5_workloads::synthetic::synthetic_pattern_exact(
-        32,
-        cell.density,
-        cell.msg,
-        0x7AB1E + cell.seed,
-    );
+    let pattern = table11_pattern(cell.density, cell.msg, cell.seed);
     run_schedule(&cell.alg.schedule(&pattern), &MachineParams::cm5_1992()).unwrap_or_else(|e| {
         panic!(
             "{} density={} msg={} seed={}: {e}",
@@ -205,6 +205,111 @@ pub fn run_irregular_grid(
     let cells = irregular_grid(densities, msgs);
     let reports = runner.run(&cells, |_, &cell| irregular_report(cell));
     cells.into_iter().zip(reports).collect()
+}
+
+/// One simulated cell of the paper's grids: the key of a [`SimTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SimKey {
+    /// Complete exchange on `n` nodes, bytes per pair ([`exchange_time`]).
+    Exchange(ExchangeAlg, usize, u64),
+    /// Broadcast from node 0 on `n` nodes, bytes ([`broadcast_time`]).
+    Broadcast(BroadcastAlg, usize, u64),
+    /// One Table 11 seed ([`table11_pattern`]): the density as
+    /// `f64::to_bits`, the message bytes and the seed.
+    Table11(IrregularAlg, u64, u64, u64),
+}
+
+impl SimKey {
+    /// The Table 11 cell at `density`, `msg` bytes per pair and `seed`.
+    pub fn table11(alg: IrregularAlg, density: f64, msg: u64, seed: u64) -> SimKey {
+        SimKey::Table11(alg, density.to_bits(), msg, seed)
+    }
+
+    /// Simulated makespan of this cell, through the shared runners.
+    pub fn simulate(&self) -> SimDuration {
+        match *self {
+            SimKey::Exchange(alg, n, bytes) => exchange_time(alg, n, bytes),
+            SimKey::Broadcast(alg, n, bytes) => broadcast_time(alg, n, bytes),
+            SimKey::Table11(alg, density, msg, seed) => {
+                irregular_time(alg, &table11_pattern(f64::from_bits(density), msg, seed))
+            }
+        }
+    }
+}
+
+/// The Table 11 cells: every algorithm on every seed of every paper row,
+/// ordered by row, then seed, then algorithm.
+pub fn table11_keys() -> Vec<SimKey> {
+    crate::paper::TABLE_11
+        .iter()
+        .flat_map(|row| {
+            (0..TABLE11_SEEDS).flat_map(move |seed| {
+                IrregularAlg::ALL.map(|alg| SimKey::table11(alg, row.density, row.msg, seed))
+            })
+        })
+        .collect()
+}
+
+/// Simulated makespans of grid cells, filled on demand: `report` owns one
+/// per run, so a cell several sections print is simulated once. A request
+/// simulates only the keys the table lacks, on the table's [`SweepRunner`];
+/// the answers come back in request order, whatever was requested before.
+pub struct SimTable {
+    runner: SweepRunner,
+    simulate: fn(&SimKey) -> SimDuration,
+    cells: HashMap<SimKey, SimDuration>,
+}
+
+impl SimTable {
+    /// An empty table that simulates its misses on `runner`.
+    pub fn new(runner: SweepRunner) -> SimTable {
+        SimTable::with_simulator(runner, SimKey::simulate)
+    }
+
+    /// An empty table that fills its misses with `simulate`: tests count a
+    /// report's cells with a cheap stand-in.
+    pub fn with_simulator(runner: SweepRunner, simulate: fn(&SimKey) -> SimDuration) -> SimTable {
+        SimTable {
+            runner,
+            simulate,
+            cells: HashMap::new(),
+        }
+    }
+
+    /// Makespans of `keys`, in order, simulating the keys not yet in the
+    /// table. Misses run longest first — largest machine, then largest
+    /// message — so no worker picks up a 256-node cell last.
+    pub fn makespans(&mut self, keys: &[SimKey]) -> Vec<SimDuration> {
+        let mut seen = HashSet::new();
+        let mut missing: Vec<SimKey> = keys
+            .iter()
+            .filter(|k| !self.cells.contains_key(k) && seen.insert(**k))
+            .copied()
+            .collect();
+        missing.sort_by_key(|k| {
+            Reverse(match *k {
+                SimKey::Exchange(_, n, bytes) | SimKey::Broadcast(_, n, bytes) => (n, bytes),
+                SimKey::Table11(_, _, msg, _) => (32, msg),
+            })
+        });
+        let simulate = self.simulate;
+        let times = self.runner.run(&missing, |_, k| simulate(k));
+        self.cells.extend(missing.into_iter().zip(times));
+        keys.iter().map(|k| self.cells[k]).collect()
+    }
+
+    /// [`SimTable::makespans`] in milliseconds.
+    pub fn millis(&mut self, keys: &[SimKey]) -> Vec<f64> {
+        self.makespans(keys)
+            .into_iter()
+            .map(SimDuration::as_millis_f64)
+            .collect()
+    }
+
+    /// Cells simulated so far: every miss adds one, and no key misses twice.
+    pub fn misses(&self) -> usize {
+        self.cells.len()
+    }
 }
 
 #[cfg(test)]
@@ -276,6 +381,34 @@ mod tests {
             assert_eq!(s.wire_bytes, p.wire_bytes);
             assert_eq!(s.bytes_per_level, p.bytes_per_level);
         }
+    }
+
+    #[test]
+    fn table_matches_the_runners_and_simulates_each_key_once() {
+        let mut keys = Vec::new();
+        for n in [8, 16] {
+            for bytes in [0, 256] {
+                keys.extend(ExchangeAlg::ALL.map(|a| SimKey::Exchange(a, n, bytes)));
+                keys.extend(BroadcastAlg::ALL.map(|a| SimKey::Broadcast(a, n, bytes)));
+            }
+        }
+        keys.extend(IrregularAlg::ALL.map(|a| SimKey::table11(a, 0.1, 16, 1)));
+        let mut table = SimTable::new(SweepRunner::new(2));
+        // Duplicates within one request still simulate once.
+        let first: Vec<SimKey> = keys.iter().chain(&keys[..5]).copied().collect();
+        let got = table.makespans(&first);
+        assert_eq!(table.misses(), keys.len());
+        for (k, &t) in first.iter().zip(&got) {
+            let direct = match *k {
+                SimKey::Exchange(alg, n, bytes) => exchange_time(alg, n, bytes),
+                SimKey::Broadcast(alg, n, bytes) => broadcast_time(alg, n, bytes),
+                SimKey::Table11(alg, ..) => irregular_time(alg, &table11_pattern(0.1, 16, 1)),
+            };
+            assert_eq!(t, direct, "{k:?}");
+        }
+        // A second request is all hits, with the same answers.
+        assert_eq!(table.makespans(&first), got);
+        assert_eq!(table.misses(), keys.len());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The benchmark grids only measure schedules the verifier accepts: a
 //! dirty cell would benchmark a broken schedule and poison the figures.
 
+use cm5_bench::runners::table11_pattern;
 use cm5_bench::sweep::{exchange_grid, irregular_grid};
 use cm5_core::prelude::*;
 use cm5_verify::{exchange_policy, irregular_policy, verify_schedule};
@@ -29,12 +30,7 @@ fn every_exchange_grid_cell_verifies_clean() {
 fn every_irregular_grid_cell_verifies_clean() {
     for cell in irregular_grid(&[0.1, 0.3, 0.5], &[16, 256, 1024]) {
         // Exactly the pattern `irregular_report` simulates for this cell.
-        let pattern = cm5_workloads::synthetic::synthetic_pattern_exact(
-            32,
-            cell.density,
-            cell.msg,
-            0x7AB1E + cell.seed,
-        );
+        let pattern = table11_pattern(cell.density, cell.msg, cell.seed);
         let report = verify_schedule(
             &cell.alg.schedule(&pattern),
             Some(&pattern),
