@@ -656,7 +656,7 @@ fn perf(o: &Opts) {
             "{:>8} {:>6} {:>13} {:>11.3} {:>10} {:>12.0} {:>11} {:>10} {:>9}",
             m.name,
             m.n,
-            m.solver,
+            "incremental",
             m.wall_secs * 1e3,
             m.events,
             m.events_per_sec,

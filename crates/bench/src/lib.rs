@@ -1,10 +1,10 @@
 //! # cm5-bench — the harness that regenerates the paper's evaluation
 //!
-//! One runner per experiment family, shared between the Criterion benches
-//! (which measure the *simulator*'s wall-clock cost) and the `report`
-//! binary (which prints the *simulated* times — the actual reproduction of
-//! every figure and table, side by side with the paper's published numbers
-//! where the paper gives them).
+//! One runner per experiment family, shared by the `report` binary, which
+//! prints the *simulated* times — the actual reproduction of every figure
+//! and table, side by side with the paper's published numbers where the
+//! paper gives them. `report perf` measures the *simulator*'s own
+//! wall-clock cost ([`perf`]) and `report watch` gates it ([`watch`]).
 
 #![forbid(unsafe_code)]
 

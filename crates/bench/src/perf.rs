@@ -10,8 +10,8 @@
 //! speedup is part of the artifact; the large grid has no oracle, because
 //! the full solver is O(flows) per event and too slow at 16K nodes.
 //!
-//! Used by `report perf` (and `cm5 bench`), which serialise the results to
-//! `BENCH_sim.json`, and by the `sim_hot_loop` Criterion bench.
+//! Used by `report perf`, which serialises the results to `BENCH_sim.json`
+//! for `report watch` to gate.
 
 use std::time::Instant;
 
@@ -30,12 +30,10 @@ pub struct PerfCase {
     pub n: usize,
     /// Lowered per-node programs.
     pub programs: Vec<OpProgram>,
-    /// The solver being measured.
-    pub solver: RateSolver,
-    /// The solver timed alongside as the speedup reference, if any; its
-    /// makespan must agree bitwise with `solver`'s (the bit-identity
-    /// contract).
-    pub oracle: Option<RateSolver>,
+    /// Whether to also time the full-recompute solver as the speedup
+    /// reference; its makespan must agree bitwise with the incremental
+    /// solver's (the bit-identity contract).
+    pub oracle: bool,
 }
 
 /// Host-side measurements for one [`PerfCase`].
@@ -45,11 +43,9 @@ pub struct PerfMeasurement {
     pub name: String,
     /// Machine size.
     pub n: usize,
-    /// `--rates` name of the measured solver.
-    pub solver: &'static str,
     /// Simulation repetitions timed (best run reported).
     pub reps: u32,
-    /// Engine wall-clock seconds of the best primary-solver run.
+    /// Engine wall-clock seconds of the best incremental-solver run.
     pub wall_secs: f64,
     /// Engine events processed per run.
     pub events: u64,
@@ -57,7 +53,7 @@ pub struct PerfMeasurement {
     pub events_per_sec: f64,
     /// Whole simulations ("grid cells") per wall-clock second.
     pub cells_per_sec: f64,
-    /// Rate recomputations per run under the measured solver.
+    /// Rate recomputations per run under the incremental solver.
     pub recomputes: u64,
     /// Flows admitted per run.
     pub flows: u64,
@@ -67,18 +63,11 @@ pub struct PerfMeasurement {
     /// `None` for cases without an oracle (the large grid) — rendered as
     /// JSON `null`, never a fake `0.00`.
     pub oracle_wall_secs: Option<f64>,
-    /// `oracle_wall_secs / wall_secs` — the measured solver's speedup.
+    /// `oracle_wall_secs / wall_secs` — the incremental solver's speedup.
     /// `None` whenever there is no oracle pass.
     pub speedup_vs_oracle: Option<f64>,
     /// Simulated makespan (sanity anchor: must not depend on the solver).
     pub makespan_ms: f64,
-}
-
-fn solver_name(solver: RateSolver) -> &'static str {
-    match solver {
-        RateSolver::Incremental => "incremental",
-        RateSolver::Full => "full",
-    }
 }
 
 /// The standard grid: REX/PEX at 64 and 128 nodes, greedy irregular at
@@ -101,8 +90,7 @@ pub fn perf_cases() -> Vec<PerfCase> {
                 },
                 n,
                 programs: lower(&alg.schedule(n, 1024)),
-                solver: RateSolver::Incremental,
-                oracle: Some(RateSolver::Full),
+                oracle: true,
             });
         }
     }
@@ -112,8 +100,7 @@ pub fn perf_cases() -> Vec<PerfCase> {
         what: "greedy irregular, 75% density (batched admissions)",
         n: 32,
         programs: lower(&gs(&pattern)),
-        solver: RateSolver::Incremental,
-        oracle: Some(RateSolver::Full),
+        oracle: true,
     });
     cases
 }
@@ -170,8 +157,7 @@ pub fn perf_cases_large() -> Vec<PerfCase> {
             what: "truncated pairwise exchange (local + root-crossing strides)",
             n,
             programs: pex_slice_programs(n, &strides, uniform),
-            solver: RateSolver::Incremental,
-            oracle: None,
+            oracle: false,
         });
     }
     for (name, n) in [("mix_1k", 1024usize), ("mix_4k", 4096)] {
@@ -184,8 +170,7 @@ pub fn perf_cases_large() -> Vec<PerfCase> {
             what: "cluster-local staggered exchange (localized invalidation)",
             n,
             programs: pex_slice_programs(n, &strides, varied),
-            solver: RateSolver::Incremental,
-            oracle: None,
+            oracle: false,
         });
     }
     cases
@@ -199,12 +184,12 @@ fn run_with(case: &PerfCase, solver: RateSolver) -> SimReport {
         .unwrap_or_else(|e| panic!("perf case {}: {e}", case.name))
 }
 
-/// Run a slice of the grid. `reps` primary-solver repetitions per case (the
-/// best run is reported, damping scheduler noise); a case with an oracle
-/// runs it `max(1, reps / 2)` times and checks its makespan against the
-/// primary's. Cases at ≥ 1024 nodes skip the untimed warm-up run — at that
-/// size one extra simulation costs more than the scheduler noise it would
-/// dampen.
+/// Run a slice of the grid. `reps` incremental-solver repetitions per case
+/// (the best run is reported, damping scheduler noise); a case with an
+/// oracle runs it `max(1, reps / 2)` times and checks its makespan against
+/// the incremental solver's. Cases at ≥ 1024 nodes skip the untimed
+/// warm-up run — at that size one extra simulation costs more than the
+/// scheduler noise it would dampen.
 pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
     assert!(reps > 0, "at least one repetition");
     cases
@@ -212,13 +197,13 @@ pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
         .map(|case| {
             if case.n < 1024 {
                 // Warm-up: page in code and the allocator before timing.
-                let _ = run_with(case, case.solver);
+                let _ = run_with(case, RateSolver::Incremental);
             }
             let mut best = f64::INFINITY;
             let mut report = None;
             for _ in 0..reps {
                 let start = Instant::now();
-                let r = run_with(case, case.solver);
+                let r = run_with(case, RateSolver::Incremental);
                 let wall = start.elapsed().as_secs_f64();
                 if wall < best {
                     best = wall;
@@ -227,12 +212,12 @@ pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
             }
             let report = report.expect("reps > 0");
             let mut oracle_best = None;
-            if let Some(oracle) = case.oracle {
+            if case.oracle {
                 let mut oracle_wall = f64::INFINITY;
                 let mut oracle_makespan = None;
                 for _ in 0..reps.div_ceil(2) {
                     let start = Instant::now();
-                    let r = run_with(case, oracle);
+                    let r = run_with(case, RateSolver::Full);
                     oracle_wall = oracle_wall.min(start.elapsed().as_secs_f64());
                     oracle_makespan = Some(r.makespan);
                 }
@@ -247,7 +232,6 @@ pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
             PerfMeasurement {
                 name: case.name.to_string(),
                 n: case.n,
-                solver: solver_name(case.solver),
                 reps,
                 wall_secs: best,
                 events: report.perf.events,
@@ -293,7 +277,7 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
     out.push_str(&format!("  \"quick\": {quick},\n  \"grids\": [\n"));
     for (i, m) in measurements.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"nodes\": {}, \"solver\": \"{}\", \
+            "    {{\"name\": \"{}\", \"nodes\": {}, \"solver\": \"incremental\", \
              \"reps\": {}, \
              \"wall_secs\": {:.6}, \"events\": {}, \"events_per_sec\": {:.1}, \
              \"cells_per_sec\": {:.3}, \"recomputes\": {}, \"flows\": {}, \
@@ -301,7 +285,6 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
              \"speedup_vs_oracle\": {}, \"makespan_ms\": {:.4}}}{}\n",
             m.name,
             m.n,
-            m.solver,
             m.reps,
             m.wall_secs,
             m.events,
@@ -351,7 +334,6 @@ mod tests {
             assert!(m.events > 0, "{}", m.name);
             assert!(m.flows > 0, "{}", m.name);
             assert!(m.makespan_ms > 0.0, "{}", m.name);
-            assert_eq!(m.solver, "incremental", "{}", m.name);
             assert!(m.oracle_wall_secs.is_some(), "{}", m.name);
         }
         let json = to_json(&ms, true);
@@ -369,8 +351,7 @@ mod tests {
             what: "scaled-down large-grid cell",
             n: 64,
             programs: pex_slice_programs(64, &[1, 2, 16, 32, 33], |_| 1024),
-            solver: RateSolver::Incremental,
-            oracle: None,
+            oracle: false,
         };
         let ms = run_cases(&[case], 1);
         assert_eq!(ms[0].oracle_wall_secs, None);
@@ -390,8 +371,7 @@ mod tests {
         for case in &cases {
             assert!(case.n >= 1024, "{}", case.name);
             assert_eq!(case.programs.len(), case.n, "{}", case.name);
-            assert_eq!(case.solver, RateSolver::Incremental, "{}", case.name);
-            assert_eq!(case.oracle, None, "{}", case.name);
+            assert!(!case.oracle, "{}", case.name);
             let ops: usize = case.programs.iter().map(Vec::len).sum();
             // Truncated slices, not the full O(N²) exchange.
             assert!(
@@ -423,7 +403,6 @@ mod tests {
         let ms = vec![PerfMeasurement {
             name: "rex_64".into(),
             n: 64,
-            solver: "incremental",
             reps: 1,
             wall_secs: 1.0,
             events: 500,

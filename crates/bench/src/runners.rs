@@ -1,8 +1,8 @@
 //! Shared experiment runners: one function per experiment family, used by
-//! both the Criterion benches and the `report` binary.
+//! the `report` binary, the CLI's sweeps and the tests.
 
 use cm5_core::prelude::*;
-use cm5_sim::{MachineParams, Op, SimDuration, Simulation};
+use cm5_sim::{MachineParams, SimDuration, Simulation};
 use cm5_workloads::fft::fft2d_programs;
 use cm5_workloads::synthetic::synthetic_pattern_exact;
 
@@ -94,28 +94,6 @@ pub fn table12_patterns(parts: usize) -> Vec<(&'static str, Pattern)> {
     ]
 }
 
-/// A quick engine micro-workload: `msgs` back-to-back ping-pongs between
-/// two nodes (for benchmarking the event core itself).
-pub fn pingpong_programs(msgs: usize, bytes: u64) -> Vec<cm5_sim::OpProgram> {
-    let mut a = Vec::with_capacity(msgs * 2);
-    let mut b = Vec::with_capacity(msgs * 2);
-    for k in 0..msgs as u32 {
-        a.push(Op::Send {
-            to: 1,
-            bytes,
-            tag: k,
-        });
-        a.push(Op::Recv { from: 1, tag: k });
-        b.push(Op::Recv { from: 0, tag: k });
-        b.push(Op::Send {
-            to: 0,
-            bytes,
-            tag: k,
-        });
-    }
-    vec![a, b]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,14 +104,6 @@ mod tests {
         assert!(broadcast_time(BroadcastAlg::Recursive, 8, 64).as_nanos() > 0);
         assert!(fft_time(ExchangeAlg::Bex, 8, 64).as_nanos() > 0);
         assert!(irregular_time(IrregularAlg::Gs, &table11_pattern(0.1, 256, 0)).as_nanos() > 0);
-    }
-
-    #[test]
-    fn pingpong_runs() {
-        let r = Simulation::new(2, MachineParams::cm5_1992())
-            .run_ops(&pingpong_programs(10, 16))
-            .unwrap();
-        assert_eq!(r.messages, 20);
     }
 
     #[test]

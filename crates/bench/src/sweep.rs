@@ -315,7 +315,7 @@ impl SimTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm5_sim::{RouteTable, SimDuration, Simulation, Topology};
+    use cm5_sim::{SimDuration, Simulation, Topology};
 
     /// The whole point of the executor: everything a worker owns or
     /// shares must be safe to move to / reference from another thread.
@@ -325,7 +325,6 @@ mod tests {
         assert_send_sync::<Simulation>();
         assert_send_sync::<MachineParams>();
         assert_send_sync::<Topology>();
-        assert_send_sync::<RouteTable>();
         assert_send_sync::<SimReport>();
         assert_send_sync::<SimDuration>();
         assert_send_sync::<Schedule>();

@@ -381,47 +381,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `cm5 bench` — time the simulator itself (host cost, not simulated time)
-/// and write the `BENCH_sim.json` artifact.
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    use cm5_bench::perf;
-    let quick = args.has("quick");
-    let reps = if quick { 1 } else { 3 };
-    println!(
-        "simulator performance suite ({reps} rep{} per grid, best run):",
-        if reps == 1 { "" } else { "s" }
-    );
-    // `--large` adds the 1024/4096/16384-node cells (seconds per cell in
-    // a release build; opt-in for that reason).
-    let measurements = if args.has("large") {
-        perf::run_perf_suite(reps)
-    } else {
-        perf::run_cases(&perf::perf_cases(), reps)
-    };
-    println!(
-        "{:>8} {:>6} {:>13} {:>11} {:>12} {:>10} {:>9}",
-        "grid", "nodes", "solver", "wall ms", "events/sec", "cells/sec", "speedup"
-    );
-    for m in &measurements {
-        println!(
-            "{:>8} {:>6} {:>13} {:>11.3} {:>12.0} {:>10.1} {:>9}",
-            m.name,
-            m.n,
-            m.solver,
-            m.wall_secs * 1e3,
-            m.events_per_sec,
-            m.cells_per_sec,
-            m.speedup_vs_oracle
-                .map_or("n/a".to_string(), |s| format!("{s:.2}x")),
-        );
-    }
-    let path = args.get("json").unwrap_or("BENCH_sim.json");
-    std::fs::write(path, perf::to_json(&measurements, quick))
-        .map_err(|e| format!("could not write {path}: {e}"))?;
-    println!("wrote {path}");
-    Ok(())
-}
-
 /// One lint target: a named schedule plus the pattern it must conserve and
 /// the policy its algorithm family promises.
 struct LintTarget {
@@ -1258,15 +1217,6 @@ mod table {
         about: "run a paper grid on a worker pool, printed in canonical order",
         flags: &[&[Flag::value("grid", "G", "exchange | irregular (default exchange)"), JOBS]],
     };
-    pub const BENCH: Command = Command {
-        synopsis: "cm5 bench",
-        about: "time the simulator itself (host cost) and write BENCH_sim.json",
-        flags: &[&[
-            Flag::switch("quick", "one repetition per grid instead of three"),
-            Flag::value("json", "PATH", "where to write the artifact (default BENCH_sim.json)"),
-            Flag::switch("large", "add the 1024/4096/16384-node cells"),
-        ]],
-    };
     pub const LINT: Command = Command {
         synopsis: "cm5 lint",
         about: "statically verify a schedule: deadlocks, conservation, step shape, hotspots",
@@ -1336,7 +1286,7 @@ mod table {
 type Run = fn(&Args) -> Result<(), String>;
 
 /// Every subcommand, in `cm5 --help` order.
-const COMMANDS: [(Command, Run); 11] = [
+const COMMANDS: [(Command, Run); 10] = [
     (table::EXCHANGE, cmd_exchange),
     (table::BROADCAST, cmd_broadcast),
     (table::IRREGULAR, cmd_irregular),
@@ -1345,7 +1295,6 @@ const COMMANDS: [(Command, Run); 11] = [
     (table::SWEEP, cmd_sweep),
     (table::LINT, cmd_lint),
     (table::CERTIFY, cmd_certify),
-    (table::BENCH, cmd_bench),
     (table::TRACE, cmd_trace),
     (table::SERVE, cmd_serve),
 ];
@@ -1477,7 +1426,6 @@ mod tests {
                 "--sim-jobs",
             ),
             ("certify --model-check", "--model-check"),
-            ("bench --no-oracle", "--no-oracle"),
             (
                 "serve --replay trace.jsonl --baseline ci/perf_baseline.txt",
                 "--baseline",
@@ -1497,6 +1445,9 @@ mod tests {
             err.contains("--rates expects full | incremental, got 'hierarchical'"),
             "{err}"
         );
+        // `report perf` is the one front end to the perf suite.
+        let err = dispatch(&argv("bench --no-oracle")).unwrap_err();
+        assert!(err.contains("unknown command 'bench'"), "{err}");
     }
 
     #[test]
@@ -1725,22 +1676,6 @@ mod tests {
         assert!(report
             .render_json()
             .starts_with("{\"schema\":\"cm5-lint/1\","));
-    }
-
-    #[test]
-    fn bench_writes_the_json_artifact() {
-        let path = std::env::temp_dir().join("cm5_cli_bench_test.json");
-        let path_s = path.to_str().unwrap();
-        dispatch(&argv(&format!("bench --quick --json {path_s}"))).unwrap();
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("cm5-bench-sim-perf/4"), "{json}");
-        assert!(json.contains("\"rex_128\""), "{json}");
-        assert!(json.contains("\"solver\": \"incremental\""), "{json}");
-        // Without --large the big cells must stay out of the artifact
-        // (this test runs in a debug build).
-        assert!(!json.contains("\"pex_16k\""), "{json}");
-        std::fs::remove_file(&path).ok();
-        assert!(dispatch(&argv("bench --jobs 3")).is_err());
     }
 
     /// `Args::parse`: a whole `cm5` command line, parsed as `dispatch` does.

@@ -2,8 +2,8 @@
 //!
 //! The paper's arguments are all statements about schedule *shape*: how many
 //! steps, how the root crossings distribute over steps, how many processors
-//! idle. [`ScheduleSummary`] computes them in one pass so benches, tests and
-//! the report binary share one definition.
+//! idle. [`ScheduleSummary`] computes them in one pass so tests and the
+//! report binary share one definition.
 
 use cm5_sim::FatTree;
 

@@ -13,7 +13,8 @@
 //! hop. The paper's greedy scheduler wins against it exactly where direct
 //! delivery beats aggregation (all of Table 11/12's byte sizes); the
 //! crystal router wins for swarms of tiny messages, the regime it was
-//! designed for. `cargo bench --bench ablations` carries the comparison.
+//! designed for. `report beyond` prints the comparison and the tests below
+//! pin both sides of it.
 
 use bytes::Bytes;
 use cm5_sim::CmmdNode;

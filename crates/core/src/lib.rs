@@ -39,7 +39,6 @@ pub mod broadcast;
 pub mod collectives;
 pub mod exec;
 pub mod irregular;
-pub mod optimize;
 pub mod pattern;
 pub mod regular;
 pub mod schedule;
@@ -63,7 +62,6 @@ pub mod prelude {
         lower_with, pattern_exchange_payload, run_schedule, LowerOptions,
     };
     pub use crate::irregular::{bs, crystal, crystal_route_payload, gs, ls, ps, IrregularAlg};
-    pub use crate::optimize::balance_crossings;
     pub use crate::pattern::{Pattern, Support};
     pub use crate::regular::{bex, bex_partner, lex, pex, rex, rex_partner, ExchangeAlg};
     pub use crate::schedule::{CommOp, Schedule, ScheduleError, Step};

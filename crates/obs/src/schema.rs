@@ -1,7 +1,7 @@
 //! Shared schema versioning and string escaping for every JSON artifact
 //! the workspace emits.
 //!
-//! All hand-rolled JSON emitters (`cm5 lint --json`, `cm5 bench --json`,
+//! All hand-rolled JSON emitters (`cm5 lint --json`, `report perf`,
 //! trace and metrics exports) stamp a `"schema"` field built here, so
 //! downstream tooling can detect format drift with one string comparison
 //! instead of sniffing fields, and quote every string through

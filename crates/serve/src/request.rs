@@ -25,7 +25,7 @@ use crate::json::Json;
 
 /// Upper bound on node counts a request may ask for. The simulator scales
 /// past this, but a *service* must bound per-request work: 16384 nodes is
-/// the largest machine the benches exercise.
+/// the largest machine the perf suite exercises.
 pub const MAX_NODES: usize = 16_384;
 
 /// One tenant inside a [`Query::Tenants`] request: `n` nodes running a

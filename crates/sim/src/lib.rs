@@ -91,4 +91,4 @@ pub use params::{FairnessModel, MachineParams, RateSolver, SendMode};
 pub use stats::{NodeReport, RateSample, SimPerf, SimReport, TraceEvent, TraceKind, TraceRing};
 pub use tenant::{run_tenants, Placement, TenantLayout, TenantReport, TenantSlice, TenantSpec};
 pub use time::{SimDuration, SimTime};
-pub use topology::{FatTree, Hypercube, LinkDir, LinkId, RouteRef, RouteTable, Topology};
+pub use topology::{FatTree, Hypercube, LinkDir, LinkId, Topology};

@@ -41,10 +41,10 @@
 //!
 //! # Cache-conscious flow store
 //!
-//! Large machines (the 4K–16K-node scaling cells) made two seed-era
-//! choices untenable: the memoized all-pairs `RouteTable` is O(N²·route)
-//! memory — ~30 GB at 16 384 nodes — and `Vec<Option<Flow>>` scatters the
-//! per-round fill state across heap allocations. The store here is a
+//! Large machines (the 4K–16K-node scaling cells) rule out two simpler
+//! choices: a memoized all-pairs route table is O(N²·route) memory — ~30 GB
+//! at 16 384 nodes — and `Vec<Option<Flow>>` scatters the per-round fill
+//! state across heap allocations. The store here is a
 //! struct-of-arrays slab (hot arrays: `remaining`/`rate`/`cap`/`route_len`;
 //! cold arrays for identity and accounting) plus one fixed-stride route
 //! arena: routes are computed arithmetically at admission (shift/divide on

@@ -78,11 +78,7 @@ pub fn simulate_packets(
         .into_iter()
         .map(|cap| SimDuration::from_rate(params.packet_wire as f64, cap))
         .collect();
-    let route_table = crate::topology::RouteTable::shared(topo);
-    let routes: Vec<&[usize]> = messages
-        .iter()
-        .map(|m| route_table.route(m.src, m.dst))
-        .collect();
+    let routes: Vec<Vec<usize>> = messages.iter().map(|m| topo.route(m.src, m.dst)).collect();
     // Injection: the sender's software layer emits packets no faster than
     // the flow cap.
     let inject_gap = SimDuration::from_rate(params.packet_wire as f64, params.flow_cap());

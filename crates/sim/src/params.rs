@@ -13,8 +13,10 @@
 //!   (the paper's experiments predate their general availability), so a few
 //!   scalar MFLOPS and a memory-copy rate in the tens of MB/s.
 //!
-//! Everything is overridable so the benches can run the ablations DESIGN.md
-//! calls out (eager vs rendezvous sends, fairness model, tree thinning).
+//! Everything is overridable so the ablation tests in
+//! `tests/integration_exchange.rs` and `report beyond` can run the ablations
+//! DESIGN.md calls out (eager vs rendezvous sends, fairness model, tree
+//! thinning).
 
 use crate::time::SimDuration;
 
@@ -163,7 +165,7 @@ impl MachineParams {
     }
 
     /// The paper's §3.1 hypothetical as a whole-machine mode: buffered
-    /// (eager) sends instead of rendezvous. Used by the ablation benches.
+    /// (eager) sends instead of rendezvous (`cm5 --machine buffered`).
     pub fn cm5_1992_buffered() -> MachineParams {
         MachineParams {
             send_mode: SendMode::Eager,

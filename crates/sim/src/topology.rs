@@ -13,10 +13,6 @@
 //! when many flows share a link; the flow engine in [`crate::network`]
 //! divides link capacity among them.
 
-use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
-
 use crate::params::MachineParams;
 
 /// Fat-tree arity (the CM-5 is 4-ary).
@@ -417,153 +413,6 @@ impl Topology {
             Topology::Hypercube(h) => (a ^ b) & (h.nodes() >> 1) != 0,
         }
     }
-
-    /// Structural identity of this topology, used as the route-cache key.
-    /// Two topologies with the same shape have identical routes and levels.
-    fn shape_key(&self) -> ShapeKey {
-        match self {
-            Topology::FatTree(t) => ShapeKey::FatTree(t.nodes()),
-            Topology::Hypercube(h) => ShapeKey::Hypercube(h.nodes()),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ShapeKey {
-    FatTree(usize),
-    Hypercube(usize),
-}
-
-/// Precomputed all-pairs routing and link levels for one topology shape.
-///
-/// Routing a fat-tree message walks the tree computing LCAs and link
-/// indices; done per `add_flow` that dominated the hot path of large
-/// sweeps. A `RouteTable` computes every `src → dst` route once into one
-/// CSR arena (`offsets` into a shared `links` array) plus a per-link level
-/// lookup, and is memoized globally per topology *shape* — every
-/// [`crate::network::Network`] on a 32-node fat tree shares one table, so
-/// repeated simulation runs at the same machine size pay for routing
-/// exactly once per process. The table is immutable after construction
-/// (`Send + Sync`), which is what lets sweep workers share it freely.
-#[derive(Debug)]
-pub struct RouteTable {
-    n: usize,
-    /// CSR offsets: route of `src → dst` is `links[offsets[src*n+dst]..offsets[src*n+dst+1]]`.
-    offsets: Vec<u32>,
-    /// Concatenated link indices of every route, row-major by (src, dst).
-    links: Vec<usize>,
-    /// Aggregation level of each link index (fat-tree level / hypercube dim).
-    levels: Vec<u16>,
-    num_levels: usize,
-}
-
-/// Global shape-keyed memo of route tables.
-static ROUTE_CACHE: OnceLock<Mutex<HashMap<ShapeKey, Arc<RouteTable>>>> = OnceLock::new();
-
-impl RouteTable {
-    /// Compute the table for `topo` from scratch (use [`RouteTable::shared`]
-    /// to hit the process-wide cache instead).
-    pub fn build(topo: &Topology) -> RouteTable {
-        let n = topo.nodes();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut links = Vec::new();
-        offsets.push(0u32);
-        for src in 0..n {
-            for dst in 0..n {
-                if src != dst {
-                    links.extend(topo.route(src, dst));
-                }
-                offsets.push(links.len() as u32);
-            }
-        }
-        let levels = (0..topo.link_count())
-            .map(|i| topo.link_level(i) as u16)
-            .collect();
-        RouteTable {
-            n,
-            offsets,
-            links,
-            levels,
-            num_levels: topo.num_levels(),
-        }
-    }
-
-    /// The memoized table for `topo`'s shape, building it on first use.
-    pub fn shared(topo: &Topology) -> Arc<RouteTable> {
-        let cache = ROUTE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let key = topo.shape_key();
-        let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry(key)
-                .or_insert_with(|| Arc::new(RouteTable::build(topo))),
-        )
-    }
-
-    /// Number of nodes the table covers.
-    #[inline]
-    pub fn nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Number of link indices the table covers.
-    #[inline]
-    pub fn link_count(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Number of aggregation levels.
-    #[inline]
-    pub fn num_levels(&self) -> usize {
-        self.num_levels
-    }
-
-    /// Aggregation level of link `idx` (precomputed
-    /// [`Topology::link_level`]).
-    #[inline]
-    pub fn link_level(&self, idx: usize) -> usize {
-        self.levels[idx] as usize
-    }
-
-    /// The cached route `src → dst` (empty iff `src == dst`).
-    #[inline]
-    pub fn route(&self, src: usize, dst: usize) -> &[usize] {
-        let cell = src * self.n + dst;
-        &self.links[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
-    }
-
-    /// A cheaply clonable handle to the cached route `src → dst`, for
-    /// storing on long-lived objects (flows) without copying the links.
-    pub fn route_ref(self: &Arc<Self>, src: usize, dst: usize) -> RouteRef {
-        let cell = src * self.n + dst;
-        RouteRef {
-            start: self.offsets[cell],
-            end: self.offsets[cell + 1],
-            table: Arc::clone(self),
-        }
-    }
-}
-
-/// A shared, immutable view of one route in a [`RouteTable`].
-/// Dereferences to the slice of link indices.
-#[derive(Clone)]
-pub struct RouteRef {
-    table: Arc<RouteTable>,
-    start: u32,
-    end: u32,
-}
-
-impl Deref for RouteRef {
-    type Target = [usize];
-    #[inline]
-    fn deref(&self) -> &[usize] {
-        &self.table.links[self.start as usize..self.end as usize]
-    }
-}
-
-impl std::fmt::Debug for RouteRef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RouteRef({:?})", &**self)
-    }
 }
 
 #[cfg(test)]
@@ -719,44 +568,6 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn hypercube_rejects_non_power_of_two() {
         Hypercube::new(6);
-    }
-
-    #[test]
-    fn route_table_matches_direct_routing() {
-        for topo in [
-            Topology::FatTree(FatTree::new(32)),
-            Topology::FatTree(FatTree::new(8)),
-            Topology::Hypercube(Hypercube::new(16)),
-        ] {
-            let table = RouteTable::build(&topo);
-            let n = topo.nodes();
-            for src in 0..n {
-                for dst in 0..n {
-                    if src == dst {
-                        assert!(table.route(src, dst).is_empty());
-                    } else {
-                        assert_eq!(table.route(src, dst), &topo.route(src, dst)[..]);
-                    }
-                }
-            }
-            for idx in 0..topo.link_count() {
-                assert_eq!(table.link_level(idx), topo.link_level(idx));
-            }
-            assert_eq!(table.num_levels(), topo.num_levels());
-            assert_eq!(table.link_count(), topo.link_count());
-        }
-    }
-
-    #[test]
-    fn shared_table_is_memoized_per_shape() {
-        let a = RouteTable::shared(&Topology::FatTree(FatTree::new(16)));
-        let b = RouteTable::shared(&Topology::FatTree(FatTree::new(16)));
-        assert!(Arc::ptr_eq(&a, &b), "same shape must share one table");
-        let c = RouteTable::shared(&Topology::Hypercube(Hypercube::new(16)));
-        assert!(!Arc::ptr_eq(&a, &c), "different shapes must not share");
-        let r = a.route_ref(0, 5);
-        assert_eq!(&*r, a.route(0, 5));
-        assert_eq!(&*r.clone(), &*r);
     }
 
     /// `route_into` is the arena-writing twin of `route`; they must agree

@@ -368,8 +368,8 @@ impl Diagnostics {
 
     /// JSON rendering: `{"schema":"cm5-lint/1","diagnostics":[...],
     /// "errors":E,"warnings":W,"advice":A,"clean":bool}`. Hand-rolled (the
-    /// workspace is offline; no serde), matching the style of the bench
-    /// artifacts; the schema stamp comes from `cm5-obs` like every other
+    /// workspace is offline; no serde), matching the style of the perf
+    /// artifact; the schema stamp comes from `cm5-obs` like every other
     /// JSON emitter in the workspace.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");

@@ -4,12 +4,21 @@
 
 use bytes::Bytes;
 use cm5_core::prelude::*;
-use cm5_sim::{MachineParams, SendMode, SimDuration, Simulation};
+use cm5_sim::{FairnessModel, MachineParams, SendMode, SimDuration, Simulation};
 
 fn run_exchange(alg: ExchangeAlg, n: usize, bytes: u64) -> SimDuration {
-    run_schedule(&alg.schedule(n, bytes), &MachineParams::cm5_1992())
+    run_exchange_on(alg, n, bytes, &MachineParams::cm5_1992())
+}
+
+fn run_exchange_on(alg: ExchangeAlg, n: usize, bytes: u64, params: &MachineParams) -> SimDuration {
+    run_schedule(&alg.schedule(n, bytes), params)
         .unwrap_or_else(|e| panic!("{} n={n} b={bytes}: {e}", alg.name()))
         .makespan
+}
+
+/// A makespan as the paper's tables print it: milliseconds, three decimals.
+fn ms(t: SimDuration) -> String {
+    format!("{:.3}", t.as_millis_f64())
 }
 
 #[test]
@@ -125,6 +134,65 @@ fn eager_sends_rescue_lex() {
         rendezvous.makespan,
         eager.makespan
     );
+}
+
+/// Tree thinning is what BEX exploits. On the CM-5's thinned tree BEX
+/// beats PEX at 1920 B; with every level as fast as a node's own 20 MB/s
+/// link, root crossings cost nothing extra and the two tie exactly.
+#[test]
+fn bex_edge_needs_a_thinned_tree() {
+    let (n, bytes) = (32, 1920);
+    let thinned = MachineParams::cm5_1992();
+    let pex = run_exchange_on(ExchangeAlg::Pex, n, bytes, &thinned);
+    let bex = run_exchange_on(ExchangeAlg::Bex, n, bytes, &thinned);
+    assert_eq!((ms(bex), ms(pex)), ("23.417".into(), "25.196".into()));
+    let mut unthinned = MachineParams::cm5_1992();
+    unthinned.upper_bandwidth = 20e6;
+    unthinned.level1_bandwidth = 20e6;
+    let pex = run_exchange_on(ExchangeAlg::Pex, n, bytes, &unthinned);
+    let bex = run_exchange_on(ExchangeAlg::Bex, n, bytes, &unthinned);
+    assert_eq!(bex, pex, "unthinned tree: BEX {bex} vs PEX {pex}");
+    assert_eq!(ms(pex), "17.856");
+}
+
+/// The paper's loose synchronization: a barrier between PEX's steps makes
+/// every step wait for the slowest pair, which costs time even at 512 B.
+#[test]
+fn barrier_between_steps_slows_pex() {
+    let (n, bytes) = (32, 512);
+    let run = |barrier_between_steps| {
+        let programs = lower_with(
+            &pex(n, bytes),
+            &LowerOptions {
+                barrier_between_steps,
+                ..Default::default()
+            },
+        );
+        Simulation::new(n, MachineParams::cm5_1992())
+            .run_ops(&programs)
+            .unwrap()
+            .makespan
+    };
+    assert_eq!(
+        (ms(run(false)), ms(run(true))),
+        ("8.652".into(), "9.147".into())
+    );
+}
+
+/// Every PEX step is an XOR permutation, so all its flows see the same link
+/// loads and none is bottlenecked elsewhere: max-min has no spare capacity
+/// to hand out, and equal-share splits every link the same way. The
+/// fairness model does not move PEX's makespan.
+#[test]
+fn fairness_model_does_not_move_pex() {
+    let run = |fairness| {
+        let mut params = MachineParams::cm5_1992();
+        params.fairness = fairness;
+        run_exchange_on(ExchangeAlg::Pex, 32, 1920, &params)
+    };
+    let max_min = run(FairnessModel::MaxMin);
+    assert_eq!(max_min, run(FairnessModel::EqualShare));
+    assert_eq!(ms(max_min), "25.196");
 }
 
 /// The architectural heart of the paper, run as a counterfactual: on the
