@@ -16,6 +16,7 @@
 use std::time::Instant;
 
 use cm5_core::prelude::*;
+use cm5_obs::Json;
 use cm5_sim::{MachineParams, Op, OpProgram, RateSolver, SimReport, Simulation};
 use cm5_workloads::synthetic::synthetic_pattern_exact;
 
@@ -261,46 +262,35 @@ pub fn run_perf_suite(reps: u32) -> Vec<PerfMeasurement> {
     ms
 }
 
-/// Serialise measurements as the `BENCH_sim.json` artifact (hand-rolled —
-/// the build is offline and the schema is flat).
+/// Serialise measurements as the `BENCH_sim.json` artifact, one grid cell
+/// per line.
 pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
     // Skipped oracle passes serialise as `null`, not a fake `0.00`.
-    let opt = |v: Option<f64>, digits: usize| match v {
-        Some(v) => format!("{v:.digits$}"),
-        None => "null".to_string(),
-    };
-    let mut out = format!(
-        "{{\n  \"{}\": \"{}\",\n",
-        cm5_obs::SCHEMA_KEY,
-        cm5_obs::schema_id("bench-sim-perf", 4)
-    );
-    out.push_str(&format!("  \"quick\": {quick},\n  \"grids\": [\n"));
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"nodes\": {}, \"solver\": \"incremental\", \
-             \"reps\": {}, \
-             \"wall_secs\": {:.6}, \"events\": {}, \"events_per_sec\": {:.1}, \
-             \"cells_per_sec\": {:.3}, \"recomputes\": {}, \"flows\": {}, \
-             \"flows_peak\": {}, \"oracle_wall_secs\": {}, \
-             \"speedup_vs_oracle\": {}, \"makespan_ms\": {:.4}}}{}\n",
-            m.name,
-            m.n,
-            m.reps,
-            m.wall_secs,
-            m.events,
-            m.events_per_sec,
-            m.cells_per_sec,
-            m.recomputes,
-            m.flows,
-            m.flows_peak,
-            opt(m.oracle_wall_secs, 6),
-            opt(m.speedup_vs_oracle, 2),
-            m.makespan_ms,
-            if i + 1 < measurements.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let opt = |v: Option<f64>, places| v.map_or(Json::Null, |v| Json::rounded(v, places));
+    let cells = measurements.iter().map(|m| {
+        Json::obj([
+            ("name", m.name.as_str().into()),
+            ("nodes", m.n.into()),
+            ("solver", "incremental".into()),
+            ("reps", m.reps.into()),
+            ("wall_secs", Json::rounded(m.wall_secs, 6)),
+            ("events", m.events.into()),
+            ("events_per_sec", Json::rounded(m.events_per_sec, 1)),
+            ("cells_per_sec", Json::rounded(m.cells_per_sec, 3)),
+            ("recomputes", m.recomputes.into()),
+            ("flows", m.flows.into()),
+            ("flows_peak", m.flows_peak.into()),
+            ("oracle_wall_secs", opt(m.oracle_wall_secs, 6)),
+            ("speedup_vs_oracle", opt(m.speedup_vs_oracle, 2)),
+            ("makespan_ms", Json::rounded(m.makespan_ms, 4)),
+        ])
+    });
+    Json::obj([
+        ("schema", Json::str(cm5_obs::schema_id("bench-sim-perf", 4))),
+        ("quick", quick.into()),
+        ("grids", Json::Arr(cells.collect())),
+    ])
+    .render_doc()
 }
 
 /// Parse a perf baseline file: `name  min_events_per_sec` pairs, `#`
@@ -336,11 +326,20 @@ mod tests {
             assert!(m.makespan_ms > 0.0, "{}", m.name);
             assert!(m.oracle_wall_secs.is_some(), "{}", m.name);
         }
-        let json = to_json(&ms, true);
-        assert!(json.contains("\"schema\": \"cm5-bench-sim-perf/4\""));
-        assert!(json.contains("\"rex_128\""));
-        assert!(json.contains("\"solver\": \"incremental\""));
-        assert_eq!(json.matches("\"name\"").count(), 5);
+        let json = Json::parse(&to_json(&ms, true)).unwrap();
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("cm5-bench-sim-perf/4")
+        );
+        let cells = json.get("grids").and_then(Json::as_arr).unwrap();
+        assert_eq!(cells.len(), 5);
+        let field = |c: &Json, k: &str| c.get(k).and_then(Json::as_str).map(str::to_string);
+        assert!(cells
+            .iter()
+            .any(|c| field(c, "name").as_deref() == Some("rex_128")));
+        assert!(cells
+            .iter()
+            .all(|c| field(c, "solver").as_deref() == Some("incremental")));
     }
 
     #[test]
@@ -358,9 +357,10 @@ mod tests {
         assert_eq!(ms[0].speedup_vs_oracle, None);
         assert!(ms[0].events > 0);
         // No oracle must read as null downstream, never "0× speedup".
-        let json = to_json(&ms, true);
-        assert!(json.contains("\"oracle_wall_secs\": null"), "{json}");
-        assert!(json.contains("\"speedup_vs_oracle\": null"), "{json}");
+        let json = Json::parse(&to_json(&ms, true)).unwrap();
+        let cell = &json.get("grids").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(cell.get("oracle_wall_secs"), Some(&Json::Null));
+        assert_eq!(cell.get("speedup_vs_oracle"), Some(&Json::Null));
     }
 
     #[test]

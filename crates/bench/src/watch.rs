@@ -16,10 +16,10 @@
 //!
 //! Wall-clock quarantine: the verdict JSON contains the measured
 //! throughputs, so the *document* varies run to run — it is a timing
-//! artifact like `cm5-serve-timing/1`, never diffed bytewise in CI. Only
-//! the boolean verdict gates.
+//! artifact like the live metrics snapshot, never diffed bytewise in CI.
+//! Only the boolean verdict gates.
 
-use cm5_serve::Json;
+use cm5_obs::Json;
 
 use crate::perf::parse_baseline;
 
@@ -115,34 +115,25 @@ pub fn watch(bench_text: &str, baseline_text: &str) -> Result<WatchVerdict, Stri
     })
 }
 
-/// Render a verdict as the `cm5-watch/1` JSON document.
+/// Render a verdict as the `cm5-watch/1` JSON document, one check per
+/// line. A floor of 0 makes `ratio` unbounded, which renders as `null`.
 pub fn verdict_json(v: &WatchVerdict) -> String {
-    let mut out = format!(
-        "{{\n  {},\n  \"pass\": {},\n  \"checks\": [\n",
-        cm5_obs::schema_field("watch", 1),
-        v.pass
-    );
-    for (i, c) in v.checks.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": {}, \"events_per_sec\": {:.1}, \"floor\": {:.1}, \
-             \"ratio\": {:.3}, \"pass\": {}}}{}\n",
-            cm5_obs::json_str(&c.name),
-            c.events_per_sec,
-            c.floor,
-            c.ratio,
-            c.pass,
-            if i + 1 < v.checks.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"missing\": [");
-    for (i, name) in v.missing.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        cm5_obs::push_json_str(&mut out, name);
-    }
-    out.push_str("]\n}\n");
-    out
+    let checks = v.checks.iter().map(|c| {
+        Json::obj([
+            ("name", c.name.as_str().into()),
+            ("events_per_sec", Json::rounded(c.events_per_sec, 1)),
+            ("floor", Json::rounded(c.floor, 1)),
+            ("ratio", Json::rounded(c.ratio, 3)),
+            ("pass", c.pass.into()),
+        ])
+    });
+    Json::obj([
+        ("schema", Json::str(cm5_obs::schema_id("watch", 1))),
+        ("pass", v.pass.into()),
+        ("checks", Json::Arr(checks.collect())),
+        ("missing", Json::arr(v.missing.iter().map(String::as_str))),
+    ])
+    .render_doc()
 }
 
 /// Human-readable one-line-per-check summary for terminal runs.
@@ -172,20 +163,25 @@ mod tests {
     use super::*;
 
     fn bench_doc(cells: &[(&str, f64)]) -> String {
-        let grids = cells
-            .iter()
-            .map(|(name, eps)| {
-                format!(
-                    "    {{\"name\": \"{name}\", \"events_per_sec\": {eps:.1}, \
-                     \"oracle_wall_secs\": null, \"speedup_vs_oracle\": null}}"
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"schema\": \"cm5-bench-sim-perf/4\",\n  \"quick\": true,\n  \
-             \"grids\": [\n{grids}\n  ]\n}}\n"
-        )
+        let grids = cells.iter().map(|&(name, eps)| {
+            Json::obj([
+                ("name", name.into()),
+                ("events_per_sec", eps.into()),
+                ("oracle_wall_secs", Json::Null),
+                ("speedup_vs_oracle", Json::Null),
+            ])
+        });
+        Json::obj([
+            ("schema", "cm5-bench-sim-perf/4".into()),
+            ("quick", true.into()),
+            ("grids", Json::Arr(grids.collect())),
+        ])
+        .render_doc()
+    }
+
+    /// The verdict document, parsed back.
+    fn verdict_doc(v: &WatchVerdict) -> Json {
+        Json::parse(&verdict_json(v)).expect("the verdict parses")
     }
 
     #[test]
@@ -196,9 +192,12 @@ mod tests {
         assert_eq!(v.checks.len(), 2);
         assert!(v.missing.is_empty());
         assert!(v.checks.iter().all(|c| c.ratio > 1.0));
-        let json = verdict_json(&v);
-        assert!(json.contains("\"schema\":\"cm5-watch/1\""), "{json}");
-        assert!(json.contains("\"pass\": true"), "{json}");
+        let json = verdict_doc(&v);
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("cm5-watch/1")
+        );
+        assert_eq!(json.get("pass").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
@@ -211,7 +210,11 @@ mod tests {
         assert_eq!(failed.len(), 1);
         assert_eq!(failed[0].name, "rex_64");
         assert!((failed[0].ratio - 0.5).abs() < 1e-9);
-        assert!(verdict_json(&v).contains("\"pass\": false"));
+        let json = verdict_doc(&v);
+        assert_eq!(json.get("pass").and_then(Json::as_bool), Some(false));
+        let checks = json.get("checks").and_then(Json::as_arr).unwrap();
+        assert_eq!(checks[0].get("pass").and_then(Json::as_bool), Some(false));
+        assert_eq!(checks[0].get("ratio").and_then(Json::as_f64), Some(0.5));
     }
 
     #[test]
@@ -221,7 +224,8 @@ mod tests {
         let v = watch(&bench, "rex_64 1750000\nserve_replay 150\n").unwrap();
         assert!(!v.pass);
         assert_eq!(v.missing, vec!["serve_replay".to_string()]);
-        assert!(verdict_json(&v).contains("\"missing\": [\"serve_replay\"]"));
+        let missing = verdict_doc(&v).get("missing").cloned();
+        assert_eq!(missing, Some(Json::arr(["serve_replay"])));
     }
 
     #[test]
@@ -229,17 +233,27 @@ mod tests {
         // Baseline names come from a file: quotes and backslashes in them
         // must still yield a verdict document that parses.
         let (found, lost) = (r#"rex"64\x"#, r#"gone\"cell"#);
-        let bench = format!(
-            "{{\"schema\": \"cm5-bench-sim-perf/4\", \"grids\": \
-             [{{\"name\": {}, \"events_per_sec\": 10.0}}]}}",
-            cm5_obs::json_str(found)
-        );
+        let bench = bench_doc(&[(found, 10.0)]);
         let v = watch(&bench, &format!("{found} 5\n{lost} 1\n")).unwrap();
-        let doc = Json::parse(&verdict_json(&v)).unwrap();
+        let doc = verdict_doc(&v);
         let checks = doc.get("checks").and_then(Json::as_arr).unwrap();
         assert_eq!(checks[0].get("name").and_then(Json::as_str), Some(found));
         let missing = doc.get("missing").and_then(Json::as_arr).unwrap();
         assert_eq!(missing[0].as_str(), Some(lost));
+    }
+
+    #[test]
+    fn a_zero_floor_still_renders_valid_json() {
+        // A floor of 0 makes the ratio infinite; the verdict must still
+        // be JSON (an unbounded ratio reads as null), and the cell passes.
+        let bench = bench_doc(&[("rex_64", 10.0)]);
+        let v = watch(&bench, "rex_64 0\n").unwrap();
+        assert!(v.pass);
+        assert_eq!(v.checks[0].ratio, f64::INFINITY);
+        let doc = verdict_doc(&v);
+        let check = &doc.get("checks").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(check.get("ratio"), Some(&Json::Null));
+        assert_eq!(check.get("floor").and_then(Json::as_f64), Some(0.0));
     }
 
     #[test]

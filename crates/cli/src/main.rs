@@ -13,6 +13,7 @@ use cm5_bench::args::{Args, Command};
 use cm5_core::irregular::crystal;
 use cm5_core::prelude::*;
 use cm5_model::prelude::*;
+use cm5_obs::Json;
 use cm5_sim::{FatTree, MachineParams, SimReport, Simulation};
 
 fn machine(args: &Args) -> Result<MachineParams, String> {
@@ -546,6 +547,32 @@ fn tenant_merged_schedule(
     merged
 }
 
+/// Verify every builtin target: `(target name, diagnostics)` in order.
+fn lint_all_reports(params: &MachineParams) -> Vec<(String, cm5_verify::Diagnostics)> {
+    let verify = |t: &LintTarget| {
+        let report = cm5_verify::verify_schedule(&t.schedule, t.pattern.as_ref(), &t.opts);
+        (t.name.clone(), report)
+    };
+    lint_all_targets(params).iter().map(verify).collect()
+}
+
+/// The `cm5-lint-all/1` document `cm5 lint --all --json` prints: each
+/// builtin target's `cm5-lint/1` report, then how many are dirty.
+fn lint_all_json(reports: &[(String, cm5_verify::Diagnostics)]) -> Json {
+    let rows = reports.iter().map(|(name, report)| {
+        Json::obj([
+            ("target", name.as_str().into()),
+            ("report", report.to_json()),
+        ])
+    });
+    let dirty = reports.iter().filter(|(_, r)| !r.is_clean()).count();
+    Json::obj([
+        ("schema", Json::str(cm5_obs::schema_id("lint-all", 1))),
+        ("targets", Json::Arr(rows.collect())),
+        ("dirty", dirty.into()),
+    ])
+}
+
 /// `cm5 lint` — statically verify a schedule (deadlock freedom, byte
 /// conservation, step shape, predicted contention) without simulating it.
 fn cmd_lint(args: &Args) -> Result<(), String> {
@@ -565,44 +592,24 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
                     .into(),
             );
         }
-        let targets = lint_all_targets(&params);
-        let mut dirty = 0usize;
-        let mut rows = Vec::new();
-        let mut reports = Vec::new();
-        for t in &targets {
-            let report = verify_schedule(&t.schedule, t.pattern.as_ref(), &t.opts);
-            let clean = report.is_clean();
-            if !clean {
-                dirty += 1;
-            }
-            if sarif {
-                reports.push((t.name.clone(), report));
-            } else if json {
-                rows.push(format!(
-                    "{{\"target\":{},\"report\":{}}}",
-                    cm5_obs::json_str(&t.name),
-                    report.render_json()
-                ));
-            } else {
-                println!(
-                    "{} {:<28} {}",
-                    if clean { "ok  " } else { "FAIL" },
-                    t.name,
-                    report.summary()
-                );
-                if !clean {
-                    print!("{}", report.render_human());
-                }
-            }
-        }
+        let reports = lint_all_reports(&params);
+        let dirty = reports.iter().filter(|(_, r)| !r.is_clean()).count();
         if sarif {
             let refs: Vec<(String, &cm5_verify::Diagnostics)> =
                 reports.iter().map(|(n, r)| (n.clone(), r)).collect();
             println!("{}", cm5_verify::render_sarif(&refs));
         } else if json {
-            println!("{{\"targets\":[{}],\"dirty\":{dirty}}}", rows.join(","));
+            println!("{}", lint_all_json(&reports).render());
         } else {
-            println!("{} targets, {} dirty", targets.len(), dirty);
+            for (name, report) in &reports {
+                let clean = report.is_clean();
+                let status = if clean { "ok  " } else { "FAIL" };
+                println!("{status} {name:<28} {}", report.summary());
+                if !clean {
+                    print!("{}", report.render_human());
+                }
+            }
+            println!("{} targets, {} dirty", reports.len(), dirty);
         }
         return if dirty == 0 {
             Ok(())
@@ -637,7 +644,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
             cm5_verify::render_sarif(&[(format!("{name} n={}", schedule.n()), &report)])
         );
     } else if json {
-        println!("{}", report.render_json());
+        println!("{}", report.to_json().render());
     } else {
         println!(
             "lint {name}: {} nodes, {} steps — {}",
@@ -651,7 +658,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
         let cert = cm5_verify::certify_schedule(&schedule, &opts.lower, &opts.params)
             .map_err(|e| e.to_string())?;
         if json {
-            println!("{}", cert.render_json());
+            println!("{}", cert.to_json().render());
         } else {
             println!(
                 "certify    : makespan in [{}, {}], tightness {:.2}",
@@ -688,7 +695,7 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
     let bounds = cm5_verify::occupancy_bounds(&meta.programs, &params);
 
     if json {
-        println!("{}", cert.render_json());
+        println!("{}", cert.to_json().render());
     } else {
         println!(
             "certify {}: {} nodes, {} steps, {} messages",
@@ -1000,18 +1007,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("could not write {lpath}: {e}"))?;
             println!("wrote {lpath} (live snapshot; wall-clock, not diffable)");
         }
-        if let Some(tpath) = args.get("timing-json") {
-            let extra = vec![
-                (
-                    "wall_secs".to_string(),
-                    cm5_serve::Json::num(result.wall_secs),
-                ),
-                ("qps".to_string(), cm5_serve::Json::num(result.qps())),
-            ];
-            std::fs::write(tpath, service.timing_json(&extra))
-                .map_err(|e| format!("could not write {tpath}: {e}"))?;
-            println!("wrote {tpath}");
-        }
         if let Some(bpath) = args.get("bench-json") {
             merge_serve_cell(bpath, &result, resolve_jobs(jobs))?;
             println!("merged serve_replay cell into {bpath}");
@@ -1100,16 +1095,12 @@ fn merge_serve_cell(
     result: &cm5_serve::ReplayResult,
     jobs: usize,
 ) -> Result<(), String> {
-    use cm5_serve::Json;
     let doc = match std::fs::read_to_string(path) {
         Ok(text) => Json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?,
-        Err(_) => Json::Obj(vec![
-            (
-                cm5_obs::SCHEMA_KEY.to_string(),
-                Json::str(cm5_obs::schema_id("bench-sim-perf", 4)),
-            ),
-            ("quick".to_string(), Json::Bool(false)),
-            ("grids".to_string(), Json::Arr(Vec::new())),
+        Err(_) => Json::obj([
+            ("schema", Json::str(cm5_obs::schema_id("bench-sim-perf", 4))),
+            ("quick", false.into()),
+            ("grids", Json::Arr(Vec::new())),
         ]),
     };
     let Json::Obj(mut fields) = doc else {
@@ -1123,17 +1114,17 @@ fn merge_serve_cell(
         return Err(format!("{path} grids is not an array"));
     };
     cells.retain(|c| c.get("name").and_then(Json::as_str) != Some("serve_replay"));
-    cells.push(Json::Obj(vec![
-        ("name".to_string(), Json::str("serve_replay")),
-        ("nodes".to_string(), Json::int(0)),
-        ("solver".to_string(), Json::str("service")),
-        ("reps".to_string(), Json::int(1)),
-        ("wall_secs".to_string(), Json::num(result.wall_secs)),
-        ("events".to_string(), Json::int(result.requests as u64)),
-        ("events_per_sec".to_string(), Json::num(result.qps())),
-        ("jobs".to_string(), Json::int(jobs as u64)),
+    cells.push(Json::obj([
+        ("name", "serve_replay".into()),
+        ("nodes", 0u64.into()),
+        ("solver", "service".into()),
+        ("reps", 1u64.into()),
+        ("wall_secs", result.wall_secs.into()),
+        ("events", result.requests.into()),
+        ("events_per_sec", result.qps().into()),
+        ("jobs", jobs.into()),
     ]));
-    std::fs::write(path, Json::Obj(fields).render()).map_err(|e| format!("write {path}: {e}"))
+    std::fs::write(path, Json::Obj(fields).render_doc()).map_err(|e| format!("write {path}: {e}"))
 }
 
 // The flag tables: parsing, validation, usage and `--help` all come from
@@ -1268,7 +1259,6 @@ mod table {
             Flag::value("shards", "N", "advisor cache shards (default 8)"),
             Flag::value("out", "PATH", "write the replay's responses"),
             Flag::value("metrics-json", "PATH", "write the deterministic metrics document"),
-            Flag::value("timing-json", "PATH", "write the wall-clock timing document"),
             Flag::value("bench-json", "PATH", "merge the serve_replay cell for `report watch`"),
             Flag::value("tcp", "ADDR", "also serve JSON-lines and GET /metrics on ADDR"),
             MACHINE, RATES,
@@ -1430,6 +1420,10 @@ mod tests {
                 "serve --replay trace.jsonl --baseline ci/perf_baseline.txt",
                 "--baseline",
             ),
+            (
+                "serve --replay trace.jsonl --timing-json timing.json",
+                "--timing-json",
+            ),
         ] {
             let err = dispatch(&argv(cmd)).unwrap_err();
             assert!(
@@ -1510,17 +1504,43 @@ mod tests {
         .unwrap();
         let responses = std::fs::read_to_string(&out).unwrap();
         assert_eq!(responses.lines().count(), 20);
-        assert!(responses.contains("\"ok\":true"));
-        let merged = std::fs::read_to_string(&bench).unwrap();
-        assert!(merged.contains("\"serve_replay\""));
-        assert!(merged.contains("cm5-bench-sim-perf/4"));
-        let spans = std::fs::read_to_string(&spans).unwrap();
-        assert!(spans.contains("cm5-serve-spans/1"), "{spans}");
-        assert_eq!(spans.matches("\"seq\"").count(), 20);
-        let chrome = std::fs::read_to_string(&chrome).unwrap();
-        assert!(chrome.contains("cm5-serve-trace/1"), "{chrome}");
-        let live = std::fs::read_to_string(&live).unwrap();
-        assert!(live.contains("\"uptime_secs\""), "{live}");
+        for line in responses.lines() {
+            let response = Json::parse(line).unwrap();
+            assert_eq!(
+                response.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{line}"
+            );
+        }
+        let read = |p: &std::path::Path| Json::parse(&std::fs::read_to_string(p).unwrap()).unwrap();
+        let schema = |doc: &Json| doc.get("schema").and_then(Json::as_str).map(str::to_string);
+        let merged_text = std::fs::read_to_string(&bench).unwrap();
+        let merged = Json::parse(&merged_text).unwrap();
+        assert_eq!(schema(&merged).as_deref(), Some("cm5-bench-sim-perf/4"));
+        let cells = merged.get("grids").and_then(Json::as_arr).unwrap();
+        assert_eq!(cells.len(), 1);
+        assert_eq!(
+            cells[0].get("name").and_then(Json::as_str),
+            Some("serve_replay")
+        );
+        assert_eq!(cells[0].get("events").and_then(Json::as_u64), Some(20));
+        // The merge writes the one document layout `report perf` writes.
+        assert_eq!(merged_text, merged.render_doc());
+        let spans = read(&spans);
+        assert_eq!(schema(&spans).as_deref(), Some("cm5-serve-spans/1"));
+        let seqs: Vec<u64> = spans
+            .get("queries")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|q| q.get("seq").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(seqs, (0..20).collect::<Vec<u64>>());
+        assert_eq!(schema(&read(&chrome)).as_deref(), Some("cm5-serve-trace/1"));
+        let live = read(&live);
+        assert_eq!(schema(&live).as_deref(), Some("cm5-metrics/1"));
+        let gauges = live.get("gauges").unwrap();
+        assert!(gauges.get("uptime_secs").and_then(Json::as_f64).is_some());
         // --slo-ms 0 trips the flight recorder on every query.
         assert_eq!(std::fs::read_dir(&flights).unwrap().count(), 20);
         std::fs::remove_dir_all(&dir).ok();
@@ -1655,9 +1675,16 @@ mod tests {
             "trace --alg pex --n 8 --bytes 256 --out {path_s}"
         )))
         .unwrap();
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"schema\":\"cm5-trace/1\""), "{json}");
-        assert!(json.contains("\"traceEvents\""), "{json}");
+        let json = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("cm5-trace/1")
+        );
+        assert!(!json
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .is_empty());
         std::fs::remove_file(&path).ok();
         assert!(dispatch(&argv("trace --alg zzz --n 8")).is_err());
         assert!(dispatch(&argv("trace --alg pex --n 8 --render")).is_err());
@@ -1673,9 +1700,33 @@ mod tests {
             Some(&Pattern::complete_exchange(8, 64)),
             &cm5_verify::exchange_policy(ExchangeAlg::Pex),
         );
-        assert!(report
-            .render_json()
-            .starts_with("{\"schema\":\"cm5-lint/1\","));
+        let text = report.to_json().render();
+        assert!(
+            text.starts_with("{\"schema\":"),
+            "the stamp comes first: {text}"
+        );
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cm5-lint/1"));
+    }
+
+    #[test]
+    fn lint_all_json_is_stamped_and_parses() {
+        let reports = lint_all_reports(&MachineParams::cm5_1992());
+        let doc = Json::parse(&lint_all_json(&reports).render()).unwrap();
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("cm5-lint-all/1")
+        );
+        let targets = doc.get("targets").and_then(Json::as_arr).unwrap();
+        assert_eq!(targets.len(), reports.len());
+        let first = &targets[0];
+        assert_eq!(
+            first.get("target").and_then(Json::as_str),
+            Some(reports[0].0.as_str())
+        );
+        let stamp = first.get("report").and_then(|r| r.get("schema"));
+        assert_eq!(stamp.and_then(Json::as_str), Some("cm5-lint/1"));
+        assert_eq!(doc.get("dirty").and_then(Json::as_u64), Some(0));
     }
 
     /// `Args::parse`: a whole `cm5` command line, parsed as `dispatch` does.

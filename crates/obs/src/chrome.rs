@@ -12,22 +12,75 @@
 //!   flow solver's piecewise-constant rate intervals.
 //!
 //! Output is deterministic: events are emitted in a fixed sort order and
-//! all floats use fixed-precision formatting, so the export is golden-test
-//! and byte-comparison friendly (`cmp` across `--jobs` settings).
+//! times are rounded to the nanosecond (utilization to 4 decimals), so the
+//! export is golden-test and byte-comparison friendly (`cmp` across
+//! `--jobs` settings).
 
 use cm5_sim::{MachineParams, SimReport, SimTime, Topology};
 
+use crate::json::Json;
 use crate::links::link_usage;
-use crate::schema::schema_field;
+use crate::schema::schema_id;
 use crate::span::SpanStore;
 
-/// Microseconds with fixed precision — Chrome's `ts`/`dur` unit.
-fn us(t: SimTime) -> String {
-    format!("{:.3}", t.as_micros_f64())
+/// Microseconds rounded to the nanosecond — Chrome's `ts`/`dur` unit.
+fn us(t: SimTime) -> Json {
+    Json::rounded(t.as_micros_f64(), 3)
 }
 
-fn dur_us(from: SimTime, to: SimTime) -> String {
-    format!("{:.3}", to.since(from).as_micros_f64())
+/// A slice of simulated time `[from, to)` on thread `tid` of process 0.
+fn sim_slice(
+    tid: usize,
+    from: SimTime,
+    to: SimTime,
+    name: impl Into<Json>,
+    args: Option<Json>,
+) -> Json {
+    let dur = Json::rounded(to.since(from).as_micros_f64(), 3);
+    slice(tid, us(from), dur, name, args)
+}
+
+/// A metadata event naming process `pid` (`what` = `process_name`) or
+/// its thread `tid` (`thread_name`) in Perfetto's track list.
+pub(crate) fn track_name(pid: u64, tid: usize, what: &str, name: &str) -> Json {
+    Json::obj([
+        ("ph", "M".into()),
+        ("pid", pid.into()),
+        ("tid", tid.into()),
+        ("name", what.into()),
+        ("args", Json::obj([("name", name.into())])),
+    ])
+}
+
+/// A complete (`"ph":"X"`) slice on thread `tid` of process 0.
+pub(crate) fn slice(
+    tid: usize,
+    ts: Json,
+    dur: Json,
+    name: impl Into<Json>,
+    args: Option<Json>,
+) -> Json {
+    let mut ev = vec![
+        ("ph", "X".into()),
+        ("pid", 0u64.into()),
+        ("tid", tid.into()),
+        ("ts", ts),
+        ("dur", dur),
+        ("name", name.into()),
+    ];
+    ev.extend(args.map(|a| ("args", a)));
+    Json::obj(ev)
+}
+
+/// The Trace Event Format envelope: the `artifact` schema stamp, the
+/// display unit and the events, one per line.
+pub(crate) fn trace_doc(artifact: &str, events: Vec<Json>) -> String {
+    Json::obj([
+        ("schema", Json::str(schema_id(artifact, 1))),
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Arr(events)),
+    ])
+    .render_doc()
 }
 
 /// Render one run as Chrome Trace Format JSON.
@@ -50,91 +103,59 @@ pub fn chrome_trace_from_spans(
 ) -> String {
     let n = report.nodes.len();
     let control_tid = n;
-    let mut ev: Vec<String> = Vec::new();
 
     // Track metadata: names render in Perfetto's track list.
-    ev.push("{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"nodes\"}}".into());
-    ev.push("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"network\"}}".into());
+    let mut ev = vec![
+        track_name(0, 0, "process_name", "nodes"),
+        track_name(1, 0, "process_name", "network"),
+    ];
     for node in 0..n {
-        ev.push(format!(
-            "{{\"ph\":\"M\",\"pid\":0,\"tid\":{node},\"name\":\"thread_name\",\"args\":{{\"name\":\"node {node}\"}}}}"
-        ));
+        ev.push(track_name(0, node, "thread_name", &format!("node {node}")));
     }
-    ev.push(format!(
-        "{{\"ph\":\"M\",\"pid\":0,\"tid\":{control_tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"control\"}}}}"
-    ));
+    ev.push(track_name(0, control_tid, "thread_name", "control"));
 
     // Blocked spans first (per node, chronological) so message transfers
     // nest inside them visually.
     let mut blocked = store.blocked.clone();
     blocked.sort_by_key(|b| (b.node, b.from, b.to));
     for b in &blocked {
-        ev.push(format!(
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"blocked\"}}",
-            b.node,
-            us(b.from),
-            dur_us(b.from, b.to)
-        ));
+        ev.push(sim_slice(b.node, b.from, b.to, "blocked", None));
     }
 
     // Message spans on the sender's track.
     let mut messages = store.messages.clone();
     messages.sort_by_key(|m| (m.src, m.from, m.to, m.dst, m.tag));
     for m in &messages {
-        ev.push(format!(
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"msg {}->{}\",\"args\":{{\"bytes\":{},\"tag\":{}}}}}",
-            m.src,
-            us(m.from),
-            dur_us(m.from, m.to),
-            m.src,
-            m.dst,
-            m.bytes,
-            m.tag
-        ));
+        let name = format!("msg {}->{}", m.src, m.dst);
+        let args = Json::obj([("bytes", m.bytes.into()), ("tag", m.tag.into())]);
+        ev.push(sim_slice(m.src, m.from, m.to, name, Some(args)));
     }
 
     // Schedule-step envelopes on the control track, then collectives.
     for s in &store.steps {
-        ev.push(format!(
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{control_tid},\"ts\":{},\"dur\":{},\"name\":\"step {}\",\"args\":{{\"messages\":{}}}}}",
-            us(s.from),
-            dur_us(s.from, s.to),
-            s.tag,
-            s.messages
-        ));
+        let name = format!("step {}", s.tag);
+        let args = Json::obj([("messages", s.messages.into())]);
+        ev.push(sim_slice(control_tid, s.from, s.to, name, Some(args)));
     }
     for c in &store.collectives {
-        ev.push(format!(
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{control_tid},\"ts\":{},\"dur\":{},\"name\":\"{}\"}}",
-            us(c.from),
-            dur_us(c.from, c.to),
-            c.what
-        ));
+        ev.push(sim_slice(control_tid, c.from, c.to, c.what, None));
     }
 
     // Per-level utilization counters from the solver's rate samples.
     let usage = link_usage(&report.rate_samples, topo, params);
     for lvl in &usage.levels {
         for &(t, util) in &lvl.series {
-            ev.push(format!(
-                "{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":\"level {} util\",\"args\":{{\"util\":{:.4}}}}}",
-                us(t),
-                lvl.level,
-                util
-            ));
+            ev.push(Json::obj([
+                ("ph", "C".into()),
+                ("pid", 1u64.into()),
+                ("tid", 0u64.into()),
+                ("ts", us(t)),
+                ("name", format!("level {} util", lvl.level).into()),
+                ("args", Json::obj([("util", Json::rounded(util, 4))])),
+            ]));
         }
     }
-
-    let mut out = String::from("{\n  ");
-    out.push_str(&schema_field("trace", 1));
-    out.push_str(",\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");
-    for (i, e) in ev.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(e);
-        out.push_str(if i + 1 < ev.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    trace_doc("trace", ev)
 }
 
 #[cfg(test)]
@@ -166,12 +187,21 @@ mod tests {
         let a = chrome_trace(&run(), &topo, &params);
         let b = chrome_trace(&run(), &topo, &params);
         assert_eq!(a, b, "export must be byte-identical across reruns");
-        assert!(a.contains("\"schema\":\"cm5-trace/1\""));
-        assert!(a.contains("\"name\":\"msg 1->0\""));
-        assert!(a.contains("\"name\":\"blocked\""));
-        assert!(a.contains("level 0 util"));
-        // Well-formed JSON envelope (no trailing comma before the close).
-        assert!(a.trim_end().ends_with("]\n}"));
-        assert!(!a.contains(",\n  ]"));
+        let doc = Json::parse(&a).expect("the export parses");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("cm5-trace/1")
+        );
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let names: Vec<&str> = events
+            .iter()
+            .filter_map(|e| e.get("name").and_then(Json::as_str))
+            .collect();
+        assert!(names.contains(&"msg 1->0"));
+        assert!(names.contains(&"blocked"));
+        assert!(names.contains(&"level 0 util"));
+        // One event per line, and the document ends in a newline.
+        assert_eq!(a.lines().count(), events.len() + 6);
+        assert!(a.ends_with("  ]\n}\n"));
     }
 }

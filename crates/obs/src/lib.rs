@@ -20,8 +20,10 @@
 //!   `cm5-serve`, canonical + Chrome-trace exports, and the flight
 //!   recorder;
 //! * [`timeline`] — terminal Gantt charts and utilization sparklines;
-//! * [`schema`] — the shared `"schema"` version stamp and string escaper
-//!   used by every JSON artifact in the workspace.
+//! * [`json`] — the workspace's one JSON codec ([`Json`]): every artifact
+//!   and the service protocol are built as values and rendered here;
+//! * [`schema`] — the shared `"schema"` version stamp every JSON artifact
+//!   in the workspace carries.
 //!
 //! Everything here is a pure function of the report: observability never
 //! alters simulated results (`tests/determinism.rs` pins tracing on/off
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod json;
 pub mod links;
 pub mod metrics;
 pub mod prom;
@@ -40,10 +43,11 @@ pub mod svc;
 pub mod timeline;
 
 pub use chrome::{chrome_trace, chrome_trace_from_spans};
+pub use json::Json;
 pub use links::{link_usage, LevelUtilization, LinkPeak, LinkUsage};
 pub use metrics::{Histogram, Metrics, HISTOGRAM_BUCKETS};
 pub use prom::{lint_prometheus, prometheus_text};
-pub use schema::{json_str, push_json_str, schema_field, schema_id, SCHEMA_KEY};
+pub use schema::{schema_id, SCHEMA_KEY};
 pub use span::{BlockedSpan, CollectiveSpan, MessageSpan, SpanStore, StepSpan};
 pub use svc::{
     flight_json, spans_chrome_trace, spans_json, FlightRecorder, PhaseKind, PhaseSpan, QueryCtx,

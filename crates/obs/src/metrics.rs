@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 
 use cm5_sim::SimReport;
 
-use crate::schema::schema_field;
+use crate::json::Json;
+use crate::schema::schema_id;
 use crate::span::SpanStore;
 
 /// Number of log₂ buckets: values are u64 nanoseconds, so 64 bit positions
@@ -148,47 +149,34 @@ impl Metrics {
     /// Histograms serialize sparsely: only non-empty buckets, as
     /// `[bucket, count]` pairs.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  ");
-        out.push_str(&schema_field("metrics", 1));
-        out.push_str(",\n  \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{k}\": {v}"));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        first = true;
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{k}\": {v:.6}"));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        first = true;
-        for (k, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{k}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [",
-                h.count, h.sum, h.max
-            ));
-            for (i, (bucket, count)) in h.nonzero().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{bucket}, {count}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        let hist = |h: &Histogram| {
+            let buckets = h.nonzero().into_iter();
+            Json::obj([
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("max", h.max.into()),
+                (
+                    "buckets",
+                    Json::Arr(buckets.map(|(b, c)| Json::arr([b as u64, c])).collect()),
+                ),
+            ])
+        };
+        Json::obj([
+            ("schema", Json::str(schema_id("metrics", 1))),
+            (
+                "counters",
+                Json::obj(self.counters.iter().map(|(&k, &v)| (k, v.into()))),
+            ),
+            (
+                "gauges",
+                Json::obj(self.gauges.iter().map(|(&k, &v)| (k, Json::rounded(v, 6)))),
+            ),
+            (
+                "histograms",
+                Json::obj(self.histograms.iter().map(|(&k, h)| (k, hist(h)))),
+            ),
+        ])
+        .render_doc()
     }
 }
 
@@ -254,9 +242,19 @@ mod tests {
         assert_eq!(m.histograms["message_latency_ns"].count, 3);
         assert!(m.histograms["blocked_time_ns"].count > 0);
 
-        let json = m.to_json();
-        assert!(json.contains("\"schema\":\"cm5-metrics/1\""));
-        assert!(json.contains("\"messages\": 3"));
-        assert!(json.contains("\"message_latency_ns\""));
+        let json = Json::parse(&m.to_json()).unwrap();
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("cm5-metrics/1")
+        );
+        let counters = json.get("counters").unwrap();
+        assert_eq!(counters.get("messages").and_then(Json::as_u64), Some(3));
+        let latency = json
+            .get("histograms")
+            .and_then(|h| h.get("message_latency_ns"));
+        assert_eq!(
+            latency.and_then(|h| h.get("count")).and_then(Json::as_u64),
+            Some(3)
+        );
     }
 }

@@ -26,7 +26,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::schema::{json_str, schema_field};
+use crate::chrome::{slice, trace_doc, track_name};
+use crate::json::Json;
+use crate::schema::schema_id;
 
 /// Typed phases of one service query, in lifecycle order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,35 +193,25 @@ fn canonical_phase_name(p: &PhaseSpan, seen: &mut HashSet<String>) -> String {
     }
 }
 
-/// Render one query (its phases resolved against `seen`) as a single JSON
-/// object line — shared by [`spans_json`] and the flight-recorder dump.
-fn query_json(span: &QuerySpan, seen: &mut HashSet<String>) -> String {
-    let mut out = format!(
-        "{{\"seq\": {}, \"id\": {}, \"kind\": {}, \"ok\": {}",
-        span.seq,
-        span.id,
-        json_str(&span.kind),
-        span.ok
-    );
-    if let Some(e) = &span.error {
-        out.push_str(&format!(", \"error\": {}", json_str(e)));
-    }
-    out.push_str(", \"phases\": [");
-    for (i, p) in span.phases.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"phase\": \"{}\"",
-            canonical_phase_name(p, seen)
-        ));
+/// One query (its phases resolved against `seen`) as a single JSON object
+/// — shared by [`spans_json`] and the flight-recorder dump.
+fn query_json(span: &QuerySpan, seen: &mut HashSet<String>) -> Json {
+    let mut members = vec![
+        ("seq", span.seq.into()),
+        ("id", span.id.into()),
+        ("kind", span.kind.as_str().into()),
+        ("ok", span.ok.into()),
+    ];
+    members.extend(span.error.as_deref().map(|e| ("error", e.into())));
+    let phases = span.phases.iter().map(|p| {
+        let mut phase = vec![("phase", canonical_phase_name(p, seen).into())];
         if !p.detail.is_empty() {
-            out.push_str(&format!(", \"detail\": {}", json_str(&p.detail)));
+            phase.push(("detail", p.detail.as_str().into()));
         }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+        Json::obj(phase)
+    });
+    members.push(("phases", Json::Arr(phases.collect())));
+    Json::obj(members)
 }
 
 /// Render spans as the canonical `cm5-serve-spans/1` document.
@@ -233,16 +225,12 @@ pub fn spans_json(spans: &[QuerySpan]) -> String {
     let mut order: Vec<&QuerySpan> = spans.iter().collect();
     order.sort_by_key(|s| s.seq);
     let mut seen: HashSet<String> = HashSet::new();
-    let mut out = String::from("{\n  ");
-    out.push_str(&schema_field("serve-spans", 1));
-    out.push_str(",\n  \"queries\": [\n");
-    for (i, span) in order.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&query_json(span, &mut seen));
-        out.push_str(if i + 1 < order.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let queries = order.iter().map(|span| query_json(span, &mut seen));
+    Json::obj([
+        ("schema", Json::str(schema_id("serve-spans", 1))),
+        ("queries", Json::Arr(queries.collect())),
+    ])
+    .render_doc()
 }
 
 /// Render spans as Chrome Trace Format JSON (`cm5-serve-trace/1`): one
@@ -254,56 +242,37 @@ pub fn spans_chrome_trace(spans: &[QuerySpan]) -> String {
     let mut order: Vec<&QuerySpan> = spans.iter().collect();
     order.sort_by_key(|s| s.seq);
     let workers = order.iter().map(|s| s.worker + 1).max().unwrap_or(1);
-    let mut ev: Vec<String> = Vec::new();
-    ev.push(
-        "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"cm5-serve\"}}"
-            .into(),
-    );
+    let mut ev = vec![track_name(0, 0, "process_name", "cm5-serve")];
     for w in 0..workers {
-        ev.push(format!(
-            "{{\"ph\":\"M\",\"pid\":0,\"tid\":{w},\"name\":\"thread_name\",\"args\":{{\"name\":\"worker {w}\"}}}}"
-        ));
+        ev.push(track_name(0, w, "thread_name", &format!("worker {w}")));
     }
-    let us = |ns: u64| format!("{:.3}", ns as f64 / 1_000.0);
+    let us = |ns: u64| Json::rounded(ns as f64 / 1_000.0, 3);
     let mut seen: HashSet<String> = HashSet::new();
     for s in &order {
         let status = if s.ok { "ok" } else { "error" };
-        ev.push(format!(
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{},\"args\":{{\"seq\":{},\"status\":\"{}\"}}}}",
+        let name = format!("{} #{}", s.kind, s.id);
+        let args = Json::obj([("seq", s.seq.into()), ("status", status.into())]);
+        ev.push(slice(
             s.worker,
             us(s.start_ns),
             us(s.total_ns),
-            json_str(&format!("{} #{}", s.kind, s.id)),
-            s.seq,
-            status
+            name,
+            Some(args),
         ));
         for p in &s.phases {
             let name = canonical_phase_name(p, &mut seen);
-            let args = if p.detail.is_empty() {
-                String::new()
-            } else {
-                format!(",\"args\":{{\"detail\":{}}}", json_str(&p.detail))
-            };
-            ev.push(format!(
-                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\"{}}}",
+            let args =
+                (!p.detail.is_empty()).then(|| Json::obj([("detail", p.detail.as_str().into())]));
+            ev.push(slice(
                 s.worker,
                 us(s.start_ns + p.start_ns),
                 us(p.dur_ns),
                 name,
-                args
+                args,
             ));
         }
     }
-    let mut out = String::from("{\n  ");
-    out.push_str(&schema_field("serve-trace", 1));
-    out.push_str(",\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");
-    for (i, e) in ev.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(e);
-        out.push_str(if i + 1 < ev.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    trace_doc("serve-trace", ev)
 }
 
 /// Render one span as a deterministic `cm5-flight/1` post-mortem document:
@@ -314,17 +283,13 @@ pub fn spans_chrome_trace(spans: &[QuerySpan]) -> String {
 /// is a pure function of the request — byte-identical at any worker count.
 pub fn flight_json(span: &QuerySpan, reason: &str) -> String {
     let mut seen: HashSet<String> = HashSet::new();
-    let mut out = String::from("{\n  ");
-    out.push_str(&schema_field("flight", 1));
-    out.push_str(&format!(",\n  \"reason\": {}", json_str(reason)));
-    out.push_str(&format!(
-        ",\n  \"request\": {}",
-        json_str(&span.request_line)
-    ));
-    out.push_str(",\n  \"span\": ");
-    out.push_str(&query_json(span, &mut seen));
-    out.push_str("\n}\n");
-    out
+    Json::obj([
+        ("schema", Json::str(schema_id("flight", 1))),
+        ("reason", reason.into()),
+        ("request", span.request_line.as_str().into()),
+        ("span", query_json(span, &mut seen)),
+    ])
+    .render_doc()
 }
 
 /// Bounded ring of the most recent fully-spanned queries, dumping
@@ -446,9 +411,21 @@ mod tests {
     fn canonical_doc_quarantines_wall_clock_and_derives_hit_miss() {
         let spans = vec![span(0, true, Some("k1")), span(1, true, Some("k1"))];
         let doc = spans_json(&spans);
-        assert!(doc.contains("\"schema\":\"cm5-serve-spans/1\""));
-        assert!(doc.contains("advise-miss"));
-        assert!(doc.contains("advise-hit"));
+        let parsed = Json::parse(&doc).unwrap();
+        assert_eq!(
+            parsed.get("schema").and_then(Json::as_str),
+            Some("cm5-serve-spans/1")
+        );
+        let queries = parsed.get("queries").and_then(Json::as_arr).unwrap();
+        let advise = |q: &Json| q.get("phases").and_then(Json::as_arr).unwrap()[1].clone();
+        assert_eq!(
+            advise(&queries[0]).get("phase").and_then(Json::as_str),
+            Some("advise-miss")
+        );
+        assert_eq!(
+            advise(&queries[1]).get("phase").and_then(Json::as_str),
+            Some("advise-hit")
+        );
         assert!(!doc.contains("_ns"), "wall clock leaked: {doc}");
         // Re-spanning the same queries (different host timings) renders
         // byte-identically.
@@ -463,12 +440,31 @@ mod tests {
     fn chrome_export_has_worker_tracks_and_phase_slices() {
         let mut s = span(0, true, Some("k1"));
         s.worker = 2;
-        let doc = spans_chrome_trace(&[s]);
-        assert!(doc.contains("\"schema\":\"cm5-serve-trace/1\""));
-        assert!(doc.contains("worker 2"));
-        assert!(doc.contains("\"name\":\"exchange #1\""));
-        assert!(doc.contains("\"name\":\"advise-miss\""));
-        assert!(doc.trim_end().ends_with("]\n}"));
+        let doc = Json::parse(&spans_chrome_trace(&[s])).unwrap();
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("cm5-serve-trace/1")
+        );
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let name = |e: &Json| e.get("name").and_then(Json::as_str).map(str::to_string);
+        let track = |e: &Json| e.get("args").and_then(|a| a.get("name")).cloned();
+        assert!(events
+            .iter()
+            .any(|e| track(e) == Some(Json::str("worker 2"))));
+        let root = events
+            .iter()
+            .find(|e| name(e).as_deref() == Some("exchange #1"))
+            .unwrap();
+        assert_eq!(root.get("tid").and_then(Json::as_u64), Some(2));
+        let advise = events
+            .iter()
+            .find(|e| name(e).as_deref() == Some("advise-miss"))
+            .unwrap();
+        let detail = advise
+            .get("args")
+            .and_then(|a| a.get("detail"))
+            .and_then(Json::as_str);
+        assert_eq!(detail, Some("rex"));
     }
 
     #[test]
@@ -484,15 +480,54 @@ mod tests {
         assert_eq!(fr.dropped(), 2, "ring of 2 evicts the first two");
         assert_eq!(fr.recent().count(), 2);
         let dumped = std::fs::read_to_string(dir.join("flight_000003.json")).unwrap();
-        assert!(dumped.contains("\"schema\":\"cm5-flight/1\""));
-        assert!(dumped.contains("\"reason\": \"error\""));
-        assert!(dumped.contains("\"error\": \"boom\""));
-        assert!(dumped.contains("\"request\": \"{\\\"id\\\":1}\""));
+        let doc = Json::parse(&dumped).unwrap();
+        let field = |v: &Json, k: &str| v.get(k).and_then(Json::as_str).map(str::to_string);
+        assert_eq!(field(&doc, "schema").as_deref(), Some("cm5-flight/1"));
+        assert_eq!(field(&doc, "reason").as_deref(), Some("error"));
+        assert_eq!(
+            field(doc.get("span").unwrap(), "error").as_deref(),
+            Some("boom")
+        );
+        assert_eq!(field(&doc, "request").as_deref(), Some("{\"id\":1}"));
         // Dump contents are a pure function of the request: re-observe the
         // same logical span and the bytes match.
         let again = flight_json(&span(3, false, Some("k")), "error");
         assert_eq!(dumped, again);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_strings_round_trip_through_every_export() {
+        let hostile = "q\"b\\s\u{1}\n\t\u{1F600}";
+        let mut ctx = QueryCtx::new(0, hostile, Instant::now());
+        let t = ctx.start();
+        ctx.phase(PhaseKind::Workload, hostile, t);
+        let span = ctx.finish(7, hostile, Err(hostile.to_string()));
+        let text = |v: Option<&Json>| v.and_then(Json::as_str).map(str::to_string);
+
+        let spans = Json::parse(&spans_json(std::slice::from_ref(&span))).unwrap();
+        let query = &spans.get("queries").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(text(query.get("kind")).as_deref(), Some(hostile));
+        assert_eq!(text(query.get("error")).as_deref(), Some(hostile));
+        let phase = &query.get("phases").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(text(phase.get("detail")).as_deref(), Some(hostile));
+
+        let flight = Json::parse(&flight_json(&span, hostile)).unwrap();
+        assert_eq!(text(flight.get("reason")).as_deref(), Some(hostile));
+        assert_eq!(text(flight.get("request")).as_deref(), Some(hostile));
+        assert_eq!(flight.get("span"), Some(query));
+
+        let chrome = Json::parse(&spans_chrome_trace(&[span])).unwrap();
+        let events = chrome.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let root = format!("{hostile} #7");
+        assert!(events
+            .iter()
+            .any(|e| text(e.get("name")) == Some(root.clone())));
+        let details: Vec<String> = events
+            .iter()
+            .filter_map(|e| text(e.get("args").and_then(|a| a.get("detail"))))
+            .collect();
+        assert_eq!(details, [hostile]);
     }
 
     #[test]

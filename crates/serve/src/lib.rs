@@ -6,9 +6,10 @@
 //! advisor + verifier + simulator stack into a long-running service
 //! (`cm5 serve`) that answers a *stream* of pattern queries:
 //!
-//! * **Protocol** ([`request`], [`response`], [`json`]): JSON-lines over
+//! * **Protocol** ([`request`], [`response`]): JSON-lines over
 //!   stdin/stdout, plus an optional std-only TCP listener ([`tcp`]). The
-//!   codec is deterministic and panic-free on hostile input.
+//!   codec is the workspace's one [`Json`] (`cm5_obs::Json`, re-exported
+//!   here): deterministic and panic-free on hostile input.
 //! * **Service core** ([`service`]): classify with `PatternStats`, answer
 //!   via the sharded-cache [`cm5_model::Advisor`], verify the picked
 //!   schedule through a sharded memo that amortizes `cm5-verify` runs
@@ -25,24 +26,24 @@
 //!   QPS lands in `BENCH_sim.json` with a CI floor.
 //!
 //! Observability splits cleanly: deterministic counters/histograms
-//! ([`service::Service::metrics`], `cm5-metrics/1`) versus host timing
-//! ([`service::Service::timing_json`], `cm5-serve-timing/1`) — the same
-//! determinism boundary the simulator draws around `SimPerf`.
+//! ([`service::Service::metrics`], `cm5-metrics/1`) versus the live
+//! snapshot that adds host timing ([`service::Service::live_metrics`]) —
+//! the same determinism boundary the simulator draws around `SimPerf`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod pool;
 pub mod request;
 pub mod response;
 pub mod service;
 pub mod tcp;
 
+/// The workspace's one JSON codec, which the wire protocol speaks.
+pub use cm5_obs::Json;
 /// The named-workload table lives in `cm5-workloads`; re-exported for
 /// callers that build the patterns a `workload` query answers.
 pub use cm5_workloads::named_pattern;
-pub use json::Json;
 pub use pool::{replay, resolve_jobs, ReplayResult};
 pub use request::{Query, Request, TenantQuery, MAX_NODES};
 pub use response::{recommendation_json, stats_json, tenants_json};

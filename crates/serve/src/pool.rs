@@ -159,10 +159,18 @@ mod tests {
             assert_eq!(metrics, &outputs[0].1, "metrics vary with jobs");
         }
         // Ids echo in input order.
-        let first = &outputs[0].0;
-        let idx0 = first.find("\"id\":0").unwrap();
-        let idx24 = first.find("\"id\":99").unwrap();
-        assert!(idx0 < idx24);
+        let ids: Vec<u64> = outputs[0]
+            .0
+            .lines()
+            .map(|l| {
+                cm5_obs::Json::parse(l)
+                    .unwrap()
+                    .get("id")
+                    .and_then(cm5_obs::Json::as_u64)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(ids, (0..24).chain([99]).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! the round-trip guarantee covers values up to 2^53; larger ids or byte
 //! counts lose low bits exactly as they would in any JSON interop.
 
+use cm5_obs::Json;
 use cm5_sim::tenant::Placement;
-
-use crate::json::Json;
 
 /// Upper bound on node counts a request may ask for. The simulator scales
 /// past this, but a *service* must bound per-request work: 16384 nodes is
@@ -284,73 +283,64 @@ impl Request {
     /// [`Request::parse_line`].
     pub fn render_line(&self) -> String {
         let query = match &self.query {
-            Query::Exchange { n, bytes } => Json::Obj(vec![
-                ("kind".into(), Json::str("exchange")),
-                ("n".into(), Json::int(*n as u64)),
-                ("bytes".into(), Json::int(*bytes)),
+            Query::Exchange { n, bytes } => Json::obj([
+                ("kind", "exchange".into()),
+                ("n", (*n).into()),
+                ("bytes", (*bytes).into()),
             ]),
-            Query::Broadcast { n, bytes } => Json::Obj(vec![
-                ("kind".into(), Json::str("broadcast")),
-                ("n".into(), Json::int(*n as u64)),
-                ("bytes".into(), Json::int(*bytes)),
+            Query::Broadcast { n, bytes } => Json::obj([
+                ("kind", "broadcast".into()),
+                ("n", (*n).into()),
+                ("bytes", (*bytes).into()),
             ]),
             Query::Irregular {
                 n,
                 density,
                 bytes,
                 seed,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("irregular")),
-                ("n".into(), Json::int(*n as u64)),
-                ("density".into(), Json::num(*density)),
-                ("bytes".into(), Json::int(*bytes)),
-                ("seed".into(), Json::int(*seed)),
+            } => Json::obj([
+                ("kind", "irregular".into()),
+                ("n", (*n).into()),
+                ("density", (*density).into()),
+                ("bytes", (*bytes).into()),
+                ("seed", (*seed).into()),
             ]),
-            Query::Pattern { text } => Json::Obj(vec![
-                ("kind".into(), Json::str("pattern")),
-                ("text".into(), Json::str(text.clone())),
-            ]),
-            Query::Workload { name, n } => Json::Obj(vec![
-                ("kind".into(), Json::str("workload")),
-                ("name".into(), Json::str(name.clone())),
-                ("n".into(), Json::int(*n as u64)),
+            Query::Pattern { text } => {
+                Json::obj([("kind", "pattern".into()), ("text", text.as_str().into())])
+            }
+            Query::Workload { name, n } => Json::obj([
+                ("kind", "workload".into()),
+                ("name", name.as_str().into()),
+                ("n", (*n).into()),
             ]),
             Query::Tenants {
                 shared_n,
                 placement,
                 tenants,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("tenants")),
-                ("shared_n".into(), Json::int(*shared_n as u64)),
-                ("placement".into(), Json::str(placement.name())),
-                (
-                    "tenants".into(),
-                    Json::Arr(
-                        tenants
-                            .iter()
-                            .map(|t| {
-                                Json::Obj(vec![
-                                    ("name".into(), Json::str(t.name.clone())),
-                                    ("n".into(), Json::int(t.n as u64)),
-                                    ("bytes".into(), Json::int(t.bytes)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
+            } => {
+                let tenants = tenants.iter().map(|t| {
+                    Json::obj([
+                        ("name", t.name.as_str().into()),
+                        ("n", t.n.into()),
+                        ("bytes", t.bytes.into()),
+                    ])
+                });
+                Json::obj([
+                    ("kind", "tenants".into()),
+                    ("shared_n", (*shared_n).into()),
+                    ("placement", placement.name().into()),
+                    ("tenants", Json::Arr(tenants.collect())),
+                ])
+            }
         };
-        let mut fields = vec![
-            ("id".to_string(), Json::int(self.id)),
-            ("query".to_string(), query),
-        ];
+        let mut fields = vec![("id", self.id.into()), ("query", query)];
         if self.verify {
-            fields.push(("verify".into(), Json::Bool(true)));
+            fields.push(("verify", true.into()));
         }
         if self.simulate {
-            fields.push(("simulate".into(), Json::Bool(true)));
+            fields.push(("simulate", true.into()));
         }
-        Json::Obj(fields).render()
+        Json::obj(fields).render()
     }
 }
 

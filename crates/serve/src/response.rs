@@ -7,92 +7,66 @@
 //! byte-identical response streams at any worker count.
 
 use cm5_model::{PatternStats, Recommendation};
-use cm5_obs::schema_id;
+use cm5_obs::{schema_id, Json};
 use cm5_sim::tenant::TenantReport;
-
-use crate::json::Json;
 
 /// The `cm5-advise/1` recommendation object: one machine-readable format
 /// for service clients and `cm5 advise --json` alike.
 pub fn recommendation_json(rec: &Recommendation) -> Json {
     let mut fields = vec![
-        ("schema".to_string(), Json::str(schema_id("advise", 1))),
-        ("algorithm".to_string(), Json::str(rec.algorithm.name())),
-        (
-            "predicted_us".to_string(),
-            Json::num(rec.predicted.as_micros_f64()),
-        ),
+        ("schema", Json::str(schema_id("advise", 1))),
+        ("algorithm", rec.algorithm.name().into()),
+        ("predicted_us", rec.predicted.as_micros_f64().into()),
     ];
     if let (Some(ru), Some(rut)) = (rec.runner_up, rec.runner_up_predicted) {
-        fields.push(("runner_up".into(), Json::str(ru.name())));
-        fields.push((
-            "runner_up_predicted_us".into(),
-            Json::num(rut.as_micros_f64()),
-        ));
-        fields.push(("margin".into(), Json::num(rec.margin)));
+        fields.push(("runner_up", ru.name().into()));
+        fields.push(("runner_up_predicted_us", rut.as_micros_f64().into()));
+        fields.push(("margin", rec.margin.into()));
     }
-    fields.push((
-        "candidates".into(),
-        Json::Arr(
-            rec.candidates
-                .iter()
-                .map(|(alg, t)| {
-                    Json::Obj(vec![
-                        ("algorithm".into(), Json::str(alg.name())),
-                        ("predicted_us".into(), Json::num(t.as_micros_f64())),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    Json::Obj(fields)
+    let candidates = rec.candidates.iter().map(|(alg, t)| {
+        Json::obj([
+            ("algorithm", alg.name().into()),
+            ("predicted_us", t.as_micros_f64().into()),
+        ])
+    });
+    fields.push(("candidates", Json::Arr(candidates.collect())));
+    Json::obj(fields)
 }
 
 /// Pattern classification as JSON (the `PatternStats` reduction the
 /// advisor decides from).
 pub fn stats_json(s: &PatternStats) -> Json {
-    Json::Obj(vec![
-        ("n".into(), Json::int(s.n as u64)),
-        ("nonzero_pairs".into(), Json::int(s.nonzero_pairs as u64)),
-        ("density".into(), Json::num(s.density)),
-        ("avg_msg_bytes".into(), Json::num(s.avg_msg_bytes)),
-        ("max_msg_bytes".into(), Json::int(s.max_msg_bytes)),
-        ("total_bytes".into(), Json::int(s.total_bytes)),
-        ("max_out_degree".into(), Json::int(s.max_out_degree as u64)),
-        ("max_in_degree".into(), Json::int(s.max_in_degree as u64)),
-        ("root_crossing_frac".into(), Json::num(s.root_crossing_frac)),
+    Json::obj([
+        ("n", s.n.into()),
+        ("nonzero_pairs", s.nonzero_pairs.into()),
+        ("density", s.density.into()),
+        ("avg_msg_bytes", s.avg_msg_bytes.into()),
+        ("max_msg_bytes", s.max_msg_bytes.into()),
+        ("total_bytes", s.total_bytes.into()),
+        ("max_out_degree", s.max_out_degree.into()),
+        ("max_in_degree", s.max_in_degree.into()),
+        ("root_crossing_frac", s.root_crossing_frac.into()),
     ])
 }
 
 /// Tenant slices of a shared-tree run as JSON.
 pub fn tenants_json(report: &TenantReport) -> Json {
-    Json::Obj(vec![
+    let tenants = report.tenants.iter().map(|t| {
+        Json::obj([
+            ("name", t.name.as_str().into()),
+            ("nodes", t.nodes.len().into()),
+            ("makespan_us", t.makespan.as_micros_f64().into()),
+            ("messages", t.messages.into()),
+            ("payload_bytes", t.payload_bytes.into()),
+        ])
+    });
+    Json::obj([
         (
-            "shared_makespan_us".into(),
-            Json::num(report.report.makespan.as_micros_f64()),
+            "shared_makespan_us",
+            report.report.makespan.as_micros_f64().into(),
         ),
-        (
-            "root_crossings".into(),
-            Json::int(report.report.root_crossings),
-        ),
-        (
-            "tenants".into(),
-            Json::Arr(
-                report
-                    .tenants
-                    .iter()
-                    .map(|t| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::str(t.name.clone())),
-                            ("nodes".into(), Json::int(t.nodes.len() as u64)),
-                            ("makespan_us".into(), Json::num(t.makespan.as_micros_f64())),
-                            ("messages".into(), Json::int(t.messages)),
-                            ("payload_bytes".into(), Json::int(t.payload_bytes)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("root_crossings", report.report.root_crossings.into()),
+        ("tenants", Json::Arr(tenants.collect())),
     ])
 }
 

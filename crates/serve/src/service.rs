@@ -21,9 +21,10 @@
 //! * histograms that only record *simulated or modeled* values.
 //!
 //! Host timing (per-stage latency, queue depth, wall-clock QPS) is real
-//! but nondeterministic, so it lives in a separate timing document
-//! (`cm5-serve-timing/1`) that is excluded from determinism comparisons —
-//! the same split the simulator makes for [`cm5_sim::SimPerf`].
+//! but nondeterministic, so it lives only in the live snapshot
+//! ([`Service::live_metrics`]) that is excluded from determinism
+//! comparisons — the same split the simulator makes for
+//! [`cm5_sim::SimPerf`].
 
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
@@ -36,13 +37,12 @@ use std::time::Instant;
 
 use cm5_core::prelude::*;
 use cm5_model::{Advisor, Algorithm, PatternStats, Recommendation, Workload};
-use cm5_obs::{schema_field, FlightRecorder, Histogram, Metrics, PhaseKind, QueryCtx, QuerySpan};
+use cm5_obs::{FlightRecorder, Histogram, Json, Metrics, PhaseKind, QueryCtx, QuerySpan};
 use cm5_sim::tenant::{run_tenants, Placement, TenantSpec};
 use cm5_sim::{FatTree, MachineParams, OpProgram, SimReport, Simulation};
 use cm5_verify::{exchange_policy, irregular_policy, verify_programs, verify_schedule, Severity};
 use cm5_workloads::named_builder;
 
-use crate::json::Json;
 use crate::request::{Query, Request, TenantQuery};
 use crate::response::{error_line, recommendation_json, response_base, stats_json, tenants_json};
 
@@ -127,17 +127,6 @@ pub struct Timing {
     total_ns: Mutex<Histogram>,
     /// Queue depth sampled by the replay pool at each dequeue.
     pub(crate) queue_depth: Mutex<Histogram>,
-}
-
-impl Timing {
-    fn hist_json(h: &Mutex<Histogram>) -> Json {
-        let h = h.lock().expect("timing poisoned");
-        Json::Obj(vec![
-            ("count".into(), Json::int(h.count)),
-            ("mean_ns".into(), Json::num(h.mean())),
-            ("max_ns".into(), Json::int(h.max)),
-        ])
-    }
 }
 
 /// The long-running scheduling service.
@@ -636,9 +625,9 @@ impl Service {
                 name: t.name.clone(),
                 programs: lower(&alg.schedule(t.n, t.bytes)),
             });
-            recs.push(Json::Obj(vec![
-                ("name".into(), Json::str(t.name.clone())),
-                ("recommendation".into(), recommendation_json(&rec)),
+            recs.push(Json::obj([
+                ("name", t.name.as_str().into()),
+                ("recommendation", recommendation_json(&rec)),
             ]));
         }
         if req.verify {
@@ -797,46 +786,6 @@ impl Service {
         m
     }
 
-    /// Render the nondeterministic host-timing document
-    /// (`cm5-serve-timing/1`): per-stage latency histograms plus whatever
-    /// the caller measured (wall seconds, QPS, queue depth).
-    pub fn timing_json(&self, extra: &[(String, Json)]) -> String {
-        let mut fields = vec![
-            (
-                "advise".to_string(),
-                Timing::hist_json(&self.timing.advise_ns),
-            ),
-            (
-                "verify".to_string(),
-                Timing::hist_json(&self.timing.verify_ns),
-            ),
-            (
-                "simulate".to_string(),
-                Timing::hist_json(&self.timing.simulate_ns),
-            ),
-            (
-                "request_total".to_string(),
-                Timing::hist_json(&self.timing.total_ns),
-            ),
-            (
-                "queue_depth".to_string(),
-                Timing::hist_json(&self.timing.queue_depth),
-            ),
-        ];
-        for (k, v) in extra {
-            fields.push((k.clone(), v.clone()));
-        }
-        format!(
-            "{{{},{}}}\n",
-            schema_field("serve-timing", 1),
-            fields
-                .iter()
-                .map(|(k, v)| format!("{}:{}", Json::str(k.clone()).render(), v.render()))
-                .collect::<Vec<_>>()
-                .join(",")
-        )
-    }
-
     /// Clone the flight recorder's ring: the last N fully-spanned queries
     /// in arrival order. This is what interactive-mode `--spans-out` /
     /// `--trace-out` export at shutdown (replay mode exports the complete
@@ -870,24 +819,21 @@ fn summarize(diags: &cm5_verify::Diagnostics) -> VerifySummary {
 }
 
 fn verify_json(s: &VerifySummary) -> Json {
-    Json::Obj(vec![
-        ("clean".into(), Json::Bool(s.clean)),
-        ("errors".into(), Json::int(s.errors as u64)),
-        ("warnings".into(), Json::int(s.warnings as u64)),
+    Json::obj([
+        ("clean", s.clean.into()),
+        ("errors", s.errors.into()),
+        ("warnings", s.warnings.into()),
     ])
 }
 
 fn sim_json(report: &SimReport) -> Json {
-    Json::Obj(vec![
+    Json::obj([
+        ("makespan_us", report.makespan.as_micros_f64().into()),
+        ("messages", report.messages.into()),
+        ("root_crossings", report.root_crossings.into()),
         (
-            "makespan_us".into(),
-            Json::num(report.makespan.as_micros_f64()),
-        ),
-        ("messages".into(), Json::int(report.messages)),
-        ("root_crossings".into(), Json::int(report.root_crossings)),
-        (
-            "effective_mb_s".into(),
-            Json::num(report.effective_bandwidth() / 1e6),
+            "effective_mb_s",
+            (report.effective_bandwidth() / 1e6).into(),
         ),
     ])
 }
@@ -1023,7 +969,8 @@ mod tests {
     fn unknown_workloads_are_errors_and_not_memoized() {
         let s = service();
         let out = s.handle_line(r#"{"id":1,"query":{"kind":"workload","name":"nope","n":8}}"#);
-        assert!(out.contains("\"ok\":false"), "{out}");
+        let doc = Json::parse(&out).unwrap();
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{out}");
         assert_eq!(s.metrics().counters["workload_memo_entries"], 0);
     }
 
@@ -1031,7 +978,8 @@ mod tests {
     fn workloads_past_the_simulation_cap_are_answered_but_not_memoized() {
         let s = service();
         let out = s.handle_line(r#"{"id":1,"query":{"kind":"workload","name":"cg","n":2048}}"#);
-        assert!(out.contains("\"ok\":true"), "{out}");
+        let doc = Json::parse(&out).unwrap();
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "{out}");
         assert_eq!(s.metrics().counters["workload_memo_entries"], 0);
     }
 
@@ -1076,6 +1024,59 @@ mod tests {
     }
 
     #[test]
+    fn tenant_names_survive_escapes_and_hostile_characters() {
+        let s = service();
+        let names = |out: &str| -> Vec<String> {
+            let doc = Json::parse(out).unwrap();
+            assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "{out}");
+            let tenants = doc.get("tenants").and_then(|t| t.get("tenants"));
+            let tenants = tenants.and_then(Json::as_arr).unwrap();
+            let name = |t: &Json| t.get("name").and_then(Json::as_str).unwrap().to_string();
+            tenants.iter().map(name).collect()
+        };
+        // Python's `json.dumps` spells non-BMP characters as surrogate pairs.
+        let line = r#"{"id":4,"query":{"kind":"tenants","shared_n":32,"placement":"subtree","tenants":[{"name":"\ud83d\ude00","n":8,"bytes":64},{"name":"\ud83d","n":8,"bytes":64}]}}"#;
+        assert_eq!(names(&s.handle_line(line)), ["\u{1F600}", "\u{FFFD}"]);
+        // Quotes, backslashes, control and non-BMP characters round-trip
+        // through the response, the span tree and the flight dump.
+        let hostile = "q\"b\\s\u{1}\n\t\u{1F600}";
+        let request = Json::obj([
+            ("id", 5u64.into()),
+            (
+                "query",
+                Json::obj([
+                    ("kind", "tenants".into()),
+                    ("shared_n", 32u64.into()),
+                    ("placement", "striped".into()),
+                    (
+                        "tenants",
+                        Json::arr([Json::obj([
+                            ("name", hostile.into()),
+                            ("n", 8u64.into()),
+                            ("bytes", 64u64.into()),
+                        ])]),
+                    ),
+                ]),
+            ),
+        ])
+        .render();
+        let (out, span) = s.handle_line_spanned(0, &request);
+        assert_eq!(names(&out), [hostile]);
+        let flight = Json::parse(&cm5_obs::flight_json(&span, "slo")).unwrap();
+        assert_eq!(
+            flight.get("request").and_then(Json::as_str),
+            Some(request.as_str())
+        );
+        let spans = Json::parse(&cm5_obs::spans_json(std::slice::from_ref(&span))).unwrap();
+        let queries = spans.get("queries").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            queries[0].get("kind").and_then(Json::as_str),
+            Some("tenants")
+        );
+        assert!(Json::parse(&cm5_obs::spans_chrome_trace(&[span])).is_ok());
+    }
+
+    #[test]
     fn oversized_simulations_are_refused() {
         let s = service();
         let out = s.handle_line(
@@ -1087,15 +1088,5 @@ mod tests {
         let out = s.handle_line(r#"{"id":3,"query":{"kind":"exchange","n":2048,"bytes":16}}"#);
         let doc = Json::parse(&out).unwrap();
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
-    }
-
-    #[test]
-    fn timing_json_is_schema_stamped() {
-        let s = service();
-        s.handle_line(r#"{"id":1,"query":{"kind":"exchange","n":8,"bytes":64}}"#);
-        let t = s.timing_json(&[("qps".into(), Json::num(123.0))]);
-        assert!(t.contains("\"schema\":\"cm5-serve-timing/1\""), "{t}");
-        assert!(t.contains("\"qps\":123"), "{t}");
-        assert!(Json::parse(t.trim()).is_ok());
     }
 }

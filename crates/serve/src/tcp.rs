@@ -179,10 +179,15 @@ fn serve_http(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
     use crate::service::ServiceConfig;
+    use cm5_obs::Json;
     use std::io::Read;
     use std::time::Instant;
+
+    /// A response line's `ok` member.
+    fn ok(line: &str) -> Option<bool> {
+        Json::parse(line).ok()?.get("ok").and_then(Json::as_bool)
+    }
 
     #[test]
     fn tcp_round_trip() {
@@ -222,7 +227,7 @@ mod tests {
             .unwrap();
         let mut line = String::new();
         BufReader::new(conn).read_line(&mut line).unwrap();
-        assert!(line.contains("\"ok\":true"), "{line}");
+        assert_eq!(ok(&line), Some(true), "{line}");
 
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
@@ -291,7 +296,7 @@ mod tests {
             // accepted (and its thread registered) before the next one.
             let mut conn = TcpStream::connect(handle.addr).unwrap();
             let mut reader = BufReader::new(conn.try_clone().unwrap());
-            assert!(round_trip(&mut conn, &mut reader, line).contains("\"ok\":true"));
+            assert_eq!(ok(&round_trip(&mut conn, &mut reader, line)), Some(true));
         }
         let live = handle.conns.lock().unwrap().len();
         assert!(
@@ -316,7 +321,7 @@ mod tests {
         let mut reader = BufReader::new(conn.try_clone().unwrap());
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"ok\":true"), "{line}");
+        assert_eq!(ok(&line), Some(true), "{line}");
 
         let t0 = Instant::now();
         handle.shutdown();

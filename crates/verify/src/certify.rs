@@ -47,6 +47,7 @@ use std::fmt;
 
 use cm5_core::exec::{lower_annotated, LowerOptions, LoweredMeta};
 use cm5_core::schedule::Schedule;
+use cm5_obs::{schema_id, Json};
 use cm5_sim::{FatTree, LinkDir, MachineParams, Op, OpProgram, SendMode, SimDuration, SimTime};
 
 /// Why a program set cannot be certified.
@@ -134,45 +135,37 @@ impl Certificate {
         self.lb <= makespan && makespan <= self.ub
     }
 
-    /// JSON rendering, schema-stamped like every other artifact emitter.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&cm5_obs::schema_field("certify", 1));
-        out.push_str(&format!(
-            ",\"lb_ns\":{},\"ub_ns\":{},\"critical_path_ns\":{},\"link_bound_ns\":{},\"slack_ns\":{},\"tightness\":{:.6},\"messages\":{},\"payload_bytes\":{},\"max_stretch\":{:.6}",
-            self.lb.as_nanos(),
-            self.ub.as_nanos(),
-            self.critical_path.as_nanos(),
-            self.link_bound.as_nanos(),
-            self.slack.as_nanos(),
-            self.tightness(),
-            self.messages,
-            self.payload_bytes,
-            self.max_stretch,
-        ));
+    /// The `cm5-certify/1` document. Ratios are rounded to 6 decimals; an
+    /// unbounded `tightness` (zero lower bound) renders as `null`.
+    pub fn to_json(&self) -> Json {
+        let mut members = vec![
+            ("schema", Json::str(schema_id("certify", 1))),
+            ("lb_ns", self.lb.as_nanos().into()),
+            ("ub_ns", self.ub.as_nanos().into()),
+            ("critical_path_ns", self.critical_path.as_nanos().into()),
+            ("link_bound_ns", self.link_bound.as_nanos().into()),
+            ("slack_ns", self.slack.as_nanos().into()),
+            ("tightness", Json::rounded(self.tightness(), 6)),
+            ("messages", self.messages.into()),
+            ("payload_bytes", self.payload_bytes.into()),
+            ("max_stretch", Json::rounded(self.max_stretch, 6)),
+        ];
         if let Some(b) = &self.bottleneck {
-            out.push_str(&format!(
-                ",\"bottleneck\":{{\"level\":{},\"group\":{},\"dir\":\"{}\",\"concurrency\":{},\"load_bytes\":{},\"capacity\":{:.0}}}",
-                b.level,
-                b.group,
-                if b.up { "up" } else { "down" },
-                b.concurrency,
-                b.load_bytes,
-                b.capacity,
-            ));
+            let bottleneck = Json::obj([
+                ("level", b.level.into()),
+                ("group", b.group.into()),
+                ("dir", if b.up { "up" } else { "down" }.into()),
+                ("concurrency", b.concurrency.into()),
+                ("load_bytes", b.load_bytes.into()),
+                ("capacity", Json::rounded(b.capacity, 0)),
+            ]);
+            members.push(("bottleneck", bottleneck));
         }
         if !self.step_finish.is_empty() {
-            out.push_str(",\"step_finish_ns\":[");
-            for (i, t) in self.step_finish.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&t.as_nanos().to_string());
-            }
-            out.push(']');
+            let finish = self.step_finish.iter().map(|t| t.as_nanos());
+            members.push(("step_finish_ns", Json::arr(finish)));
         }
-        out.push('}');
-        out
+        Json::obj(members)
     }
 }
 
@@ -1050,9 +1043,31 @@ mod tests {
     fn json_rendering_is_schema_stamped() {
         let params = MachineParams::cm5_1992();
         let cert = certify_schedule(&pex(8, 256), &LowerOptions::default(), &params).unwrap();
-        let json = cert.render_json();
-        assert!(json.starts_with("{\"schema\":\"cm5-certify/1\""), "{json}");
-        assert!(json.contains("\"lb_ns\":"));
-        assert!(json.contains("\"step_finish_ns\":["));
+        let text = cert.to_json().render();
+        assert!(
+            text.starts_with("{\"schema\":"),
+            "the stamp comes first: {text}"
+        );
+        let json = Json::parse(&text).unwrap();
+        assert_eq!(json, cert.to_json());
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("cm5-certify/1")
+        );
+        assert_eq!(
+            json.get("lb_ns").and_then(Json::as_u64),
+            Some(cert.lb.as_nanos())
+        );
+        let steps = json.get("step_finish_ns").and_then(Json::as_arr).unwrap();
+        assert_eq!(steps.len(), cert.step_finish.len());
+        assert!(!steps.is_empty());
+        // A zero lower bound makes the interval unbounded: still valid JSON.
+        let unbounded = Certificate {
+            lb: SimDuration::ZERO,
+            ..cert
+        };
+        assert_eq!(unbounded.tightness(), f64::INFINITY);
+        let json = Json::parse(&unbounded.to_json().render()).unwrap();
+        assert_eq!(json.get("tightness"), Some(&Json::Null));
     }
 }

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use cm5_obs::json_str;
+use cm5_obs::{schema_id, Json};
 
 /// How bad a finding is.
 ///
@@ -186,6 +186,14 @@ pub struct Span {
 }
 
 impl Span {
+    /// The coordinates that are set, as JSON members in `step`, `node`,
+    /// `op` order.
+    pub(crate) fn json_members(&self) -> impl Iterator<Item = (&'static str, Json)> {
+        [("step", self.step), ("node", self.node), ("op", self.op)]
+            .into_iter()
+            .filter_map(|(k, v)| Some((k, v?.into())))
+    }
+
     /// A schedule-coordinate span.
     pub fn at(step: usize, op: usize) -> Span {
         Span {
@@ -366,53 +374,29 @@ impl Diagnostics {
         out
     }
 
-    /// JSON rendering: `{"schema":"cm5-lint/1","diagnostics":[...],
-    /// "errors":E,"warnings":W,"advice":A,"clean":bool}`. Hand-rolled (the
-    /// workspace is offline; no serde), matching the style of the perf
-    /// artifact; the schema stamp comes from `cm5-obs` like every other
-    /// JSON emitter in the workspace.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&cm5_obs::schema_field("lint", 1));
-        out.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\"",
-                d.code, d.severity
-            ));
-            if let Some(s) = d.span.step {
-                out.push_str(&format!(",\"step\":{s}"));
-            }
-            if let Some(n) = d.span.node {
-                out.push_str(&format!(",\"node\":{n}"));
-            }
-            if let Some(o) = d.span.op {
-                out.push_str(&format!(",\"op\":{o}"));
-            }
-            out.push_str(&format!(",\"message\":{}", json_str(&d.message)));
+    /// The `cm5-lint/1` document: `{"schema":"cm5-lint/1",
+    /// "diagnostics":[...],"errors":E,"warnings":W,"advice":A,"clean":bool}`.
+    pub fn to_json(&self) -> Json {
+        let diags = self.diags.iter().map(|d| {
+            let mut members = vec![
+                ("code", d.code.as_str().into()),
+                ("severity", d.severity.to_string().into()),
+            ];
+            members.extend(d.span.json_members());
+            members.push(("message", d.message.as_str().into()));
             if !d.witness.is_empty() {
-                out.push_str(",\"witness\":[");
-                for (j, w) in d.witness.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_str(w));
-                }
-                out.push(']');
+                members.push(("witness", Json::arr(d.witness.iter().map(String::as_str))));
             }
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "],\"errors\":{},\"warnings\":{},\"advice\":{},\"clean\":{}}}",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Advice),
-            self.is_clean()
-        ));
-        out
+            Json::obj(members)
+        });
+        Json::obj([
+            ("schema", Json::str(schema_id("lint", 1))),
+            ("diagnostics", Json::Arr(diags.collect())),
+            ("errors", self.count(Severity::Error).into()),
+            ("warnings", self.count(Severity::Warning).into()),
+            ("advice", self.count(Severity::Advice).into()),
+            ("clean", self.is_clean().into()),
+        ])
     }
 }
 
@@ -473,11 +457,38 @@ mod tests {
             Span::default(),
             "pair 0->1: \"missing\"",
         ));
-        let json = d.render_json();
-        assert!(json.contains("\"code\":\"V012\""));
-        assert!(json.contains("\\\"missing\\\""));
-        assert!(json.contains("\"clean\":false"));
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        let text = d.to_json().render();
+        let json = Json::parse(&text).unwrap();
+        assert_eq!(json, d.to_json());
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("cm5-lint/1")
+        );
+        let diag = &json.get("diagnostics").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(diag.get("code").and_then(Json::as_str), Some("V012"));
+        let message = diag.get("message").and_then(Json::as_str);
+        assert_eq!(message, Some("pair 0->1: \"missing\""));
+        assert_eq!(json.get("clean").and_then(Json::as_bool), Some(false));
+        assert!(!text.contains('\n'), "one line: {text}");
+    }
+
+    #[test]
+    fn hostile_messages_and_witnesses_round_trip() {
+        let hostile = "q\"b\\s\u{1}\n\t\u{1F600}";
+        let mut d = Diagnostics::new();
+        d.push(
+            Diagnostic::new(Code::DeadlockCycle, Span::program(3, 1), hostile)
+                .with_witness(vec![hostile.into(), "plain".into()]),
+        );
+        let json = Json::parse(&d.to_json().render()).unwrap();
+        assert_eq!(json, d.to_json());
+        let diag = &json.get("diagnostics").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(diag.get("message").and_then(Json::as_str), Some(hostile));
+        assert_eq!(diag.get("node").and_then(Json::as_u64), Some(3));
+        assert_eq!(diag.get("op").and_then(Json::as_u64), Some(1));
+        assert_eq!(diag.get("step"), None);
+        let witness = diag.get("witness").cloned();
+        assert_eq!(witness, Some(Json::arr([hostile, "plain"])));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! plus the span coordinates in the result's property bag.
 
 use crate::diag::{Code, Diagnostics, Severity};
-use cm5_obs::json_str;
+use cm5_obs::{schema_id, Json};
 
 /// SARIF severity level for a diagnostic severity.
 fn level(sev: Severity) -> &'static str {
@@ -28,76 +28,69 @@ fn level(sev: Severity) -> &'static str {
 /// single-run SARIF 2.1.0 log. Deterministic: byte-identical output for
 /// identical input.
 pub fn render_sarif(targets: &[(String, &Diagnostics)]) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\"");
-    out.push_str(",\"version\":\"2.1.0\"");
-    out.push_str(",\"properties\":{");
-    out.push_str(&cm5_obs::schema_field("sarif", 1));
-    out.push_str("},\"runs\":[{\"tool\":{\"driver\":{");
-    out.push_str("\"name\":\"cm5-verify\",\"rules\":[");
-    for (i, code) in Code::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":{}}},\
-             \"defaultConfiguration\":{{\"level\":\"{}\"}}}}",
-            code.as_str(),
-            json_str(code.title()),
-            level(code.severity()),
-        ));
-    }
-    out.push_str("]}},\"results\":[");
-    let mut first = true;
+    let rules = Code::ALL.iter().map(|code| {
+        Json::obj([
+            ("id", code.as_str().into()),
+            (
+                "shortDescription",
+                Json::obj([("text", code.title().into())]),
+            ),
+            (
+                "defaultConfiguration",
+                Json::obj([("level", level(code.severity()).into())]),
+            ),
+        ])
+    });
+    let mut results = Vec::new();
     for (target, report) in targets {
         for d in report.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
             let rule_index = Code::ALL
                 .iter()
                 .position(|c| c == &d.code)
                 .expect("every code is in ALL");
-            out.push_str(&format!(
-                "{{\"ruleId\":\"{}\",\"ruleIndex\":{rule_index},\"level\":\"{}\",\
-                 \"message\":{{\"text\":{}}}",
-                d.code.as_str(),
-                level(d.severity),
-                json_str(&d.message),
-            ));
-            out.push_str(&format!(
-                ",\"locations\":[{{\"logicalLocations\":[{{\"name\":{},\
-                 \"fullyQualifiedName\":{}}}]}}]",
-                json_str(&d.span.to_string()),
-                json_str(&format!("{target}::{}", d.span)),
-            ));
-            out.push_str(",\"properties\":{");
-            out.push_str(&format!("\"target\":{}", json_str(target)));
-            if let Some(s) = d.span.step {
-                out.push_str(&format!(",\"step\":{s}"));
-            }
-            if let Some(n) = d.span.node {
-                out.push_str(&format!(",\"node\":{n}"));
-            }
-            if let Some(o) = d.span.op {
-                out.push_str(&format!(",\"op\":{o}"));
-            }
+            let location = Json::obj([
+                ("name", d.span.to_string().into()),
+                ("fullyQualifiedName", format!("{target}::{}", d.span).into()),
+            ]);
+            let mut properties = vec![("target", target.as_str().into())];
+            properties.extend(d.span.json_members());
             if !d.witness.is_empty() {
-                out.push_str(",\"witness\":[");
-                for (i, w) in d.witness.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_str(w));
-                }
-                out.push(']');
+                properties.push(("witness", Json::arr(d.witness.iter().map(String::as_str))));
             }
-            out.push_str("}}");
+            results.push(Json::obj([
+                ("ruleId", d.code.as_str().into()),
+                ("ruleIndex", rule_index.into()),
+                ("level", level(d.severity).into()),
+                ("message", Json::obj([("text", d.message.as_str().into())])),
+                (
+                    "locations",
+                    Json::arr([Json::obj([("logicalLocations", Json::arr([location]))])]),
+                ),
+                ("properties", Json::obj(properties)),
+            ]));
         }
     }
-    out.push_str("]}]}");
-    out
+    let driver = Json::obj([
+        ("name", "cm5-verify".into()),
+        ("rules", Json::Arr(rules.collect())),
+    ]);
+    let run = Json::obj([
+        ("tool", Json::obj([("driver", driver)])),
+        ("results", Json::Arr(results)),
+    ]);
+    Json::obj([
+        (
+            "$schema",
+            "https://json.schemastore.org/sarif-2.1.0.json".into(),
+        ),
+        ("version", "2.1.0".into()),
+        (
+            "properties",
+            Json::obj([("schema", Json::str(schema_id("sarif", 1)))]),
+        ),
+        ("runs", Json::arr([run])),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -114,19 +107,91 @@ mod tests {
         let a = render_sarif(&targets);
         let b = render_sarif(&targets);
         assert_eq!(a, b);
-        assert!(a.starts_with("{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\""));
-        assert!(a.contains("\"version\":\"2.1.0\""));
-        assert!(a.contains("\"schema\":\"cm5-sarif/1\""));
+        let log = Json::parse(&a).unwrap();
+        let field = |v: &Json, k: &str| v.get(k).and_then(Json::as_str).map(str::to_string);
+        assert_eq!(
+            field(&log, "$schema").as_deref(),
+            Some("https://json.schemastore.org/sarif-2.1.0.json")
+        );
+        assert!(
+            a.starts_with("{\"$schema\":"),
+            "the $schema member comes first"
+        );
+        assert_eq!(field(&log, "version").as_deref(), Some("2.1.0"));
+        let props = log.get("properties").unwrap();
+        assert_eq!(field(props, "schema").as_deref(), Some("cm5-sarif/1"));
         // PEX at 32 nodes predicts 16 root hotspots → 16 note-level results.
-        assert_eq!(a.matches("\"ruleId\":\"V030\"").count(), 16);
-        assert!(a.contains("\"level\":\"note\""));
-        // Every rule is declared exactly once.
-        for code in Code::ALL {
-            assert_eq!(
-                a.matches(&format!("\"id\":\"{}\"", code.as_str())).count(),
-                1
-            );
-        }
+        let results = results(&log);
+        let v030: Vec<&Json> = results
+            .iter()
+            .filter(|r| field(r, "ruleId").as_deref() == Some("V030"))
+            .collect();
+        assert_eq!(v030.len(), 16);
+        assert!(v030
+            .iter()
+            .all(|r| field(r, "level").as_deref() == Some("note")));
+        // Every rule is declared exactly once, in declaration order.
+        let driver = log.get("runs").and_then(Json::as_arr).unwrap()[0]
+            .get("tool")
+            .and_then(|t| t.get("driver"))
+            .unwrap();
+        let ids: Vec<String> = driver
+            .get("rules")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|r| field(r, "id"))
+            .collect();
+        let want: Vec<String> = Code::ALL.iter().map(|c| c.as_str().to_string()).collect();
+        assert_eq!(ids, want);
+    }
+
+    #[test]
+    fn hostile_target_names_round_trip() {
+        // Target names come from the command line (`--pattern-file PATH`).
+        let hostile = "pattern \"q\\s\u{1}\n\u{1F600}.txt\" n=32";
+        let report = verify_schedule(&pex(32, 1024), None, &exchange_policy(ExchangeAlg::Pex));
+        let log = Json::parse(&render_sarif(&[(hostile.to_string(), &report)])).unwrap();
+        let results = results(&log);
+        assert_eq!(count(&results, "V030", hostile), 16);
+        let location = results[0]
+            .get("locations")
+            .and_then(Json::as_arr)
+            .and_then(|l| l[0].get("logicalLocations"))
+            .and_then(Json::as_arr)
+            .map(|l| l[0].clone())
+            .unwrap();
+        let qualified = location
+            .get("fullyQualifiedName")
+            .and_then(Json::as_str)
+            .unwrap();
+        assert!(
+            qualified.starts_with(&format!("{hostile}::")),
+            "{qualified}"
+        );
+    }
+
+    /// The one run's results.
+    fn results(log: &Json) -> Vec<Json> {
+        let runs = log.get("runs").and_then(Json::as_arr).unwrap();
+        assert_eq!(runs.len(), 1, "one run per log");
+        runs[0]
+            .get("results")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .to_vec()
+    }
+
+    /// How many results carry rule `id` for `target`.
+    fn count(results: &[Json], id: &str, target: &str) -> usize {
+        results
+            .iter()
+            .filter(|r| r.get("ruleId").and_then(Json::as_str) == Some(id))
+            .filter(|r| {
+                let props = r.get("properties").unwrap();
+                props.get("target").and_then(Json::as_str) == Some(target)
+            })
+            .count()
     }
 
     #[test]
@@ -135,7 +200,7 @@ mod tests {
         let report = verify_schedule(&schedule, None, &exchange_policy(ExchangeAlg::Pex));
         assert!(report.is_clean());
         let sarif = render_sarif(&[("pex n=8".to_string(), &report)]);
-        assert!(sarif.contains("\"results\":[]"));
+        assert!(results(&Json::parse(&sarif).unwrap()).is_empty());
     }
 
     #[test]
@@ -143,10 +208,10 @@ mod tests {
         let r1 = verify_schedule(&pex(32, 1024), None, &exchange_policy(ExchangeAlg::Pex));
         let r2 = verify_schedule(&lex(8, 1024), None, &exchange_policy(ExchangeAlg::Lex));
         let sarif = render_sarif(&[("pex n=32".to_string(), &r1), ("lex n=8".to_string(), &r2)]);
-        assert_eq!(sarif.matches("\"runs\":[{").count(), 1);
-        assert!(sarif.contains("\"target\":\"pex n=32\""));
-        assert!(sarif.contains("\"target\":\"lex n=8\""));
+        let results = results(&Json::parse(&sarif).unwrap());
+        assert_eq!(count(&results, "V030", "pex n=32"), 16);
         // LEX at 8 nodes predicts 8 link hotspots (V031).
-        assert_eq!(sarif.matches("\"ruleId\":\"V031\"").count(), 8);
+        assert_eq!(count(&results, "V031", "lex n=8"), 8);
+        assert_eq!(results.len(), 16 + 8);
     }
 }

@@ -12,7 +12,7 @@
 //!   codec — the recorder and the service can never drift apart.
 
 use cm5_bench::querygen::{generate_trace, TraceMix};
-use cm5_serve::{replay, Query, Request, Service, ServiceConfig, TenantQuery};
+use cm5_serve::{replay, Json, Query, Request, Service, ServiceConfig, TenantQuery};
 use proptest::prelude::*;
 
 #[test]
@@ -25,10 +25,17 @@ fn replay_is_byte_identical_at_any_worker_count() {
         assert_eq!(result.requests, 80);
         let joined = result.responses.join("\n");
         let metrics = service.metrics().to_json();
-        assert!(
-            metrics.contains("workload_memo_entries") && metrics.contains("workload_memo_hits"),
-            "{metrics}"
-        );
+        let counters = Json::parse(&metrics)
+            .unwrap()
+            .get("counters")
+            .cloned()
+            .unwrap();
+        for memo in ["workload_memo_entries", "workload_memo_hits"] {
+            assert!(
+                counters.get(memo).and_then(Json::as_u64).is_some(),
+                "{metrics}"
+            );
+        }
         let spans = cm5_obs::spans_json(&result.spans);
         match &baseline {
             None => baseline = Some((joined, metrics, spans)),
@@ -113,7 +120,13 @@ fn flight_dumps_are_deterministic_across_worker_counts() {
             .collect();
         dumps.sort();
         assert_eq!(dumps.len(), 24, "slo-ms 0 dumps every query");
-        assert!(dumps.iter().all(|(_, body)| body.contains("cm5-flight/1")));
+        for (_, body) in &dumps {
+            let dump = Json::parse(body).unwrap();
+            assert_eq!(
+                dump.get("schema").and_then(Json::as_str),
+                Some("cm5-flight/1")
+            );
+        }
         match &baseline {
             None => baseline = Some(dumps),
             Some(d0) => assert_eq!(&dumps, d0, "flight dumps differ at jobs={jobs}"),
@@ -149,10 +162,11 @@ fn malformed_lines_get_error_responses_not_panics() {
         "{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":32},\"simlate\":true}",
         "{\"id\":1,\"query\":{\"kind\":\"tenants\",\"shared_n\":64,\"tenants\":[]}}",
     ] {
-        let response = service.handle_line(line);
-        assert!(
-            response.contains("\"ok\":false"),
-            "expected error for {line:?}, got {response}"
+        let response = Json::parse(&service.handle_line(line)).unwrap();
+        assert_eq!(
+            response.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "expected error for {line:?}, got {response:?}"
         );
     }
 }
@@ -160,8 +174,28 @@ fn malformed_lines_get_error_responses_not_panics() {
 /// Name alphabet for generated strings — includes every character the
 /// JSON renderer must escape.
 const NAME_CHARS: &[char] = &[
-    'a', 'b', 'z', 'A', 'Z', '0', '9', ' ', '_', '-', '"', '\\', '\n', '\t', '{', '}', ':', ',',
-    'é', '✓',
+    'a',
+    'b',
+    'z',
+    'A',
+    'Z',
+    '0',
+    '9',
+    ' ',
+    '_',
+    '-',
+    '"',
+    '\\',
+    '\n',
+    '\t',
+    '{',
+    '}',
+    ':',
+    ',',
+    'é',
+    '✓',
+    '\u{1}',
+    '\u{1F600}',
 ];
 
 fn name_from(indices: &[usize]) -> String {
