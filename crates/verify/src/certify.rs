@@ -5,9 +5,11 @@
 //! time on the fat tree — so completion time should be provable from the
 //! program text alone. This module computes a certified makespan interval
 //! `[LB, UB]` for any lowered [`OpProgram`] set by replaying the programs
-//! through a discrete abstract executor that mirrors the simulator's
-//! matching and charging semantics exactly (send/recv software overheads,
-//! rendezvous vs eager matching, wire latency, collective fences), but
+//! twice through the crate's abstract executor (the private `replay` module,
+//! the same one the deadlock analysis runs untimed). The executor mirrors
+//! the simulator's matching and charging semantics exactly (send/recv
+//! software overheads, rendezvous vs eager matching, wire latency,
+//! collective fences, a system broadcast priced by its root's bytes), but
 //! prices every transfer with a *closed-form* rate instead of the dynamic
 //! max-min flow solver:
 //!
@@ -42,13 +44,15 @@
 //! replay (when lowered with provenance, [`LoweredMeta`]) — the per-step
 //! critical-path transcript `cm5 certify` prints.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use cm5_core::exec::{lower_annotated, LowerOptions, LoweredMeta};
 use cm5_core::schedule::Schedule;
 use cm5_obs::{schema_id, Json};
-use cm5_sim::{FatTree, LinkDir, MachineParams, Op, OpProgram, SendMode, SimDuration, SimTime};
+use cm5_sim::{FatTree, LinkDir, MachineParams, Op, OpProgram, SendMode, SimDuration};
+
+use crate::replay::{Pricing, Replay};
 
 /// Why a program set cannot be certified.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -335,430 +339,6 @@ fn rate_map(
     rates
 }
 
-/// What a node is currently parked on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Blocked {
-    No,
-    Send,
-    Recv,
-    Wait,
-    Collective,
-}
-
-struct NodeSt {
-    pc: usize,
-    clock: SimTime,
-    outstanding: Vec<Option<SimTime>>,
-    blocked: Blocked,
-    coll_count: usize,
-    done: bool,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum CollKind {
-    Barrier,
-    Bcast { root: usize, bytes: u64 },
-    Reduce,
-    Scan,
-}
-
-struct CollSlot {
-    kind: CollKind,
-    arrivals: usize,
-    max: SimTime,
-    members: Vec<usize>,
-}
-
-struct SendEntry {
-    node: usize,
-    ready: SimTime,
-    bytes: u64,
-    /// `Some(handle)` for non-blocking sends, `None` for blocking ones.
-    handle: Option<usize>,
-}
-
-struct RecvEntry {
-    node: usize,
-    posted: SimTime,
-}
-
-struct ReplayOut {
-    makespan: SimDuration,
-    step_finish: Vec<SimDuration>,
-}
-
-/// The abstract executor: a deterministic replay of the programs under
-/// fixed per-message rates. Matching is structural (unique keys), so the
-/// worklist order cannot change the outcome.
-struct Exec<'a> {
-    programs: &'a [OpProgram],
-    step_of: Option<&'a [Vec<usize>]>,
-    params: &'a MachineParams,
-    rates: &'a HashMap<(usize, usize), f64>,
-    /// Pessimistic replays round ambiguous eager resumes up; optimistic
-    /// replays round them down (both directions stay sound).
-    pessimistic: bool,
-    nodes: Vec<NodeSt>,
-    send_wait: HashMap<Key, VecDeque<SendEntry>>,
-    recv_wait: HashMap<Key, VecDeque<RecvEntry>>,
-    eager_done: HashMap<Key, VecDeque<SimTime>>,
-    colls: Vec<CollSlot>,
-    runnable: VecDeque<usize>,
-    queued: Vec<bool>,
-    step_finish: Vec<SimDuration>,
-}
-
-impl<'a> Exec<'a> {
-    fn new(
-        programs: &'a [OpProgram],
-        provenance: Option<(&'a [Vec<usize>], usize)>,
-        params: &'a MachineParams,
-        rates: &'a HashMap<(usize, usize), f64>,
-        pessimistic: bool,
-    ) -> Exec<'a> {
-        let n = programs.len();
-        let (step_of, num_steps) = match provenance {
-            Some((s, k)) => (Some(s), k),
-            None => (None, 0),
-        };
-        Exec {
-            programs,
-            step_of,
-            params,
-            rates,
-            pessimistic,
-            nodes: (0..n)
-                .map(|_| NodeSt {
-                    pc: 0,
-                    clock: SimTime::ZERO,
-                    outstanding: Vec::new(),
-                    blocked: Blocked::No,
-                    coll_count: 0,
-                    done: false,
-                })
-                .collect(),
-            send_wait: HashMap::new(),
-            recv_wait: HashMap::new(),
-            eager_done: HashMap::new(),
-            colls: Vec::new(),
-            runnable: (0..n).collect(),
-            queued: vec![true; n],
-            step_finish: vec![SimDuration::ZERO; num_steps],
-        }
-    }
-
-    fn transfer(&self, src: usize, dst: usize, bytes: u64) -> SimDuration {
-        let rate = *self
-            .rates
-            .get(&(src, dst))
-            .expect("pre-pass saw every pair");
-        SimDuration::from_rate(self.params.wire_bytes(bytes) as f64, rate)
-    }
-
-    /// Record an op completion for the per-step transcript.
-    fn record(&mut self, node: usize, op_idx: usize, t: SimTime) {
-        if let Some(step_of) = self.step_of {
-            if let Some(&s) = step_of[node].get(op_idx) {
-                if s < self.step_finish.len() {
-                    let d = t.since(SimTime::ZERO);
-                    if d > self.step_finish[s] {
-                        self.step_finish[s] = d;
-                    }
-                }
-            }
-        }
-    }
-
-    fn enqueue(&mut self, node: usize) {
-        if !self.queued[node] {
-            self.queued[node] = true;
-            self.runnable.push_back(node);
-        }
-    }
-
-    /// Wake a node parked on a blocking op: the op at `pc - 1` completes at
-    /// `t`.
-    fn wake(&mut self, node: usize, t: SimTime) {
-        self.nodes[node].clock = t;
-        self.nodes[node].blocked = Blocked::No;
-        let op_idx = self.nodes[node].pc - 1;
-        self.record(node, op_idx, t);
-        self.enqueue(node);
-    }
-
-    /// A non-blocking send completed for the sender at `tc`: fill the
-    /// outstanding slot and re-check a parked `WaitAll`.
-    fn complete_async(&mut self, sender: usize, handle: usize, tc: SimTime) {
-        self.nodes[sender].outstanding[handle] = Some(tc);
-        if self.nodes[sender].blocked == Blocked::Wait
-            && self.nodes[sender].outstanding.iter().all(|c| c.is_some())
-        {
-            let resume = self.wait_resume(sender);
-            self.nodes[sender].outstanding.clear();
-            self.wake(sender, resume);
-        }
-    }
-
-    fn wait_resume(&self, node: usize) -> SimTime {
-        let mut t = self.nodes[node].clock;
-        for c in &self.nodes[node].outstanding {
-            t = t.max(c.expect("all completions known"));
-        }
-        t
-    }
-
-    /// Eager receive resume rule. The engine resumes at `r_post` when the
-    /// message already sits in the mailbox and at `tc + λ` when the receive
-    /// claimed it first; the branch is not monotone in `r_post`, so each
-    /// replay takes the sound side: optimistic `max(r_post, tc)` ≤ real ≤
-    /// pessimistic `max(r_post, tc + λ)`.
-    fn eager_resume(&self, r_post: SimTime, tc: SimTime) -> SimTime {
-        if self.pessimistic {
-            r_post.max(tc + self.params.wire_latency)
-        } else {
-            r_post.max(tc)
-        }
-    }
-
-    /// Deliver an eager message posted at `s_post` (transfer fully priced at
-    /// post time): wake a parked receiver or bank the completion.
-    fn eager_deliver(&mut self, key: Key, tc: SimTime) {
-        let waiting = self.recv_wait.get_mut(&key).and_then(|q| q.pop_front());
-        if let Some(r) = waiting {
-            let resume = self.eager_resume(r.posted, tc);
-            self.wake(r.node, resume);
-        } else {
-            self.eager_done.entry(key).or_default().push_back(tc);
-        }
-    }
-
-    fn run(mut self) -> Result<ReplayOut, CertifyError> {
-        while let Some(id) = self.runnable.pop_front() {
-            self.queued[id] = false;
-            if self.nodes[id].done || self.nodes[id].blocked != Blocked::No {
-                continue;
-            }
-            self.step(id)?;
-        }
-        if let Some(stuck) = self.nodes.iter().position(|s| !s.done) {
-            return Err(CertifyError::Stuck(format!(
-                "node {stuck} blocked at op {} ({:?}) with no matching partner",
-                self.nodes[stuck].pc.saturating_sub(1),
-                self.nodes[stuck].blocked,
-            )));
-        }
-        let makespan = self
-            .nodes
-            .iter()
-            .map(|s| s.clock)
-            .fold(SimTime::ZERO, SimTime::max)
-            .since(SimTime::ZERO);
-        Ok(ReplayOut {
-            makespan,
-            step_finish: self.step_finish,
-        })
-    }
-
-    /// Advance one node until it parks or finishes.
-    fn step(&mut self, id: usize) -> Result<(), CertifyError> {
-        let eager = self.params.send_mode == SendMode::Eager;
-        loop {
-            let Some(op) = self.programs[id].get(self.nodes[id].pc) else {
-                self.nodes[id].done = true;
-                return Ok(());
-            };
-            let op = op.clone();
-            self.nodes[id].pc += 1;
-            let op_idx = self.nodes[id].pc - 1;
-            match op {
-                Op::Compute(d) => {
-                    self.nodes[id].clock += d;
-                    let t = self.nodes[id].clock;
-                    self.record(id, op_idx, t);
-                }
-                Op::Memcpy { bytes } => {
-                    self.nodes[id].clock += self.params.memcpy_time(bytes);
-                    let t = self.nodes[id].clock;
-                    self.record(id, op_idx, t);
-                }
-                Op::Flops { flops } => {
-                    self.nodes[id].clock += self.params.flops_time(flops);
-                    let t = self.nodes[id].clock;
-                    self.record(id, op_idx, t);
-                }
-                Op::Send { to, bytes, tag } => {
-                    self.nodes[id].clock += self.params.send_overhead;
-                    let s_post = self.nodes[id].clock;
-                    let key = (id, to, tag);
-                    if eager {
-                        // Transfer starts at post; the sender resumes once
-                        // its bytes are injected at the leaf link rate.
-                        let tc = s_post + self.transfer(id, to, bytes);
-                        self.eager_deliver(key, tc);
-                        self.nodes[id].clock = s_post
-                            + SimDuration::from_rate(
-                                self.params.wire_bytes(bytes) as f64,
-                                self.params.leaf_bandwidth,
-                            );
-                        let t = self.nodes[id].clock;
-                        self.record(id, op_idx, t);
-                    } else {
-                        let waiting = self.recv_wait.get_mut(&key).and_then(|q| q.pop_front());
-                        if let Some(r) = waiting {
-                            let start = s_post.max(r.posted);
-                            let tc = start + self.transfer(id, to, bytes);
-                            self.nodes[id].clock = tc;
-                            self.record(id, op_idx, tc);
-                            self.wake(r.node, tc + self.params.wire_latency);
-                        } else {
-                            self.send_wait.entry(key).or_default().push_back(SendEntry {
-                                node: id,
-                                ready: s_post,
-                                bytes,
-                                handle: None,
-                            });
-                            self.nodes[id].blocked = Blocked::Send;
-                            return Ok(());
-                        }
-                    }
-                }
-                Op::Isend { to, bytes, tag } => {
-                    self.nodes[id].clock += self.params.send_overhead;
-                    let s_post = self.nodes[id].clock;
-                    self.record(id, op_idx, s_post);
-                    let key = (id, to, tag);
-                    let handle = self.nodes[id].outstanding.len();
-                    if eager {
-                        let tc = s_post + self.transfer(id, to, bytes);
-                        self.nodes[id].outstanding.push(Some(tc));
-                        self.eager_deliver(key, tc);
-                    } else {
-                        let waiting = self.recv_wait.get_mut(&key).and_then(|q| q.pop_front());
-                        if let Some(r) = waiting {
-                            let start = s_post.max(r.posted);
-                            let tc = start + self.transfer(id, to, bytes);
-                            self.nodes[id].outstanding.push(Some(tc));
-                            self.wake(r.node, tc + self.params.wire_latency);
-                        } else {
-                            self.nodes[id].outstanding.push(None);
-                            self.send_wait.entry(key).or_default().push_back(SendEntry {
-                                node: id,
-                                ready: s_post,
-                                bytes,
-                                handle: Some(handle),
-                            });
-                        }
-                    }
-                }
-                Op::WaitAll => {
-                    if self.nodes[id].outstanding.iter().all(|c| c.is_some()) {
-                        let resume = self.wait_resume(id);
-                        self.nodes[id].outstanding.clear();
-                        self.nodes[id].clock = resume;
-                        self.record(id, op_idx, resume);
-                    } else {
-                        self.nodes[id].blocked = Blocked::Wait;
-                        return Ok(());
-                    }
-                }
-                Op::Recv { from, tag } => {
-                    self.nodes[id].clock += self.params.recv_overhead;
-                    let r_post = self.nodes[id].clock;
-                    let key = (from, id, tag);
-                    if eager {
-                        let done = self.eager_done.get_mut(&key).and_then(|q| q.pop_front());
-                        if let Some(tc) = done {
-                            self.nodes[id].clock = self.eager_resume(r_post, tc);
-                            let t = self.nodes[id].clock;
-                            self.record(id, op_idx, t);
-                        } else {
-                            self.recv_wait.entry(key).or_default().push_back(RecvEntry {
-                                node: id,
-                                posted: r_post,
-                            });
-                            self.nodes[id].blocked = Blocked::Recv;
-                            return Ok(());
-                        }
-                    } else {
-                        let pending = self.send_wait.get_mut(&key).and_then(|q| q.pop_front());
-                        if let Some(e) = pending {
-                            let start = e.ready.max(r_post);
-                            let tc = start + self.transfer(from, id, e.bytes);
-                            self.nodes[id].clock = tc + self.params.wire_latency;
-                            let t = self.nodes[id].clock;
-                            self.record(id, op_idx, t);
-                            match e.handle {
-                                None => self.wake(e.node, tc),
-                                Some(h) => self.complete_async(e.node, h, tc),
-                            }
-                        } else {
-                            self.recv_wait.entry(key).or_default().push_back(RecvEntry {
-                                node: id,
-                                posted: r_post,
-                            });
-                            self.nodes[id].blocked = Blocked::Recv;
-                            return Ok(());
-                        }
-                    }
-                }
-                Op::RecvAny { .. } => {
-                    return Err(CertifyError::Unsupported(
-                        "wildcard receive reached the executor".into(),
-                    ));
-                }
-                Op::Barrier => return self.collective(id, CollKind::Barrier),
-                Op::SystemBcast { root, bytes } => {
-                    return self.collective(id, CollKind::Bcast { root, bytes })
-                }
-                Op::Reduce => return self.collective(id, CollKind::Reduce),
-                Op::Scan => return self.collective(id, CollKind::Scan),
-            }
-        }
-    }
-
-    /// Park `id` on its next collective; resolve the slot once all nodes
-    /// arrive.
-    fn collective(&mut self, id: usize, kind: CollKind) -> Result<(), CertifyError> {
-        let k = self.nodes[id].coll_count;
-        self.nodes[id].coll_count += 1;
-        if k == self.colls.len() {
-            self.colls.push(CollSlot {
-                kind: kind.clone(),
-                arrivals: 0,
-                max: SimTime::ZERO,
-                members: Vec::new(),
-            });
-        }
-        if self.colls[k].kind != kind {
-            return Err(CertifyError::Stuck(format!(
-                "collective mismatch at ordinal {k}: node {id} posts {kind:?}, others {:?}",
-                self.colls[k].kind,
-            )));
-        }
-        let clock = self.nodes[id].clock;
-        self.colls[k].arrivals += 1;
-        self.colls[k].max = self.colls[k].max.max(clock);
-        self.colls[k].members.push(id);
-        self.nodes[id].blocked = Blocked::Collective;
-        if self.colls[k].arrivals == self.programs.len() {
-            let mut finish = self.colls[k].max + self.params.control_latency;
-            if let CollKind::Bcast { bytes, .. } = self.colls[k].kind {
-                finish = finish
-                    + self.params.system_bcast_overhead
-                    + SimDuration::from_rate(
-                        self.params.wire_bytes(bytes) as f64,
-                        self.params.system_bcast_bandwidth,
-                    );
-            }
-            let members = std::mem::take(&mut self.colls[k].members);
-            for m in members {
-                self.wake(m, finish);
-            }
-        }
-        Ok(())
-    }
-}
-
 fn certify(
     programs: &[OpProgram],
     provenance: Option<(&[Vec<usize>], usize)>,
@@ -767,8 +347,25 @@ fn certify(
     let net = analyze(programs, params)?;
     let opt_rates = rate_map(&net, params, false);
     let pess_rates = rate_map(&net, params, true);
-    let optimistic = Exec::new(programs, provenance, params, &opt_rates, false).run()?;
-    let pessimistic = Exec::new(programs, provenance, params, &pess_rates, true).run()?;
+    // One timed replay per rate map. A stuck replay names the lowest-id
+    // node that never finished and the op it is parked on.
+    let replay = |rates, pessimistic| {
+        let pricing = Pricing {
+            params,
+            rates,
+            pessimistic,
+        };
+        let run = Replay::run(programs, Some(pricing), provenance);
+        match (0..programs.len()).find(|&i| run.parked_at(i).is_some()) {
+            Some(i) => Err(CertifyError::Stuck(format!(
+                "{} never completes",
+                run.describe(i)
+            ))),
+            None => Ok(run),
+        }
+    };
+    let optimistic = replay(&opt_rates, false)?;
+    let pessimistic = replay(&pess_rates, true)?;
 
     // Aggregate drain bound and the static bottleneck link.
     let mut link_bound = SimDuration::ZERO;
@@ -807,10 +404,10 @@ fn certify(
     // round transfer durations independently, so pad each bound by a few
     // nanoseconds per discrete event before comparing against a simulation.
     let slack = SimDuration::from_nanos(4 * (net.messages + net.collectives + 16));
-    let critical_path = optimistic.makespan;
+    let critical_path = optimistic.makespan();
     let raw_lb = critical_path.max(link_bound);
     let lb = SimDuration::from_nanos(raw_lb.as_nanos().saturating_sub(slack.as_nanos()));
-    let ub = pessimistic.makespan + slack;
+    let ub = pessimistic.makespan() + slack;
 
     Ok(Certificate {
         lb,
@@ -962,6 +559,46 @@ mod tests {
         let progs = cm5_core::exec::broadcast_programs(BroadcastAlg::System, 32, 0, 8192);
         let cert = certify_programs(&progs, &params).unwrap();
         assert!(cert.tightness() < 1.01, "{}", cert.tightness());
+    }
+
+    /// The engine matches a system broadcast by root alone and moves the
+    /// root's bytes, whatever the other nodes post: here they post 0.
+    #[test]
+    fn system_broadcast_matches_by_root_and_prices_the_roots_bytes() {
+        let params = MachineParams::cm5_1992();
+        let programs = |root: usize, lead: SimDuration| -> Vec<OpProgram> {
+            (0..4)
+                .map(|i| {
+                    let bytes = if i == root { 4096 } else { 0 };
+                    let bcast = Op::SystemBcast { root, bytes };
+                    if i == root {
+                        vec![Op::Compute(lead), bcast]
+                    } else {
+                        vec![bcast]
+                    }
+                })
+                .collect()
+        };
+        // Root 3 arrives last, both in time and in replay order.
+        let root_last = programs(3, SimDuration::from_micros(50));
+        for progs in [programs(0, SimDuration::ZERO), root_last] {
+            let cert = certify_programs(&progs, &params).unwrap();
+            let m = Simulation::new(4, params.clone())
+                .run_ops(&progs)
+                .unwrap()
+                .makespan;
+            assert!(cert.contains(m), "{m} outside [{}, {}]", cert.lb, cert.ub);
+        }
+    }
+
+    #[test]
+    fn stuck_message_names_the_parked_op() {
+        let params = MachineParams::cm5_1992();
+        let progs = vec![vec![Op::Recv { from: 1, tag: 0 }], vec![]];
+        assert_eq!(
+            certify_programs(&progs, &params).unwrap_err().to_string(),
+            "abstract execution stuck: node 0: op[0] blocking recv from node 1 (tag 0) never completes"
+        );
     }
 
     #[test]

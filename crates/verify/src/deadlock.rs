@@ -1,25 +1,29 @@
 //! Blocking-semantics (CMMD rendezvous) deadlock analysis.
 //!
-//! The analysis runs the lowered per-node programs through an *un-timed*
-//! abstract execution that mirrors the simulator's matching rules exactly:
-//! a blocking `Send` completes only when the destination posts a `Recv`
-//! naming its source and tag (and vice versa), `Isend` posts without
-//! blocking, `WaitAll` blocks until every outstanding `Isend` has matched,
-//! and collectives synchronize all nodes. Local ops (`Compute`, `Memcpy`,
-//! `Flops`) always complete and are skipped.
+//! The analysis replays the lowered per-node programs once through the
+//! crate's abstract executor (the private `replay` module), untimed and under
+//! rendezvous: a blocking `Send` completes only when the destination posts
+//! a `Recv` naming its source and tag (and vice versa), `Isend` posts
+//! without blocking, `WaitAll` blocks until every outstanding `Isend` has
+//! matched, and collectives synchronize all nodes. Local ops (`Compute`,
+//! `Memcpy`, `Flops`) always complete.
 //!
 //! Because every receive names its source and tags are matched exactly,
 //! rendezvous matching is *confluent*: firing one enabled match never
 //! disables another, so whether the programs complete is independent of
 //! timing — which is why a static analysis can promise anything about the
 //! simulator. (`RecvAny` breaks this; see [`RECV_ANY_NOTE`].) When the
-//! abstract execution gets stuck, the blocked nodes form a wait-for graph;
-//! the analyzer extracts its cycles as [`Code::DeadlockCycle`] witnesses
-//! and reports chains that end at a finished partner as [`Code::StuckOp`].
+//! replay gets stuck, this module reads the wait-for graph off its final
+//! state: each blocked node waits on the partner of the op it is parked on.
+//! It extracts the graph's cycles as [`Code::DeadlockCycle`] witnesses,
+//! reports chains that end at a finished partner as [`Code::StuckOp`], and
+//! reports nodes parked at different collectives as
+//! [`Code::CollectiveMismatch`].
 
 use cm5_sim::{Op, OpProgram};
 
 use crate::diag::{Code, Diagnostic, Span};
+use crate::replay::{CollKind, Replay};
 
 /// Caveat for programs using `RecvAny`: which sender a wildcard receive
 /// matches depends on message timing, so the analysis resolves it
@@ -28,340 +32,57 @@ use crate::diag::{Code, Diagnostic, Span};
 pub const RECV_ANY_NOTE: &str =
     "recv-any matching is timing-dependent; the analysis resolves it lowest-sender-first";
 
-/// What a blocked node is waiting on.
-// `WaitAll` deliberately mirrors `Op::WaitAll`, not the enum name.
-#[allow(clippy::enum_variant_names)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Wait {
-    /// Blocking send to `to` with `tag`, unmatched.
-    Send { to: usize, tag: u32 },
-    /// Blocking receive from `from` with `tag`, unmatched.
-    Recv { from: usize, tag: u32 },
-    /// Wildcard receive with `tag`, unmatched.
-    RecvAny { tag: u32 },
-    /// `WaitAll` with outstanding isends (first unmatched destination).
-    WaitAll { first_to: usize },
-    /// Parked at a collective (index into [`CollKind`] description).
-    Collective,
-}
-
-/// Collective kinds must line up across nodes (the engine reports a
-/// mismatch as an error; the abstract execution does the same).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CollKind {
-    Barrier,
-    Bcast { root: usize },
-    Reduce,
-    Scan,
-}
-
-impl CollKind {
-    fn name(&self) -> String {
-        match self {
-            CollKind::Barrier => "barrier".into(),
-            CollKind::Bcast { root } => format!("system-bcast(root {root})"),
-            CollKind::Reduce => "reduce".into(),
-            CollKind::Scan => "scan".into(),
-        }
-    }
-}
-
-struct State<'a> {
-    programs: &'a [OpProgram],
-    pc: Vec<usize>,
-    done: Vec<bool>,
-    wait: Vec<Option<Wait>>,
-    coll: Vec<Option<CollKind>>,
-    /// Unmatched isends per sender, in post order: `(to, tag, op_index)`.
-    async_out: Vec<Vec<(usize, u32, usize)>>,
-    queue: std::collections::VecDeque<usize>,
-    queued: Vec<bool>,
-}
-
-impl<'a> State<'a> {
-    fn new(programs: &'a [OpProgram]) -> State<'a> {
-        let n = programs.len();
-        State {
-            programs,
-            pc: vec![0; n],
-            done: vec![false; n],
-            wait: vec![None; n],
-            coll: vec![None; n],
-            async_out: vec![Vec::new(); n],
-            queue: (0..n).collect(),
-            queued: vec![true; n],
-        }
-    }
-
-    fn enqueue(&mut self, node: usize) {
-        if !self.queued[node] && !self.done[node] {
-            self.queued[node] = true;
-            self.queue.push_back(node);
-        }
-    }
-
-    /// Whether node `to`'s parked receive matches a message `(from, tag)`.
-    fn recv_matches(&self, to: usize, from: usize, tag: u32) -> bool {
-        match self.wait[to] {
-            Some(Wait::Recv { from: f, tag: t }) => f == from && t == tag,
-            Some(Wait::RecvAny { tag: t }) => t == tag,
-            _ => false,
-        }
-    }
-
-    /// Complete node `to`'s parked receive and let it continue.
-    fn complete_recv(&mut self, to: usize) {
-        self.wait[to] = None;
-        self.pc[to] += 1;
-        self.enqueue(to);
-    }
-
-    /// Try to consume an unmatched isend `from → to` with `tag`. On success
-    /// the sender's `WaitAll` (if parked) may unblock.
-    fn take_isend(&mut self, from: usize, to: usize, tag: u32) -> bool {
-        let Some(pos) = self.async_out[from]
-            .iter()
-            .position(|&(t, g, _)| t == to && g == tag)
-        else {
-            return false;
-        };
-        self.async_out[from].remove(pos);
-        if self.async_out[from].is_empty() && matches!(self.wait[from], Some(Wait::WaitAll { .. }))
-        {
-            self.wait[from] = None;
-            self.pc[from] += 1; // past the WaitAll
-            self.enqueue(from);
-        }
-        true
-    }
-
-    /// Lowest-id sender with a message `(→ me, tag)` available: a parked
-    /// blocking send, or an unmatched isend.
-    fn find_any_sender(&self, me: usize, tag: u32) -> Option<(usize, bool)> {
-        for from in 0..self.programs.len() {
-            if from == me {
-                continue;
-            }
-            if self.wait[from] == Some(Wait::Send { to: me, tag }) {
-                return Some((from, false));
-            }
-            if self.async_out[from]
-                .iter()
-                .any(|&(t, g, _)| t == me && g == tag)
-            {
-                return Some((from, true));
-            }
-        }
-        None
-    }
-
-    /// Run node `i` forward until it blocks or finishes.
-    fn advance(&mut self, i: usize) {
-        self.wait[i] = None;
-        self.coll[i] = None;
-        loop {
-            let Some(op) = self.programs[i].get(self.pc[i]) else {
-                self.done[i] = true;
-                return;
-            };
-            match *op {
-                Op::Compute(_) | Op::Memcpy { .. } | Op::Flops { .. } => {
-                    self.pc[i] += 1;
-                }
-                Op::Send { to, tag, .. } => {
-                    if self.recv_matches(to, i, tag) {
-                        self.complete_recv(to);
-                        self.pc[i] += 1;
-                    } else {
-                        self.wait[i] = Some(Wait::Send { to, tag });
-                        return;
-                    }
-                }
-                Op::Isend { to, tag, .. } => {
-                    if self.recv_matches(to, i, tag) {
-                        self.complete_recv(to);
-                    } else {
-                        self.async_out[i].push((to, tag, self.pc[i]));
-                    }
-                    self.pc[i] += 1;
-                }
-                Op::WaitAll => {
-                    if self.async_out[i].is_empty() {
-                        self.pc[i] += 1;
-                    } else {
-                        let first_to = self.async_out[i][0].0;
-                        self.wait[i] = Some(Wait::WaitAll { first_to });
-                        return;
-                    }
-                }
-                Op::Recv { from, tag } => {
-                    if self.wait[from] == Some(Wait::Send { to: i, tag }) {
-                        self.wait[from] = None;
-                        self.pc[from] += 1;
-                        self.enqueue(from);
-                        self.pc[i] += 1;
-                    } else if self.take_isend(from, i, tag) {
-                        self.pc[i] += 1;
-                    } else {
-                        self.wait[i] = Some(Wait::Recv { from, tag });
-                        return;
-                    }
-                }
-                Op::RecvAny { tag } => match self.find_any_sender(i, tag) {
-                    Some((from, true)) => {
-                        let taken = self.take_isend(from, i, tag);
-                        debug_assert!(taken, "indexed isend must be consumable");
-                        self.pc[i] += 1;
-                    }
-                    Some((from, false)) => {
-                        self.wait[from] = None;
-                        self.pc[from] += 1;
-                        self.enqueue(from);
-                        self.pc[i] += 1;
-                    }
-                    None => {
-                        self.wait[i] = Some(Wait::RecvAny { tag });
-                        return;
-                    }
-                },
-                Op::Barrier => {
-                    self.wait[i] = Some(Wait::Collective);
-                    self.coll[i] = Some(CollKind::Barrier);
-                    return;
-                }
-                Op::SystemBcast { root, .. } => {
-                    self.wait[i] = Some(Wait::Collective);
-                    self.coll[i] = Some(CollKind::Bcast { root });
-                    return;
-                }
-                Op::Reduce => {
-                    self.wait[i] = Some(Wait::Collective);
-                    self.coll[i] = Some(CollKind::Reduce);
-                    return;
-                }
-                Op::Scan => {
-                    self.wait[i] = Some(Wait::Collective);
-                    self.coll[i] = Some(CollKind::Scan);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Drain the work queue, then release collectives when every live node
-    /// has arrived at one; repeat to fixpoint. Returns a collective-mismatch
-    /// diagnostic if the nodes disagree on which collective they reached.
-    fn run(&mut self) -> Option<Diagnostic> {
-        loop {
-            while let Some(i) = self.queue.pop_front() {
-                self.queued[i] = false;
-                if !self.done[i] {
-                    self.advance(i);
-                }
-            }
-            // Collective release requires EVERY node to arrive: a node that
-            // finishes (or blocks) elsewhere leaves the others waiting
-            // forever — the engine reports that as deadlock, and so do we
-            // (via the stuck analysis).
-            let live: Vec<usize> = (0..self.programs.len())
-                .filter(|&i| !self.done[i])
-                .collect();
-            if live.is_empty() {
-                return None;
-            }
-            if live.len() != self.programs.len() || !live.iter().all(|&i| self.coll[i].is_some()) {
-                return None; // stuck (or waiting on point-to-point): caller reports
-            }
-            let first = self.coll[live[0]].expect("checked above");
-            if let Some(&bad) = live[1..].iter().find(|&&i| self.coll[i] != Some(first)) {
-                let got = self.coll[bad].expect("checked above");
-                return Some(Diagnostic::new(
-                    Code::CollectiveMismatch,
-                    Span::program(bad, self.pc[bad]),
-                    format!(
-                        "node {bad} reached {} while node {} reached {}",
-                        got.name(),
-                        live[0],
-                        first.name()
-                    ),
-                ));
-            }
-            for &i in &live {
-                self.wait[i] = None;
-                self.coll[i] = None;
-                self.pc[i] += 1;
-                self.enqueue(i);
-            }
-        }
-    }
-
-    /// Describe node `i`'s current (blocking) op for witness lines.
-    fn describe(&self, i: usize) -> String {
-        let op = match self.programs[i].get(self.pc[i]) {
-            Some(op) => op,
-            None => return format!("node {i}: finished"),
-        };
-        let desc = match *op {
-            Op::Send { to, bytes, tag } => {
-                format!("blocking send of {bytes} B to node {to} (tag {tag})")
-            }
-            Op::Recv { from, tag } => format!("blocking recv from node {from} (tag {tag})"),
-            Op::RecvAny { tag } => format!("blocking recv-any (tag {tag})"),
-            Op::WaitAll => {
-                let pending: Vec<String> = self.async_out[i]
-                    .iter()
-                    .map(|&(to, tag, _)| format!("{to} (tag {tag})"))
-                    .collect();
-                format!("wait-all on unmatched isends to {}", pending.join(", "))
-            }
-            Op::Barrier => "barrier".into(),
-            Op::SystemBcast { root, bytes } => {
-                format!("system-bcast of {bytes} B from node {root}")
-            }
-            Op::Reduce => "reduce".into(),
-            Op::Scan => "scan".into(),
-            ref other => format!("{other:?}"),
-        };
-        format!("node {i}: op[{}] {desc}", self.pc[i])
-    }
-
-    /// Primary wait target of a blocked node, for the wait-for graph. `None`
-    /// for `RecvAny` (no specific partner).
-    fn target(&self, i: usize) -> Option<usize> {
-        match self.wait[i]? {
-            Wait::Send { to, .. } => Some(to),
-            Wait::Recv { from, .. } => Some(from),
-            Wait::RecvAny { .. } => None,
-            Wait::WaitAll { first_to } => Some(first_to),
-            // A collective waits on the lowest node that has not arrived.
-            Wait::Collective => (0..self.programs.len()).find(|&j| self.coll[j].is_none()),
-        }
-    }
-}
-
 /// Analyze lowered programs for blocking-semantics deadlock. Returns one
 /// [`Code::DeadlockCycle`] per wait-for cycle (with the full witness path),
 /// one [`Code::StuckOp`] per node blocked directly on a finished partner,
 /// and [`Code::CollectiveMismatch`] when nodes reach different collectives.
 /// An empty result proves the programs complete under rendezvous semantics
-/// (up to the `RecvAny` caveat).
-pub fn analyze_programs_deadlock(programs: &[OpProgram]) -> Vec<Diagnostic> {
-    let mut st = State::new(programs);
-    if let Some(mismatch) = st.run() {
-        return vec![mismatch];
+/// (up to the `RecvAny` caveat). Every peer must lie in `0..n`: callers run
+/// [`check_program_structure`] first.
+pub(crate) fn analyze_programs_deadlock(programs: &[OpProgram]) -> Vec<Diagnostic> {
+    let st = Replay::run(programs, None, None);
+    let n = programs.len();
+    let parked: Vec<Option<usize>> = (0..n).map(|i| st.parked_at(i)).collect();
+    let coll: Vec<Option<CollKind>> = (0..n)
+        .map(|i| parked[i].and_then(|pc| CollKind::of(&programs[i][pc])))
+        .collect();
+    // Every node parked at a collective means they disagree on which one
+    // (an agreeing gathering would have released).
+    if coll.iter().all(Option::is_some) {
+        if let Some(bad) = (1..n).find(|&i| coll[i] != coll[0]) {
+            let name = |i: usize| coll[i].expect("parked at a collective").name();
+            return vec![Diagnostic::new(
+                Code::CollectiveMismatch,
+                Span::program(bad, parked[bad].expect("parked at a collective")),
+                format!(
+                    "node {bad} reached {} while node 0 reached {}",
+                    name(bad),
+                    name(0)
+                ),
+            )];
+        }
     }
-    let blocked: Vec<usize> = (0..programs.len()).filter(|&i| !st.done[i]).collect();
-    if blocked.is_empty() {
-        return Vec::new();
-    }
+    let blocked: Vec<usize> = (0..n).filter(|&i| parked[i].is_some()).collect();
+    // Primary wait target of a blocked node. `None` for `RecvAny` (no
+    // specific partner).
+    let target = |i: usize| -> Option<usize> {
+        match programs[i][parked[i]?] {
+            Op::Send { to, .. } => Some(to),
+            Op::Recv { from, .. } => Some(from),
+            Op::WaitAll => st.unmatched_sends(i).next().map(|(to, _)| to),
+            // A collective waits on the lowest node that has not arrived.
+            ref op if CollKind::of(op).is_some() => (0..n).find(|&j| coll[j].is_none()),
+            _ => None,
+        }
+    };
 
     let mut diags = Vec::new();
-    let mut reported = vec![false; programs.len()];
+    let mut reported = vec![false; n];
 
     // The wait-for graph is (at most) functional: each blocked node has one
     // primary target. Walk each unvisited node's chain; a revisit inside the
     // current walk is a cycle.
-    let mut color = vec![0u32; programs.len()]; // 0 unvisited, else walk id
+    let mut color = vec![0u32; n]; // 0 unvisited, else walk id
     let mut walk_id = 0u32;
     for &start in &blocked {
         if color[start] != 0 {
@@ -372,37 +93,24 @@ pub fn analyze_programs_deadlock(programs: &[OpProgram]) -> Vec<Diagnostic> {
         color[start] = walk_id;
         let mut cur = start;
         loop {
-            let Some(next) = st.target(cur) else {
-                // RecvAny with no sender: report directly.
+            let at = parked[cur].expect("walks visit blocked nodes");
+            let waits_on = target(cur);
+            let Some(next) = waits_on.filter(|&t| parked[t].is_some()) else {
+                // No partner (a wildcard receive nobody sends to) or a
+                // finished one: the node is provably stuck.
                 if !reported[cur] {
                     reported[cur] = true;
-                    diags.push(Diagnostic::new(
-                        Code::StuckOp,
-                        Span::program(cur, st.pc[cur]),
-                        format!(
-                            "{} can never match: no node ever sends it a message with this tag ({RECV_ANY_NOTE})",
-                            st.describe(cur)
+                    let why = match waits_on {
+                        Some(t) => format!(
+                            "waits on node {t}, which finished without posting a matching operation"
                         ),
-                    ));
+                        None => format!("can never match: no node ever sends it a message with this tag ({RECV_ANY_NOTE})"),
+                    };
+                    let what = format!("{} {why}", st.describe(cur));
+                    diags.push(Diagnostic::new(Code::StuckOp, Span::program(cur, at), what));
                 }
                 break;
             };
-            if st.done[next] {
-                // Chain ends at a finished partner: the node adjacent to it
-                // is provably stuck.
-                if !reported[cur] {
-                    reported[cur] = true;
-                    diags.push(Diagnostic::new(
-                        Code::StuckOp,
-                        Span::program(cur, st.pc[cur]),
-                        format!(
-                            "{} waits on node {next}, which finished without posting a matching operation",
-                            st.describe(cur)
-                        ),
-                    ));
-                }
-                break;
-            }
             if color[next] == walk_id {
                 // Found a cycle: the suffix of `path` starting at `next`.
                 let pos = path.iter().position(|&p| p == next).expect("on path");
@@ -421,7 +129,7 @@ pub fn analyze_programs_deadlock(programs: &[OpProgram]) -> Vec<Diagnostic> {
                 diags.push(
                     Diagnostic::new(
                         Code::DeadlockCycle,
-                        Span::program(cycle[0], st.pc[cycle[0]]),
+                        Span::program(cycle[0], parked[cycle[0]].expect("blocked")),
                         format!(
                             "blocking send/recv cycle of {} node(s): {}",
                             cycle.len(),
@@ -459,7 +167,7 @@ pub fn analyze_programs_deadlock(programs: &[OpProgram]) -> Vec<Diagnostic> {
 /// Program-level structural checks, mirroring the engine's `BadProgram`
 /// errors: point-to-point ops must name a peer inside `0..n` (V001) and
 /// never the node itself (V002).
-pub fn check_program_structure(programs: &[OpProgram]) -> Vec<Diagnostic> {
+pub(crate) fn check_program_structure(programs: &[OpProgram]) -> Vec<Diagnostic> {
     let n = programs.len();
     let mut diags = Vec::new();
     for (node, prog) in programs.iter().enumerate() {
@@ -638,6 +346,30 @@ mod tests {
         let diags = analyze_programs_deadlock(&stuck);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::StuckOp);
+    }
+
+    #[test]
+    fn wait_all_waits_on_its_first_isend_still_unmatched() {
+        // Node 0 parks on WaitAll before node 1 takes the isend to 1; the
+        // isend to 2 is the one left, and node 2 is the one blamed.
+        let isend = |to| Op::Isend {
+            to,
+            bytes: 8,
+            tag: 0,
+        };
+        let progs = vec![
+            vec![isend(1), isend(2), Op::WaitAll],
+            vec![recv(0, 0)],
+            vec![],
+        ];
+        let diags = analyze_programs_deadlock(&progs);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, Code::StuckOp);
+        assert!(
+            diags[0].message.contains("waits on node 2,"),
+            "{}",
+            diags[0].message
+        );
     }
 
     #[test]

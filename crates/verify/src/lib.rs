@@ -6,9 +6,9 @@
 //! proves a [`Schedule`](cm5_core::schedule::Schedule) safe **before** it
 //! runs:
 //!
-//! * **Deadlock analysis** ([`deadlock`]): an un-timed abstract execution
-//!   of the lowered per-node programs under rendezvous matching; stuck
-//!   states are reported as wait-for cycles with full witness paths
+//! * **Deadlock analysis** ([`deadlock`]): one untimed replay of the
+//!   lowered per-node programs under rendezvous matching; a stuck final
+//!   state is reported as wait-for cycles with full witness paths
 //!   (`V020`), stuck ops (`V021`), or collective mismatches (`V022`).
 //!   Rendezvous matching with named sources is confluent, so the verdict
 //!   is timing-independent — the property the differential test suite
@@ -22,11 +22,14 @@
 //!   bounds over the fat tree; steps that exceed bisection capacity are
 //!   flagged as predicted hotspots (`V030`/`V031`) — advice, not errors,
 //!   because the paper's own PEX deliberately saturates the root.
-//! * **Makespan certification** ([`certify`]): a whole-program abstract
-//!   interpreter that replays the lowered programs under closed-form
-//!   optimistic/pessimistic transfer rates and emits a certified interval
-//!   `[LB, UB]` the simulated makespan provably lands in, plus the
-//!   per-step critical-path transcript behind it (`cm5 certify`).
+//! * **Makespan certification** ([`certify`]): two timed replays of the
+//!   lowered programs under closed-form optimistic/pessimistic transfer
+//!   rates, giving a certified interval `[LB, UB]` the simulated makespan
+//!   provably lands in, plus the per-step critical-path transcript behind
+//!   it (`cm5 certify`).
+//!
+//! Both analyses run the one abstract executor in the private `replay`
+//! module: it alone decides what matches what and when a node is stuck.
 //! * **Buffer-occupancy bounds** ([`occupancy`]): static per-node bounds
 //!   on eager-send buffer usage and pending rendezvous backlog, with
 //!   budget diagnostics (`V040`/`V041`) — the "irregular pattern overflows
@@ -59,6 +62,7 @@ pub mod diag;
 pub mod lints;
 pub mod mutate;
 pub mod occupancy;
+mod replay;
 pub mod sarif;
 
 pub use certify::{certify_meta, certify_programs, certify_schedule, Certificate, CertifyError};

@@ -10,12 +10,17 @@
 //! * simulator deadlocks are always predicted (100% catch rate over an
 //!   exhaustive sweep of swap/drop/retarget/retag mutations of valid
 //!   PEX/BEX/GS/REB programs).
+//!
+//! The certifier replays programs with the same executor, so the same
+//! sweep pins it too: under either send mode a stalled mutant never
+//! certifies, and a completed one lands inside its certified interval.
 
 use cm5_core::prelude::*;
 use cm5_sim::{MachineParams, OpProgram, SimError, Simulation};
 use cm5_verify::mutate::{apply, comm_sites, inject_demo, Mutation};
 use cm5_verify::{
-    exchange_policy, irregular_policy, verify_programs, verify_schedule, Code, VerifyOptions,
+    certify_programs, exchange_policy, irregular_policy, verify_programs, verify_schedule,
+    CertifyError, Code, VerifyOptions,
 };
 
 fn simulate(programs: &[OpProgram]) -> Result<(), SimError> {
@@ -198,4 +203,86 @@ fn async_mutations_agree_too() {
         }
     }
     assert!(checked > 0, "async sweep was vacuous");
+}
+
+/// Every `(node, site, kind)` mutation of `base` that applies, in sweep
+/// order.
+fn mutants(base: &[OpProgram]) -> Vec<(String, Vec<OpProgram>)> {
+    let mut out = Vec::new();
+    for node in 0..base.len() {
+        for site in 0..comm_sites(&base[node]).len() {
+            for mutation in [
+                Mutation::SwapWithNext { node, site },
+                Mutation::Drop { node, site },
+                Mutation::RetargetRecv { node, site },
+                Mutation::Retag { node, site },
+            ] {
+                let mut programs = base.to_vec();
+                if apply(&mut programs, mutation) {
+                    out.push((format!("{mutation:?}"), programs));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Certification differential over the same mutation sweep, under both
+/// send modes: a mutant that stalls the simulator never certifies (the
+/// certifier's replay gets stuck too), and a mutant that completes and
+/// certifies lands inside its certified interval.
+#[test]
+fn mutation_sweep_certifier_and_simulator_agree() {
+    let paper = Pattern::paper_pattern_p(64);
+    let async_opts = LowerOptions {
+        async_sends: true,
+        ..Default::default()
+    };
+    let targets: Vec<(&str, Vec<OpProgram>)> = vec![
+        ("pex8", lower(&pex(8, 64))),
+        ("bex8", lower(&bex(8, 64))),
+        ("gs-paper", lower(&gs(&paper))),
+        ("reb8", lower(&reb(8, 0, 64))),
+        ("pex8-async", lower_with(&pex(8, 64), &async_opts)),
+    ];
+    for params in [
+        MachineParams::cm5_1992(),
+        MachineParams::cm5_1992_buffered(),
+    ] {
+        let mode = params.send_mode;
+        let (mut contained, mut stuck) = (0usize, 0usize);
+        for (name, base) in &targets {
+            for (mutation, programs) in mutants(base) {
+                let label = format!("{name} {mutation} ({mode:?})");
+                let cert = certify_programs(&programs, &params);
+                match Simulation::new(programs.len(), params.clone()).run_ops(&programs) {
+                    Ok(report) => {
+                        if let Ok(cert) = cert {
+                            contained += 1;
+                            assert!(
+                                cert.contains(report.makespan),
+                                "{label}: simulated {} outside [{}, {}]",
+                                report.makespan,
+                                cert.lb,
+                                cert.ub
+                            );
+                        }
+                    }
+                    Err(e) if sim_stalls(&e) => {
+                        stuck += 1;
+                        assert!(
+                            matches!(cert, Err(CertifyError::Stuck(_))),
+                            "{label}: simulator stalled ({e}) but certify returned {cert:?}"
+                        );
+                    }
+                    Err(e) => panic!("{label}: unexpected error {e}"),
+                }
+            }
+        }
+        assert!(
+            contained > 100,
+            "{mode:?}: only {contained} contained mutants"
+        );
+        assert!(stuck > 100, "{mode:?}: only {stuck} stuck mutants");
+    }
 }
