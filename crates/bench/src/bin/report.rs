@@ -17,6 +17,8 @@
 //! The grid sections, `certify` and `model` read makespans from one
 //! [`SimTable`] per run, so each cell is simulated once: `model` after the
 //! figures adds only LIB at 64–256 nodes, `model` alone simulates its grids.
+//! Table 5 reads each FFT's transpose there and adds the FFT's compute,
+//! simulated alone.
 //! `perf` measures the *simulator's* host cost (wall-clock, events/sec,
 //! incremental-vs-full solver speedup) and writes `--bench-json`; it
 //! records and does not gate, and stays out of the default set because
@@ -47,6 +49,7 @@ use cm5_bench::runners::*;
 use cm5_bench::sweep::{table11_keys, SimKey, SimTable, SweepRunner};
 use cm5_core::prelude::*;
 use cm5_sim::{MachineParams, Simulation};
+use cm5_workloads::fft::fft2d_pair_bytes;
 
 #[rustfmt::skip]
 const REPORT: Command = Command {
@@ -382,19 +385,16 @@ fn table5(o: &Opts) {
         "Linear worst by far (catastrophic at 256 procs); the other three \
          close, Balanced best for the largest arrays",
     );
-    let cells: Vec<(ExchangeAlg, usize, usize)> = [(32usize, 0usize), (256, 1)]
-        .iter()
-        .flat_map(|&(procs, _)| {
-            TABLE_5
-                .iter()
-                .flat_map(move |row| ExchangeAlg::ALL.map(move |alg| (alg, procs, row.side)))
-        })
+    // The FFT is the same compute on every node around one complete
+    // exchange, so each cell is that exchange's cell plus the makespan of
+    // the compute alone.
+    let transposes = [32, 256]
+        .into_iter()
+        .flat_map(|procs| TABLE_5.map(|row| (procs, fft2d_pair_bytes(procs, row.side, 8))))
         .collect();
-    let secs = o.runner.run(&cells, |_, &(alg, procs, side)| {
-        fft_time(alg, procs, side).as_secs_f64()
-    });
-    let mut next = secs.iter();
-    for &(procs, pick) in &[(32usize, 0usize), (256, 1)] {
+    let exchange = o.cells.borrow_mut().makespans(&exchanges(transposes));
+    let mut next = exchange.chunks(ExchangeAlg::ALL.len());
+    for procs in [32, 256] {
         println!("processors = {procs}:");
         println!(
             "{:>10} {:>17} {:>17} {:>17} {:>17}",
@@ -402,10 +402,11 @@ fn table5(o: &Opts) {
         );
         for row in &TABLE_5 {
             print!("{:>7}^2 ", row.side);
-            let paper = if pick == 0 { &row.p32 } else { &row.p256 };
-            for (i, _) in ExchangeAlg::ALL.iter().enumerate() {
-                let t = next.next().expect("grid size");
-                print!(" {:>8.3}|{:<8.3}", t, paper[i]);
+            let paper = if procs == 32 { &row.p32 } else { &row.p256 };
+            let exchange = next.next().expect("grid size");
+            let compute = fft_compute_time(procs, row.side);
+            for (&t, p) in exchange.iter().zip(paper) {
+                print!(" {:>8.3}|{:<8.3}", (t + compute).as_secs_f64(), p);
             }
             println!();
         }
@@ -949,16 +950,17 @@ fn model(o: &Opts) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{DefaultHasher, Hash, Hasher};
     use std::sync::Mutex;
 
-    /// Keys [`counted`] has simulated.
-    static SIMULATED: Mutex<Vec<SimKey>> = Mutex::new(Vec::new());
+    /// Keys [`counted`] has simulated, one list per test that counts.
+    static SIMULATED: [Mutex<Vec<SimKey>>; 2] = [const { Mutex::new(Vec::new()) }; 2];
 
-    /// A stand-in simulator: a fixed makespan per key, and a panic when a
-    /// key is simulated a second time.
-    fn counted(key: &SimKey) -> cm5_sim::SimDuration {
-        let mut seen = SIMULATED.lock().unwrap();
+    /// A stand-in simulator that records into `SIMULATED[T]`: a fixed
+    /// makespan per key, and a panic when a key is simulated a second time.
+    fn counted<const T: usize>(key: &SimKey) -> cm5_sim::SimDuration {
+        let mut seen = SIMULATED[T].lock().unwrap();
         assert!(!seen.contains(key), "{key:?} simulated twice");
         seen.push(*key);
         let mut h = DefaultHasher::new();
@@ -994,28 +996,62 @@ mod tests {
     #[test]
     fn the_default_report_simulates_each_distinct_cell_once() {
         let o = Opts::parse(&argv("--jobs 2")).unwrap().unwrap();
-        *o.cells.borrow_mut() = SimTable::with_simulator(SweepRunner::new(2), counted);
+        *o.cells.borrow_mut() = SimTable::with_simulator(SweepRunner::new(2), counted::<0>);
         let misses = || o.cells.borrow().misses();
-        // The default sections in order, but for table5 and table12: they
-        // simulate programs no other section prints, outside the table.
+        // The default sections in order, but for table12: it simulates
+        // programs no other section prints, outside the table.
         for (name, run) in SECTIONS {
-            if !OPT_IN.contains(&name) && !["table5", "table12", "model"].contains(&name) {
+            if !OPT_IN.contains(&name) && !["table12", "model"].contains(&name) {
                 run(&o);
             }
+            match name {
+                // Figures 5-8 print 100 cells, 16 of them twice: the
+                // 32-node points Figures 6-8 share with Figure 5.
+                "fig8" => assert_eq!(misses(), 84),
+                // Table 5's 32 transposes repeat 12 of them: Figure 5's
+                // 512 B and 2048 B cells and Figure 7's 512 B at 256 nodes.
+                "table5" => assert_eq!(misses(), 104),
+                _ => {}
+            }
         }
-        // Figures 5-8, 10, 11 and Table 11 print 316 cells; 24 of them
-        // twice (the 32-node points Figures 6-8 share with Figure 5, and
-        // Figure 11 with Figure 10).
-        assert_eq!(misses(), 292);
+        // The sections so far print 348 cells, 36 of them twice: the 16
+        // and 12 above, and the 8 32-node points Figure 11 shares with
+        // Figure 10.
+        assert_eq!(misses(), 312);
         model(&o);
         // The model's 332 cells add only LIB at 64-256 nodes on the
         // Figure 11 sizes.
-        assert_eq!(misses(), 304);
+        assert_eq!(misses(), 324);
         // `report all` certifies the figures' cells without simulating.
         let keys: Vec<SimKey> = certify_cells().into_iter().map(|(_, k)| k).collect();
         assert_eq!(keys.len(), 156);
         o.cells.borrow_mut().makespans(&keys);
-        assert_eq!(misses(), 304);
-        assert_eq!(SIMULATED.lock().unwrap().len(), 304);
+        assert_eq!(misses(), 324);
+        assert_eq!(SIMULATED[0].lock().unwrap().len(), 324);
+    }
+
+    #[test]
+    fn table5_alone_simulates_only_its_transposes() {
+        let o = Opts::parse(&argv("table5")).unwrap().unwrap();
+        *o.cells.borrow_mut() = SimTable::with_simulator(SweepRunner::new(2), counted::<1>);
+        table5(&o);
+        // One complete exchange of 8-byte elements, an (n/P)² block per
+        // pair, for every algorithm, processor count and array side.
+        let transposes: HashSet<SimKey> = [32, 256]
+            .into_iter()
+            .flat_map(|procs| {
+                TABLE_5.iter().flat_map(move |row| {
+                    let bytes = 8 * (row.side / procs).pow(2) as u64;
+                    ExchangeAlg::ALL.map(|alg| SimKey::Exchange(alg, procs, bytes))
+                })
+            })
+            .collect();
+        assert_eq!(transposes.len(), 32);
+        let simulated = SIMULATED[1].lock().unwrap();
+        assert_eq!(simulated.len(), 32);
+        assert_eq!(
+            simulated.iter().copied().collect::<HashSet<_>>(),
+            transposes
+        );
     }
 }

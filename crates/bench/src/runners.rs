@@ -2,8 +2,8 @@
 //! the `report` binary, the CLI's sweeps and the tests.
 
 use cm5_core::prelude::*;
-use cm5_sim::{MachineParams, SimDuration, Simulation};
-use cm5_workloads::fft::fft2d_programs;
+use cm5_sim::{MachineParams, OpProgram, SimDuration, Simulation};
+use cm5_workloads::fft::{fft2d_compute_programs, fft2d_programs};
 use cm5_workloads::synthetic::synthetic_pattern_exact;
 
 /// Machine-size sweep used by Figures 6–8 and 11.
@@ -61,12 +61,32 @@ pub fn broadcast_time(alg: BroadcastAlg, n: usize, bytes: u64) -> SimDuration {
 }
 
 /// Simulated time of the 2-D FFT cost model (Table 5): `side × side`
-/// single-precision complex array on `procs` processors.
+/// single-precision complex array on `procs` processors. `report` adds
+/// [`fft_compute_time`] to the transpose's [`exchange_time`] instead; the
+/// tests hold the two equal.
 pub fn fft_time(alg: ExchangeAlg, procs: usize, side: usize) -> SimDuration {
-    let programs = fft2d_programs(alg, procs, side, 8);
+    run_fft_ops(
+        &fft2d_programs(alg, procs, side, 8),
+        procs,
+        side,
+        alg.name(),
+    )
+}
+
+/// Simulated time of the 2-D FFT's compute alone, without its transpose.
+pub fn fft_compute_time(procs: usize, side: usize) -> SimDuration {
+    run_fft_ops(
+        &fft2d_compute_programs(procs, side, 8),
+        procs,
+        side,
+        "compute",
+    )
+}
+
+fn run_fft_ops(programs: &[OpProgram], procs: usize, side: usize, what: &str) -> SimDuration {
     Simulation::new(procs, MachineParams::cm5_1992())
-        .run_ops(&programs)
-        .unwrap_or_else(|e| panic!("{} p={procs} side={side}: {e}", alg.name()))
+        .run_ops(programs)
+        .unwrap_or_else(|e| panic!("{what} p={procs} side={side}: {e}"))
         .makespan
 }
 
@@ -103,6 +123,7 @@ mod tests {
         assert!(exchange_time(ExchangeAlg::Pex, 8, 64).as_nanos() > 0);
         assert!(broadcast_time(BroadcastAlg::Recursive, 8, 64).as_nanos() > 0);
         assert!(fft_time(ExchangeAlg::Bex, 8, 64).as_nanos() > 0);
+        assert!(fft_compute_time(8, 64).as_nanos() > 0);
         assert!(irregular_time(IrregularAlg::Gs, &table11_pattern(0.1, 256, 0)).as_nanos() > 0);
     }
 

@@ -10,6 +10,10 @@
 //! using delayed ACK waits ~40 ms to do so: each round trip would cost
 //! ~44 ms on loopback, for a request the service answers in tens of µs.
 //!
+//! A request line may be at most 64 KiB. A client that sends more
+//! without a newline gets one error line and the connection closes, so
+//! no client can grow the server's memory without bound.
+//!
 //! Two extras on top of the line protocol:
 //!
 //! * a connection whose first line is an HTTP `GET` is answered as a
@@ -21,8 +25,8 @@
 //!   *and* every connection thread before returning, so callers can flush
 //!   final metrics/flight state knowing no request is still in flight.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -30,10 +34,15 @@ use std::time::Duration;
 
 use cm5_obs::prometheus_text;
 
+use crate::response::error_line;
 use crate::service::Service;
 
 /// How often blocked reads wake up to check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// The longest request line, newline included: 64 KiB. The longest line
+/// of a recorded 4096-query mixed trace is 150 bytes.
+const MAX_LINE: usize = 64 * 1024;
 
 /// A running TCP frontend. Dropping the handle does NOT stop the server;
 /// call [`TcpHandle::shutdown`].
@@ -111,14 +120,27 @@ fn serve_connection(service: &Service, stream: TcpStream, stop: &AtomicBool) {
         return;
     };
     let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        // `read_line` appends, so a timeout mid-line keeps the partial
+        // `read_until` appends, so a timeout mid-line keeps the partial
         // data in `buf` and the retry completes it.
-        match reader.read_line(&mut buf) {
+        match read_capped(&mut reader, &mut buf) {
             Ok(0) => break,
+            Ok(_) if buf.len() == MAX_LINE && buf.last() != Some(&b'\n') => {
+                let mut response =
+                    error_line(0, &format!("request line longer than {MAX_LINE} bytes"));
+                response.push('\n');
+                let _ = writer.write_all(response.as_bytes());
+                // The FIN goes out before the close resets the unread
+                // input, so the client reads the error line, then EOF.
+                let _ = writer.shutdown(Shutdown::Write);
+                break;
+            }
             Ok(_) => {
-                let line = std::mem::take(&mut buf);
+                let bytes = std::mem::take(&mut buf);
+                let Ok(line) = std::str::from_utf8(&bytes) else {
+                    break;
+                };
                 let line = line.trim_end_matches(['\n', '\r']);
                 if line.trim().is_empty() {
                     continue;
@@ -143,6 +165,14 @@ fn serve_connection(service: &Service, stream: TcpStream, stop: &AtomicBool) {
     }
 }
 
+/// Append to `buf` up to and including the next newline, but stop once
+/// `buf` holds [`MAX_LINE`] bytes. `buf` must be shorter than that, so
+/// `Ok(0)` means end of input.
+fn read_capped(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+    let room = MAX_LINE - buf.len();
+    reader.take(room as u64).read_until(b'\n', buf)
+}
+
 /// Answer one HTTP GET (first line already consumed; `path_and_version` is
 /// everything after `"GET "`). Only `/metrics` exists.
 fn serve_http(
@@ -153,9 +183,9 @@ fn serve_http(
 ) {
     // Drain request headers best-effort (until a blank line or timeout) so
     // well-behaved clients see a clean close.
-    let mut header = String::new();
-    while let Ok(n) = reader.read_line(&mut header) {
-        if n == 0 || header.trim().is_empty() {
+    let mut header = Vec::new();
+    while let Ok(n) = read_capped(reader, &mut header) {
+        if n == 0 || header.trim_ascii().is_empty() {
             break;
         }
         header.clear();
@@ -305,6 +335,47 @@ mod tests {
         );
         handle.shutdown();
         assert_eq!(service.metrics().counters["requests"], 200);
+    }
+
+    #[test]
+    fn an_endless_line_gets_one_error_and_the_connection_closes() {
+        let service = Arc::new(Service::new(ServiceConfig::default()));
+        let handle = spawn_tcp(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let conn = TcpStream::connect(handle.addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // 1 MiB and no newline. The server stops reading at the cap, so
+        // the write fails once it closes; only the reply matters.
+        let mut sender = conn.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let _ = sender.write_all(&vec![b'x'; 1 << 20]);
+        });
+        let mut reader = BufReader::new(conn);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let doc = Json::parse(&reply).unwrap();
+        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(0));
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("65536 bytes"), "{error}");
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "{reply}");
+        flood.join().unwrap();
+
+        // A fresh connection is served, and a line that arrives in two
+        // pieces, a read timeout apart, is still one request.
+        let mut conn = TcpStream::connect(handle.addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let line = "{\"id\":2,\"query\":{\"kind\":\"exchange\",\"n\":8,\"bytes\":64}}";
+        let (head, tail) = line.split_at(20);
+        conn.write_all(head.as_bytes()).unwrap();
+        std::thread::sleep(3 * POLL_INTERVAL);
+        assert_eq!(ok(&round_trip(&mut conn, &mut reader, tail)), Some(true));
+        drop((conn, reader));
+        handle.shutdown();
+        assert_eq!(service.metrics().counters["requests"], 1);
     }
 
     #[test]

@@ -239,30 +239,60 @@ pub fn distributed_fft2d(
     out
 }
 
-/// Op-mode cost model of the same 2-D FFT for the Table 5 sweep:
-/// per node, phase-1 flops, the transpose's complete exchange of
-/// `elem_bytes·n²/P²` bytes per pair (plus pack/unpack memcpys), phase-2
-/// flops. `elem_bytes` is 8 for the paper's single-precision complex data.
-pub fn fft2d_programs(alg: ExchangeAlg, procs: usize, n: usize, elem_bytes: u64) -> Vec<OpProgram> {
+/// Rows of the `n × n` array each of `procs` nodes holds.
+fn local_rows(procs: usize, n: usize) -> u64 {
     assert!(
         n.is_multiple_of(procs),
         "array side {n} must divide by {procs}"
     );
-    let rows = (n / procs) as u64;
-    let phase_flops = rows * fft_flops(n);
-    let pair_bytes = elem_bytes * rows * rows;
-    let local_bytes = elem_bytes * rows * n as u64;
-    let mut programs = cm5_core::exec::exchange_programs(alg, procs, pair_bytes);
+    (n / procs) as u64
+}
+
+/// Bytes each node sends each other node in the 2-D FFT's transpose: an
+/// `n/P × n/P` block of `elem_bytes` elements.
+pub fn fft2d_pair_bytes(procs: usize, n: usize, elem_bytes: u64) -> u64 {
+    elem_bytes * local_rows(procs, n).pow(2)
+}
+
+/// Every node's compute in the 2-D FFT, split around the transpose:
+/// phase-1 flops and the pack memcpy before it, the unpack memcpy and
+/// phase-2 flops after it. All nodes run the same ops, so the transpose
+/// starts at the same instant everywhere.
+fn fft2d_compute(procs: usize, n: usize, elem_bytes: u64) -> ([Op; 2], [Op; 2]) {
+    let rows = local_rows(procs, n);
+    let phase = Op::Flops {
+        flops: rows * fft_flops(n),
+    };
+    let local = Op::Memcpy {
+        bytes: elem_bytes * rows * n as u64,
+    };
+    ([phase.clone(), local.clone()], [local, phase])
+}
+
+/// Op-mode cost model of the same 2-D FFT for the Table 5 sweep: per
+/// node, the phase-1 flops and pack memcpy, the transpose's complete
+/// exchange of [`fft2d_pair_bytes`] per pair, the unpack memcpy and the
+/// phase-2 flops. `elem_bytes` is 8 for the paper's
+/// single-precision complex data.
+pub fn fft2d_programs(alg: ExchangeAlg, procs: usize, n: usize, elem_bytes: u64) -> Vec<OpProgram> {
+    let (before, after) = fft2d_compute(procs, n, elem_bytes);
+    let mut programs =
+        cm5_core::exec::exchange_programs(alg, procs, fft2d_pair_bytes(procs, n, elem_bytes));
     for prog in programs.iter_mut() {
         let mut full = Vec::with_capacity(prog.len() + 4);
-        full.push(Op::Flops { flops: phase_flops });
-        full.push(Op::Memcpy { bytes: local_bytes });
+        full.extend_from_slice(&before);
         full.append(prog);
-        full.push(Op::Memcpy { bytes: local_bytes });
-        full.push(Op::Flops { flops: phase_flops });
+        full.extend_from_slice(&after);
         *prog = full;
     }
     programs
+}
+
+/// [`fft2d_programs`] without the transpose: each node runs only the
+/// compute. Its makespan is what the compute adds to the exchange's.
+pub fn fft2d_compute_programs(procs: usize, n: usize, elem_bytes: u64) -> Vec<OpProgram> {
+    let (before, after) = fft2d_compute(procs, n, elem_bytes);
+    vec![[before, after].concat(); procs]
 }
 
 #[cfg(test)]
@@ -374,6 +404,20 @@ mod tests {
                 _ => None,
             });
             assert_eq!(bytes, Some(512));
+        }
+    }
+
+    #[test]
+    fn compute_programs_are_the_fft_programs_without_the_transpose() {
+        let compute = fft2d_compute_programs(8, 64, 8);
+        assert_eq!(fft2d_pair_bytes(8, 64, 8), 512);
+        for (prog, only) in fft2d_programs(ExchangeAlg::Bex, 8, 64, 8)
+            .iter()
+            .zip(&compute)
+        {
+            assert_eq!(only.len(), 4);
+            assert_eq!(prog[..2], only[..2]);
+            assert_eq!(prog[prog.len() - 2..], only[2..]);
         }
     }
 }

@@ -1,10 +1,14 @@
 //! The distributed 2-D FFT is numerically identical to the sequential
-//! reference for every transpose algorithm, and its simulated cost behaves
-//! like Table 5.
+//! reference for every transpose algorithm, its simulated cost behaves
+//! like Table 5, and that cost is its transpose's plus its compute's.
 
+use cm5_bench::paper::TABLE_5;
+use cm5_bench::runners::{exchange_time, fft_compute_time, fft_time};
 use cm5_core::regular::ExchangeAlg;
 use cm5_sim::{MachineParams, Simulation};
-use cm5_workloads::fft::{distributed_fft2d, fft2d_programs, fft2d_seq, transpose_square, C64};
+use cm5_workloads::fft::{
+    distributed_fft2d, fft2d_pair_bytes, fft2d_programs, fft2d_seq, transpose_square, C64,
+};
 
 fn test_array(n: usize, seed: u64) -> Vec<C64> {
     let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).max(3);
@@ -118,4 +122,42 @@ fn fft_strong_scaling() {
         t128.as_nanos() * 2 < t32.as_nanos(),
         "128 procs {t128} should be >2x faster than 32 procs {t32}"
     );
+}
+
+/// `report` prints each Table 5 cell as the transpose's exchange cell plus
+/// the compute simulated alone. Every node runs the same compute before the
+/// transpose, so it starts at one instant everywhere, and the same compute
+/// after it: the sum is exact. [`fft_time`], the whole program simulated
+/// at once, is the oracle.
+fn assert_fft_is_exchange_plus_compute(procs: usize) {
+    for row in &TABLE_5 {
+        let side = row.side;
+        let compute = fft_compute_time(procs, side);
+        let bytes = fft2d_pair_bytes(procs, side, 8);
+        for alg in ExchangeAlg::ALL {
+            assert_eq!(
+                fft_time(alg, procs, side),
+                exchange_time(alg, procs, bytes) + compute,
+                "{} p={procs} side={side}",
+                alg.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn fft_time_is_exchange_time_plus_compute() {
+    assert_fft_is_exchange_plus_compute(32);
+    assert_fft_is_exchange_plus_compute(64);
+}
+
+/// The 256-processor column takes seconds per cell in a debug build.
+#[cfg(not(debug_assertions))]
+mod release_only {
+    use super::*;
+
+    #[test]
+    fn fft_time_is_exchange_time_plus_compute_on_256_procs() {
+        assert_fft_is_exchange_plus_compute(256);
+    }
 }
