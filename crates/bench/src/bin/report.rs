@@ -641,7 +641,7 @@ fn perf(o: &Opts) {
     let reps = if quick { 1 } else { 3 };
     let measurements = p::run_perf_suite(reps);
     println!(
-        "{:>8} {:>6} {:>13} {:>11} {:>10} {:>12} {:>11} {:>10} {:>9}",
+        "{:>8} {:>6} {:>13} {:>11} {:>10} {:>12} {:>11} {:>9} {:>10} {:>9}",
         "grid",
         "nodes",
         "solver",
@@ -649,12 +649,13 @@ fn perf(o: &Opts) {
         "events",
         "events/sec",
         "recomputes",
+        "skipped",
         "peakflows",
         "speedup"
     );
     for m in &measurements {
         println!(
-            "{:>8} {:>6} {:>13} {:>11.3} {:>10} {:>12.0} {:>11} {:>10} {:>9}",
+            "{:>8} {:>6} {:>13} {:>11.3} {:>10} {:>12.0} {:>11} {:>9} {:>10} {:>9}",
             m.name,
             m.n,
             "incremental",
@@ -662,6 +663,7 @@ fn perf(o: &Opts) {
             m.events,
             m.events_per_sec,
             m.recomputes,
+            m.skipped_fills,
             m.flows_peak,
             m.speedup_vs_oracle
                 .map_or("n/a".to_string(), |s| format!("{s:.2}x")),

@@ -56,6 +56,8 @@ pub struct PerfMeasurement {
     pub cells_per_sec: f64,
     /// Rate recomputations per run under the incremental solver.
     pub recomputes: u64,
+    /// Recomputes that skipped the max-min fill (isolated changes).
+    pub skipped_fills: u64,
     /// Flows admitted per run.
     pub flows: u64,
     /// Peak simultaneous flows.
@@ -243,6 +245,7 @@ pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
                 },
                 cells_per_sec: if best > 0.0 { 1.0 / best } else { 0.0 },
                 recomputes: report.perf.recomputes,
+                skipped_fills: report.perf.skipped_fills,
                 flows: report.perf.flows,
                 flows_peak: report.perf.flows_peak,
                 oracle_wall_secs: oracle_best,
@@ -278,6 +281,7 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
             ("events_per_sec", Json::rounded(m.events_per_sec, 1)),
             ("cells_per_sec", Json::rounded(m.cells_per_sec, 3)),
             ("recomputes", m.recomputes.into()),
+            ("skipped_fills", m.skipped_fills.into()),
             ("flows", m.flows.into()),
             ("flows_peak", m.flows_peak.into()),
             ("oracle_wall_secs", opt(m.oracle_wall_secs, 6)),
@@ -286,7 +290,7 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
         ])
     });
     Json::obj([
-        ("schema", Json::str(cm5_obs::schema_id("bench-sim-perf", 4))),
+        ("schema", Json::str(cm5_obs::schema_id("bench-sim-perf", 5))),
         ("quick", quick.into()),
         ("grids", Json::Arr(cells.collect())),
     ])
@@ -329,7 +333,7 @@ mod tests {
         let json = Json::parse(&to_json(&ms, true)).unwrap();
         assert_eq!(
             json.get("schema").and_then(Json::as_str),
-            Some("cm5-bench-sim-perf/4")
+            Some("cm5-bench-sim-perf/5")
         );
         let cells = json.get("grids").and_then(Json::as_arr).unwrap();
         assert_eq!(cells.len(), 5);
@@ -409,6 +413,7 @@ mod tests {
             events_per_sec: 500.0,
             cells_per_sec: 1.0,
             recomputes: 1,
+            skipped_fills: 0,
             flows: 1,
             flows_peak: 1,
             oracle_wall_secs: Some(2.0),

@@ -1,5 +1,5 @@
 //! Performance-regression watchdog: compare a `BENCH_sim.json` artifact
-//! (schema `cm5-bench-sim-perf/4`, including the merged `serve_replay`
+//! (schema `cm5-bench-sim-perf/5`, including the merged `serve_replay`
 //! cell) against the floors in `ci/perf_baseline.txt` and emit a
 //! `cm5-watch/1` verdict that CI gates on.
 //!
@@ -59,7 +59,7 @@ fn parse_bench(text: &str) -> Result<Vec<(String, f64)>, String> {
         .get(cm5_obs::SCHEMA_KEY)
         .and_then(Json::as_str)
         .ok_or("bench artifact has no schema stamp")?;
-    let want = cm5_obs::schema_id("bench-sim-perf", 4);
+    let want = cm5_obs::schema_id("bench-sim-perf", 5);
     if schema != want {
         return Err(format!("bench artifact is {schema}, watchdog wants {want}"));
     }
@@ -172,7 +172,7 @@ mod tests {
             ])
         });
         Json::obj([
-            ("schema", "cm5-bench-sim-perf/4".into()),
+            ("schema", "cm5-bench-sim-perf/5".into()),
             ("quick", true.into()),
             ("grids", Json::Arr(grids.collect())),
         ])

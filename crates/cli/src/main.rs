@@ -878,12 +878,14 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     );
     print_report(Some(&schedule), &report, n);
     println!(
-        "spans      : {} messages, {} blocked, {} collectives, {} steps, {} solver recomputes",
+        "spans      : {} messages, {} blocked, {} collectives, {} steps, {} solver recomputes \
+         ({} skipped the fill)",
         spans.messages.len(),
         spans.blocked.len(),
         spans.collectives.len(),
         spans.steps.len(),
-        spans.solver_events.len()
+        spans.solver_events.len(),
+        report.perf.skipped_fills
     );
     if report.trace_dropped > 0 {
         println!("trace ring : {} events dropped", report.trace_dropped);
@@ -1098,7 +1100,7 @@ fn merge_serve_cell(
     let doc = match std::fs::read_to_string(path) {
         Ok(text) => Json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?,
         Err(_) => Json::obj([
-            ("schema", Json::str(cm5_obs::schema_id("bench-sim-perf", 4))),
+            ("schema", Json::str(cm5_obs::schema_id("bench-sim-perf", 5))),
             ("quick", false.into()),
             ("grids", Json::Arr(Vec::new())),
         ]),
@@ -1516,7 +1518,7 @@ mod tests {
         let schema = |doc: &Json| doc.get("schema").and_then(Json::as_str).map(str::to_string);
         let merged_text = std::fs::read_to_string(&bench).unwrap();
         let merged = Json::parse(&merged_text).unwrap();
-        assert_eq!(schema(&merged).as_deref(), Some("cm5-bench-sim-perf/4"));
+        assert_eq!(schema(&merged).as_deref(), Some("cm5-bench-sim-perf/5"));
         let cells = merged.get("grids").and_then(Json::as_arr).unwrap();
         assert_eq!(cells.len(), 1);
         assert_eq!(

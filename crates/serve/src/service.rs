@@ -113,6 +113,17 @@ struct Counters {
     simulations: AtomicU64,
 }
 
+/// Request lines the TCP frontend answers with an error of its own,
+/// before they reach [`Service::handle_line`]. Host-side counts: live
+/// snapshot only.
+#[derive(Debug, Default)]
+pub(crate) struct LineRejections {
+    /// Lines longer than the frontend's cap (the connection then closes).
+    pub(crate) too_long: AtomicU64,
+    /// Lines that are not valid UTF-8 (the connection keeps serving).
+    pub(crate) not_utf8: AtomicU64,
+}
+
 /// Named-workload patterns keyed by `(name, n)`, each behind its own
 /// `OnceLock` so concurrent requests for one key build it exactly once.
 type WorkloadMemo = Mutex<HashMap<(String, usize), Arc<OnceLock<Arc<Pattern>>>>>;
@@ -142,6 +153,8 @@ pub struct Service {
     sim_makespan_ns: Mutex<Histogram>,
     sim_trace_dropped: AtomicU64,
     spans_observed: AtomicU64,
+    /// Request lines the TCP frontend refused before parsing.
+    pub(crate) rejected: LineRejections,
     timing: Timing,
     flight: Mutex<FlightRecorder>,
     /// Service start instant: span `ts` offsets and uptime are relative
@@ -175,6 +188,7 @@ impl Service {
             sim_makespan_ns: Mutex::new(Histogram::default()),
             sim_trace_dropped: AtomicU64::new(0),
             spans_observed: AtomicU64::new(0),
+            rejected: LineRejections::default(),
             timing: Timing::default(),
             flight: Mutex::new(flight),
             epoch: Instant::now(),
@@ -764,6 +778,14 @@ impl Service {
         m.counters.insert(
             "spans_observed",
             self.spans_observed.load(Ordering::Relaxed),
+        );
+        m.counters.insert(
+            "tcp_rejected_line_too_long",
+            self.rejected.too_long.load(Ordering::Relaxed),
+        );
+        m.counters.insert(
+            "tcp_rejected_not_utf8",
+            self.rejected.not_utf8.load(Ordering::Relaxed),
         );
         {
             let f = self.flight.lock().expect("flight poisoned");

@@ -12,7 +12,9 @@
 //!
 //! A request line may be at most 64 KiB. A client that sends more
 //! without a newline gets one error line and the connection closes, so
-//! no client can grow the server's memory without bound.
+//! no client can grow the server's memory without bound. A line that is
+//! not valid UTF-8 gets one error line and the connection keeps serving.
+//! Both rejections are counted in the live `/metrics` snapshot.
 //!
 //! Two extras on top of the line protocol:
 //!
@@ -127,6 +129,7 @@ fn serve_connection(service: &Service, stream: TcpStream, stop: &AtomicBool) {
         match read_capped(&mut reader, &mut buf) {
             Ok(0) => break,
             Ok(_) if buf.len() == MAX_LINE && buf.last() != Some(&b'\n') => {
+                service.rejected.too_long.fetch_add(1, Ordering::Relaxed);
                 let mut response =
                     error_line(0, &format!("request line longer than {MAX_LINE} bytes"));
                 response.push('\n');
@@ -138,18 +141,23 @@ fn serve_connection(service: &Service, stream: TcpStream, stop: &AtomicBool) {
             }
             Ok(_) => {
                 let bytes = std::mem::take(&mut buf);
-                let Ok(line) = std::str::from_utf8(&bytes) else {
-                    break;
+                let mut response = match std::str::from_utf8(&bytes) {
+                    Ok(line) => {
+                        let line = line.trim_end_matches(['\n', '\r']);
+                        if line.trim().is_empty() {
+                            continue;
+                        }
+                        if let Some(path) = line.strip_prefix("GET ") {
+                            serve_http(service, &mut reader, &mut writer, path);
+                            break;
+                        }
+                        service.handle_line(line)
+                    }
+                    Err(_) => {
+                        service.rejected.not_utf8.fetch_add(1, Ordering::Relaxed);
+                        error_line(0, "request line is not valid UTF-8")
+                    }
                 };
-                let line = line.trim_end_matches(['\n', '\r']);
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if let Some(path) = line.strip_prefix("GET ") {
-                    serve_http(service, &mut reader, &mut writer, path);
-                    break;
-                }
-                let mut response = service.handle_line(line);
                 response.push('\n');
                 if writer.write_all(response.as_bytes()).is_err() {
                     break;
@@ -363,6 +371,10 @@ mod tests {
         reply.clear();
         assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "{reply}");
         flood.join().unwrap();
+        assert_eq!(
+            service.live_metrics().counters["tcp_rejected_line_too_long"],
+            1
+        );
 
         // A fresh connection is served, and a line that arrives in two
         // pieces, a read timeout apart, is still one request.
@@ -376,6 +388,35 @@ mod tests {
         drop((conn, reader));
         handle.shutdown();
         assert_eq!(service.metrics().counters["requests"], 1);
+    }
+
+    #[test]
+    fn a_non_utf8_line_gets_one_error_and_the_connection_keeps_serving() {
+        let service = Arc::new(Service::new(ServiceConfig::default()));
+        let handle = spawn_tcp(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let mut conn = TcpStream::connect(handle.addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        conn.write_all(b"\xff\xfe\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let doc = Json::parse(&reply).unwrap();
+        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(0));
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("UTF-8"), "{error}");
+
+        let line = "{\"id\":4,\"query\":{\"kind\":\"exchange\",\"n\":8,\"bytes\":64}}";
+        let reply = round_trip(&mut conn, &mut reader, line);
+        let doc = Json::parse(&reply).unwrap();
+        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(4));
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
+        drop((conn, reader));
+        handle.shutdown();
+        // The rejected line never reached the service.
+        assert_eq!(service.metrics().counters["requests"], 1);
+        let live = service.live_metrics();
+        assert_eq!(live.counters["tcp_rejected_not_utf8"], 1);
+        assert_eq!(live.counters["tcp_rejected_line_too_long"], 0);
     }
 
     #[test]

@@ -509,6 +509,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             perf: SimPerf {
                 events: self.events_processed,
                 recomputes: self.network.recompute_count(),
+                skipped_fills: self.network.skipped_fills(),
                 flows: self.network.flows_admitted(),
                 flows_peak: self.network.flows_peak(),
                 wall_secs: self.started.elapsed().as_secs_f64(),

@@ -39,6 +39,17 @@
 //! eager solver performs between two timestamps is a pure function of the
 //! flow set whose output is never read before the next recompute.
 //!
+//! The incremental backend also skips the fill outright when the change
+//! since its last recompute is *isolated*: every flow shares one cap `c`,
+//! and every admitted or removed flow sees a fair share
+//! `capacity / members >= c` on each link of its route. Such a change
+//! cannot move any other flow's rate, so existing flows keep theirs and
+//! new flows get `c`; the proof is on `Network::change_is_isolated`, and
+//! debug builds (or `strict-invariants`) re-run the fill on every skip
+//! and assert bit-equal rates. [`Network::skipped_fills`] counts skips.
+//! `Full` never skips, so the differential tests still compare two
+//! independent implementations.
+//!
 //! # Cache-conscious flow store
 //!
 //! Large machines (the 4K–16K-node scaling cells) rule out two simpler
@@ -213,8 +224,20 @@ pub struct Network {
     scratch_unfrozen: Vec<(u64, u32)>,
     scratch_next: Vec<(u64, u32)>,
     drain_scratch: Vec<(u64, u32)>,
+    // Isolation tracking for the fill skip (incremental solver only).
+    /// The cap of the first flow admitted; `caps_mixed` once another
+    /// flow arrives with a different one. Sticky for the network's life.
+    first_cap: Option<f64>,
+    caps_mixed: bool,
+    /// Every flow removed since the last recompute had a fair share of
+    /// at least its cap on every link of its route.
+    removals_isolated: bool,
+    /// `next_id` at the last recompute: flows admitted since then are the
+    /// suffix of `active` with ids at or above it.
+    admitted_from: u64,
     // Perf counters (surfaced through `SimPerf`).
     recomputes: u64,
+    skipped_fills: u64,
     flows_admitted: u64,
     flows_peak: usize,
     /// Record a [`RateSample`] at every recompute (observability; never
@@ -262,7 +285,12 @@ impl Network {
             scratch_unfrozen: Vec::new(),
             scratch_next: Vec::new(),
             drain_scratch: Vec::new(),
+            first_cap: None,
+            caps_mixed: false,
+            removals_isolated: true,
+            admitted_from: 0,
             recomputes: 0,
+            skipped_fills: 0,
             flows_admitted: 0,
             flows_peak: 0,
             record_rates: false,
@@ -350,6 +378,12 @@ impl Network {
     /// Rate recomputations performed so far (perf counter).
     pub fn recompute_count(&self) -> u64 {
         self.recomputes
+    }
+
+    /// Recomputes that skipped the max-min fill because the change was
+    /// isolated and reused every existing rate (perf counter).
+    pub fn skipped_fills(&self) -> u64 {
+        self.skipped_fills
     }
 
     /// Flows admitted over the network's lifetime (perf counter).
@@ -477,9 +511,34 @@ impl Network {
         self.flows_peak = self.flows_peak.max(self.active.len());
         match self.solver {
             RateSolver::Full => self.recompute_full(),
-            RateSolver::Incremental => self.dirty = true,
+            RateSolver::Incremental => {
+                match self.first_cap {
+                    None => self.first_cap = Some(cap),
+                    Some(c) => self.caps_mixed |= c != cap,
+                }
+                // The fill's scratch lists grow with `active` here rather
+                // than inside the fill, so how the heap is laid out does
+                // not depend on which recomputes skip the fill.
+                let n = self.active.len();
+                for v in [&mut self.scratch_unfrozen, &mut self.scratch_next] {
+                    if v.capacity() < n {
+                        v.reserve(n - v.len());
+                    }
+                }
+                self.dirty = true;
+            }
         }
         id
+    }
+
+    /// Whether the flow in `slot` gets a fair share of at least its cap on
+    /// every link of its route, counting the current members.
+    fn share_covers_cap(&self, slot: u32) -> bool {
+        let cap = self.store.cap[slot as usize];
+        self.store
+            .route(slot)
+            .iter()
+            .all(|&l| self.capacity[l as usize] / self.member_count[l as usize] as f64 >= cap)
     }
 
     /// Remove and return all flows whose bytes have fully drained at the
@@ -550,6 +609,10 @@ impl Network {
             let si = s as usize;
             invariant!(self.store.live[si], "completed flow present");
             if lazy {
+                // Checked before the decrement: the flow still counts.
+                if self.removals_isolated && !self.share_covers_cap(s) {
+                    self.removals_isolated = false;
+                }
                 for &l in self.store.route(s) {
                     self.member_count[l as usize] -= 1;
                 }
@@ -664,14 +727,95 @@ impl Network {
         }
     }
 
+    /// Whether the change since the last recompute is isolated, so the
+    /// max-min fill may be skipped: every existing flow keeps its rate and
+    /// every flow admitted since then (ids at or above `admitted_from`)
+    /// gets its cap. Requires one cap `c` shared by every flow, every
+    /// removal to have passed [`Network::share_covers_cap`] as it drained,
+    /// and every admission to pass it now, on the final member counts.
+    ///
+    /// Why the skip reproduces [`max_min_fill`] bit for bit:
+    ///
+    /// * With one cap, a link round (some link binds) happens only when
+    ///   `tol = level·(1+1e-9) < c`. A cap round freezes every remaining
+    ///   flow at `c`, so the fill ends at its first cap round.
+    /// * Take a link whose share starts at `>= c`. Each freeze through it
+    ///   in a link round subtracts a level below `c`, so its share
+    ///   `(R − level)/(n − 1)` only rises; the margin, about
+    ///   `level·1e-9/(n − 1)`, is far larger than rounding error. So the
+    ///   link never tests `<= tol`, never binds and never sets the level.
+    ///   Dropping one member (the fill without the changed flow) only
+    ///   raises its share further.
+    /// * A changed flow crosses only such links, so it freezes in the
+    ///   final cap round, at `c`, and subtracts from residuals only then:
+    ///   after every link-round level and freeze set has been decided,
+    ///   and cap-round rates are `c` whatever the residuals hold. So the
+    ///   link rounds, and every rate they assign, are the same with or
+    ///   without it; if the other flows all freeze in link rounds, the
+    ///   changed flows end alone and the next round is a cap round.
+    /// * Removals come before admissions at one timestamp (a drain forces
+    ///   a pending recompute first), and a member count taken later only
+    ///   lowers the share checked, so the single-flow steps compose.
+    fn change_is_isolated(&self, admitted_from: u64) -> bool {
+        !self.caps_mixed
+            && self
+                .active
+                .iter()
+                .rev()
+                .take_while(|&&(id, _)| id >= admitted_from)
+                .all(|&(_, s)| self.share_covers_cap(s))
+    }
+
+    /// Run the progressive fill over every active flow into the persistent
+    /// scratch buffers.
+    fn fill_max_min(&mut self) {
+        let residual = &mut self.scratch_residual;
+        let count = &mut self.scratch_count;
+        for &l in &self.used_links {
+            residual[l] = self.capacity[l];
+            count[l] = self.member_count[l];
+        }
+        self.scratch_unfrozen.clear();
+        self.scratch_unfrozen.extend_from_slice(&self.active);
+        max_min_fill(
+            &mut self.store,
+            &mut self.scratch_unfrozen,
+            &mut self.scratch_next,
+            &self.used_links,
+            residual,
+            count,
+        );
+    }
+
+    /// Self-check of a skipped fill: run the fill anyway and assert that
+    /// it assigns every active flow the rate the skip left, bit for bit.
+    fn assert_fill_keeps_rates(&mut self) {
+        let kept: Vec<u64> = self
+            .active
+            .iter()
+            .map(|&(_, s)| self.store.rate[s as usize].to_bits())
+            .collect();
+        self.fill_max_min();
+        for (&(id, s), &bits) in self.active.iter().zip(&kept) {
+            assert_eq!(
+                self.store.rate[s as usize].to_bits(),
+                bits,
+                "skipped fill changed the rate of flow {id}"
+            );
+        }
+    }
+
     /// Incremental-solver recompute: persistent scratch buffers, counts
-    /// from the per-link member counts, and a completion-queue rebuild
-    /// under a fresh rate epoch.
+    /// from the per-link member counts, the fill skipped when the change
+    /// is isolated, and a completion-queue rebuild under a fresh rate
+    /// epoch.
     fn recompute_incremental(&mut self) {
         self.recomputes += 1;
         self.rate_epoch += 1;
         self.completions.clear();
         self.prune_used_links();
+        let removals_isolated = std::mem::replace(&mut self.removals_isolated, true);
+        let admitted_from = std::mem::replace(&mut self.admitted_from, self.next_id);
         if self.active.is_empty() {
             if self.record_rates {
                 self.sample_rates();
@@ -680,22 +824,19 @@ impl Network {
         }
         match self.fairness {
             FairnessModel::MaxMin => {
-                let residual = &mut self.scratch_residual;
-                let count = &mut self.scratch_count;
-                for &l in &self.used_links {
-                    residual[l] = self.capacity[l];
-                    count[l] = self.member_count[l];
+                if removals_isolated && self.change_is_isolated(admitted_from) {
+                    self.skipped_fills += 1;
+                    let store = &mut self.store;
+                    let admitted = self.active.iter().rev();
+                    for &(_, s) in admitted.take_while(|&&(id, _)| id >= admitted_from) {
+                        store.rate[s as usize] = store.cap[s as usize];
+                    }
+                    if cfg!(debug_assertions) || cfg!(feature = "strict-invariants") {
+                        self.assert_fill_keeps_rates();
+                    }
+                } else {
+                    self.fill_max_min();
                 }
-                self.scratch_unfrozen.clear();
-                self.scratch_unfrozen.extend_from_slice(&self.active);
-                max_min_fill(
-                    &mut self.store,
-                    &mut self.scratch_unfrozen,
-                    &mut self.scratch_next,
-                    &self.used_links,
-                    residual,
-                    count,
-                );
             }
             FairnessModel::EqualShare => {
                 equal_share_fill(
@@ -1077,6 +1218,83 @@ mod tests {
                 assert_eq!(a.flow_rate(tok), b.flow_rate(tok), "token {tok}");
             }
             assert_eq!(a.next_completion(), b.next_completion());
+        }
+    }
+
+    #[test]
+    fn an_exact_tie_at_the_cap_skips_the_fill() {
+        // Two flows into node 0 split its 20 MB/s leaf down-link into
+        // 10 MB/s each, exactly their cap: isolated, so no fill runs.
+        let mut n = net(8);
+        n.add_flow(1, 0, 20_000, 10.0e6, 0);
+        n.add_flow(2, 0, 40_000, 10.0e6, 1);
+        assert_eq!(n.flow_rate(0), Some(10.0e6));
+        assert_eq!(n.flow_rate(1), Some(10.0e6));
+        assert_eq!((n.recompute_count(), n.skipped_fills()), (1, 1));
+    }
+
+    #[test]
+    fn a_share_just_under_the_cap_runs_the_fill() {
+        // A cap 1 B/s above the 10 MB/s share: the link binds, and a
+        // skip would have handed each flow its cap instead.
+        let cap = 10.0e6 + 1.0;
+        let mut n = net(8);
+        n.add_flow(1, 0, 20_000, cap, 0);
+        n.add_flow(2, 0, 40_000, cap, 1);
+        assert_eq!(n.flow_rate(0), Some(10.0e6));
+        assert_eq!(n.flow_rate(1), Some(10.0e6));
+        assert_eq!(n.skipped_fills(), 0);
+    }
+
+    #[test]
+    fn an_isolated_removal_skips_the_fill() {
+        let mut n = net(8);
+        n.add_flow(1, 0, 20_000, 10.0e6, 0);
+        n.add_flow(2, 0, 40_000, 10.0e6, 1);
+        let t1 = n.next_completion().unwrap();
+        n.advance_to(t1);
+        assert_eq!(n.take_completed().len(), 1);
+        // The drained flow had a 10 MB/s share, its cap, on every link:
+        // the survivor keeps its rate without a refill.
+        assert_eq!(n.flow_rate(1), Some(10.0e6));
+        assert_eq!((n.recompute_count(), n.skipped_fills()), (2, 2));
+
+        // With a 20 MB/s cap the same drain frees headroom the survivor
+        // takes, so neither recompute may skip.
+        let p = MachineParams::cm5_1992();
+        let mut n = net(8);
+        n.add_flow(1, 0, 20_000, cap_for(&n, 1, 0, &p), 0);
+        n.add_flow(2, 0, 40_000, cap_for(&n, 2, 0, &p), 1);
+        let t1 = n.next_completion().unwrap();
+        n.advance_to(t1);
+        n.take_completed();
+        assert_eq!(n.flow_rate(1), Some(20.0e6));
+        assert_eq!((n.recompute_count(), n.skipped_fills()), (2, 0));
+    }
+
+    #[test]
+    fn mixed_caps_and_equal_share_never_skip() {
+        // Each flow is alone on its links, so only the caps (or the
+        // fairness model) stand between these admissions and a skip.
+        for (fairness, caps) in [
+            (FairnessModel::MaxMin, [10.0e6, 20.0e6]),
+            (FairnessModel::EqualShare, [10.0e6, 10.0e6]),
+        ] {
+            let mut p = MachineParams::cm5_1992();
+            p.fairness = fairness;
+            let mut pf = p.clone();
+            pf.rate_solver = RateSolver::Full;
+            let mut inc = Network::new(FatTree::new(8), &p);
+            let mut full = Network::new(FatTree::new(8), &pf);
+            for (tok, (&cap, (src, dst))) in caps.iter().zip([(0, 1), (2, 3)]).enumerate() {
+                inc.add_flow(src, dst, 10_000, cap, tok as u64);
+                full.add_flow(src, dst, 10_000, cap, tok as u64);
+            }
+            for tok in 0..2 {
+                assert_eq!(inc.flow_rate(tok), full.flow_rate(tok), "{fairness:?}");
+            }
+            assert_eq!(inc.next_completion(), full.next_completion());
+            assert_eq!(inc.skipped_fills(), 0, "{fairness:?}");
         }
     }
 

@@ -20,15 +20,18 @@ pub struct NodeReport {
 
 /// Simulator performance counters: the *host* cost of a run, as opposed to
 /// everything else in [`SimReport`], which is *simulated* machine behaviour.
-/// Deterministic fields (events, recomputes, flows) are a pure function of
-/// the configuration; `wall_secs` is not and must never feed back into
-/// simulated results.
+/// Deterministic fields (events, recomputes, skipped fills, flows) are a
+/// pure function of the configuration; `wall_secs` is not and must never
+/// feed back into simulated results.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimPerf {
     /// Discrete events processed by the engine loop.
     pub events: u64,
     /// Rate recomputations performed by the network solver.
     pub recomputes: u64,
+    /// Recomputes that skipped the max-min fill because the change was
+    /// isolated, reusing every existing rate (incremental solver only).
+    pub skipped_fills: u64,
     /// Total flows admitted to the network.
     pub flows: u64,
     /// Peak simultaneous active flows.

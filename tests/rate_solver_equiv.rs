@@ -10,8 +10,8 @@
 use cm5_core::prelude::*;
 use cm5_sim::network::Network;
 use cm5_sim::{
-    FairnessModel, FatTree, MachineParams, Op, RateSolver, SimDuration, SimReport, SimTime,
-    Simulation, ANY_TAG,
+    FairnessModel, FatTree, MachineParams, Op, OpProgram, RateSolver, SimDuration, SimReport,
+    SimTime, Simulation, ANY_TAG,
 };
 use proptest::prelude::*;
 
@@ -251,19 +251,68 @@ fn async_programs_are_bit_identical_across_solvers() {
     }
 }
 
+/// Simulate `programs` on `n` nodes under the incremental solver and the
+/// full oracle, assert bit-identical reports, and check that the
+/// incremental run skipped some fills, so the comparison covers the skip.
+fn assert_skipping_run_matches_full(
+    params: &MachineParams,
+    n: usize,
+    programs: &[OpProgram],
+    what: &str,
+) {
+    let run = |solver| {
+        let mut p = params.clone();
+        p.rate_solver = solver;
+        Simulation::new(n, p).run_ops(programs).unwrap()
+    };
+    let a = run(RateSolver::Incremental);
+    let b = run(RateSolver::Full);
+    assert_reports_bitwise(&a, &b, what);
+    assert!(a.perf.skipped_fills > 0, "{what}: no fill was skipped");
+    assert_eq!(b.perf.skipped_fills, 0, "{what}: the oracle never skips");
+}
+
 /// Whole REX and PEX simulations at 128 nodes: deep enough for contention
 /// at every level of the tree, small enough for a debug-build test run.
 #[test]
 fn exchange_at_128_nodes_is_bit_identical_across_solvers() {
     for alg in [ExchangeAlg::Rex, ExchangeAlg::Pex] {
         let programs = lower(&alg.schedule(128, 256));
-        let run = |solver| {
-            Simulation::new(128, params_for(FairnessModel::MaxMin, solver, false))
-                .run_ops(&programs)
-                .unwrap()
-        };
-        let a = run(RateSolver::Incremental);
-        let b = run(RateSolver::Full);
-        assert_reports_bitwise(&a, &b, &format!("{alg:?} n=128"));
+        let what = format!("{alg:?} n=128");
+        assert_skipping_run_matches_full(&MachineParams::cm5_1992(), 128, &programs, &what);
     }
+}
+
+/// Flow caps a little above the 10 MB/s fair share that two flows get on
+/// a leaf link (and that 4, 8 or 16 flows get one level up). Under the
+/// default 10 MB/s cap such a share ties the cap and the fill may be
+/// skipped; here the link binds, so a skip test that admitted shares
+/// below the cap would hand those flows their cap and diverge.
+#[test]
+fn caps_just_above_a_fair_share_are_bit_identical_across_solvers() {
+    for software_bandwidth in [10.5e6, 12.0e6] {
+        let mut params = MachineParams::cm5_1992();
+        params.software_bandwidth = software_bandwidth;
+        for alg in [ExchangeAlg::Bex, ExchangeAlg::Pex, ExchangeAlg::Rex] {
+            let programs = lower(&alg.schedule(32, 1024));
+            let what = format!("{alg:?} n=32 cap={software_bandwidth}");
+            assert_skipping_run_matches_full(&params, 32, &programs, &what);
+        }
+    }
+}
+
+/// BEX, PEX and GS at 256 nodes and 1 KB, the shapes where the fill skip
+/// pays most: whole-run bit identity against the oracle. Release builds
+/// only (the oracle alone takes seconds there).
+#[cfg(not(debug_assertions))]
+#[test]
+fn exchange_and_greedy_at_256_nodes_are_bit_identical_across_solvers() {
+    use cm5_workloads::synthetic::synthetic_pattern_exact;
+    let params = MachineParams::cm5_1992();
+    for alg in [ExchangeAlg::Bex, ExchangeAlg::Pex] {
+        let programs = lower(&alg.schedule(256, 1024));
+        assert_skipping_run_matches_full(&params, 256, &programs, &format!("{alg:?} n=256"));
+    }
+    let programs = lower(&gs(&synthetic_pattern_exact(256, 0.5, 1024, 1)));
+    assert_skipping_run_matches_full(&params, 256, &programs, "GS n=256 density 0.5");
 }
