@@ -6,103 +6,23 @@
 //! own [`Simulation`] and [`cm5_sim::network::Network`], so cells can run
 //! on a pool of threads without sharing mutable state.
 //!
-//! Determinism is preserved *structurally*, not by luck: workers pull cell
-//! indices from a queue and write each result into the slot reserved for
-//! that index, and the merged output is read back in index order. The
-//! output of [`SweepRunner::run`] is therefore byte-identical to the
-//! serial loop regardless of thread count or OS scheduling — the only
-//! thing parallelism can change is wall-clock time.
+//! The cells run on [`SweepRunner`], the workspace's one worker pool
+//! (`cm5_sim::pool`, re-exported here). It returns results in input order,
+//! so every sweep's output is byte-identical to the serial loop regardless
+//! of thread count or OS scheduling — the only thing parallelism can
+//! change is wall-clock time.
 
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
 
 use cm5_core::prelude::*;
+pub use cm5_sim::SweepRunner;
 use cm5_sim::{MachineParams, SimDuration, SimReport};
 
 use crate::runners::{
     broadcast_time, exchange_time, irregular_time, table11_pattern, FIG5_MSG_SIZES, MACHINE_SIZES,
     TABLE11_SEEDS,
 };
-
-/// A fixed-size worker pool that maps a function over a slice of work
-/// items and returns the results in input order.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepRunner {
-    jobs: usize,
-}
-
-impl SweepRunner {
-    /// A runner with `jobs` worker threads. `jobs == 0` means "use the
-    /// machine": one worker per available hardware thread.
-    pub fn new(jobs: usize) -> SweepRunner {
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            jobs
-        };
-        SweepRunner { jobs }
-    }
-
-    /// Number of worker threads this runner will spawn.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Apply `f` to every item, in parallel across the worker pool, and
-    /// return the results in the same order as `items`.
-    ///
-    /// `f` receives the item's index alongside the item so callers can
-    /// key results without capturing extra state. Results are collected
-    /// into per-index slots and merged in canonical (input) order, so the
-    /// returned `Vec` is identical for any `jobs` value. A panic in `f`
-    /// propagates out of `run`.
-    pub fn run<J, T, F>(&self, items: &[J], f: F) -> Vec<T>
-    where
-        J: Sync,
-        T: Send,
-        F: Fn(usize, &J) -> T + Sync,
-    {
-        let jobs = self.jobs.min(items.len()).max(1);
-        if jobs == 1 {
-            return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-        }
-        let slots: Vec<Mutex<Option<T>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-        let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-        for i in 0..items.len() {
-            tx.send(i).expect("queue send");
-        }
-        drop(tx);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..jobs {
-                let rx = rx.clone();
-                let slots = &slots;
-                let f = &f;
-                s.spawn(move || {
-                    while let Ok(i) = rx.recv() {
-                        let out = f(i, &items[i]);
-                        *slots[i].lock().unwrap() = Some(out);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot lock poisoned")
-                    .expect("worker filled every dispatched slot")
-            })
-            .collect()
-    }
-}
-
-impl Default for SweepRunner {
-    /// One worker per available hardware thread.
-    fn default() -> SweepRunner {
-        SweepRunner::new(0)
-    }
-}
 
 /// One cell of the regular complete-exchange grid (Figures 5–8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -922,7 +922,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// a measured sustained-QPS figure.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use cm5_bench::querygen::{generate_trace, TraceMix};
-    use cm5_serve::{replay, resolve_jobs, Service, ServiceConfig};
+    use cm5_serve::{replay, Service, ServiceConfig};
 
     // Record mode: write a deterministic query trace and exit.
     if let Some(path) = args.get("record") {
@@ -958,6 +958,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let trace =
             std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
         let jobs = args.usize_or("jobs", 0)?;
+        let workers = cm5_sim::SweepRunner::new(jobs).jobs();
         let qps_target = args.parsed("qps", "a number")?.filter(|q: &f64| *q > 0.0);
         let result = replay(&service, &trace, jobs, qps_target);
         let metrics = service.metrics();
@@ -969,7 +970,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         println!(
             "replayed {} requests on {} workers in {:.3} s: {:.0} queries/sec",
             result.requests,
-            resolve_jobs(jobs),
+            workers,
             result.wall_secs,
             result.qps()
         );
@@ -1010,7 +1011,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             println!("wrote {lpath} (live snapshot; wall-clock, not diffable)");
         }
         if let Some(bpath) = args.get("bench-json") {
-            merge_serve_cell(bpath, &result, resolve_jobs(jobs))?;
+            merge_serve_cell(bpath, &result, workers)?;
             println!("merged serve_replay cell into {bpath}");
         }
         return Ok(());

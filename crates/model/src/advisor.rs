@@ -128,7 +128,7 @@ impl DecisionKey {
 
     /// The workload every member of this bucket is priced as.
     pub fn representative(&self, params: &MachineParams) -> Workload {
-        let bytes = self.packets * params.packet_payload;
+        let bytes = self.packets.saturating_mul(params.packet_payload);
         match self.kind {
             WorkloadKind::Exchange => Workload::Exchange { n: self.n, bytes },
             WorkloadKind::Broadcast => Workload::Broadcast { n: self.n, bytes },
@@ -138,7 +138,7 @@ impl DecisionKey {
                 density: unbin(self.density_bin),
                 avg_msg_bytes: bytes as f64,
                 max_msg_bytes: bytes,
-                total_bytes: bytes * self.nonzero_pairs as u64,
+                total_bytes: bytes.saturating_mul(self.nonzero_pairs as u64),
                 exchange_pairs: self.exchange_pairs as usize,
                 oneway_pairs: self.oneway_pairs as usize,
                 max_out_degree: self.max_dir_degree as usize,

@@ -92,7 +92,7 @@ impl PatternStats {
                 let b = cell(i, j);
                 if b > 0 {
                     nonzero += 1;
-                    total += b;
+                    total = total.saturating_add(b);
                     max_bytes = max_bytes.max(b);
                     out_deg[i] += 1;
                     in_deg[j] += 1;

@@ -59,7 +59,7 @@ impl Histogram {
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket(v)] += 1;
         self.count += 1;
-        self.sum += v;
+        self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
     }
 

@@ -1,19 +1,17 @@
-//! The worker pool: replay a recorded trace (or any line stream) through
-//! the service on N threads, merging responses in canonical input order.
+//! Replay a recorded trace (or any line stream) through the service on N
+//! threads, merging responses in canonical input order.
 //!
-//! Mirrors `cm5-bench`'s `SweepRunner` pattern: a shared crossbeam work
-//! queue feeds workers, each response lands in its input-indexed slot, and
-//! the merged output is read in index order — so the response *stream* is
-//! byte-identical no matter how many workers raced, which worker handled
-//! which request, or how the scheduler interleaved them. The replay
-//! determinism test runs the same trace at `--jobs 1/4/8` and compares
-//! bytes.
+//! The lines run on [`SweepRunner`], the workspace's one worker pool
+//! (`cm5_sim::pool`): workers claim line indices from a shared cursor and
+//! the results merge by index, so the response *stream* is byte-identical
+//! no matter how many workers raced, which worker handled which request,
+//! or how the scheduler interleaved them. The replay determinism test runs
+//! the same trace at `--jobs 1/4/8` and compares bytes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cm5_obs::QuerySpan;
+use cm5_sim::SweepRunner;
 
 use crate::service::Service;
 
@@ -43,76 +41,42 @@ impl ReplayResult {
     }
 }
 
-/// Resolve a `--jobs` value: 0 means all available cores.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
 /// Replay every non-empty line of `input` through `service` on `jobs`
-/// worker threads (0 = all cores). `qps` paces the feeder to a target
-/// offered load; `None` feeds as fast as the workers drain.
+/// worker threads (0 = all cores). `qps` paces the offered load: line `i`
+/// is due at `i / qps` seconds after the start, and the worker that claims
+/// it waits until then. `None` makes every line due at the start.
 ///
-/// The response vector is in input order regardless of `jobs` — the
-/// determinism anchor for the whole serve subsystem.
+/// Each claim samples the queue depth: the lines due by then that no
+/// worker has claimed yet. The response vector is in input order
+/// regardless of `jobs` — the determinism anchor for the whole serve
+/// subsystem.
 pub fn replay(service: &Service, input: &str, jobs: usize, qps: Option<f64>) -> ReplayResult {
     let lines: Vec<&str> = input.lines().filter(|l| !l.trim().is_empty()).collect();
-    let jobs = resolve_jobs(jobs).max(1);
-    let slots: Vec<Mutex<Option<(String, QuerySpan)>>> =
-        (0..lines.len()).map(|_| Mutex::new(None)).collect();
-    let submitted = AtomicU64::new(0);
-    let dequeued = AtomicU64::new(0);
+    let interval = qps
+        .filter(|q| *q > 0.0)
+        .map(|q| Duration::from_secs_f64(1.0 / q));
     let start = Instant::now();
 
-    crossbeam::thread::scope(|scope| {
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, &str)>();
-        for worker in 0..jobs {
-            let rx = rx.clone();
-            let slots = &slots;
-            let submitted = &submitted;
-            let dequeued = &dequeued;
-            scope.spawn(move || {
-                while let Ok((idx, line)) = rx.recv() {
-                    let d = dequeued.fetch_add(1, Ordering::Relaxed) + 1;
-                    let s = submitted.load(Ordering::Relaxed);
-                    service.sample_queue_depth(s.saturating_sub(d) as usize);
-                    let (response, mut span) = service.handle_line_spanned(idx as u64, line);
-                    span.worker = worker;
-                    *slots[idx].lock().expect("slot poisoned") = Some((response, span));
-                }
-            });
-        }
-        // Feeder: paced when a target QPS is set, flat-out otherwise.
-        let interval = qps
-            .filter(|q| *q > 0.0)
-            .map(|q| Duration::from_secs_f64(1.0 / q));
-        for (idx, line) in lines.iter().enumerate() {
-            if let Some(step) = interval {
-                let due = start + step.mul_f64(idx as f64);
+    let merged = SweepRunner::new(jobs).run_workers(&lines, |worker, idx, line| {
+        let due = match interval {
+            Some(step) => {
+                let at = start + step.mul_f64(idx as f64);
                 let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
+                if at > now {
+                    std::thread::sleep(at - now);
                 }
+                let elapsed = start.elapsed().as_secs_f64();
+                (elapsed / step.as_secs_f64()) as usize + 1
             }
-            submitted.fetch_add(1, Ordering::Relaxed);
-            tx.send((idx, line)).expect("workers alive");
-        }
-        drop(tx);
+            None => lines.len(),
+        };
+        service.sample_queue_depth(due.min(lines.len()).saturating_sub(idx + 1));
+        let (response, mut span) = service.handle_line_spanned(idx as u64, line);
+        span.worker = worker;
+        (response, span)
     });
 
-    let (responses, spans): (Vec<String>, Vec<QuerySpan>) = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot poisoned")
-                .expect("every line produced a response")
-        })
-        .unzip();
+    let (responses, spans): (Vec<String>, Vec<QuerySpan>) = merged.into_iter().unzip();
     // Observe the merged spans in input order — the flight recorder's ring
     // and dumps then match a single-worker run byte for byte.
     for span in &spans {
@@ -180,5 +144,17 @@ mod tests {
         let result = replay(&service, &trace, 2, Some(1000.0));
         // 5 requests at 1000 qps: at least 4 inter-arrival gaps of 1 ms.
         assert!(result.wall_secs >= 0.004, "{}", result.wall_secs);
+    }
+
+    #[test]
+    fn unpaced_replay_samples_one_queue_depth_per_line() {
+        let n = 6u64;
+        let service = Service::new(ServiceConfig::default());
+        let trace = "{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":8,\"bytes\":64}}\n"
+            .repeat(n as usize);
+        replay(&service, &trace, 1, None);
+        let depth = service.live_metrics().histograms["queue_depth"].clone();
+        assert_eq!(depth.count, n);
+        assert_eq!(depth.max, n - 1);
     }
 }

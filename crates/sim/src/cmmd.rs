@@ -2,24 +2,25 @@
 //!
 //! [`Simulation::run_nodes`] spawns one OS thread per simulated node and
 //! runs your closure against a [`CmmdNode`] handle whose blocking calls
-//! mirror the CMMD library the paper used: `send_block`, `recv_block`,
+//! follow the CMMD library the paper used: `send_block`, `recv_block`,
 //! `swap`, `barrier`, reductions and the system broadcast. Calls carry
 //! **real payload bytes**, so distributed algorithms (the 2-D FFT transpose,
 //! CG halo exchanges, REX's store-and-forward reshuffle) are numerically
 //! real and can be verified against sequential references while their
 //! timing is charged by the same engine the op programs use.
 //!
-//! The engine thread and the node threads advance in a strict rendezvous:
-//! a node runs (in zero virtual time) until its next blocking call, so the
-//! simulated timing is identical to the equivalent op program — a property
-//! `tests/integration_cmmd.rs` checks.
+//! The engine thread and the node threads advance in a strict rendezvous
+//! over a pair of `std::sync::mpsc` channels per node: a node runs (in
+//! zero virtual time) until its next blocking call, so the simulated
+//! timing is identical to the equivalent op program — a property
+//! `tests/integration_cmmd.rs` checks. Each closure's return value comes
+//! back through its scoped thread's join handle.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::engine::Simulation;
 use crate::error::SimError;
@@ -361,8 +362,8 @@ impl Simulation {
         let mut resp_tx = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for id in 0..n {
-            let (rtx, rrx) = unbounded::<Action>();
-            let (stx, srx) = unbounded::<Resume>();
+            let (rtx, rrx) = channel::<Action>();
+            let (stx, srx) = channel::<Resume>();
             req_rx.push(rrx);
             resp_tx.push(stx);
             handles.push(CmmdNode {
@@ -379,34 +380,41 @@ impl Simulation {
             resp_tx,
             started: vec![false; n],
         };
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let report = std::thread::scope(|scope| {
-            for node in handles {
-                let slot = &results[node.id];
-                let body = &body;
-                scope.spawn(move || {
-                    let req = node.req.clone();
-                    match catch_unwind(AssertUnwindSafe(|| body(&node))) {
-                        Ok(value) => {
-                            *slot.lock() = Some(value);
-                            let _ = req.send(Action::Done);
+        let (report, outputs) = std::thread::scope(|scope| {
+            let nodes: Vec<_> = handles
+                .into_iter()
+                .map(|node| {
+                    let body = &body;
+                    scope.spawn(move || {
+                        let req = node.req.clone();
+                        match catch_unwind(AssertUnwindSafe(|| body(&node))) {
+                            Ok(value) => {
+                                let _ = req.send(Action::Done);
+                                Some(value)
+                            }
+                            Err(payload) => {
+                                let _ = req.send(Action::Panic(panic_message(payload)));
+                                None
+                            }
                         }
-                        Err(payload) => {
-                            let _ = req.send(Action::Panic(panic_message(payload)));
-                        }
-                    }
-                });
-            }
+                    })
+                })
+                .collect();
             let report = self.run_source(&mut source);
             // Closing the response channels releases any node thread still
-            // blocked after an engine error; their calls panic, the panics
-            // are caught above, and the scope joins everything.
+            // blocked after an engine error; their calls panic and the
+            // panics are caught above, so every join returns.
             drop(source);
-            report
-        })?;
-        let outputs = results
+            let outputs: Vec<Option<T>> = nodes
+                .into_iter()
+                .map(|h| h.join().expect("node panics are caught"))
+                .collect();
+            (report, outputs)
+        });
+        let report = report?;
+        let outputs = outputs
             .into_iter()
-            .map(|m| m.into_inner().expect("finished node without a result"))
+            .map(|out| out.expect("finished node without a result"))
             .collect();
         Ok((report, outputs))
     }

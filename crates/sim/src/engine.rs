@@ -428,6 +428,11 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             self.events.push(Reverse(entry));
             return Ok(true);
         }
+        // Every addition to the clock saturates, so an event at the end of
+        // time stands for one beyond it; dispatching it would loop there.
+        if entry.time == SimTime(u64::MAX) {
+            return Err(SimError::ClockOverflow);
+        }
         self.events_processed += 1;
         let t = entry.time;
         match entry.ev {
@@ -1292,6 +1297,26 @@ mod tests {
         // Receiver finds the message in its mailbox: resumes right away.
         assert!(r.makespan.as_micros_f64() < 1100.0);
         assert_eq!(r.messages, 1);
+    }
+
+    #[test]
+    fn a_send_beyond_the_clock_is_an_error_not_a_hang() {
+        for mode in [SendMode::Rendezvous, SendMode::Eager] {
+            let mut params = MachineParams::cm5_1992();
+            params.send_mode = mode;
+            let p = vec![
+                vec![Op::Send {
+                    to: 1,
+                    bytes: 1_000_000_000_000_000_000,
+                    tag: 0,
+                }],
+                vec![Op::Recv { from: 0, tag: 0 }],
+            ];
+            match Simulation::new(2, params).run_ops(&p) {
+                Err(SimError::ClockOverflow) => {}
+                other => panic!("{mode:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,9 @@ pub enum SimError {
         /// Panic payload, if it was a string.
         message: String,
     },
+    /// An event fell at the saturated virtual clock (`u64::MAX` ns, about
+    /// 584 years): some transfer or compute is too long to simulate.
+    ClockOverflow,
     /// A multi-tenant layout or tenant program was unusable (tenants do not
     /// fit the shared tree, a tenant program uses a machine-wide collective,
     /// a peer is outside the tenant, …).
@@ -68,6 +71,10 @@ impl fmt::Display for SimError {
             SimError::NodePanic { node, message } => {
                 write!(f, "node {node} panicked: {message}")
             }
+            SimError::ClockOverflow => write!(
+                f,
+                "virtual clock overflow: an event lies beyond u64::MAX ns (about 584 years)"
+            ),
             SimError::Tenancy { detail } => write!(f, "tenancy error: {detail}"),
         }
     }

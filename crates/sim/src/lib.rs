@@ -77,6 +77,7 @@ pub mod network;
 pub mod ops;
 pub mod packet;
 pub mod params;
+pub mod pool;
 pub mod stats;
 pub mod tenant;
 pub mod time;
@@ -88,6 +89,7 @@ pub use engine::Simulation;
 pub use error::SimError;
 pub use ops::{Op, OpProgram, ReduceOp, ANY_TAG};
 pub use params::{FairnessModel, MachineParams, RateSolver, SendMode};
+pub use pool::SweepRunner;
 pub use stats::{NodeReport, RateSample, SimPerf, SimReport, TraceEvent, TraceKind, TraceRing};
 pub use tenant::{run_tenants, Placement, TenantLayout, TenantReport, TenantSlice, TenantSpec};
 pub use time::{SimDuration, SimTime};

@@ -184,10 +184,11 @@ impl MachineParams {
         }
     }
 
-    /// Bytes on the wire for a `bytes`-byte user message.
+    /// Bytes on the wire for a `bytes`-byte user message, saturating at
+    /// `u64::MAX`.
     #[inline]
     pub fn wire_bytes(&self, bytes: u64) -> u64 {
-        self.packets(bytes) * self.packet_wire
+        self.packets(bytes).saturating_mul(self.packet_wire)
     }
 
     /// Pack/unpack (memcpy) time for `bytes` bytes.

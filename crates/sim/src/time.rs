@@ -4,6 +4,10 @@
 //! exact and runs are bit-for-bit reproducible. Rates (bytes per second) are
 //! converted to durations with explicit rounding in one place
 //! ([`SimDuration::from_rate`]).
+//!
+//! The clock spans about 584 years. Additions saturate at `u64::MAX`
+//! nanoseconds rather than wrap, and the engine refuses to dispatch an
+//! event at the saturated clock ([`crate::SimError::ClockOverflow`]).
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -124,26 +128,20 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
-
-    /// Saturating duration addition.
-    #[inline]
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(other.0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -159,14 +157,14 @@ impl Add<SimDuration> for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimDuration {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 

@@ -161,6 +161,9 @@ fn malformed_lines_get_error_responses_not_panics() {
         "{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":3}}",
         "{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":32},\"simlate\":true}",
         "{\"id\":1,\"query\":{\"kind\":\"tenants\",\"shared_n\":64,\"tenants\":[]}}",
+        // Transfers past the end of the simulated clock (about 584 years).
+        "{\"id\":1,\"query\":{\"kind\":\"pattern\",\"text\":\"0 1000000000000000000\\n0 0\\n\"},\"simulate\":true}",
+        "{\"id\":1,\"query\":{\"kind\":\"pattern\",\"text\":\"0 18446744073709551615\\n18446744073709551615 0\\n\"},\"simulate\":true}",
     ] {
         let response = Json::parse(&service.handle_line(line)).unwrap();
         assert_eq!(
