@@ -20,7 +20,8 @@
 //! Table 5 reads each FFT's transpose there and adds the FFT's compute,
 //! simulated alone.
 //! `perf` measures the *simulator's* host cost (wall-clock, events/sec,
-//! incremental-vs-full solver speedup) and writes `--bench-json`; it
+//! incremental-vs-full solver speedup), plus cold advice at 256 nodes
+//! (advices/sec), and writes `--bench-json`; it
 //! records and does not gate, and stays out of the default set because
 //! wall-clock is never byte-identical.
 //! `watch` is the one perf gate: it checks the `--bench-json` artifact
@@ -635,13 +636,14 @@ fn perf(o: &Opts) {
         "Simulator performance — host cost of the hot loop (opt-in)",
         "not in the paper; measures the simulator itself. Small grids: \
          incremental solver vs the --rates full oracle. Large grids \
-         (1024-16384 nodes): incremental solver, no oracle",
+         (1024-16384 nodes): incremental solver, no oracle. advise_256: \
+         cold advice, events = advices",
     );
     let quick = o.quick;
     let reps = if quick { 1 } else { 3 };
     let measurements = p::run_perf_suite(reps);
     println!(
-        "{:>8} {:>6} {:>13} {:>11} {:>10} {:>12} {:>11} {:>9} {:>10} {:>9}",
+        "{:>10} {:>6} {:>13} {:>11} {:>10} {:>12} {:>11} {:>9} {:>10} {:>9}",
         "grid",
         "nodes",
         "solver",
@@ -655,10 +657,10 @@ fn perf(o: &Opts) {
     );
     for m in &measurements {
         println!(
-            "{:>8} {:>6} {:>13} {:>11.3} {:>10} {:>12.0} {:>11} {:>9} {:>10} {:>9}",
+            "{:>10} {:>6} {:>13} {:>11.3} {:>10} {:>12.0} {:>11} {:>9} {:>10} {:>9}",
             m.name,
             m.n,
-            "incremental",
+            m.solver,
             m.wall_secs * 1e3,
             m.events,
             m.events_per_sec,

@@ -10,15 +10,22 @@
 //! speedup is part of the artifact; the large grid has no oracle, because
 //! the full solver is O(flows) per event and too slow at 16K nodes.
 //!
+//! One more cell times the advice layer rather than the simulator: cold
+//! advice at 256 nodes, where every call prices every candidate.
+//!
 //! Used by `report perf`, which serialises the results to `BENCH_sim.json`
 //! for `report watch` to gate.
 
 use std::time::Instant;
 
 use cm5_core::prelude::*;
+use cm5_core::Support;
+use cm5_model::{Advisor, PatternStats, Workload};
 use cm5_obs::Json;
-use cm5_sim::{MachineParams, Op, OpProgram, RateSolver, SimReport, Simulation};
+use cm5_sim::{FatTree, MachineParams, Op, OpProgram, RateSolver, SimReport, Simulation};
 use cm5_workloads::synthetic::synthetic_pattern_exact;
+
+use crate::querygen::BYTES;
 
 /// One workload of the performance grid.
 pub struct PerfCase {
@@ -44,6 +51,9 @@ pub struct PerfMeasurement {
     pub name: String,
     /// Machine size.
     pub n: usize,
+    /// What the cell runs: `incremental` (the simulator's rate solver) or
+    /// `advisor` (cold advice, no simulation).
+    pub solver: &'static str,
     /// Simulation repetitions timed (best run reported).
     pub reps: u32,
     /// Engine wall-clock seconds of the best incremental-solver run.
@@ -235,6 +245,7 @@ pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
             PerfMeasurement {
                 name: case.name.to_string(),
                 n: case.n,
+                solver: "incremental",
                 reps,
                 wall_secs: best,
                 events: report.perf.events,
@@ -262,7 +273,62 @@ pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
 pub fn run_perf_suite(reps: u32) -> Vec<PerfMeasurement> {
     let mut ms = run_cases(&perf_cases(), reps);
     ms.extend(run_cases(&perf_cases_large(), 1));
+    ms.push(run_advise_cold(reps));
     ms
+}
+
+/// Irregular densities the cold-advice cell prices.
+const ADVISE_DENSITIES: [f64; 3] = [0.1, 0.25, 0.75];
+
+/// Cold advice at 256 nodes, as the service answers a first-seen key:
+/// every exchange size of the query generator's trace, then an irregular
+/// support at each of [`ADVISE_DENSITIES`] (generated, reduced to its
+/// statistics, priced). Each call gets a fresh [`Advisor`], so none hits
+/// a cache. `events` counts the advices of one pass; the best of
+/// `20 × reps` passes is reported. `makespan_ms` sums the recommended
+/// predictions of a pass — a model change moves it, host speed does not.
+pub fn run_advise_cold(reps: u32) -> PerfMeasurement {
+    assert!(reps > 0, "at least one repetition");
+    let n = 256;
+    let params = MachineParams::cm5_1992();
+    let tree = FatTree::new(n);
+    let pass = || {
+        let exchange = BYTES.iter().map(|&bytes| Workload::Exchange { n, bytes });
+        let irregular = ADVISE_DENSITIES.iter().map(|&density| {
+            let support = Support::seeded_random(n, density, 0x7AB1E);
+            Workload::Irregular(PatternStats::of_support(&support, 256, &tree))
+        });
+        exchange
+            .chain(irregular)
+            .map(|w| Advisor::new().recommend(&w, &params, &tree).predicted)
+            .fold((0u64, 0.0), |(count, ms), predicted| {
+                (count + 1, ms + predicted.as_millis_f64())
+            })
+    };
+    let mut best = f64::INFINITY;
+    let (mut advices, mut makespan_ms) = (0, 0.0);
+    for _ in 0..20 * reps {
+        let start = Instant::now();
+        (advices, makespan_ms) = pass();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    PerfMeasurement {
+        name: "advise_256".to_string(),
+        n,
+        solver: "advisor",
+        reps: 20 * reps,
+        wall_secs: best,
+        events: advices,
+        events_per_sec: advices as f64 / best,
+        cells_per_sec: 1.0 / best,
+        recomputes: 0,
+        skipped_fills: 0,
+        flows: 0,
+        flows_peak: 0,
+        oracle_wall_secs: None,
+        speedup_vs_oracle: None,
+        makespan_ms,
+    }
 }
 
 /// Serialise measurements as the `BENCH_sim.json` artifact, one grid cell
@@ -274,7 +340,7 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
         Json::obj([
             ("name", m.name.as_str().into()),
             ("nodes", m.n.into()),
-            ("solver", "incremental".into()),
+            ("solver", m.solver.into()),
             ("reps", m.reps.into()),
             ("wall_secs", Json::rounded(m.wall_secs, 6)),
             ("events", m.events.into()),
@@ -368,6 +434,23 @@ mod tests {
     }
 
     #[test]
+    fn cold_advice_cell_prices_every_size_and_density() {
+        let m = run_advise_cold(1);
+        assert_eq!(m.name, "advise_256");
+        assert_eq!(m.solver, "advisor");
+        assert_eq!(m.events, (BYTES.len() + ADVISE_DENSITIES.len()) as u64);
+        assert!(m.events_per_sec > 0.0 && m.makespan_ms > 0.0);
+        // The predictions do not depend on the host: a second run agrees.
+        assert_eq!(
+            m.makespan_ms.to_bits(),
+            run_advise_cold(1).makespan_ms.to_bits()
+        );
+        let json = Json::parse(&to_json(&[m], true)).unwrap();
+        let cell = &json.get("grids").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(cell.get("solver").and_then(Json::as_str), Some("advisor"));
+    }
+
+    #[test]
     fn large_grid_is_well_formed() {
         // Shape-check the large cells without running them (debug builds).
         let cases = perf_cases_large();
@@ -407,6 +490,7 @@ mod tests {
         let ms = vec![PerfMeasurement {
             name: "rex_64".into(),
             n: 64,
+            solver: "incremental",
             reps: 1,
             wall_secs: 1.0,
             events: 500,

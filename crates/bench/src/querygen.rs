@@ -87,7 +87,7 @@ const ADVISE_NODES: [usize; 6] = [8, 16, 32, 64, 128, 256];
 const SIM_NODES: [usize; 3] = [8, 16, 32];
 
 /// Per-pair message sizes, spanning the paper's short-to-long range.
-const BYTES: [u64; 5] = [64, 256, 1024, 4096, 16384];
+pub const BYTES: [u64; 5] = [64, 256, 1024, 4096, 16384];
 
 /// Named real-application patterns the service knows.
 const WORKLOADS: [&str; 3] = ["cg", "euler545", "euler2k"];

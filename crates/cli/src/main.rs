@@ -16,6 +16,49 @@ use cm5_model::prelude::*;
 use cm5_obs::Json;
 use cm5_sim::{FatTree, MachineParams, SimReport, Simulation};
 
+// `print!` and `println!` in this file are these two, which write through
+// `emit` rather than panic on a closed stdout.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        $crate::emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// The one writer behind every line `cm5` prints on stdout. A reader that
+/// has gone away (a closed pipe, as in `cm5 ... | head -1`) ends the
+/// process quietly with status 141, the status a shell reports for a
+/// SIGPIPE death, instead of a panic and a backtrace.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if cfg!(test) {
+        // The test harness captures only the standard `print!` family.
+        std::print!("{args}");
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("cm5: could not write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Print `msg` on stderr and exit 2, the status for a bad flag value.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
 fn machine(args: &Args) -> Result<MachineParams, String> {
     let mut params = match args.get("machine").unwrap_or("1992") {
         "1992" => MachineParams::cm5_1992(),
@@ -922,7 +965,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// a measured sustained-QPS figure.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use cm5_bench::querygen::{generate_trace, TraceMix};
-    use cm5_serve::{replay, Service, ServiceConfig};
+    use cm5_serve::{pacing_interval, replay, Service, ServiceConfig};
 
     // Record mode: write a deterministic query trace and exit.
     if let Some(path) = args.get("record") {
@@ -955,13 +998,58 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // Replay mode: drive a recorded trace through the worker pool and
     // report sustained QPS (`report watch` gates the merged cell).
     if let Some(path) = args.get("replay") {
+        let qps_target: Option<f64> = args.parsed("qps", "a number")?;
+        if qps_target.is_some_and(|q| pacing_interval(q).is_none()) {
+            usage_error(format!(
+                "--qps must be a finite rate above 0 whose interval 1/Q fits a duration, got {}",
+                args.get("qps").unwrap_or_default()
+            ));
+        }
         let trace =
             std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
         let jobs = args.usize_or("jobs", 0)?;
         let workers = cm5_sim::SweepRunner::new(jobs).jobs();
-        let qps_target = args.parsed("qps", "a number")?.filter(|q: &f64| *q > 0.0);
         let result = replay(&service, &trace, jobs, qps_target);
         let metrics = service.metrics();
+        // Every file is written before anything is printed, so a reader
+        // that stops early (`| head -1`) cannot cost an output.
+        let write = |path: &str, text: String| {
+            std::fs::write(path, text).map_err(|e| format!("could not write {path}: {e}"))
+        };
+        let mut wrote = Vec::new();
+        if let Some(out) = args.get("out") {
+            let mut text = result.responses.join("\n");
+            text.push('\n');
+            write(out, text)?;
+            wrote.push(format!("wrote {out} ({} response lines)", result.requests));
+        }
+        if let Some(mpath) = args.get("metrics-json") {
+            write(mpath, metrics.to_json())?;
+            wrote.push(format!("wrote {mpath}"));
+        }
+        if let Some(spath) = args.get("spans-out") {
+            write(spath, cm5_obs::spans_json(&result.spans))?;
+            wrote.push(format!(
+                "wrote {spath} ({} query spans)",
+                result.spans.len()
+            ));
+        }
+        if let Some(tpath) = args.get("trace-out") {
+            write(tpath, cm5_obs::spans_chrome_trace(&result.spans))?;
+            wrote.push(format!(
+                "wrote {tpath} (load in Perfetto / chrome://tracing)"
+            ));
+        }
+        if let Some(lpath) = args.get("metrics-out") {
+            write(lpath, service.live_metrics().to_json())?;
+            wrote.push(format!(
+                "wrote {lpath} (live snapshot; wall-clock, not diffable)"
+            ));
+        }
+        if let Some(bpath) = args.get("bench-json") {
+            merge_serve_cell(bpath, &result, workers)?;
+            wrote.push(format!("merged serve_replay cell into {bpath}"));
+        }
         let hit_rate = metrics
             .gauges
             .get("advisor_cache_hit_rate")
@@ -984,35 +1072,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 .copied()
                 .unwrap_or(0)
         );
-        if let Some(out) = args.get("out") {
-            let mut text = result.responses.join("\n");
-            text.push('\n');
-            std::fs::write(out, text).map_err(|e| format!("could not write {out}: {e}"))?;
-            println!("wrote {out} ({} response lines)", result.requests);
-        }
-        if let Some(mpath) = args.get("metrics-json") {
-            std::fs::write(mpath, metrics.to_json())
-                .map_err(|e| format!("could not write {mpath}: {e}"))?;
-            println!("wrote {mpath}");
-        }
-        if let Some(spath) = args.get("spans-out") {
-            std::fs::write(spath, cm5_obs::spans_json(&result.spans))
-                .map_err(|e| format!("could not write {spath}: {e}"))?;
-            println!("wrote {spath} ({} query spans)", result.spans.len());
-        }
-        if let Some(tpath) = args.get("trace-out") {
-            std::fs::write(tpath, cm5_obs::spans_chrome_trace(&result.spans))
-                .map_err(|e| format!("could not write {tpath}: {e}"))?;
-            println!("wrote {tpath} (load in Perfetto / chrome://tracing)");
-        }
-        if let Some(lpath) = args.get("metrics-out") {
-            std::fs::write(lpath, service.live_metrics().to_json())
-                .map_err(|e| format!("could not write {lpath}: {e}"))?;
-            println!("wrote {lpath} (live snapshot; wall-clock, not diffable)");
-        }
-        if let Some(bpath) = args.get("bench-json") {
-            merge_serve_cell(bpath, &result, workers)?;
-            println!("merged serve_replay cell into {bpath}");
+        for line in wrote {
+            println!("{line}");
         }
         return Ok(());
     }
@@ -1050,17 +1111,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             }
         })
     });
-    use std::io::{BufRead as _, Write as _};
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
+    use std::io::BufRead as _;
+    for line in std::io::stdin().lock().lines() {
         let line = line.map_err(|e| format!("stdin: {e}"))?;
         if line.trim().is_empty() {
             continue;
         }
-        writeln!(out, "{}", service.handle_line(&line)).map_err(|e| format!("stdout: {e}"))?;
-        out.flush().map_err(|e| format!("stdout: {e}"))?;
+        // Stdout is line-buffered: each response goes out as it is written.
+        println!("{}", service.handle_line(&line));
     }
     if let Some(handle) = tcp {
         handle.shutdown();

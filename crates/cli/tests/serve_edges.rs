@@ -1,0 +1,71 @@
+//! `cm5 serve --replay` at its edges, run as a child process: a `--qps`
+//! value with no pacing interval is a usage error, and a reader that
+//! closes stdout early costs no output file and no panic.
+
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
+
+const CM5: &str = env!("CARGO_BIN_EXE_cm5");
+
+/// A fresh scratch directory holding a two-line trace.
+fn scratch(name: &str) -> (PathBuf, PathBuf) {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("q.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":8,\"bytes\":64}}\n\
+         {\"id\":2,\"query\":{\"kind\":\"broadcast\",\"n\":8,\"bytes\":64}}\n",
+    )
+    .unwrap();
+    (dir, trace)
+}
+
+fn run(args: &[&str]) -> Output {
+    Command::new(CM5).args(args).output().expect("spawn cm5")
+}
+
+#[test]
+fn qps_without_a_pacing_interval_is_a_usage_error() {
+    let (_, trace) = scratch("qps");
+    let trace = trace.to_str().unwrap();
+    for q in ["1e-300", "0", "-1", "nan"] {
+        let out = run(&["serve", "--replay", trace, "--qps", q, "--jobs", "1"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--qps {q}: {stderr}");
+        assert!(stderr.contains("--qps"), "--qps {q}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--qps {q}: {stderr}");
+    }
+    // A representable rate still replays.
+    let out = run(&["serve", "--replay", trace, "--qps", "1000", "--jobs", "1"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn a_closed_stdout_still_writes_every_file_and_does_not_panic() {
+    let (dir, trace) = scratch("closed_stdout");
+    let (out, spans) = (dir.join("s.jsonl"), dir.join("spans.json"));
+    let mut child = Command::new(CM5)
+        .args(["serve", "--replay", trace.to_str().unwrap(), "--jobs", "1"])
+        .arg("--out")
+        .arg(&out)
+        .arg("--spans-out")
+        .arg(&spans)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cm5");
+    // Close the read end before the child prints anything.
+    drop(child.stdout.take());
+    let result = child.wait_with_output().expect("wait for cm5");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_ne!(result.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&out).unwrap().lines().count(), 2);
+    assert!(std::fs::metadata(&spans).unwrap().len() > 0);
+}

@@ -195,6 +195,19 @@ impl Pattern {
         self.get(i, j) > 0 || self.get(j, i) > 0
     }
 
+    /// The pairs with a nonzero entry.
+    pub fn support(&self) -> Support {
+        let mut support = Support::new(self.n);
+        for i in 0..self.n {
+            for j in 0..self.n {
+                if i != j && self.get(i, j) > 0 {
+                    support.insert(i, j);
+                }
+            }
+        }
+        support
+    }
+
     /// Whether the *support* is symmetric (`i→j` nonzero ⇔ `j→i` nonzero).
     pub fn symmetric_support(&self) -> bool {
         for i in 0..self.n {
@@ -218,20 +231,35 @@ impl Pattern {
 /// The support of a pattern: which ordered pairs communicate, one bit per
 /// pair. An irregular pattern that sends the same byte count on every pair
 /// is fully described by its support, in `n²` bits instead of `n²` words.
+///
+/// Each row is its own run of [`Support::row`] words (bit `j % 64` of word
+/// `j / 64` is the pair `i → j`), so row-wise counts are popcounts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Support {
     n: usize,
+    words: usize,
     bits: Vec<u64>,
 }
 
 impl Support {
+    /// The empty support over `n` nodes.
+    pub fn new(n: usize) -> Support {
+        assert!(n >= 2, "pattern needs at least 2 nodes");
+        let words = n.div_ceil(64);
+        Support {
+            n,
+            words,
+            bits: vec![0; n * words],
+        }
+    }
+
     /// A deterministic pseudo-random support: each ordered pair `i != j`
     /// is present with probability `density`. Uses a self-contained
     /// xorshift generator, drawn once per off-diagonal pair in row-major
     /// order, so `cm5-core` needs no RNG dependency (the richer seeded
     /// generators live in `cm5-workloads::synthetic`).
     pub fn seeded_random(n: usize, density: f64, seed: u64) -> Support {
-        assert!(n >= 2, "pattern needs at least 2 nodes");
+        let mut support = Support::new(n);
         assert!((0.0..=1.0).contains(&density), "density out of range");
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
         let mut next = move || {
@@ -240,16 +268,15 @@ impl Support {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let mut bits = vec![0u64; (n * n).div_ceil(64)];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && next() < density {
-                    let k = i * n + j;
-                    bits[k / 64] |= 1 << (k % 64);
+        // Each row word is assembled without a branch on the draw.
+        for (i, row) in support.bits.chunks_mut(support.words).enumerate() {
+            for (w, word) in row.iter_mut().enumerate() {
+                for j in (w * 64..n.min(w * 64 + 64)).filter(|&j| j != i) {
+                    *word |= u64::from(next() < density) << (j % 64);
                 }
             }
         }
-        Support { n, bits }
+        support
     }
 
     /// Number of nodes.
@@ -258,11 +285,23 @@ impl Support {
         self.n
     }
 
+    /// Add the pair `i → j`. Panics on the diagonal.
+    #[inline]
+    pub fn insert(&mut self, i: usize, j: usize) {
+        assert!(i != j, "cannot send to self ({i})");
+        self.bits[i * self.words + j / 64] |= 1 << (j % 64);
+    }
+
     /// Whether `i` sends to `j`.
     #[inline]
     pub fn contains(&self, i: usize, j: usize) -> bool {
-        let k = i * self.n + j;
-        self.bits[k / 64] >> (k % 64) & 1 == 1
+        self.row(i)[j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// Row `i` as `n.div_ceil(64)` words; the bits past `n` are zero.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
     }
 }
 
@@ -382,6 +421,9 @@ mod tests {
                         let p = Pattern::seeded_random(n, density, bytes, seed);
                         assert_eq!(p, dense_seeded_random(n, density, bytes, seed));
                         assert_eq!(p, Pattern::from_support(&support, bytes));
+                        if bytes > 0 {
+                            assert_eq!(p.support(), support);
+                        }
                     }
                 }
             }

@@ -13,6 +13,7 @@ use crate::schedule::{CommOp, Schedule, Step};
 
 /// BEX partner of `me` in step `j` on `n` nodes (Figure 4):
 /// `node = ((me+1 mod n) XOR j) − 1`, with −1 wrapping to `n−1`.
+#[inline]
 pub fn bex_partner(me: usize, j: usize, n: usize) -> usize {
     let virtual_no = (me + 1) % n;
     let x = virtual_no ^ j;

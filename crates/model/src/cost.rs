@@ -287,14 +287,21 @@ impl CostModel for LexModel {
     }
 }
 
-/// Per-node serial cost of an XOR-family schedule (PEX / BEX), exact in
-/// the pairing: for every step, per-level link loads decide each pair's
-/// bottleneck share; each node then pays one serialized exchange.
+/// Per-node serial cost of an XOR-family schedule (PEX / BEX): for every
+/// step, the flows leaving each level group share that group's up-link;
+/// each pair's rate is the smallest such share on its way up to the
+/// pair's LCA, and each node then pays one serialized exchange.
 ///
 /// The makespan is the maximum over nodes of their serial sums — steps
 /// are only loosely synchronized, so a node's time is dominated by its
 /// own rendezvous chain, with [`calib::XOR_DRIFT`] inflating average
 /// link loads to account for adjacent-step overlap.
+///
+/// Each step counts the crossings per level group, prices each group's
+/// share once, and gives each node the `min` of its groups' shares in
+/// level order, reusing the node's term while the rate repeats: the same
+/// floating-point operations, in the same order, as pricing every node's
+/// groups one by one.
 fn xor_family_cost(
     n: usize,
     bytes: u64,
@@ -302,45 +309,83 @@ fn xor_family_cost(
     p: &MachineParams,
     tree: &FatTree,
 ) -> f64 {
-    let ax = alpha_exchange(p);
+    let (ax, cap) = (alpha_exchange(p), p.flow_cap());
     let levels = tree.levels();
+    // Per-(level, group) state for the thinned levels 1..levels, level
+    // `l`'s groups starting at `offset[l]`.
+    let mut offset = vec![0usize; levels as usize];
+    let mut groups = 0usize;
+    for l in 1..levels {
+        offset[l as usize] = groups;
+        groups += tree.groups_at(l);
+    }
+    let mut crossings = vec![0usize; groups];
+    let mut share = vec![0.0f64; groups];
+    // Each node's LCA with its partner this step; 0 = no partner.
+    let mut lca = vec![0u32; n];
     let mut node_time = vec![0.0f64; n];
-    // Reused per step: flows leaving each level-l group.
     for j in 1..n {
-        let partners: Vec<usize> = (0..n).map(|i| partner_of(i, j)).collect();
-        // Load on the up-link above each group at link level l
-        // (groups of 4^(l+1) nodes feed the level-(l+1) switch; the
-        // relevant shared links are those with thinned bandwidth).
-        let mut loads: Vec<Vec<f64>> = (1..levels).map(|l| vec![0.0; tree.groups_at(l)]).collect();
-        for i in 0..n {
-            let q = partners[i];
-            if q == i {
-                continue;
-            }
-            let lca = tree.lca_level(i, q);
-            for l in 1..lca {
-                loads[(l - 1) as usize][tree.group_of(i, l)] += 1.0;
+        crossings.fill(0);
+        for (i, lca) in lca.iter_mut().enumerate() {
+            let q = partner_of(i, j);
+            *lca = if q == i { 0 } else { tree.lca_level(i, q) };
+            for l in 1..*lca {
+                crossings[offset[l as usize] + tree.group_of(i, l)] += 1;
             }
         }
-        for i in 0..n {
-            let q = partners[i];
-            if q == i {
-                continue;
+        for l in 1..levels {
+            for g in 0..tree.groups_at(l) {
+                let k = offset[l as usize] + g;
+                if crossings[k] > 0 {
+                    let size = tree.group_size(l, g) as f64;
+                    // Drift-inflated load, capped at the subtree population.
+                    let load = (crossings[k] as f64 * calib::XOR_DRIFT).min(size);
+                    let capacity = size * level_link_bw(l, p);
+                    share[k] = capacity / load.max(1.0);
+                }
             }
-            let lca = tree.lca_level(i, q);
-            let mut rate = p.flow_cap();
+        }
+        let (mut last_rate, mut term) = (f64::NAN, 0.0);
+        for (i, &lca) in lca.iter().enumerate().filter(|(_, &lca)| lca > 0) {
+            let mut rate = cap;
             for l in 1..lca {
-                let group = tree.group_of(i, l);
-                let size = tree.group_size(l, group) as f64;
-                // Drift-inflated load, capped at the subtree population.
-                let load = (loads[(l - 1) as usize][group] * calib::XOR_DRIFT).min(size);
-                let capacity = size * level_link_bw(l, p);
-                rate = rate.min(capacity / load.max(1.0));
+                rate = rate.min(share[offset[l as usize] + tree.group_of(i, l)]);
             }
-            node_time[i] += ax + 2.0 * transfer(bytes, rate, p);
+            if rate.to_bits() != last_rate.to_bits() {
+                last_rate = rate;
+                term = ax + 2.0 * transfer(bytes, rate, p);
+            }
+            node_time[i] += term;
         }
     }
     node_time.into_iter().fold(0.0, f64::max)
+}
+
+/// PEX's [`xor_family_cost`] in closed form. In step `j` every pair
+/// `i, i ^ j` meets at `lca_level(0, j)`, and every group below that level
+/// is full and sends all of its nodes out of it. So every group at a level
+/// has the same share, every node pays the same term, and the makespan is
+/// one node's serial sum: O(levels) per step instead of O(n · levels),
+/// bit for bit the same.
+fn pex_cost(n: usize, bytes: u64, p: &MachineParams, tree: &FatTree) -> f64 {
+    let ax = alpha_exchange(p);
+    let (mut total, mut last_lca, mut term) = (0.0f64, 0u32, 0.0);
+    for j in 1..n {
+        let lca = tree.lca_level(0, j);
+        if lca != last_lca {
+            last_lca = lca;
+            let mut rate = p.flow_cap();
+            for l in 1..lca {
+                let size = tree.group_size(l, 0) as f64;
+                let load = (size * calib::XOR_DRIFT).min(size);
+                let capacity = size * level_link_bw(l, p);
+                rate = rate.min(capacity / load.max(1.0));
+            }
+            term = ax + 2.0 * transfer(bytes, rate, p);
+        }
+        total += term;
+    }
+    total
 }
 
 /// Per-node bandwidth of the up-link above a level-`l` group.
@@ -364,7 +409,7 @@ impl CostModel for PexModel {
         if !n.is_power_of_two() || n < 2 || tree.nodes() < n {
             return None;
         }
-        Some(secs(xor_family_cost(n, bytes, |i, j| i ^ j, p, tree)))
+        Some(secs(pex_cost(n, bytes, p, tree)))
     }
 }
 
@@ -582,6 +627,84 @@ mod tests {
 
     fn m32() -> (MachineParams, FatTree) {
         (MachineParams::cm5_1992(), FatTree::new(32))
+    }
+
+    /// The per-node quadratic loop `xor_family_cost` used to be, kept
+    /// unchanged as the oracle that PEX's closed form and the per-group
+    /// pricing must match bit for bit.
+    fn xor_family_oracle(
+        n: usize,
+        bytes: u64,
+        partner_of: impl Fn(usize, usize) -> usize,
+        p: &MachineParams,
+        tree: &FatTree,
+    ) -> f64 {
+        let ax = alpha_exchange(p);
+        let levels = tree.levels();
+        let mut node_time = vec![0.0f64; n];
+        // Reused per step: flows leaving each level-l group.
+        for j in 1..n {
+            let partners: Vec<usize> = (0..n).map(|i| partner_of(i, j)).collect();
+            // Load on the up-link above each group at link level l
+            // (groups of 4^(l+1) nodes feed the level-(l+1) switch; the
+            // relevant shared links are those with thinned bandwidth).
+            let mut loads: Vec<Vec<f64>> =
+                (1..levels).map(|l| vec![0.0; tree.groups_at(l)]).collect();
+            for i in 0..n {
+                let q = partners[i];
+                if q == i {
+                    continue;
+                }
+                let lca = tree.lca_level(i, q);
+                for l in 1..lca {
+                    loads[(l - 1) as usize][tree.group_of(i, l)] += 1.0;
+                }
+            }
+            for i in 0..n {
+                let q = partners[i];
+                if q == i {
+                    continue;
+                }
+                let lca = tree.lca_level(i, q);
+                let mut rate = p.flow_cap();
+                for l in 1..lca {
+                    let group = tree.group_of(i, l);
+                    let size = tree.group_size(l, group) as f64;
+                    // Drift-inflated load, capped at the subtree population.
+                    let load = (loads[(l - 1) as usize][group] * calib::XOR_DRIFT).min(size);
+                    let capacity = size * level_link_bw(l, p);
+                    rate = rate.min(capacity / load.max(1.0));
+                }
+                node_time[i] += ax + 2.0 * transfer(bytes, rate, p);
+            }
+        }
+        node_time.into_iter().fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn xor_family_pricing_matches_the_quadratic_loop_bit_for_bit() {
+        let p = MachineParams::cm5_1992();
+        for n in (1..=10).map(|k| 1usize << k) {
+            // Trees of exactly n nodes, with a partial last group, and
+            // with whole levels above the pattern.
+            for tree in [FatTree::new(n), FatTree::new(n + 3), FatTree::new(4 * n)] {
+                for bytes in [0, 1, 64, 1000, 1024, 16384] {
+                    let case = format!("n={n} tree={} bytes={bytes}", tree.nodes());
+                    let pex = xor_family_oracle(n, bytes, |i, j| i ^ j, &p, &tree);
+                    assert_eq!(
+                        pex_cost(n, bytes, &p, &tree).to_bits(),
+                        pex.to_bits(),
+                        "PEX {case}"
+                    );
+                    let grouped = xor_family_cost(n, bytes, |i, j| i ^ j, &p, &tree);
+                    assert_eq!(grouped.to_bits(), pex.to_bits(), "PEX per group {case}");
+                    let bex_of = |i, j| bex_partner(i, j, n);
+                    let bex = xor_family_oracle(n, bytes, bex_of, &p, &tree);
+                    let grouped = xor_family_cost(n, bytes, bex_of, &p, &tree);
+                    assert_eq!(grouped.to_bits(), bex.to_bits(), "BEX {case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!
 //! Three layers:
 //!
-//! * [`stats`] — [`PatternStats`]: one O(n²) pass reducing an irregular
-//!   [`cm5_core::Pattern`] to the aggregates the models need (density,
-//!   mean entry size, max pair degree, nonempty XOR/BEX pairing
-//!   classes). No scheduling, no simulation.
+//! * [`stats`] — [`PatternStats`]: reduces an irregular pattern to the
+//!   aggregates the models need (density, mean entry size, max pair
+//!   degree, nonempty XOR/BEX pairing classes), working on its
+//!   [`cm5_core::Support`]'s bit rows. No scheduling, no simulation.
 //! * [`cost`] — a [`CostModel`] per algorithm (LEX/PEX/REX/BEX,
 //!   LIB/REB/system broadcast, LS/PS/BS/GS), parameterized by
 //!   [`cm5_sim::MachineParams`] and the [`cm5_sim::FatTree`] shape:

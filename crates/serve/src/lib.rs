@@ -44,7 +44,7 @@ pub use cm5_obs::Json;
 /// The named-workload table lives in `cm5-workloads`; re-exported for
 /// callers that build the patterns a `workload` query answers.
 pub use cm5_workloads::named_pattern;
-pub use pool::{replay, ReplayResult};
+pub use pool::{pacing_interval, replay, ReplayResult};
 pub use request::{Query, Request, TenantQuery, MAX_NODES};
 pub use response::{recommendation_json, stats_json, tenants_json};
 pub use service::{Service, ServiceConfig, SIM_MAX_NODES};

@@ -41,10 +41,21 @@ impl ReplayResult {
     }
 }
 
+/// The gap between arrivals at `qps` queries/second: `None` unless `qps`
+/// is finite and positive and `1 / qps` seconds is a representable
+/// [`Duration`] (so `1e-300` has no interval; `1e300` rounds to zero).
+pub fn pacing_interval(qps: f64) -> Option<Duration> {
+    if !(qps.is_finite() && qps > 0.0) {
+        return None;
+    }
+    Duration::try_from_secs_f64(1.0 / qps).ok()
+}
+
 /// Replay every non-empty line of `input` through `service` on `jobs`
 /// worker threads (0 = all cores). `qps` paces the offered load: line `i`
 /// is due at `i / qps` seconds after the start, and the worker that claims
-/// it waits until then. `None` makes every line due at the start.
+/// it waits until then. `None`, or a rate with no [`pacing_interval`] or a
+/// zero one, makes every line due at the start.
 ///
 /// Each claim samples the queue depth: the lines due by then that no
 /// worker has claimed yet. The response vector is in input order
@@ -52,21 +63,24 @@ impl ReplayResult {
 /// subsystem.
 pub fn replay(service: &Service, input: &str, jobs: usize, qps: Option<f64>) -> ReplayResult {
     let lines: Vec<&str> = input.lines().filter(|l| !l.trim().is_empty()).collect();
-    let interval = qps
-        .filter(|q| *q > 0.0)
-        .map(|q| Duration::from_secs_f64(1.0 / q));
+    let interval = qps.and_then(pacing_interval).filter(|step| !step.is_zero());
     let start = Instant::now();
 
     let merged = SweepRunner::new(jobs).run_workers(&lines, |worker, idx, line| {
         let due = match interval {
             Some(step) => {
-                let at = start + step.mul_f64(idx as f64);
-                let now = Instant::now();
-                if at > now {
-                    std::thread::sleep(at - now);
+                // A due time past what `Instant` can hold never arrives.
+                let at = Duration::try_from_secs_f64(step.as_secs_f64() * idx as f64)
+                    .ok()
+                    .and_then(|offset| start.checked_add(offset));
+                let wait = at.map_or(Duration::MAX, |at| {
+                    at.saturating_duration_since(Instant::now())
+                });
+                if !wait.is_zero() {
+                    std::thread::sleep(wait);
                 }
                 let elapsed = start.elapsed().as_secs_f64();
-                (elapsed / step.as_secs_f64()) as usize + 1
+                ((elapsed / step.as_secs_f64()) as usize).saturating_add(1)
             }
             None => lines.len(),
         };
@@ -144,6 +158,31 @@ mod tests {
         let result = replay(&service, &trace, 2, Some(1000.0));
         // 5 requests at 1000 qps: at least 4 inter-arrival gaps of 1 ms.
         assert!(result.wall_secs >= 0.004, "{}", result.wall_secs);
+    }
+
+    #[test]
+    fn rates_without_a_representable_interval_replay_unpaced() {
+        assert_eq!(pacing_interval(4.0), Some(Duration::from_millis(250)));
+        assert_eq!(pacing_interval(1e300), Some(Duration::ZERO));
+        for q in [
+            1e-300,
+            0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(pacing_interval(q), None, "{q}");
+        }
+        let trace = "{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":8,\"bytes\":64}}\n".repeat(3);
+        for q in [1e-300, 1e300, 0.0, -1.0, f64::NAN] {
+            let service = Service::new(ServiceConfig::default());
+            let result = replay(&service, &trace, 2, Some(q));
+            assert_eq!(result.requests, 3, "{q}");
+            // Unpaced: every line is due at the start.
+            let depth = service.live_metrics().histograms["queue_depth"].clone();
+            assert_eq!(depth.max, 2, "{q}");
+        }
     }
 
     #[test]

@@ -349,13 +349,7 @@ impl Service {
                 // built only when a schedule is verified or simulated.
                 let support = Support::seeded_random(*n, *density, *seed);
                 let bytes = (*bytes).max(1);
-                let stats = PatternStats::of_cells(*n, &FatTree::new(*n), |i, j| {
-                    if support.contains(i, j) {
-                        bytes
-                    } else {
-                        0
-                    }
-                });
+                let stats = PatternStats::of_support(&support, bytes, &FatTree::new(*n));
                 let pattern = || Cow::Owned(Pattern::from_support(&support, bytes));
                 self.answer_pattern(ctx, req, stats, pattern, &mut fields)?;
             }

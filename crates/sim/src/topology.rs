@@ -18,6 +18,10 @@ use crate::params::MachineParams;
 /// Fat-tree arity (the CM-5 is 4-ary).
 pub const ARITY: usize = 4;
 
+// The tree arithmetic below reads a level-`l` group off the node index as
+// `node >> 2l`: two bits per level.
+const _: () = assert!(ARITY == 4);
+
 /// Direction of a tree link relative to the root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkDir {
@@ -109,38 +113,41 @@ impl FatTree {
         self.group_count[level as usize]
     }
 
-    /// Group index of `node` at `level` (level 0 = the node itself).
+    /// Group index of `node` at `level` (level 0 = the node itself):
+    /// `node / ARITY^level`, two index bits per level.
     #[inline]
     pub fn group_of(&self, node: usize, level: u32) -> usize {
-        node / ARITY.pow(level)
+        node >> (2 * level)
     }
 
-    /// Number of nodes actually present in group `group` at `level`
+    /// The nodes of group `group` at `level` that are actually present
     /// (the last group of a level may be partial when `n` is not a power of
-    /// the arity).
+    /// the arity; a group past the last node is empty).
+    #[inline]
+    pub fn group_range(&self, level: u32, group: usize) -> std::ops::Range<usize> {
+        let start = (group << (2 * level)).min(self.n);
+        let end = ((group + 1) << (2 * level)).min(self.n);
+        start..end
+    }
+
+    /// Number of nodes actually present in group `group` at `level`.
+    #[inline]
     pub fn group_size(&self, level: u32, group: usize) -> usize {
-        let span = ARITY.pow(level);
-        let start = group * span;
-        let end = (start + span).min(self.n);
-        end.saturating_sub(start)
+        self.group_range(level, group).len()
     }
 
     /// The level of the lowest common ancestor of two distinct nodes:
-    /// the smallest `l ≥ 1` with `group_of(a, l) == group_of(b, l)`.
+    /// the smallest `l ≥ 1` with `group_of(a, l) == group_of(b, l)`, i.e.
+    /// half the bit length of `a ^ b`, rounded up.
     ///
     /// Level 1 means "same cluster of four"; [`FatTree::levels`] means the
     /// message crosses the root of the tree.
+    #[inline]
     pub fn lca_level(&self, a: usize, b: usize) -> u32 {
         assert!(a != b, "lca_level of a node with itself is undefined");
         assert!(a < self.n && b < self.n, "node out of range");
-        let mut l = 1u32;
-        let (mut ga, mut gb) = (a / ARITY, b / ARITY);
-        while ga != gb {
-            ga /= ARITY;
-            gb /= ARITY;
-            l += 1;
-        }
-        l
+        let bits = usize::BITS - (a ^ b).leading_zeros();
+        bits.div_ceil(2).max(1)
     }
 
     /// Whether a message between `a` and `b` crosses the root of the tree
@@ -233,7 +240,7 @@ impl FatTree {
             g /= ARITY;
         }
         for l in (0..lca).rev() {
-            let group = dst / ARITY.pow(l);
+            let group = self.group_of(dst, l);
             out[k] = (self.one_dir_links + self.level_offset[l as usize] + group) as u32;
             k += 1;
         }
@@ -455,6 +462,68 @@ mod tests {
         assert_eq!(t.lca_level(0, 16), 3); // crosses root
         assert!(t.crosses_root(0, 16));
         assert!(!t.crosses_root(0, 15));
+    }
+
+    /// The division loop `lca_level` replaced: climb until the groups meet.
+    fn lca_by_division(a: usize, b: usize) -> u32 {
+        let mut l = 1u32;
+        let (mut ga, mut gb) = (a / ARITY, b / ARITY);
+        while ga != gb {
+            ga /= ARITY;
+            gb /= ARITY;
+            l += 1;
+        }
+        l
+    }
+
+    #[test]
+    fn lca_level_matches_the_division_loop() {
+        // Every pair on powers of two and of four, and on sizes that are
+        // neither (partial groups at every level).
+        for n in [
+            2usize, 3, 4, 5, 7, 8, 13, 16, 31, 48, 64, 100, 128, 255, 256,
+        ] {
+            let t = FatTree::new(n);
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    assert_eq!(t.lca_level(a, b), lca_by_division(a, b), "n={n} {a}<->{b}");
+                    for l in 0..=t.levels() {
+                        assert_eq!(t.group_of(a, l), a / ARITY.pow(l));
+                    }
+                }
+            }
+        }
+        // Sampled pairs on the largest machine the simulator runs.
+        let n = 16384;
+        let t = FatTree::new(n);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (a, b) = ((x % n as u64) as usize, ((x >> 32) % n as u64) as usize);
+            if a != b {
+                assert_eq!(t.lca_level(a, b), lca_by_division(a, b), "{a}<->{b}");
+            }
+        }
+    }
+
+    #[test]
+    fn group_ranges_cover_the_nodes() {
+        for n in [2usize, 5, 8, 13, 64, 100] {
+            let t = FatTree::new(n);
+            for l in 0..t.levels() {
+                let mut next = 0;
+                for g in 0..t.groups_at(l) {
+                    let r = t.group_range(l, g);
+                    assert_eq!(r.start, next, "n={n} level {l} group {g}");
+                    assert!(r.len() <= ARITY.pow(l) && !r.is_empty());
+                    next = r.end;
+                }
+                assert_eq!(next, n);
+                assert!(t.group_range(l, t.groups_at(l)).is_empty());
+            }
+        }
     }
 
     #[test]
