@@ -311,12 +311,7 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
 
 /// The `--name`d Table 12 pattern on `n` nodes.
 fn named_workload(name: &str, n: usize) -> Result<Pattern, String> {
-    cm5_workloads::named_pattern(name, n).map_err(|_| {
-        format!(
-            "unknown --name '{name}' ({})",
-            cm5_workloads::workload_names()
-        )
-    })
+    cm5_workloads::named_pattern(name, n).map_err(|e| format!("--name: {e}"))
 }
 
 /// `cm5 advise` — price the candidates without simulating anything.

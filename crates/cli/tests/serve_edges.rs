@@ -1,7 +1,9 @@
-//! `cm5 serve --replay` at its edges, run as a child process: a `--qps`
-//! value with no pacing interval is a usage error, and a reader that
-//! closes stdout early costs no output file and no panic.
+//! `cm5 serve` at its edges, run as a child process: a `--qps` value with
+//! no pacing interval is a usage error, a reader that closes stdout early
+//! costs no output file and no panic, and a workload larger than its mesh
+//! is refused without ending the stdin server.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -68,4 +70,34 @@ fn a_closed_stdout_still_writes_every_file_and_does_not_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(std::fs::read_to_string(&out).unwrap().lines().count(), 2);
     assert!(std::fs::metadata(&spans).unwrap().len() > 0);
+}
+
+#[test]
+fn a_workload_past_its_mesh_is_refused_and_the_next_line_answered() {
+    let lines = [
+        r#"{"id":1,"query":{"kind":"workload","name":"euler545","n":1024}}"#,
+        r#"{"id":2,"query":{"kind":"workload","name":"euler3k","n":4096}}"#,
+    ];
+    let mut child = Command::new(CM5)
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cm5");
+    let mut stdin = child.stdin.take().unwrap();
+    writeln!(stdin, "{}\n{}", lines[0], lines[1]).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait for cm5");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let answers: Vec<&str> = stdout.lines().collect();
+    assert_eq!(answers.len(), 2, "{stdout}");
+    for (answer, limit) in answers.iter().zip([545, 3072]) {
+        assert!(answer.contains(r#""ok":false"#), "{answer}");
+        let limit = format!("n must be at most {limit}");
+        assert!(answer.contains(&limit), "{answer}");
+    }
+    assert!(answers[1].contains(r#""id":2"#), "{}", answers[1]);
 }

@@ -432,7 +432,7 @@ impl Service {
     /// span shape does not depend on which racing request built the entry.
     fn workload(&self, ctx: &mut QueryCtx, name: &str, n: usize) -> Result<Arc<Pattern>, String> {
         let t = ctx.start();
-        let pattern = named_builder(name).map(|build| {
+        let pattern = named_builder(name, n).map(|build| {
             // Patterns past the simulation ceiling are answered but not
             // kept: that bounds the memo to 5 names × 10 sizes, each a
             // dense n×n `u64` matrix of at most 8 MB.

@@ -8,6 +8,13 @@
 //! are flows in the [`crate::network`] model, so transfer times respond to
 //! fat-tree contention.
 //!
+//! Pairing is [`crate::matcher`]'s, shared with the static verifier. Sends
+//! never overtake: a receive naming its source takes that source's oldest
+//! unmatched send with its tag, so an `Isend` goes before a later blocking
+//! `Send` even when both post at the same instant, and eager messages are
+//! received in send order whichever lands first. A wildcard receive takes
+//! the earliest-posted send.
+//!
 //! Event ordering is total — `(time, insertion sequence)` — and every data
 //! structure iterates deterministically, so a run is a pure function of the
 //! programs and [`MachineParams`].
@@ -19,6 +26,7 @@ use std::time::Instant;
 use bytes::Bytes;
 
 use crate::error::SimError;
+use crate::matcher::{CollKind, Matcher, Posted, RecvAny};
 use crate::network::{Flow, Network};
 use crate::ops::{Action, OpProgram, OpSource, ProgramSource, ReduceOp, Resume};
 use crate::params::{MachineParams, RateSolver, SendMode};
@@ -191,28 +199,26 @@ impl Ord for EvEntry {
     }
 }
 
-struct PendingSend {
-    dst: usize,
-    tag: u32,
-    bytes: u64,
-    payload: Option<Bytes>,
-    ready: SimTime,
-}
-
-/// A posted non-blocking send awaiting its rendezvous.
+/// A non-blocking send posted but not yet visible for matching.
 struct AsyncSend {
-    src: usize,
-    dst: usize,
+    to: usize,
     handle: u64,
     tag: u32,
     bytes: u64,
     payload: Option<Bytes>,
-    ready: SimTime,
 }
 
-struct PendingRecv {
-    from: Option<usize>,
-    tag: u32,
+/// A send the [`Matcher`] holds until a receive takes it.
+enum Outgoing {
+    /// Rendezvous: no bytes move until a receive takes it. `handle` is
+    /// `Some` for a non-blocking send.
+    Request {
+        bytes: u64,
+        payload: Option<Bytes>,
+        handle: Option<u64>,
+    },
+    /// Eager: message `id` is already in flight, or in the mailbox.
+    Message(u64),
 }
 
 struct MsgInfo {
@@ -227,26 +233,9 @@ struct MsgInfo {
     async_handle: Option<u64>,
 }
 
-struct ArrivedMsg {
-    msg_id: u64,
-    src: usize,
-    tag: u32,
-    bytes: u64,
-    payload: Option<Bytes>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum CollKind {
-    Barrier,
-    SystemBcast { root: usize },
-    Reduce { op: ReduceOp },
-    Scan { op: ReduceOp, inclusive: bool },
-}
-
+/// What a released collective folds or broadcasts; the [`Matcher`] decides
+/// when it releases.
 struct CollectiveState {
-    kind: CollKind,
-    arrived: Vec<bool>,
-    count: usize,
     /// Arrival time of the first node (the collective span's start).
     min_time: SimTime,
     max_time: SimTime,
@@ -270,16 +259,13 @@ struct Engine<'a, S: ProgramSource> {
     nodes: Vec<NodeMeta>,
     resume_slot: Vec<Option<Resume>>,
     blocked_action: Vec<Option<Action>>,
-    pending_send: Vec<Option<PendingSend>>,
-    pending_recv: Vec<Option<PendingRecv>>,
-    /// Per-destination list of sources with a pending send targeting it.
-    sends_to: Vec<Vec<usize>>,
+    matcher: Matcher<Outgoing, CollKind<ReduceOp>>,
+    /// Messages in flight.
     messages: HashMap<u64, MsgInfo>,
-    arrived: Vec<Vec<ArrivedMsg>>,
+    /// Eager messages that arrived before a receive took them.
+    mailbox: HashMap<u64, MsgInfo>,
     /// Per-node FIFO of posted-but-not-yet-visible non-blocking sends.
     async_queue: Vec<std::collections::VecDeque<AsyncSend>>,
-    /// Per-destination list of async sends awaiting rendezvous.
-    async_by_dst: Vec<Vec<AsyncSend>>,
     /// Per-node: handle → completed? for every outstanding/unwaited isend.
     async_state: Vec<HashMap<u64, bool>>,
     next_handle: u64,
@@ -325,11 +311,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         let n = topo.nodes();
         let mut network = Network::new_on(topo.clone(), params);
         network.set_record_rates(obs.record_rates);
-        // Pre-size per-node buffers from the program shape (capacity only;
-        // a zero hint is always safe).
         let shape = source.shape();
-        let inbound = |i: usize| shape.inbound.get(i).copied().unwrap_or(0) as usize;
-        let async_inbound = |i: usize| shape.async_inbound.get(i).copied().unwrap_or(0) as usize;
         Engine {
             source,
             params,
@@ -345,15 +327,10 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                 .collect(),
             resume_slot: (0..n).map(|_| Some(Resume::at(SimTime::ZERO))).collect(),
             blocked_action: (0..n).map(|_| None).collect(),
-            pending_send: (0..n).map(|_| None).collect(),
-            pending_recv: (0..n).map(|_| None).collect(),
-            sends_to: vec![Vec::new(); n],
+            matcher: Matcher::new(n),
             messages: HashMap::new(),
-            arrived: (0..n).map(|i| Vec::with_capacity(inbound(i))).collect(),
+            mailbox: HashMap::new(),
             async_queue: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
-            async_by_dst: (0..n)
-                .map(|i| Vec::with_capacity(async_inbound(i)))
-                .collect(),
             async_state: (0..n).map(|_| HashMap::new()).collect(),
             next_handle: 0,
             collective: None,
@@ -462,15 +439,15 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                     Some(h) => format!("wait for async send handle {h}"),
                     None => "wait for all outstanding async sends".to_string(),
                 }
-            } else if let Some(ps) = &self.pending_send[i] {
-                format!("send {}B to node {} (tag {})", ps.bytes, ps.dst, ps.tag)
-            } else if let Some(pr) = &self.pending_recv[i] {
-                match pr.from {
-                    Some(s) => format!("recv from node {} (tag {})", s, pr.tag),
-                    None => format!("recv from any (tag {})", pr.tag),
+            } else if let Some((bytes, p)) = self.parked_send(i) {
+                format!("send {bytes}B to node {} (tag {})", p.dst, p.tag)
+            } else if let Some(w) = self.matcher.parked(i) {
+                match w.from {
+                    Some(s) => format!("recv from node {} (tag {})", s, w.tag),
+                    None => format!("recv from any (tag {})", w.tag),
                 }
-            } else if let Some(c) = &self.collective {
-                format!("collective {:?}", c.kind)
+            } else if let Some(kind) = self.matcher.gathering() {
+                format!("collective {kind:?}")
             } else {
                 "unknown".to_string()
             };
@@ -480,6 +457,21 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             time: latest,
             waiting,
         }
+    }
+
+    /// The blocking send `node` is parked on, with its bytes.
+    fn parked_send(&self, node: usize) -> Option<(u64, &Posted<Outgoing>)> {
+        self.matcher
+            .queued_from(node)
+            .iter()
+            .find_map(|p| match p.send {
+                Outgoing::Request {
+                    bytes,
+                    handle: None,
+                    ..
+                } => Some((bytes, p)),
+                _ => None,
+            })
     }
 
     /// Charge `bytes` of buffered payload to `node` and update its peak.
@@ -583,13 +575,11 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                     self.next_handle += 1;
                     self.async_state[node].insert(handle, false);
                     self.async_queue[node].push_back(AsyncSend {
-                        src: node,
-                        dst: to,
+                        to,
                         handle,
                         tag,
                         bytes,
                         payload,
-                        ready: at,
                     });
                     self.push(at, Ev::PostAsync { node });
                     // Not blocked: hand the handle back and keep running.
@@ -674,44 +664,65 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         let req = self.async_queue[node]
             .pop_front()
             .expect("post-async without queued send");
-        invariant_eq!(req.ready, t);
-        match self.params.send_mode {
-            SendMode::Rendezvous => {
-                let dst = req.dst;
-                if matches_recv(self.pending_recv[dst].as_ref(), node, req.tag) {
-                    self.pending_recv[dst] = None;
-                    self.start_message(
-                        t,
-                        node,
-                        dst,
-                        req.tag,
-                        req.bytes,
-                        req.payload,
-                        false,
-                        true,
-                        Some(req.handle),
-                    );
-                } else {
-                    self.buf_charge(dst, req.bytes);
-                    self.async_by_dst[dst].push(req);
-                }
+        let handle = Some(req.handle);
+        self.post_send(t, node, req.to, req.tag, req.bytes, req.payload, handle);
+    }
+
+    /// A send from `src` becomes visible for matching at `t`. Under
+    /// rendezvous it starts if it meets a parked receive and queues
+    /// otherwise; under eager sends it starts at once, claiming the parked
+    /// receive it meets.
+    #[allow(clippy::too_many_arguments)]
+    fn post_send(
+        &mut self,
+        t: SimTime,
+        src: usize,
+        dst: usize,
+        tag: u32,
+        bytes: u64,
+        mut payload: Option<Bytes>,
+        handle: Option<u64>,
+    ) {
+        let eager = self.params.send_mode == SendMode::Eager;
+        let send = if eager {
+            Outgoing::Message(self.msg_seq)
+        } else {
+            let payload = payload.take();
+            Outgoing::Request {
+                bytes,
+                payload,
+                handle,
             }
-            SendMode::Eager => {
-                let dst = req.dst;
-                let claimed = matches_recv(self.pending_recv[dst].as_ref(), node, req.tag);
-                self.start_message(
-                    t,
-                    node,
-                    dst,
-                    req.tag,
-                    req.bytes,
-                    req.payload,
-                    true,
-                    claimed,
-                    Some(req.handle),
-                );
-            }
+        };
+        let met = self.matcher.post_send(Posted {
+            src,
+            dst,
+            tag,
+            at: t,
+            send,
+        });
+        if eager {
+            let claimed = met.is_some();
+            self.start_message(t, src, dst, tag, bytes, payload, true, claimed, handle);
+        } else if let Some(met) = met {
+            self.start_request(t, met);
+        } else if handle.is_some() {
+            // A queued isend's bytes are charged to its receiver.
+            self.buf_charge(dst, bytes);
         }
+    }
+
+    /// Start the transfer of a rendezvous request a receive has met.
+    fn start_request(&mut self, t: SimTime, p: Posted<Outgoing>) {
+        let Outgoing::Request {
+            bytes,
+            payload,
+            handle,
+        } = p.send
+        else {
+            unreachable!("an eager message is already in flight");
+        };
+        self.start_message(t, p.src, p.dst, p.tag, bytes, payload, false, true, handle);
     }
 
     /// A send/recv becomes visible for matching at time `t`.
@@ -725,28 +736,9 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                 tag,
                 bytes,
                 payload,
-            } => match self.params.send_mode {
-                SendMode::Rendezvous => {
-                    let matched = matches_recv(self.pending_recv[to].as_ref(), node, tag);
-                    if matched {
-                        self.pending_recv[to] = None;
-                        self.start_message(t, node, to, tag, bytes, payload, false, true, None);
-                    } else {
-                        self.pending_send[node] = Some(PendingSend {
-                            dst: to,
-                            tag,
-                            bytes,
-                            payload,
-                            ready: t,
-                        });
-                        self.sends_to[to].push(node);
-                    }
-                }
-                SendMode::Eager => {
-                    let claimed = matches_recv(self.pending_recv[to].as_ref(), node, tag);
-                    let msg_id =
-                        self.start_message(t, node, to, tag, bytes, payload, true, claimed, None);
-                    let _ = msg_id;
+            } => {
+                self.post_send(t, node, to, tag, bytes, payload, None);
+                if self.params.send_mode == SendMode::Eager {
                     // Sender resumes once its bytes are injected at leaf rate.
                     let inj = SimDuration::from_rate(
                         self.params.wire_bytes(bytes) as f64,
@@ -754,136 +746,43 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                     );
                     self.resume_node(node, t + inj, Resume::at(t + inj));
                 }
-            },
+            }
             Action::Recv { from, tag } => {
-                // 1) Eager mailbox (completed, unclaimed messages).
-                if let Some(pos) = self.mailbox_match(node, from, tag) {
-                    let msg = self.arrived[node].remove(pos);
-                    self.buf_cur[node] = self.buf_cur[node].saturating_sub(msg.bytes);
-                    self.resume_node(
-                        node,
-                        t,
-                        Resume {
-                            time: t,
-                            payload: msg.payload,
-                            from: Some(msg.src),
-                            bytes: msg.bytes,
-                            reduced: None,
-                            handle: None,
-                        },
-                    );
-                    return Ok(());
-                }
-                // 2) Eager in-flight messages: claim one, resume at completion.
-                if self.params.send_mode == SendMode::Eager {
-                    if let Some(id) = self.inflight_match(node, from, tag) {
-                        self.messages.get_mut(&id).expect("msg").recv_claimed = true;
-                        self.pending_recv[node] = Some(PendingRecv { from, tag });
-                        return Ok(());
-                    }
-                }
-                // 3) Rendezvous: a pending blocking or async send may be
-                // waiting for us; the earliest-posted one wins.
-                let blocking = self.rendezvous_match(node, from, tag).map(|src| {
-                    let ready = self.pending_send[src].as_ref().expect("send").ready;
-                    (ready, src)
-                });
-                let async_pos = self.async_match(node, from, tag);
-                let use_async = match (blocking, async_pos) {
-                    (Some((br, bs)), Some(pos)) => {
-                        let a = &self.async_by_dst[node][pos];
-                        (a.ready, a.src) < (br, bs)
-                    }
-                    (None, Some(_)) => true,
-                    _ => false,
+                let any = RecvAny::EarliestPosted;
+                let Some(p) = self.matcher.post_recv(node, from, tag, any) else {
+                    return Ok(()); // parked until a send meets it
                 };
-                if use_async {
-                    let req =
-                        self.async_by_dst[node].remove(async_pos.expect("async candidate present"));
-                    self.buf_cur[node] = self.buf_cur[node].saturating_sub(req.bytes);
-                    self.start_message(
-                        t,
-                        req.src,
-                        node,
-                        req.tag,
-                        req.bytes,
-                        req.payload,
-                        false,
-                        true,
-                        Some(req.handle),
-                    );
-                    return Ok(());
+                match p.send {
+                    Outgoing::Request { bytes, handle, .. } => {
+                        if handle.is_some() {
+                            self.buf_cur[node] = self.buf_cur[node].saturating_sub(bytes);
+                        }
+                        self.start_request(t, p);
+                    }
+                    Outgoing::Message(id) => match self.mailbox.remove(&id) {
+                        Some(msg) => {
+                            self.buf_cur[node] = self.buf_cur[node].saturating_sub(msg.bytes);
+                            let resume = Resume {
+                                time: t,
+                                payload: msg.payload,
+                                from: Some(msg.src),
+                                bytes: msg.bytes,
+                                reduced: None,
+                                handle: None,
+                            };
+                            self.resume_node(node, t, resume);
+                        }
+                        // Still in flight: the receive resumes when it lands.
+                        None => {
+                            let msg = self.messages.get_mut(&id).expect("eager message");
+                            msg.recv_claimed = true;
+                        }
+                    },
                 }
-                if let Some((_, src)) = blocking {
-                    let ps = self.pending_send[src].take().expect("pending send");
-                    self.sends_to[node].retain(|&s| s != src);
-                    self.start_message(
-                        t, src, node, ps.tag, ps.bytes, ps.payload, false, true, None,
-                    );
-                    return Ok(());
-                }
-                // 4) Nothing yet: block.
-                self.pending_recv[node] = Some(PendingRecv { from, tag });
             }
             other => unreachable!("non-comm action {other:?} posted as comm"),
         }
         Ok(())
-    }
-
-    /// Position in `node`'s mailbox of the oldest message matching
-    /// (`from`, `tag`), if any.
-    fn mailbox_match(&self, node: usize, from: Option<usize>, tag: u32) -> Option<usize> {
-        self.arrived[node]
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.tag == tag && from.is_none_or(|f| f == m.src))
-            .min_by_key(|(_, m)| m.msg_id)
-            .map(|(i, _)| i)
-    }
-
-    /// Oldest unclaimed in-flight message to `node` matching (`from`, `tag`).
-    fn inflight_match(&self, node: usize, from: Option<usize>, tag: u32) -> Option<u64> {
-        self.messages
-            .iter()
-            .filter(|(_, m)| {
-                m.dst == node && !m.recv_claimed && m.tag == tag && from.is_none_or(|f| f == m.src)
-            })
-            .map(|(&id, _)| id)
-            .min()
-    }
-
-    /// A pending (rendezvous) send targeting `node` that matches. For
-    /// receive-any the earliest-posted send wins, ties by source id.
-    fn rendezvous_match(&self, node: usize, from: Option<usize>, tag: u32) -> Option<usize> {
-        match from {
-            Some(src) => self.pending_send[src]
-                .as_ref()
-                .filter(|ps| ps.dst == node && ps.tag == tag)
-                .map(|_| src),
-            None => self.sends_to[node]
-                .iter()
-                .copied()
-                .filter(|&s| {
-                    self.pending_send[s]
-                        .as_ref()
-                        .is_some_and(|ps| ps.dst == node && ps.tag == tag)
-                })
-                .min_by_key(|&s| {
-                    let ps = self.pending_send[s].as_ref().expect("send");
-                    (ps.ready, s)
-                }),
-        }
-    }
-
-    /// The earliest-posted async send targeting `node` matching
-    /// (`from`, `tag`), as an index into `async_by_dst[node]`.
-    fn async_match(&self, node: usize, from: Option<usize>, tag: u32) -> Option<usize> {
-        self.async_by_dst[node]
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.tag == tag && from.is_none_or(|f| f == a.src))
-            .min_by_key(|(_, a)| (a.ready, a.src, a.handle))
-            .map(|(i, _)| i)
     }
 
     /// Create the message record and its network flow starting at `t`.
@@ -1016,15 +915,6 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                     tag: msg.tag,
                 },
             );
-            let recv_at = t + self.params.wire_latency;
-            let recv_resume = Resume {
-                time: recv_at,
-                payload: msg.payload,
-                from: Some(msg.src),
-                bytes: msg.bytes,
-                reduced: None,
-                handle: None,
-            };
             // Sender side: async sends mark their handle done (possibly
             // waking a node blocked in WaitSend); blocking rendezvous sends
             // resume their sender; eager blocking sends resumed at injection.
@@ -1039,17 +929,17 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             // under eager the message may land in the mailbox.
             if msg.eager && !msg.recv_claimed {
                 self.buf_charge(msg.dst, msg.bytes);
-                self.arrived[msg.dst].push(ArrivedMsg {
-                    msg_id: flow.token,
-                    src: msg.src,
-                    tag: msg.tag,
-                    bytes: msg.bytes,
-                    payload: recv_resume.payload,
-                });
+                self.mailbox.insert(flow.token, msg);
             } else {
-                if msg.eager {
-                    self.pending_recv[msg.dst] = None;
-                }
+                let recv_at = t + self.params.wire_latency;
+                let recv_resume = Resume {
+                    time: recv_at,
+                    payload: msg.payload,
+                    from: Some(msg.src),
+                    bytes: msg.bytes,
+                    reduced: None,
+                    handle: None,
+                };
                 self.resume_node(msg.dst, recv_at, recv_resume);
             }
         }
@@ -1091,37 +981,25 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             } => (CollKind::Scan { op, inclusive }, 0, None, value),
             other => unreachable!("non-collective action {other:?}"),
         };
+        let released = self.matcher.arrive(node, kind).map_err(|held| {
+            let detail = format!("node {node} entered {kind:?} while the machine is in {held:?}");
+            SimError::CollectiveMismatch { detail }
+        })?;
         let n = self.n();
         let st = self.collective.get_or_insert_with(|| CollectiveState {
-            kind: kind.clone(),
-            arrived: vec![false; n],
-            count: 0,
             min_time: t,
             max_time: SimTime::ZERO,
             bytes: 0,
             payload: None,
             values: vec![0.0; n],
         });
-        if st.kind != kind {
-            return Err(SimError::CollectiveMismatch {
-                detail: format!(
-                    "node {node} entered {:?} while the machine is in {:?}",
-                    kind, st.kind
-                ),
-            });
-        }
-        invariant!(!st.arrived[node], "double collective arrival");
-        st.arrived[node] = true;
-        st.count += 1;
         st.max_time = st.max_time.max(t);
         st.values[node] = value;
-        if let CollKind::SystemBcast { root } = kind {
-            if node == root {
-                st.bytes = bytes;
-                st.payload = payload;
-            }
+        if kind == (CollKind::SystemBcast { root: node }) {
+            st.bytes = bytes;
+            st.payload = payload;
         }
-        if st.count < n {
+        if !released {
             return Ok(());
         }
         // Everyone arrived: compute the finish time and resume all nodes.
@@ -1129,12 +1007,12 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         let mut finish = st.max_time + self.params.control_latency;
         let mut reduced = None;
         let mut per_node: Option<Vec<f64>> = None;
-        let fold = |op: &ReduceOp, acc: f64, v: f64| match op {
+        let fold = |op: ReduceOp, acc: f64, v: f64| match op {
             ReduceOp::Sum => acc + v,
             ReduceOp::Max => acc.max(v),
             ReduceOp::Min => acc.min(v),
         };
-        match &st.kind {
+        match kind {
             CollKind::Barrier => {}
             CollKind::SystemBcast { .. } => {
                 finish += self.params.system_bcast_overhead;
@@ -1163,7 +1041,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                 let mut prefixes = Vec::with_capacity(n);
                 let mut acc = identity;
                 for &v in &st.values {
-                    if *inclusive {
+                    if inclusive {
                         acc = fold(op, acc, v);
                         prefixes.push(acc);
                     } else {
@@ -1174,7 +1052,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                 per_node = Some(prefixes);
             }
         }
-        let what = match st.kind {
+        let what = match kind {
             CollKind::Barrier => "barrier",
             CollKind::SystemBcast { .. } => "system_bcast",
             CollKind::Reduce { .. } => "reduce",
@@ -1201,10 +1079,6 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         }
         Ok(())
     }
-}
-
-fn matches_recv(recv: Option<&PendingRecv>, src: usize, tag: u32) -> bool {
-    recv.is_some_and(|r| r.tag == tag && r.from.is_none_or(|f| f == src))
 }
 
 #[cfg(test)]
@@ -1343,6 +1217,88 @@ mod tests {
         // transfers; taking node 2 first overlaps node 1's compute.
         assert!(r.makespan.as_millis_f64() < 2.5);
         assert_eq!(r.messages, 2);
+    }
+
+    #[test]
+    fn a_blocking_send_never_overtakes_an_earlier_isend() {
+        // With no send overhead the isend and the blocking send post at
+        // the same instant; the first receive must still take the isend.
+        let mut params = MachineParams::cm5_1992();
+        params.send_overhead = SimDuration::ZERO;
+        let p = vec![
+            vec![
+                Op::Isend {
+                    to: 1,
+                    bytes: 1000,
+                    tag: 0,
+                },
+                Op::Send {
+                    to: 1,
+                    bytes: 10,
+                    tag: 0,
+                },
+                Op::WaitAll,
+            ],
+            vec![Op::Recv { from: 0, tag: 0 }, Op::Recv { from: 0, tag: 0 }],
+        ];
+        let r = Simulation::new(2, params)
+            .record_trace(true)
+            .run_ops(&p)
+            .unwrap();
+        let order: Vec<u64> = r
+            .trace
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::MsgStart { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, [1000, 10]);
+    }
+
+    #[test]
+    fn eager_messages_are_taken_in_post_order() {
+        // The 10 B message lands while the 16 kB one posted before it is
+        // still in flight; the first receive must take the 16 kB one.
+        let (_, got) = Simulation::new(2, MachineParams::cm5_1992_buffered())
+            .run_nodes_collect(|node| {
+                if node.id() == 0 {
+                    node.send_zeros(1, 0, 16_000);
+                    node.send_zeros(1, 0, 10);
+                    return Vec::new();
+                }
+                node.compute(SimDuration::from_micros(1500));
+                vec![node.recv_meta(0, 0), node.recv_meta(0, 0)]
+            })
+            .unwrap();
+        assert_eq!(got[1], [16_000, 10]);
+    }
+
+    #[test]
+    fn an_eager_message_claims_at_most_one_receive() {
+        // Node 1's first receive claims message A in flight. Message B,
+        // posted while A is still in flight, must wait in the mailbox for
+        // the second receive, not claim the first one too.
+        let mut p = idle(2);
+        let send = Op::Send {
+            to: 1,
+            bytes: 1000,
+            tag: 0,
+        };
+        p[0] = vec![send.clone(), send];
+        p[1] = vec![
+            Op::Recv { from: 0, tag: 0 },
+            Op::Compute(SimDuration::from_millis(1)),
+            Op::Recv { from: 0, tag: 0 },
+        ];
+        let r = Simulation::new(2, MachineParams::cm5_1992_buffered())
+            .run_ops(&p)
+            .unwrap();
+        assert_eq!(r.messages, 2);
+        // Receive overhead, A's 1260 wire bytes at the 10 MB/s flow cap,
+        // wire latency, the compute, and the second receive's overhead.
+        let expect = SimDuration::from_micros(40 + 126 + 8 + 1000 + 40);
+        assert_eq!(r.nodes[1].finished_at.since(SimTime::ZERO), expect);
     }
 
     fn pad(mut p: Vec<OpProgram>, n: usize) -> Vec<OpProgram> {

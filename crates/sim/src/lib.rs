@@ -73,6 +73,7 @@ macro_rules! invariant_eq {
 pub mod cmmd;
 pub mod engine;
 pub mod error;
+pub mod matcher;
 pub mod network;
 pub mod ops;
 pub mod packet;

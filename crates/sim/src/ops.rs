@@ -187,11 +187,6 @@ impl Resume {
 pub(crate) struct SourceShape {
     /// Total point-to-point messages the programs will send.
     pub messages: u64,
-    /// Per-node count of inbound messages (empty if unknown).
-    pub inbound: Vec<u64>,
-    /// Per-node count of inbound messages from non-blocking sends
-    /// (empty if unknown).
-    pub async_inbound: Vec<u64>,
 }
 
 /// Internal: a stream of actions per node.
@@ -229,33 +224,11 @@ impl<'a> OpSource<'a> {
 
 impl ProgramSource for OpSource<'_> {
     fn shape(&self) -> SourceShape {
-        let n = self.programs.len();
-        let mut shape = SourceShape {
-            messages: 0,
-            inbound: vec![0; n],
-            async_inbound: vec![0; n],
-        };
-        for prog in self.programs {
-            for op in prog {
-                match *op {
-                    Op::Send { to, .. } => {
-                        shape.messages += 1;
-                        if to < n {
-                            shape.inbound[to] += 1;
-                        }
-                    }
-                    Op::Isend { to, .. } => {
-                        shape.messages += 1;
-                        if to < n {
-                            shape.inbound[to] += 1;
-                            shape.async_inbound[to] += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
+        let messages = self.programs.iter().flatten();
+        let messages = messages.filter(|op| matches!(op, Op::Send { .. } | Op::Isend { .. }));
+        SourceShape {
+            messages: messages.count() as u64,
         }
-        shape
     }
 
     /// The cursor does not advance past the end of the program: `Done` is

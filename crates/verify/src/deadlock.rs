@@ -2,11 +2,12 @@
 //!
 //! The analysis replays the lowered per-node programs once through the
 //! crate's abstract executor (the private `replay` module), untimed and under
-//! rendezvous: a blocking `Send` completes only when the destination posts
-//! a `Recv` naming its source and tag (and vice versa), `Isend` posts
-//! without blocking, `WaitAll` blocks until every outstanding `Isend` has
-//! matched, and collectives synchronize all nodes. Local ops (`Compute`,
-//! `Memcpy`, `Flops`) always complete.
+//! rendezvous, matched by the simulator's own `cm5_sim::matcher`: a
+//! blocking `Send` completes only when the destination posts a `Recv`
+//! naming its source and tag (and vice versa), `Isend` posts without
+//! blocking, `WaitAll` blocks until every outstanding `Isend` has matched,
+//! and collectives synchronize all nodes. Local ops (`Compute`, `Memcpy`,
+//! `Flops`) always complete.
 //!
 //! Because every receive names its source and tags are matched exactly,
 //! rendezvous matching is *confluent*: firing one enabled match never
@@ -20,15 +21,17 @@
 //! reports nodes parked at different collectives as
 //! [`Code::CollectiveMismatch`].
 
+use cm5_sim::matcher::CollKind;
 use cm5_sim::{Op, OpProgram};
 
 use crate::diag::{Code, Diagnostic, Span};
-use crate::replay::{CollKind, Replay};
+use crate::replay::Replay;
 
 /// Caveat for programs using `RecvAny`: which sender a wildcard receive
-/// matches depends on message timing, so the analysis resolves it
-/// deterministically (lowest pending sender first). Schedule lowering never
-/// emits `RecvAny`, so the differential guarantee is unaffected.
+/// matches depends on message timing. The simulator takes the
+/// earliest-posted send; the untimed analysis resolves it lowest pending
+/// sender first (`RecvAny::LowestSender`, the one matcher policy the two
+/// do not share). Lowering never emits `RecvAny`.
 pub const RECV_ANY_NOTE: &str =
     "recv-any matching is timing-dependent; the analysis resolves it lowest-sender-first";
 

@@ -29,7 +29,8 @@
 //!   it (`cm5 certify`).
 //!
 //! Both analyses run the one abstract executor in the private `replay`
-//! module: it alone decides what matches what and when a node is stuck.
+//! module, which decides when a node is stuck; what matches what it takes
+//! from `cm5_sim::matcher`, the structure the simulator's engine drives.
 //! * **Buffer-occupancy bounds** ([`occupancy`]): static per-node bounds
 //!   on eager-send buffer usage and pending rendezvous backlog, with
 //!   budget diagnostics (`V040`/`V041`) — the "irregular pattern overflows

@@ -1,8 +1,8 @@
 //! The abstract executor: one deterministic replay of lowered per-node
-//! programs under the simulator's matching rules.
-//!
-//! This is the only place in the verifier that knows what matches what and
-//! when a node is stuck. Both analyses run it:
+//! programs. Which send a receive takes, which parked receive a send meets
+//! and when a collective releases come from the engine's own [`Matcher`];
+//! this module adds untimed and closed-form timed replay, and the final
+//! state the analyses read. Both analyses run it:
 //!
 //! * [`deadlock`](crate::deadlock) runs it once, *untimed* (every duration
 //!   is zero) and always under rendezvous, then reads the wait-for graph off
@@ -12,31 +12,20 @@
 //!   optimistic and the pessimistic rate maps, and reads the makespan and
 //!   per-step finish times.
 //!
-//! The rules mirror the engine's:
-//!
-//! * A blocking `Send` completes only when its destination posts a `Recv`
-//!   naming its source and tag (or a `RecvAny` with its tag); under eager
-//!   sends it completes at injection and the message waits in a mailbox.
-//! * `Isend` posts without blocking; `WaitAll` blocks until every isend
-//!   since the last `WaitAll` has completed.
-//! * A receive takes the earliest-posted pending send of its source: the
-//!   oldest unmatched isend, else the parked blocking send (which a node
-//!   can only post after its earlier isends).
-//! * A `RecvAny` takes the lowest-id source with a pending send. Which
-//!   sender a wildcard receive really matches depends on timing; certify
-//!   rejects `RecvAny` before replaying, so this rule only decides the
-//!   untimed deadlock verdict, and only rendezvous receives implement it.
-//! * Collectives release when every node has arrived at the same kind
-//!   (`SystemBcast` matches by root only and moves the root's bytes); the
-//!   members then resume in node order. Nodes that reach different kinds
-//!   stay parked, and the caller reports the mismatch.
-//! * `Compute`, `Memcpy` and `Flops` never block.
+//! A blocking `Send` completes when a receive takes it (under eager sends,
+//! at injection); `WaitAll` blocks until every isend since the last one has
+//! completed; nodes at disagreeing collectives stay parked. A `RecvAny`
+//! takes the lowest-id sender ([`RecvAny::LowestSender`]): an untimed
+//! replay has no post times, where the engine takes the earliest-posted
+//! send. Certify rejects `RecvAny`, so this policy only decides the
+//! untimed deadlock verdict.
 //!
 //! Named-source rendezvous matching is confluent, so the worklist order
 //! changes neither the final state nor, in a timed replay, any event time.
 
 use std::collections::{HashMap, VecDeque};
 
+use cm5_sim::matcher::{CollKind, Matcher, Posted, RecvAny};
 use cm5_sim::{MachineParams, Op, OpProgram, SendMode, SimDuration, SimTime};
 
 /// How a timed replay prices time: the machine's software overheads, one
@@ -50,83 +39,33 @@ pub(crate) struct Pricing<'a> {
     pub(crate) pessimistic: bool,
 }
 
-/// What a collective must agree on across nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CollKind {
-    Barrier,
-    Bcast { root: usize },
-    Reduce,
-    Scan,
-}
-
-impl CollKind {
-    /// The collective `op` enters, if it is one.
-    pub(crate) fn of(op: &Op) -> Option<CollKind> {
-        match *op {
-            Op::Barrier => Some(CollKind::Barrier),
-            Op::SystemBcast { root, .. } => Some(CollKind::Bcast { root }),
-            Op::Reduce => Some(CollKind::Reduce),
-            Op::Scan => Some(CollKind::Scan),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn name(&self) -> String {
-        match self {
-            CollKind::Barrier => "barrier".into(),
-            CollKind::Bcast { root } => format!("system-bcast(root {root})"),
-            CollKind::Reduce => "reduce".into(),
-            CollKind::Scan => "scan".into(),
-        }
-    }
-}
-
 /// What a node is doing. Every state but `Running` and `Done` is parked on
 /// the op at `pc - 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Park {
     Running,
-    /// On a blocking send: the last of the node's [`Outgoing`] sends.
-    Send,
-    Recv {
-        from: Option<usize>,
-        tag: u32,
-        posted: SimTime,
-    },
+    /// On a blocking send, a receive or a collective.
+    Blocked,
     WaitAll,
-    Collective,
     Done,
 }
 
-/// A rendezvous send no receive has matched yet: an isend, or the
-/// blocking send its node is parked on.
-struct Outgoing {
-    to: usize,
-    tag: u32,
+/// A send the matcher holds: its bytes, and whether its node is parked on
+/// it. Its post time is the matcher's `at`.
+struct Out {
     bytes: u64,
-    ready: SimTime,
+    blocking: bool,
 }
 
 struct Node {
     pc: usize,
+    /// The node's clock; while it is parked on a receive, when that
+    /// receive was posted.
     clock: SimTime,
     park: Park,
-    /// Unmatched sends, in post order.
-    sends: Vec<Outgoing>,
     /// The latest completion of the isends matched since the last
     /// `WaitAll`.
     drained: SimTime,
-}
-
-/// The collective the nodes are gathering at (at most one at a time: it
-/// releases only when every node has arrived).
-struct Gathering {
-    kind: CollKind,
-    mismatch: bool,
-    arrivals: usize,
-    latest: SimTime,
-    /// The root's bytes, for a system broadcast.
-    bytes: u64,
 }
 
 pub(crate) struct Replay<'a> {
@@ -134,9 +73,7 @@ pub(crate) struct Replay<'a> {
     pricing: Option<Pricing<'a>>,
     step_of: Option<&'a [Vec<usize>]>,
     nodes: Vec<Node>,
-    /// Eager messages that completed before their receive was posted.
-    mailbox: HashMap<(usize, usize, u32), VecDeque<SimTime>>,
-    gathering: Option<Gathering>,
+    matcher: Matcher<Out>,
     runnable: VecDeque<usize>,
     queued: Vec<bool>,
     /// The latest completion time of each schedule step's ops (empty
@@ -163,12 +100,10 @@ impl<'a> Replay<'a> {
                     pc: 0,
                     clock: SimTime::ZERO,
                     park: Park::Running,
-                    sends: Vec::new(),
                     drained: SimTime::ZERO,
                 })
                 .collect(),
-            mailbox: HashMap::new(),
-            gathering: None,
+            matcher: Matcher::new(n),
             runnable: (0..n).collect(),
             queued: vec![true; n],
             step_finish: vec![SimDuration::ZERO; provenance.map_or(0, |(_, k)| k)],
@@ -193,17 +128,17 @@ impl<'a> Replay<'a> {
     /// Node `i`'s sends no receive has matched, as `(to, tag)` in post
     /// order.
     pub(crate) fn unmatched_sends(&self, i: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.nodes[i].sends.iter().map(|s| (s.to, s.tag))
+        self.matcher.queued_from(i).iter().map(|s| (s.dst, s.tag))
     }
 
     /// The latest node clock.
     pub(crate) fn makespan(&self) -> SimDuration {
-        let end = self
-            .nodes
-            .iter()
-            .map(|s| s.clock)
-            .fold(SimTime::ZERO, SimTime::max);
-        end.since(SimTime::ZERO)
+        self.latest().since(SimTime::ZERO)
+    }
+
+    fn latest(&self) -> SimTime {
+        let clocks = self.nodes.iter().map(|s| s.clock);
+        clocks.fold(SimTime::ZERO, SimTime::max)
     }
 
     /// Node `i`'s parked op as a witness line, e.g. `node 0: op[0] blocking
@@ -293,40 +228,17 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// If node `to` is parked on a receive matching `(from, tag)`, when it
-    /// posted that receive.
-    fn parked_recv(&self, to: usize, from: usize, tag: u32) -> Option<SimTime> {
-        match self.nodes[to].park {
-            Park::Recv {
-                from: f,
-                tag: t,
-                posted,
-            } if t == tag && f.is_none_or(|f| f == from) => Some(posted),
-            _ => None,
-        }
-    }
-
-    /// The oldest send `src → dst` with `tag` no receive has matched.
-    fn unmatched(&self, src: usize, dst: usize, tag: u32) -> Option<usize> {
-        let sends = &self.nodes[src].sends;
-        sends.iter().position(|s| s.to == dst && s.tag == tag)
-    }
-
-    /// Send `h` of node `src` completes at `tc`. A node parked on a blocking
-    /// send posted it last, so that send resumes the node; an isend may
-    /// release a parked `WaitAll`.
-    fn complete(&mut self, src: usize, h: usize, tc: SimTime) {
-        let node = &mut self.nodes[src];
-        let blocking = node.park == Park::Send && h + 1 == node.sends.len();
-        node.sends.remove(h);
+    /// A rendezvous send of node `src` completes at `tc`. The blocking send
+    /// resumes its node; an isend may release a parked `WaitAll`.
+    fn complete(&mut self, src: usize, blocking: bool, tc: SimTime) {
         if blocking {
-            self.wake(src, tc);
-        } else {
-            node.drained = node.drained.max(tc);
-            if node.park == Park::WaitAll && node.sends.is_empty() {
-                let resume = self.wait_resume(src);
-                self.wake(src, resume);
-            }
+            return self.wake(src, tc);
+        }
+        let node = &mut self.nodes[src];
+        node.drained = node.drained.max(tc);
+        if node.park == Park::WaitAll && self.matcher.queued_from(src).is_empty() {
+            let resume = self.wait_resume(src);
+            self.wake(src, resume);
         }
     }
 
@@ -339,37 +251,48 @@ impl<'a> Replay<'a> {
     }
 
     /// Post a send `id → to` at `s_post`. Returns when the transfer
-    /// completes, if it could start now (a matching receive is parked, or
-    /// eager mode); otherwise the caller parks it.
+    /// completes, if it could start now (a parked receive met it, or
+    /// eager mode); otherwise the matcher queues it.
     fn post_send(
         &mut self,
         id: usize,
         to: usize,
         tag: u32,
-        bytes: u64,
+        out: Out,
         s_post: SimTime,
     ) -> Option<SimTime> {
+        let bytes = out.bytes;
+        let posted = Posted {
+            src: id,
+            dst: to,
+            tag,
+            at: s_post,
+            send: out,
+        };
+        let met = self.matcher.post_send(posted).is_some();
+        // A parked receive was posted at its node's clock.
+        let r_post = self.nodes[to].clock;
         if self.eager() {
-            // Transfer starts at post; a parked receive resumes, else the
-            // message waits in the mailbox.
+            // Transfer starts at post; a met receive resumes, else the
+            // message waits for one.
             let tc = s_post + self.transfer(id, to, bytes);
-            match self.parked_recv(to, id, tag) {
-                Some(posted) => {
-                    let resume = self.eager_resume(posted, tc);
-                    self.wake(to, resume);
-                }
-                None => self.mailbox.entry((id, to, tag)).or_default().push_back(tc),
+            if met {
+                let resume = self.eager_resume(r_post, tc);
+                self.wake(to, resume);
             }
             return Some(tc);
         }
-        let posted = self.parked_recv(to, id, tag)?;
-        let tc = s_post.max(posted) + self.transfer(id, to, bytes);
+        if !met {
+            return None;
+        }
+        let tc = s_post.max(r_post) + self.transfer(id, to, bytes);
         self.wake(to, tc + self.cost(|p| p.wire_latency));
         Some(tc)
     }
 
-    /// Post a receive `(from, tag)` at `me`. Returns when the receiving node
-    /// resumes, if a message was available; otherwise the caller parks it.
+    /// Post a receive `(from, tag)` at `r_post`. Returns when the receiving
+    /// node resumes, if a send was there to take; otherwise the matcher
+    /// parks it.
     fn post_recv(
         &mut self,
         me: usize,
@@ -377,21 +300,15 @@ impl<'a> Replay<'a> {
         tag: u32,
         r_post: SimTime,
     ) -> Option<SimTime> {
+        let p = self
+            .matcher
+            .post_recv(me, from, tag, RecvAny::LowestSender)?;
         if self.eager() {
-            // Certify rejects `RecvAny` before replaying, so an eager
-            // receive always names its source.
-            let tc = self.mailbox.get_mut(&(from?, me, tag))?.pop_front()?;
+            let tc = p.at + self.transfer(p.src, me, p.send.bytes);
             return Some(self.eager_resume(r_post, tc));
         }
-        let pending = |s: usize| self.unmatched(s, me, tag).is_some();
-        let src = match from {
-            Some(f) => pending(f).then_some(f)?,
-            None => (0..self.nodes.len()).find(|&s| s != me && pending(s))?,
-        };
-        let h = self.unmatched(src, me, tag)?;
-        let send = &self.nodes[src].sends[h];
-        let tc = send.ready.max(r_post) + self.transfer(src, me, send.bytes);
-        self.complete(src, h, tc);
+        let tc = p.at.max(r_post) + self.transfer(p.src, me, p.send.bytes);
+        self.complete(p.src, p.send.blocking, tc);
         Some(tc + self.cost(|p| p.wire_latency))
     }
 
@@ -417,42 +334,35 @@ impl<'a> Replay<'a> {
                 }
                 Op::Send { to, bytes, tag } | Op::Isend { to, bytes, tag } => {
                     let s_post = clock + self.cost(|p| p.send_overhead);
-                    let done = self.post_send(id, to, tag, bytes, s_post);
-                    if done.is_none() {
-                        let ready = s_post;
-                        let send = Outgoing {
-                            to,
-                            tag,
-                            bytes,
-                            ready,
-                        };
-                        self.nodes[id].sends.push(send);
-                    }
-                    let resume = match (op, done) {
-                        (Op::Isend { .. }, Some(tc)) => {
+                    let blocking = matches!(op, Op::Send { .. });
+                    let out = Out { bytes, blocking };
+                    let done = self.post_send(id, to, tag, out, s_post);
+                    let resume = match (blocking, done) {
+                        (false, Some(tc)) => {
                             let node = &mut self.nodes[id];
                             node.drained = node.drained.max(tc);
                             s_post
                         }
-                        (Op::Isend { .. }, None) => s_post,
+                        (false, None) => s_post,
                         // An eager sender resumes once its bytes are
                         // injected at the leaf link rate.
-                        (_, Some(_)) if self.eager() => {
+                        (true, Some(_)) if self.eager() => {
                             let wire = |p: &MachineParams| p.wire_bytes(bytes) as f64;
                             s_post
                                 + self.cost(|p| SimDuration::from_rate(wire(p), p.leaf_bandwidth))
                         }
-                        (_, Some(tc)) => tc,
-                        (_, None) => {
+                        (true, Some(tc)) => tc,
+                        (true, None) => {
                             self.nodes[id].clock = s_post;
-                            self.nodes[id].park = Park::Send;
+                            self.nodes[id].park = Park::Blocked;
                             return;
                         }
                     };
                     self.finish_op(id, resume);
                 }
                 Op::WaitAll => {
-                    if !self.nodes[id].sends.is_empty() {
+                    // Eager isends never wait for a receive to drain.
+                    if !self.eager() && !self.matcher.queued_from(id).is_empty() {
                         self.nodes[id].park = Park::WaitAll;
                         return;
                     }
@@ -485,7 +395,7 @@ impl<'a> Replay<'a> {
         let done = self.post_recv(id, from, tag, posted);
         match done {
             Some(t) => self.finish_op(id, t),
-            None => self.nodes[id].park = Park::Recv { from, tag, posted },
+            None => self.nodes[id].park = Park::Blocked,
         }
         done.is_some()
     }
@@ -494,32 +404,20 @@ impl<'a> Replay<'a> {
     /// everyone, unless the nodes disagree on the kind.
     fn arrive(&mut self, id: usize, op: &Op) {
         let kind = CollKind::of(op).expect("a collective op");
-        let clock = self.nodes[id].clock;
-        self.nodes[id].park = Park::Collective;
-        let g = self.gathering.get_or_insert(Gathering {
-            kind,
-            mismatch: false,
-            arrivals: 0,
-            latest: SimTime::ZERO,
-            bytes: 0,
-        });
-        g.mismatch |= g.kind != kind;
-        g.arrivals += 1;
-        g.latest = g.latest.max(clock);
-        if let Op::SystemBcast { root, bytes } = *op {
-            if root == id {
-                g.bytes = bytes;
-            }
-        }
-        if g.arrivals < self.nodes.len() || g.mismatch {
+        self.nodes[id].park = Park::Blocked;
+        if self.matcher.arrive(id, kind) != Ok(true) {
             return;
         }
-        let g = self.gathering.take().expect("gathering");
-        let mut finish = g.latest + self.cost(|p| p.control_latency);
-        if let CollKind::Bcast { .. } = g.kind {
+        // Every node is parked here, its clock at its arrival.
+        let mut finish = self.latest() + self.cost(|p| p.control_latency);
+        if let CollKind::SystemBcast { root } = kind {
+            let pc = self.nodes[root].pc - 1;
+            let Op::SystemBcast { bytes, .. } = self.programs[root][pc] else {
+                unreachable!("the root is parked at the broadcast");
+            };
             finish += self.cost(|p| {
                 p.system_bcast_overhead
-                    + SimDuration::from_rate(p.wire_bytes(g.bytes) as f64, p.system_bcast_bandwidth)
+                    + SimDuration::from_rate(p.wire_bytes(bytes) as f64, p.system_bcast_bandwidth)
             });
         }
         for m in 0..self.nodes.len() {

@@ -3,39 +3,47 @@
 //! queries accept — one table, shared by every front end.
 
 use cm5_core::Pattern;
+use cm5_mesh::meshgen::CG_MESH_SIZE;
 
 use crate::{cg_pattern, euler_pattern};
 
 /// Builds a workload's pattern on the given node count.
 pub type PatternBuilder = fn(usize) -> Pattern;
 
-/// Each named workload with its pattern builder.
-const NAMED_WORKLOADS: [(&str, PatternBuilder); 5] = [
-    ("cg", cg_pattern),
-    ("euler545", |n| euler_pattern(545, n)),
-    ("euler2k", |n| euler_pattern(2048, n)),
-    ("euler3k", |n| euler_pattern(3072, n)),
-    ("euler9k", |n| euler_pattern(9216, n)),
+/// Each named workload with its mesh's vertex count and its pattern
+/// builder. The vertex count is the largest node count it admits: the
+/// partitioner gives every node at least one vertex.
+const NAMED_WORKLOADS: [(&str, usize, PatternBuilder); 5] = [
+    ("cg", CG_MESH_SIZE, cg_pattern),
+    ("euler545", 545, |n| euler_pattern(545, n)),
+    ("euler2k", 2048, |n| euler_pattern(2048, n)),
+    ("euler3k", 3072, |n| euler_pattern(3072, n)),
+    ("euler9k", 9216, |n| euler_pattern(9216, n)),
 ];
 
 /// The accepted names, `|`-separated, for error and usage text.
 pub fn workload_names() -> String {
-    NAMED_WORKLOADS.map(|(name, _)| name).join("|")
+    NAMED_WORKLOADS.map(|(name, ..)| name).join("|")
 }
 
-/// The builder of the workload called `name`, or the error naming the
-/// accepted set.
-pub fn named_builder(name: &str) -> Result<PatternBuilder, String> {
-    NAMED_WORKLOADS
+/// The builder of the workload called `name` on `n` nodes, or the error
+/// naming the accepted set or the workload's node limit.
+pub fn named_builder(name: &str, n: usize) -> Result<PatternBuilder, String> {
+    let &(_, vertices, build) = NAMED_WORKLOADS
         .iter()
-        .find(|(known, _)| *known == name)
-        .map(|&(_, build)| build)
-        .ok_or_else(|| format!("unknown workload '{name}' ({})", workload_names()))
+        .find(|(known, ..)| *known == name)
+        .ok_or_else(|| format!("unknown workload '{name}' ({})", workload_names()))?;
+    if n > vertices {
+        return Err(format!(
+            "workload '{name}' has {vertices} mesh vertices: n must be at most {vertices}, got {n}"
+        ));
+    }
+    Ok(build)
 }
 
 /// Build the named workload's pattern on `n` nodes.
 pub fn named_pattern(name: &str, n: usize) -> Result<Pattern, String> {
-    named_builder(name).map(|build| build(n))
+    named_builder(name, n).map(|build| build(n))
 }
 
 #[cfg(test)]
@@ -50,5 +58,16 @@ mod tests {
             named_pattern("bogus", 8),
             Err("unknown workload 'bogus' (cg|euler545|euler2k|euler3k|euler9k)".into())
         );
+    }
+
+    #[test]
+    fn each_workload_admits_up_to_its_vertex_count() {
+        assert!(named_builder("euler545", 512).is_ok());
+        assert_eq!(
+            named_builder("euler545", 1024).err().as_deref(),
+            Some("workload 'euler545' has 545 mesh vertices: n must be at most 545, got 1024")
+        );
+        assert!(named_builder("euler3k", 4096).is_err());
+        assert!(named_builder("cg", CG_MESH_SIZE).is_ok());
     }
 }

@@ -14,19 +14,37 @@
 //! The certifier replays programs with the same executor, so the same
 //! sweep pins it too: under either send mode a stalled mutant never
 //! certifies, and a completed one lands inside its certified interval.
+//!
+//! The sweeps run twice more at zero send overhead, where an isend and the
+//! blocking send after it post at the same instant: the one matcher both
+//! sides share must still pair them in post order.
 
 use cm5_core::prelude::*;
-use cm5_sim::{MachineParams, OpProgram, SimError, Simulation};
+use cm5_sim::{MachineParams, Op, OpProgram, SimDuration, SimError, Simulation};
 use cm5_verify::mutate::{apply, comm_sites, inject_demo, Mutation};
 use cm5_verify::{
     certify_programs, exchange_policy, irregular_policy, verify_programs, verify_schedule,
     CertifyError, Code, VerifyOptions,
 };
 
-fn simulate(programs: &[OpProgram]) -> Result<(), SimError> {
-    Simulation::new(programs.len(), MachineParams::cm5_1992())
+fn simulate(programs: &[OpProgram], params: &MachineParams) -> Result<(), SimError> {
+    Simulation::new(programs.len(), params.clone())
         .run_ops(programs)
         .map(|_| ())
+}
+
+/// The 1992 machine with free sends: every send posts at its node's
+/// clock.
+fn zero_overhead() -> MachineParams {
+    MachineParams {
+        send_overhead: SimDuration::ZERO,
+        ..MachineParams::cm5_1992()
+    }
+}
+
+/// The rendezvous machines the verifier sweeps run under.
+fn machines() -> [MachineParams; 2] {
+    [MachineParams::cm5_1992(), zero_overhead()]
 }
 
 /// The simulator's "stuck forever" outcomes. A mutation can also surface
@@ -85,7 +103,8 @@ fn clean_schedules_complete_in_the_simulator() {
         let report = verify_schedule(schedule, pattern.as_ref(), opts);
         assert!(report.is_clean(), "{name}:\n{}", report.render_human());
         let programs = lower_with(schedule, &opts.lower);
-        simulate(&programs).unwrap_or_else(|e| panic!("{name} stalled the simulator: {e}"));
+        simulate(&programs, &MachineParams::cm5_1992())
+            .unwrap_or_else(|e| panic!("{name} stalled the simulator: {e}"));
     }
 }
 
@@ -102,16 +121,17 @@ fn demo_injections_are_caught_and_genuinely_stall() {
         for d in report.iter().filter(|d| d.code == Code::DeadlockCycle) {
             assert!(!d.witness.is_empty(), "{kind}: V020 without witness");
         }
-        let err = simulate(&programs).expect_err("injected fault must stall");
+        let err =
+            simulate(&programs, &MachineParams::cm5_1992()).expect_err("injected fault must stall");
         assert!(sim_stalls(&err), "{kind}: unexpected sim error {err}");
     }
 }
 
 /// Exhaustive mutation sweep: every (node, site, kind) mutation of the
-/// lowered PEX/BEX/GS/REB programs, checked for *agreement* — the
-/// verifier predicts a stall if and only if the simulator stalls. The
-/// deadlocking subset must be non-trivial (catch rate is 100% of it by
-/// construction of the agreement check).
+/// lowered PEX/BEX/GS/REB programs, checked for *agreement* on each
+/// machine — the verifier predicts a stall if and only if the simulator
+/// stalls. The deadlocking subset must be non-trivial (catch rate is 100%
+/// of it by construction of the agreement check).
 #[test]
 fn mutation_sweep_verifier_and_simulator_agree() {
     let paper = Pattern::paper_pattern_p(64);
@@ -121,57 +141,41 @@ fn mutation_sweep_verifier_and_simulator_agree() {
         ("gs-paper", lower(&gs(&paper))),
         ("reb8", lower(&reb(8, 0, 64))),
     ];
-    let mut deadlocks = 0usize;
-    let mut survivors = 0usize;
-    for (name, base) in &targets {
-        for node in 0..base.len() {
-            let sites = comm_sites(&base[node]).len();
-            for site in 0..sites {
-                for kind in 0..4usize {
-                    let mutation = match kind {
-                        0 => Mutation::SwapWithNext { node, site },
-                        1 => Mutation::Drop { node, site },
-                        2 => Mutation::RetargetRecv { node, site },
-                        _ => Mutation::Retag { node, site },
-                    };
-                    let mut programs = base.clone();
-                    if !apply(&mut programs, mutation) {
-                        continue;
+    for params in machines() {
+        let overhead = params.send_overhead;
+        let mut deadlocks = 0usize;
+        let mut survivors = 0usize;
+        for (name, base) in &targets {
+            for (mutation, programs) in mutants(base) {
+                let label = format!("{name} {mutation} (send overhead {overhead})");
+                let report = verify_programs(&programs);
+                match simulate(&programs, &params) {
+                    Ok(()) => {
+                        survivors += 1;
+                        assert!(
+                            !report.has_deadlock(),
+                            "{label}: verifier flagged a deadlock but the run completed:\n{}",
+                            report.render_human()
+                        );
                     }
-                    let report = verify_programs(&programs);
-                    let sim = simulate(&programs);
-                    match &sim {
-                        Ok(()) => {
-                            survivors += 1;
-                            assert!(
-                                !report.has_deadlock(),
-                                "{name} node {node} site {site} kind {kind}: \
-                                 verifier flagged a deadlock but the run completed:\n{}",
-                                report.render_human()
-                            );
+                    Err(e) if sim_stalls(&e) => {
+                        deadlocks += 1;
+                        assert!(
+                            report.has_deadlock(),
+                            "{label}: simulator stalled but the verifier missed it: {e}"
+                        );
+                        for d in report.iter().filter(|d| d.code == Code::DeadlockCycle) {
+                            assert!(!d.witness.is_empty(), "V020 without witness");
                         }
-                        Err(e) if sim_stalls(e) => {
-                            deadlocks += 1;
-                            assert!(
-                                report.has_deadlock(),
-                                "{name} node {node} site {site} kind {kind}: \
-                                 simulator stalled but the verifier missed it: {e}"
-                            );
-                            for d in report.iter().filter(|d| d.code == Code::DeadlockCycle) {
-                                assert!(!d.witness.is_empty(), "V020 without witness");
-                            }
-                        }
-                        Err(e) => panic!(
-                            "{name} node {node} site {site} kind {kind}: unexpected error {e}"
-                        ),
                     }
+                    Err(e) => panic!("{label}: unexpected error {e}"),
                 }
             }
         }
+        // Non-vacuity: the sweep must exercise both outcomes heavily.
+        assert!(deadlocks >= 100, "only {deadlocks} deadlocking mutations");
+        assert!(survivors >= 10, "only {survivors} surviving mutations");
     }
-    // Non-vacuity: the sweep must exercise both outcomes heavily.
-    assert!(deadlocks >= 100, "only {deadlocks} deadlocking mutations");
-    assert!(survivors >= 10, "only {survivors} surviving mutations");
 }
 
 /// Async lowering differential: the Isend/WaitAll structure is verified
@@ -192,13 +196,15 @@ fn async_mutations_agree_too() {
                 continue;
             }
             let report = verify_programs(&programs);
-            match simulate(&programs) {
-                Ok(()) => assert!(!report.has_deadlock(), "false positive (async)"),
-                Err(e) if sim_stalls(&e) => {
-                    checked += 1;
-                    assert!(report.has_deadlock(), "missed async deadlock: {e}");
+            for params in machines() {
+                match simulate(&programs, &params) {
+                    Ok(()) => assert!(!report.has_deadlock(), "false positive (async)"),
+                    Err(e) if sim_stalls(&e) => {
+                        checked += 1;
+                        assert!(report.has_deadlock(), "missed async deadlock: {e}");
+                    }
+                    Err(e) => panic!("unexpected error {e}"),
                 }
-                Err(e) => panic!("unexpected error {e}"),
             }
         }
     }
@@ -228,7 +234,7 @@ fn mutants(base: &[OpProgram]) -> Vec<(String, Vec<OpProgram>)> {
 }
 
 /// Certification differential over the same mutation sweep, under both
-/// send modes: a mutant that stalls the simulator never certifies (the
+/// send modes and at zero send overhead: a mutant that stalls the simulator never certifies (the
 /// certifier's replay gets stuck too), and a mutant that completes and
 /// certifies lands inside its certified interval.
 #[test]
@@ -248,8 +254,9 @@ fn mutation_sweep_certifier_and_simulator_agree() {
     for params in [
         MachineParams::cm5_1992(),
         MachineParams::cm5_1992_buffered(),
+        zero_overhead(),
     ] {
-        let mode = params.send_mode;
+        let mode = (params.send_mode, params.send_overhead);
         let (mut contained, mut stuck) = (0usize, 0usize);
         for (name, base) in &targets {
             for (mutation, programs) in mutants(base) {
@@ -285,4 +292,31 @@ fn mutation_sweep_certifier_and_simulator_agree() {
         );
         assert!(stuck > 100, "{mode:?}: only {stuck} stuck mutants");
     }
+}
+
+/// The overtaking probe: an isend and a blocking send from node 0 to node
+/// 1 with one tag. At zero send overhead both post at the same instant;
+/// the verifier calls the programs clean, so the simulator must complete
+/// them.
+#[test]
+fn zero_overhead_isend_then_send_is_clean_and_completes() {
+    let programs = vec![
+        vec![
+            Op::Isend {
+                to: 1,
+                bytes: 1000,
+                tag: 0,
+            },
+            Op::Send {
+                to: 1,
+                bytes: 10,
+                tag: 0,
+            },
+            Op::WaitAll,
+        ],
+        vec![Op::Recv { from: 0, tag: 0 }, Op::Recv { from: 0, tag: 0 }],
+    ];
+    let report = verify_programs(&programs);
+    assert!(report.is_clean(), "{}", report.render_human());
+    simulate(&programs, &zero_overhead()).expect("a clean schedule completes");
 }
