@@ -1,7 +1,8 @@
 //! `cm5 serve` at its edges, run as a child process: a `--qps` value with
 //! no pacing interval is a usage error, a reader that closes stdout early
-//! costs no output file and no panic, and a workload larger than its mesh
-//! is refused without ending the stdin server.
+//! costs no output file and no panic, a workload larger than its mesh
+//! is refused without ending the stdin server, and a simulation near the
+//! clock's bound is answered.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -72,11 +73,20 @@ fn a_closed_stdout_still_writes_every_file_and_does_not_panic() {
     assert!(std::fs::metadata(&spans).unwrap().len() > 0);
 }
 
+/// Each line gets its answer and the stdin server keeps serving: named
+/// workloads past their mesh are refused with the limit; 9·10^15 B per
+/// pair ends near 6.75·10^18 ns, where rounding of the clock leaves bytes
+/// behind at a predicted completion, and must still finish as under
+/// `--rates full`; 10^16 B is past the 2^53 − 1 bound on request
+/// integers and is refused with that bound.
 #[test]
 fn a_workload_past_its_mesh_is_refused_and_the_next_line_answered() {
     let lines = [
         r#"{"id":1,"query":{"kind":"workload","name":"euler545","n":1024}}"#,
         r#"{"id":2,"query":{"kind":"workload","name":"euler3k","n":4096}}"#,
+        r#"{"id":3,"query":{"kind":"exchange","n":4,"bytes":9000000000000000},"simulate":true}"#,
+        r#"{"id":4,"query":{"kind":"exchange","n":4,"bytes":10000000000000000},"simulate":true}"#,
+        r#"{"id":5,"query":{"kind":"exchange","n":4,"bytes":64}}"#,
     ];
     let mut child = Command::new(CM5)
         .arg("serve")
@@ -86,18 +96,23 @@ fn a_workload_past_its_mesh_is_refused_and_the_next_line_answered() {
         .spawn()
         .expect("spawn cm5");
     let mut stdin = child.stdin.take().unwrap();
-    writeln!(stdin, "{}\n{}", lines[0], lines[1]).unwrap();
+    writeln!(stdin, "{}", lines.join("\n")).unwrap();
     drop(stdin);
     let out = child.wait_with_output().expect("wait for cm5");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     let answers: Vec<&str> = stdout.lines().collect();
-    assert_eq!(answers.len(), 2, "{stdout}");
+    assert_eq!(answers.len(), lines.len(), "{stdout}");
     for (answer, limit) in answers.iter().zip([545, 3072]) {
         assert!(answer.contains(r#""ok":false"#), "{answer}");
         let limit = format!("n must be at most {limit}");
         assert!(answer.contains(&limit), "{answer}");
     }
     assert!(answers[1].contains(r#""id":2"#), "{}", answers[1]);
+    let simulated = r#""id":3,"ok":true,"simulated":{"makespan_us":6750000000000289,"#;
+    assert!(answers[2].contains(simulated), "{}", answers[2]);
+    assert!(answers[3].contains(r#""ok":false"#), "{}", answers[3]);
+    assert!(answers[3].contains("9007199254740991"), "{}", answers[3]);
+    assert!(answers[4].contains(r#""id":5,"ok":true"#), "{}", answers[4]);
 }

@@ -163,10 +163,17 @@ impl Json {
         }
     }
 
-    /// The numeric payload as a u64, if it is one exactly.
+    /// The largest integer a JSON number (an f64) holds together with all
+    /// its neighbours: 2^53 − 1. Past it a number no longer names one
+    /// integer (`9007199254740993` parses as `…992`).
+    pub const MAX_SAFE_INT: u64 = (1 << 53) - 1;
+
+    /// The numeric payload as a u64, if it is an integer in
+    /// `0..=`[`Json::MAX_SAFE_INT`]. Larger numbers are refused rather than
+    /// read as whatever integer the f64 rounded them to.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= Json::MAX_SAFE_INT as f64 => {
                 Some(*x as u64)
             }
             _ => None,

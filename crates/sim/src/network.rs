@@ -22,22 +22,37 @@
 //! * [`RateSolver::Incremental`] (default) stores flows in a
 //!   struct-of-arrays slab with per-link member counts, recomputes rates
 //!   lazily — once per timestamp however many flows were admitted — into
-//!   persistent scratch buffers with zero per-call allocation, and answers
-//!   [`Network::next_completion`] from an indexed min-heap of predicted
-//!   finish times that is invalidated wholesale by a per-recompute rate
-//!   epoch. Byte integration is folded into the recompute/drain points, so
+//!   persistent scratch buffers with zero per-call allocation, and stores
+//!   the earliest predicted finish time at each recompute. Byte
+//!   integration is folded into the recompute/drain points, so
 //!   [`Network::advance_to`] is O(1).
 //! * [`RateSolver::Full`] is the original solver — a fresh full
-//!   recomputation on every add/remove, eager integration, and an O(flows)
-//!   completion scan — retained as the differential-testing oracle and the
-//!   `--rates full` ablation.
+//!   recomputation on every add/remove, eager integration, and the
+//!   completion prediction taken on demand — retained as the
+//!   differential-testing oracle and the `--rates full` ablation. Its
+//!   max-min fill is its own: `reference_max_min` counts link members
+//!   itself over every link and shares no code with the incremental
+//!   [`max_min_fill`].
 //!
-//! Bit-identity holds because both backends run the *same* progressive
-//! filling arithmetic over the *same* flow iteration order (ascending flow
+//! Bit-identity holds because both fills apply the same progressive
+//! filling arithmetic over the same flow iteration order (ascending flow
 //! id, the old `BTreeMap` order — floating-point subtraction makes the
 //! freeze order observable), and because every intermediate recompute the
 //! eager solver performs between two timestamps is a pure function of the
-//! flow set whose output is never read before the next recompute.
+//! flow set whose output is never read before the next recompute. Debug
+//! builds (or `strict-invariants`) run the reference fill after every
+//! incremental max-min recompute and assert bit-equal rates, so a change
+//! to the incremental fill is checked against an implementation it does
+//! not share.
+//!
+//! Both solvers predict the next completion with one helper,
+//! `Network::earliest_completion`: the minimum over active flows of
+//! `now + ceil(remaining / rate)`. The incremental solver stores it at
+//! each recompute. A drain at or past the stored instant that removes no
+//! flow (floating-point rounding can leave a few bytes behind at a
+//! predicted instant) predicts again from the remainders synced to `now`,
+//! exactly as the full solver does on its next query; keeping the old
+//! instant would re-arm a completion check at the same time forever.
 //!
 //! The incremental backend also skips the fill outright when the change
 //! since its last recompute is *isolated*: every flow shares one cap `c`,
@@ -45,10 +60,8 @@
 //! `capacity / members >= c` on each link of its route. Such a change
 //! cannot move any other flow's rate, so existing flows keep theirs and
 //! new flows get `c`; the proof is on `Network::change_is_isolated`, and
-//! debug builds (or `strict-invariants`) re-run the fill on every skip
-//! and assert bit-equal rates. [`Network::skipped_fills`] counts skips.
-//! `Full` never skips, so the differential tests still compare two
-//! independent implementations.
+//! the reference check above covers skipped recomputes too.
+//! [`Network::skipped_fills`] counts skips. `Full` never skips.
 //!
 //! # Cache-conscious flow store
 //!
@@ -61,9 +74,6 @@
 //! arena: routes are computed arithmetically at admission (shift/divide on
 //! group numbers — no table, no allocation) and written level-major into
 //! the flow's arena slot.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::params::{FairnessModel, MachineParams, RateSolver};
 use crate::stats::RateSample;
@@ -94,18 +104,6 @@ pub struct Flow {
     pub wire_bytes: u64,
     /// Opaque engine token (message id).
     pub token: u64,
-}
-
-/// One predicted completion in the indexed queue. Ordering is
-/// `(time, id, …)` so ties resolve by flow id, deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct CompEntry {
-    time: SimTime,
-    id: u64,
-    slot: u32,
-    /// The rate epoch this prediction was computed under; entries from an
-    /// older epoch are stale and skipped on pop.
-    epoch: u64,
 }
 
 /// Struct-of-arrays flow slab. The max-min fill touches `remaining`,
@@ -141,10 +139,6 @@ impl FlowStore {
             stride,
             ..FlowStore::default()
         }
-    }
-
-    fn len(&self) -> usize {
-        self.id.len()
     }
 
     /// Grow the slab by one (dead) slot and return its index.
@@ -212,12 +206,9 @@ pub struct Network {
     /// Rates are stale: the flow set changed since the last recompute.
     dirty: bool,
     next_id: u64,
-    /// Bumped on every recompute; completion-queue entries from older
-    /// epochs are invalid.
-    rate_epoch: u64,
-    /// Indexed completion queue: min-heap of predicted finish times,
-    /// rebuilt at each recompute.
-    completions: BinaryHeap<Reverse<CompEntry>>,
+    /// The earliest predicted completion (incremental solver only): set
+    /// at each recompute and after a drain that removes nothing.
+    next_done: Option<SimTime>,
     // Persistent scratch buffers (zero per-recompute allocation).
     scratch_residual: Vec<f64>,
     scratch_count: Vec<u32>,
@@ -278,8 +269,7 @@ impl Network {
             synced_at: SimTime::ZERO,
             dirty: false,
             next_id: 0,
-            rate_epoch: 0,
-            completions: BinaryHeap::new(),
+            next_done: None,
             scratch_residual: vec![0.0; links],
             scratch_count: vec![0; links],
             scratch_unfrozen: Vec::new(),
@@ -565,7 +555,7 @@ impl Network {
                 self.ensure_rates();
                 // Fast path: the earliest predicted completion is still in
                 // the future — nothing to drain, nothing to allocate.
-                match self.peek_completion() {
+                match self.next_done {
                     Some(tc) if tc <= self.now => {}
                     _ => return,
                 }
@@ -574,6 +564,10 @@ impl Network {
                 self.remove_drained(out);
                 if out.len() > before {
                     self.dirty = true;
+                } else {
+                    // Rounding left bytes behind at the predicted instant:
+                    // predict again from the synced remainders.
+                    self.next_done = self.earliest_completion();
                 }
             }
         }
@@ -638,47 +632,34 @@ impl Network {
     /// Forces a pending rate recomputation first.
     pub fn next_completion(&mut self) -> Option<SimTime> {
         match self.solver {
-            RateSolver::Full => {
-                let mut best: Option<SimTime> = None;
-                for &(_, s) in &self.active {
-                    let si = s as usize;
-                    let rem = self.store.remaining[si];
-                    let t = if rem <= COMPLETE_EPS {
-                        self.now
-                    } else {
-                        let rate = self.store.rate[si];
-                        invariant!(rate > 0.0, "active flow with zero rate");
-                        self.now + SimDuration::from_rate(rem, rate)
-                    };
-                    best = Some(match best {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-                best
-            }
+            RateSolver::Full => self.earliest_completion(),
             RateSolver::Incremental => {
                 self.ensure_rates();
-                self.peek_completion()
+                self.next_done
             }
         }
     }
 
-    /// Top of the completion queue, skipping entries invalidated by a
-    /// newer rate epoch or a removed flow.
-    fn peek_completion(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse(top)) = self.completions.peek() {
-            let si = top.slot as usize;
-            let alive = top.epoch == self.rate_epoch
-                && si < self.store.len()
-                && self.store.live[si]
-                && self.store.id[si] == top.id;
-            if alive {
-                return Some(top.time);
-            }
-            self.completions.pop();
-        }
-        None
+    /// `now + ceil(remaining / rate)`, minimised over the active flows, from
+    /// the remainders as last synced. A prediction is not reusable across
+    /// recomputes even for a flow whose rate did not change: the ceil does
+    /// not commute with re-basing `remaining` at a later timestamp.
+    fn earliest_completion(&self) -> Option<SimTime> {
+        let store = &self.store;
+        self.active
+            .iter()
+            .map(|&(_, s)| {
+                let si = s as usize;
+                let rem = store.remaining[si];
+                if rem <= COMPLETE_EPS {
+                    self.now
+                } else {
+                    let rate = store.rate[si];
+                    invariant!(rate > 0.0, "active flow with zero rate");
+                    self.now + SimDuration::from_rate(rem, rate)
+                }
+            })
+            .min()
     }
 
     /// Drop links whose membership fell to zero since the last recompute
@@ -695,36 +676,6 @@ impl Network {
                 false
             }
         });
-    }
-
-    /// Rebuild the completion prediction for every active flow under the
-    /// current epoch. Predictions are *not* reusable across recomputes even
-    /// for flows whose rate did not change: a prediction is
-    /// `t_recompute + ceil(remaining / rate)` and the ceil does not commute
-    /// with re-basing `remaining` at a later timestamp, so keeping stale
-    /// entries would break bit-identity with the full solver.
-    fn rebuild_completions(&mut self) {
-        let epoch = self.rate_epoch;
-        let now = self.now;
-        let store = &self.store;
-        let completions = &mut self.completions;
-        for &(id, s) in &self.active {
-            let si = s as usize;
-            let rem = store.remaining[si];
-            let time = if rem <= COMPLETE_EPS {
-                now
-            } else {
-                let rate = store.rate[si];
-                invariant!(rate > 0.0, "active flow with zero rate");
-                now + SimDuration::from_rate(rem, rate)
-            };
-            completions.push(Reverse(CompEntry {
-                time,
-                id,
-                slot: s,
-                epoch,
-            }));
-        }
     }
 
     /// Whether the change since the last recompute is isolated, so the
@@ -787,75 +738,63 @@ impl Network {
         );
     }
 
-    /// Self-check of a skipped fill: run the fill anyway and assert that
-    /// it assigns every active flow the rate the skip left, bit for bit.
-    fn assert_fill_keeps_rates(&mut self) {
-        let kept: Vec<u64> = self
-            .active
-            .iter()
-            .map(|&(_, s)| self.store.rate[s as usize].to_bits())
-            .collect();
-        self.fill_max_min();
-        for (&(id, s), &bits) in self.active.iter().zip(&kept) {
+    /// Self-check of an incremental max-min recompute, filled or skipped:
+    /// the reference fill assigns every active flow the same rate, bit for
+    /// bit.
+    fn assert_matches_reference(&self) {
+        let reference = reference_max_min(&self.store, &self.active, &self.capacity);
+        for (&(id, s), want) in self.active.iter().zip(reference) {
             assert_eq!(
                 self.store.rate[s as usize].to_bits(),
-                bits,
-                "skipped fill changed the rate of flow {id}"
+                want.to_bits(),
+                "incremental fill diverged from the reference fill on flow {id}"
             );
         }
     }
 
     /// Incremental-solver recompute: persistent scratch buffers, counts
     /// from the per-link member counts, the fill skipped when the change
-    /// is isolated, and a completion-queue rebuild under a fresh rate
-    /// epoch.
+    /// is isolated, and the next completion predicted.
     fn recompute_incremental(&mut self) {
         self.recomputes += 1;
-        self.rate_epoch += 1;
-        self.completions.clear();
         self.prune_used_links();
         let removals_isolated = std::mem::replace(&mut self.removals_isolated, true);
         let admitted_from = std::mem::replace(&mut self.admitted_from, self.next_id);
-        if self.active.is_empty() {
-            if self.record_rates {
-                self.sample_rates();
-            }
-            return;
-        }
-        match self.fairness {
-            FairnessModel::MaxMin => {
-                if removals_isolated && self.change_is_isolated(admitted_from) {
-                    self.skipped_fills += 1;
-                    let store = &mut self.store;
-                    let admitted = self.active.iter().rev();
-                    for &(_, s) in admitted.take_while(|&&(id, _)| id >= admitted_from) {
-                        store.rate[s as usize] = store.cap[s as usize];
+        if !self.active.is_empty() {
+            match self.fairness {
+                FairnessModel::MaxMin => {
+                    if removals_isolated && self.change_is_isolated(admitted_from) {
+                        self.skipped_fills += 1;
+                        let store = &mut self.store;
+                        let admitted = self.active.iter().rev();
+                        for &(_, s) in admitted.take_while(|&&(id, _)| id >= admitted_from) {
+                            store.rate[s as usize] = store.cap[s as usize];
+                        }
+                    } else {
+                        self.fill_max_min();
                     }
                     if cfg!(debug_assertions) || cfg!(feature = "strict-invariants") {
-                        self.assert_fill_keeps_rates();
+                        self.assert_matches_reference();
                     }
-                } else {
-                    self.fill_max_min();
+                }
+                FairnessModel::EqualShare => {
+                    equal_share_fill(
+                        &mut self.store,
+                        &self.active,
+                        &self.capacity,
+                        &self.member_count,
+                    );
                 }
             }
-            FairnessModel::EqualShare => {
-                equal_share_fill(
-                    &mut self.store,
-                    &self.active,
-                    &self.capacity,
-                    &self.member_count,
-                );
-            }
         }
-        self.rebuild_completions();
+        self.next_done = self.earliest_completion();
         if self.record_rates {
             self.sample_rates();
         }
     }
 
-    /// Eager-solver recompute: the original per-call allocations (fresh
-    /// residual/count vectors, used-link scan) — the honest cost profile of
-    /// the oracle.
+    /// Eager-solver recompute: the reference fill's per-call allocations
+    /// and all-link scans — the honest cost profile of the oracle.
     fn recompute_full(&mut self) {
         self.recomputes += 1;
         if self.active.is_empty() {
@@ -866,24 +805,10 @@ impl Network {
         }
         match self.fairness {
             FairnessModel::MaxMin => {
-                let mut residual = self.capacity.clone();
-                let mut count = vec![0u32; residual.len()];
-                for &(_, s) in &self.active {
-                    for &l in self.store.route(s) {
-                        count[l as usize] += 1;
-                    }
+                let rates = reference_max_min(&self.store, &self.active, &self.capacity);
+                for (&(_, s), rate) in self.active.iter().zip(rates) {
+                    self.store.rate[s as usize] = rate;
                 }
-                let used_links: Vec<usize> = (0..count.len()).filter(|&l| count[l] > 0).collect();
-                let mut unfrozen: Vec<(u64, u32)> = self.active.clone();
-                let mut next = Vec::with_capacity(unfrozen.len());
-                max_min_fill(
-                    &mut self.store,
-                    &mut unfrozen,
-                    &mut next,
-                    &used_links,
-                    &mut residual,
-                    &mut count,
-                );
             }
             FairnessModel::EqualShare => {
                 let mut count = vec![0u32; self.capacity.len()];
@@ -904,7 +829,7 @@ impl Network {
     /// sequential flows).
     #[cfg(test)]
     fn slab_len(&self) -> usize {
-        self.store.len()
+        self.store.id.len()
     }
 }
 
@@ -913,10 +838,11 @@ impl Network {
 /// Water level rises uniformly across all unfrozen flows; at each step the
 /// binding constraint is either a flow's cap (freeze that flow at its cap)
 /// or a link reaching saturation (freeze every unfrozen flow through it at
-/// the link's fair share). Shared by both solver backends so their
-/// floating-point arithmetic is identical by construction; `unfrozen` must
-/// arrive in ascending-id order. `used_links` may arrive in any order —
-/// only exact (commutative) minima are taken over it.
+/// the link's fair share). The incremental solver's fill, free to change
+/// for speed: debug and `strict-invariants` builds compare its rates, bit
+/// for bit, with [`reference_max_min`] after every recompute. `unfrozen`
+/// must arrive in ascending-id order. `used_links` may arrive in any order
+/// — only exact (commutative) minima are taken over it.
 fn max_min_fill(
     store: &mut FlowStore,
     unfrozen: &mut Vec<(u64, u32)>,
@@ -990,6 +916,71 @@ fn max_min_fill(
         );
         std::mem::swap(unfrozen, next);
     }
+}
+
+/// The oracle's max-min fill: a frozen copy of the progressive filling
+/// arithmetic, kept naive so it can judge [`max_min_fill`]. It counts link
+/// members itself, scans every link each round, and returns the rates in
+/// `active` order (ascending id, which fixes the order of the residual
+/// subtractions). A round freezes every flow whose cap is within the
+/// `1e-9` relative tolerance of the water level, at its cap; if none is, it
+/// freezes at the level every flow that crosses a link whose fair share,
+/// as the round's earlier freezes leave it, is within that tolerance.
+fn reference_max_min(store: &FlowStore, active: &[(u64, u32)], capacity: &[f64]) -> Vec<f64> {
+    let mut residual = capacity.to_vec();
+    let mut count = vec![0u32; capacity.len()];
+    for &(_, s) in active {
+        for &l in store.route(s) {
+            count[l as usize] += 1;
+        }
+    }
+    let cap = |i: usize| store.cap[active[i].1 as usize];
+    let mut rates = vec![0.0; active.len()];
+    let mut unfrozen: Vec<usize> = (0..active.len()).collect();
+    while !unfrozen.is_empty() {
+        let mut level = f64::INFINITY;
+        for (&r, &c) in residual.iter().zip(&count) {
+            if c > 0 {
+                level = level.min(r / c as f64);
+            }
+        }
+        for &i in &unfrozen {
+            level = level.min(cap(i));
+        }
+        invariant!(level.is_finite() && level > 0.0, "degenerate water level");
+        let tol = level * (1.0 + 1e-9);
+        let cap_round = unfrozen.iter().any(|&i| cap(i) <= tol);
+        let before = unfrozen.len();
+        unfrozen.retain(|&i| {
+            let route = store.route(active[i].1);
+            let rate = if cap_round {
+                if cap(i) > tol {
+                    return true;
+                }
+                cap(i)
+            } else {
+                let binds = |&l: &u32| {
+                    let l = l as usize;
+                    count[l] > 0 && residual[l] / count[l] as f64 <= tol
+                };
+                if !route.iter().any(binds) {
+                    return true;
+                }
+                level
+            };
+            rates[i] = rate;
+            for &l in route {
+                residual[l as usize] -= rate;
+                count[l as usize] -= 1;
+            }
+            false
+        });
+        invariant!(
+            unfrozen.len() < before,
+            "max-min filling must make progress"
+        );
+    }
+    rates
 }
 
 /// Naive ablation model: every flow gets `capacity / crossings` on each of

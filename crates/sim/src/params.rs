@@ -38,13 +38,15 @@ pub enum FairnessModel {
 /// differential-testing oracle and as the `--rates full` ablation flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RateSolver {
-    /// Batched admissions, slab flow store, persistent scratch buffers and
-    /// an indexed completion queue: one rate recomputation per timestamp
-    /// with zero per-call allocation (the default).
+    /// Batched admissions, slab flow store and persistent scratch
+    /// buffers: one rate recomputation per timestamp with zero per-call
+    /// allocation, and the next completion predicted at each recompute
+    /// (the default).
     Incremental,
-    /// The original solver: a full recomputation with fresh allocations on
-    /// every flow add/remove, an O(flows) completion scan, and eager
-    /// per-event byte integration.
+    /// The original solver: a full recomputation with its own reference
+    /// max-min fill and fresh allocations on every flow add/remove, an
+    /// O(flows) completion scan on every query, and eager per-event byte
+    /// integration.
     Full,
 }
 

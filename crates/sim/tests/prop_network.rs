@@ -25,41 +25,57 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Max-min allocation: every flow gets a positive rate, no flow exceeds
-    /// its cap, and no link is oversubscribed.
+    /// its cap, no link is oversubscribed, and the allocation is max-min
+    /// optimal: a flow below its cap crosses a saturated link on which no
+    /// flow gets more. Some flows carry a second, lower cap, so cap rounds
+    /// and link rounds of the fill interleave. The check reads only routes,
+    /// capacities and rates, so it judges either solver's fill.
     #[test]
     fn max_min_respects_caps_and_capacities(
         flows in flows_strategy(32),
+        low_capped in prop::collection::vec(any::<bool>(), 40),
     ) {
         let (mut net, params) = build(32, FairnessModel::MaxMin);
         let tree = FatTree::new(32);
-        let cap = params.flow_cap();
+        let caps: Vec<f64> = (0..flows.len())
+            .map(|i| if low_capped[i] { 0.35 * params.flow_cap() } else { params.flow_cap() })
+            .collect();
         for (i, &(src, dst, bytes)) in flows.iter().enumerate() {
-            net.add_flow(src, dst, bytes, cap, i as u64);
+            net.add_flow(src, dst, bytes, caps[i], i as u64);
         }
-        // Per-link load accounting.
+        // Per-link load and the highest rate on each link.
         let mut load = vec![0.0f64; tree.link_count()];
-        let mut checked = 0;
-        for fid in 0..flows.len() as u64 {
-            // Access flows through completion: instead, drive the network
-            // and verify via next_completion monotonicity below. For the
-            // direct rate check we re-derive loads from routes.
-            let (src, dst, _) = flows[fid as usize];
-            let route = tree.route(src, dst);
-            let rate = net.flow_rate(fid).expect("flow exists");
+        let mut top = vec![0.0f64; tree.link_count()];
+        let mut rates = Vec::with_capacity(flows.len());
+        for (fid, &(src, dst, _)) in flows.iter().enumerate() {
+            let rate = net.flow_rate(fid as u64).expect("flow exists");
+            let cap = caps[fid];
             prop_assert!(rate > 0.0, "flow {fid} starved");
             prop_assert!(rate <= cap * (1.0 + 1e-9), "flow {fid} over cap: {rate}");
-            for l in route {
+            for l in tree.route(src, dst) {
                 load[l] += rate;
+                top[l] = top[l].max(rate);
             }
-            checked += 1;
+            rates.push(rate);
         }
-        prop_assert_eq!(checked, flows.len());
+        let capacity: Vec<f64> = (0..load.len())
+            .map(|l| tree.link_capacity(tree.link_from_index(l), &params))
+            .collect();
         for (l, &used) in load.iter().enumerate() {
-            let capacity = tree.link_capacity(tree.link_from_index(l), &params);
             prop_assert!(
-                used <= capacity * (1.0 + 1e-6),
-                "link {l} oversubscribed: {used} > {capacity}"
+                used <= capacity[l] * (1.0 + 1e-6),
+                "link {l} oversubscribed: {used} > {}", capacity[l]
             );
+        }
+        for (fid, &(src, dst, _)) in flows.iter().enumerate() {
+            let rate = rates[fid];
+            if rate >= caps[fid] * (1.0 - 1e-9) {
+                continue;
+            }
+            let bottleneck = tree.route(src, dst).into_iter().any(|l| {
+                load[l] >= capacity[l] * (1.0 - 1e-6) && top[l] <= rate * (1.0 + 1e-9)
+            });
+            prop_assert!(bottleneck, "flow {fid} at {rate} below its cap has no bottleneck link");
         }
     }
 
