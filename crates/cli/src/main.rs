@@ -59,6 +59,54 @@ fn usage_error(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2)
 }
 
+/// Why a command failed. A flag value no run can have (a node count its
+/// schedules cannot run on, a workload the table refuses) is a usage
+/// error and exits 2; anything else exits 1.
+#[derive(Debug)]
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Run(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Failure {
+        Failure::Run(msg.into())
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Usage(msg) | Failure::Run(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// Whether the `--alg` named `alg` runs only on power-of-two node counts.
+fn power_of_two(alg: &str) -> bool {
+    matches!(alg, "pex" | "rex" | "bex" | "reb" | "ps" | "bs" | "crystal")
+}
+
+/// The `-n` node count, checked before anything is built: schedules that
+/// need a power of two take the service's rule and its message; every
+/// other run needs at least 2 nodes.
+fn nodes(args: &Args, power_of_two: bool) -> Result<usize, Failure> {
+    let n = args.usize_or("n", 32)?;
+    if power_of_two {
+        cm5_serve::request::check_n(n).map_err(|e| Failure::Usage(format!("-n: {e}")))
+    } else if n < 2 {
+        Err(Failure::Usage(format!("-n: n must be at least 2, got {n}")))
+    } else {
+        Ok(n)
+    }
+}
+
 fn machine(args: &Args) -> Result<MachineParams, String> {
     let mut params = match args.get("machine").unwrap_or("1992") {
         "1992" => MachineParams::cm5_1992(),
@@ -155,11 +203,12 @@ fn advise_print(w: &Workload, params: &MachineParams, n: usize) -> Recommendatio
     rec
 }
 
-fn cmd_exchange(args: &Args) -> Result<(), String> {
-    let n = args.usize_or("n", 32)?;
+fn cmd_exchange(args: &Args) -> Result<(), Failure> {
+    let name = args.get("alg").unwrap_or("bex");
+    let n = nodes(args, power_of_two(name))?;
     let bytes = args.u64_or("bytes", 1024)?;
     let params = machine(args)?;
-    let alg = match args.get("alg").unwrap_or("bex") {
+    let alg = match name {
         "lex" => ExchangeAlg::Lex,
         "pex" => ExchangeAlg::Pex,
         "rex" => ExchangeAlg::Rex,
@@ -168,10 +217,10 @@ fn cmd_exchange(args: &Args) -> Result<(), String> {
             let rec = advise_print(&Workload::Exchange { n, bytes }, &params, n);
             match rec.algorithm {
                 Algorithm::Exchange(a) => a,
-                other => return Err(format!("advisor returned non-exchange pick {other}")),
+                other => return Err(format!("advisor returned non-exchange pick {other}").into()),
             }
         }
-        other => return Err(format!("unknown --alg '{other}' (lex|pex|rex|bex|auto)")),
+        other => return Err(format!("unknown --alg '{other}' (lex|pex|rex|bex|auto)").into()),
     };
     let schedule = alg.schedule(n, bytes);
     println!(
@@ -196,12 +245,13 @@ fn cmd_exchange(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_broadcast(args: &Args) -> Result<(), String> {
-    let n = args.usize_or("n", 32)?;
+fn cmd_broadcast(args: &Args) -> Result<(), Failure> {
+    let name = args.get("alg").unwrap_or("reb");
+    let n = nodes(args, power_of_two(name))?;
     let bytes = args.u64_or("bytes", 1024)?;
     let root = args.usize_or("root", 0)?;
     let params = machine(args)?;
-    let alg = match args.get("alg").unwrap_or("reb") {
+    let alg = match name {
         "lib" => BroadcastAlg::Linear,
         "reb" => BroadcastAlg::Recursive,
         "system" => BroadcastAlg::System,
@@ -209,10 +259,10 @@ fn cmd_broadcast(args: &Args) -> Result<(), String> {
             let rec = advise_print(&Workload::Broadcast { n, bytes }, &params, n);
             match rec.algorithm {
                 Algorithm::Broadcast(a) => a,
-                other => return Err(format!("advisor returned non-broadcast pick {other}")),
+                other => return Err(format!("advisor returned non-broadcast pick {other}").into()),
             }
         }
-        other => return Err(format!("unknown --alg '{other}' (lib|reb|system|auto)")),
+        other => return Err(format!("unknown --alg '{other}' (lib|reb|system|auto)").into()),
     };
     println!(
         "{} broadcast, {n} nodes, {bytes} B from node {root}",
@@ -244,11 +294,11 @@ fn irregular_pattern(args: &Args, n: usize) -> Result<Pattern, String> {
     }
 }
 
-fn cmd_irregular(args: &Args) -> Result<(), String> {
-    let n = args.usize_or("n", 32)?;
+fn cmd_irregular(args: &Args) -> Result<(), Failure> {
+    let mut name = args.get("alg").unwrap_or("gs").to_string();
+    let n = nodes(args, power_of_two(&name))?;
     let params = machine(args)?;
     let pattern = irregular_pattern(args, n)?;
-    let mut name = args.get("alg").unwrap_or("gs").to_string();
     if name == "auto" {
         let stats = PatternStats::of(&pattern, &FatTree::new(n));
         let rec = advise_print(&Workload::Irregular(stats), &params, n);
@@ -257,7 +307,7 @@ fn cmd_irregular(args: &Args) -> Result<(), String> {
             Algorithm::Irregular(IrregularAlg::Ps) => "ps".into(),
             Algorithm::Irregular(IrregularAlg::Bs) => "bs".into(),
             Algorithm::Irregular(IrregularAlg::Gs) => "gs".into(),
-            other => return Err(format!("advisor returned non-irregular pick {other}")),
+            other => return Err(format!("advisor returned non-irregular pick {other}").into()),
         };
     }
     let schedule = match name.as_str() {
@@ -266,11 +316,7 @@ fn cmd_irregular(args: &Args) -> Result<(), String> {
         "bs" => bs(&pattern),
         "gs" => gs(&pattern),
         "crystal" => crystal(&pattern),
-        other => {
-            return Err(format!(
-                "unknown --alg '{other}' (ls|ps|bs|gs|crystal|auto)"
-            ))
-        }
+        other => return Err(format!("unknown --alg '{other}' (ls|ps|bs|gs|crystal|auto)").into()),
     };
     println!(
         "{name} scheduling, {n} nodes, pattern density {:.0}%, avg msg {:.0} B",
@@ -285,8 +331,9 @@ fn cmd_irregular(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_workload(args: &Args) -> Result<(), String> {
-    let n = args.usize_or("n", 32)?;
+fn cmd_workload(args: &Args) -> Result<(), Failure> {
+    // Every irregular scheduler runs, PS and BS among them.
+    let n = nodes(args, true)?;
     let params = machine(args)?;
     let name = args.get("name").unwrap_or("euler2k");
     let pattern = named_workload(name, n)?;
@@ -310,13 +357,12 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
 }
 
 /// The `--name`d Table 12 pattern on `n` nodes.
-fn named_workload(name: &str, n: usize) -> Result<Pattern, String> {
-    cm5_workloads::named_pattern(name, n).map_err(|e| format!("--name: {e}"))
+fn named_workload(name: &str, n: usize) -> Result<Pattern, Failure> {
+    cm5_workloads::named_pattern(name, n).map_err(|e| Failure::Usage(format!("--name: {e}")))
 }
 
 /// `cm5 advise` — price the candidates without simulating anything.
-fn cmd_advise(args: &Args) -> Result<(), String> {
-    let n = args.usize_or("n", 32)?;
+fn cmd_advise(args: &Args) -> Result<(), Failure> {
     let json = args.has("json");
     let params = machine(args)?;
     let family = args
@@ -324,6 +370,11 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
         .get(1)
         .map(String::as_str)
         .ok_or("advise needs a workload family: exchange | broadcast | irregular")?;
+    let n = match (family, args.get("name")) {
+        // A named workload's own table bounds its node count.
+        ("irregular", Some(_)) => args.usize_or("n", 32)?,
+        _ => nodes(args, false)?,
+    };
     let w = match family {
         "exchange" => Workload::Exchange {
             n,
@@ -350,7 +401,8 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
         other => {
             return Err(format!(
                 "unknown advise family '{other}' (exchange | broadcast | irregular)"
-            ))
+            )
+            .into())
         }
     };
     if json {
@@ -363,7 +415,7 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(args: &Args) -> Result<(), String> {
+fn cmd_sweep(args: &Args) -> Result<(), Failure> {
     use cm5_bench::sweep::{run_exchange_grid, run_irregular_grid, SweepRunner};
     let runner = SweepRunner::new(args.usize_or("jobs", 0)?);
     match args.get("grid").unwrap_or("exchange") {
@@ -412,9 +464,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             }
         }
         other => {
-            return Err(format!(
-                "unknown --grid '{other}' (expected exchange | irregular)"
-            ))
+            return Err(format!("unknown --grid '{other}' (expected exchange | irregular)").into())
         }
     }
     Ok(())
@@ -613,7 +663,7 @@ fn lint_all_json(reports: &[(String, cm5_verify::Diagnostics)]) -> Json {
 
 /// `cm5 lint` — statically verify a schedule (deadlock freedom, byte
 /// conservation, step shape, predicted contention) without simulating it.
-fn cmd_lint(args: &Args) -> Result<(), String> {
+fn cmd_lint(args: &Args) -> Result<(), Failure> {
     use cm5_verify::{verify_programs, verify_schedule};
     let params = machine(args)?;
     let json = args.has("json");
@@ -652,7 +702,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
         return if dirty == 0 {
             Ok(())
         } else {
-            Err(format!("{dirty} schedule(s) failed verification"))
+            Err(format!("{dirty} schedule(s) failed verification").into())
         };
     }
 
@@ -709,17 +759,14 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     if report.is_clean() {
         Ok(())
     } else {
-        Err(format!(
-            "schedule failed verification: {}",
-            report.summary()
-        ))
+        Err(format!("schedule failed verification: {}", report.summary()).into())
     }
 }
 
 /// `cm5 certify` — compute a certified makespan interval `[LB, UB]` and
 /// static buffer-occupancy bounds for one schedule, optionally
 /// cross-checked against a simulation (`--sim-check`).
-fn cmd_certify(args: &Args) -> Result<(), String> {
+fn cmd_certify(args: &Args) -> Result<(), Failure> {
     let json = args.has("json");
 
     let params = machine(args)?;
@@ -792,7 +839,8 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
             return Err(format!(
                 "containment violated: simulated {} outside [{}, {}]",
                 report.makespan, cert.lb, cert.ub
-            ));
+            )
+            .into());
         }
         let static_bound = bounds.sim_bound();
         for (node, &peak) in report.buffer_peak.iter().enumerate() {
@@ -800,7 +848,8 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
                 return Err(format!(
                     "occupancy violated: node {node} buffered {peak} B, static bound {} B",
                     static_bound[node]
-                ));
+                )
+                .into());
             }
         }
         if !json {
@@ -815,20 +864,20 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
     if occ.is_clean() {
         Ok(())
     } else {
-        Err(format!("occupancy budget exceeded: {}", occ.summary()))
+        Err(format!("occupancy budget exceeded: {}", occ.summary()).into())
     }
 }
 
 /// The one schedule `lint`, `certify` and `trace` work on, built from their
 /// shared flags: the schedule, the pattern it must conserve, and the
 /// verify policy its algorithm family promises.
-fn target(args: &Args) -> Result<(Schedule, Option<Pattern>, cm5_verify::VerifyOptions), String> {
+fn target(args: &Args) -> Result<(Schedule, Option<Pattern>, cm5_verify::VerifyOptions), Failure> {
     use cm5_verify::{broadcast_policy, exchange_policy, irregular_policy};
-    let n = args.usize_or("n", 32)?;
     let bytes = args.u64_or("bytes", 1024)?;
     let name = args.get("alg").unwrap_or("bex");
     Ok(match name {
         "lex" | "pex" | "rex" | "bex" => {
+            let n = nodes(args, power_of_two(name))?;
             let alg = match name {
                 "lex" => ExchangeAlg::Lex,
                 "pex" => ExchangeAlg::Pex,
@@ -842,6 +891,7 @@ fn target(args: &Args) -> Result<(Schedule, Option<Pattern>, cm5_verify::VerifyO
             )
         }
         "lib" | "reb" => {
+            let n = nodes(args, power_of_two(name))?;
             let root = args.usize_or("root", 0)?;
             let schedule = if name == "lib" {
                 lib_linear(n, root, bytes)
@@ -857,7 +907,7 @@ fn target(args: &Args) -> Result<(Schedule, Option<Pattern>, cm5_verify::VerifyO
                         .map_err(|e| format!("could not read {path}: {e}"))?;
                     Pattern::parse_text(&text)?
                 }
-                None => irregular_pattern(args, n)?,
+                None => irregular_pattern(args, nodes(args, power_of_two(name))?)?,
             };
             let (schedule, opts) = match name {
                 "ls" => (ls(&pattern), irregular_policy(IrregularAlg::Ls)),
@@ -871,14 +921,15 @@ fn target(args: &Args) -> Result<(Schedule, Option<Pattern>, cm5_verify::VerifyO
         other => {
             return Err(format!(
                 "unknown --alg '{other}' (lex|pex|rex|bex|lib|reb|ls|ps|bs|gs|crystal)"
-            ))
+            )
+            .into())
         }
     })
 }
 
 /// `cm5 trace` — run one schedule with the trace and rate sinks enabled and
 /// export/render the observability views.
-fn cmd_trace(args: &Args) -> Result<(), String> {
+fn cmd_trace(args: &Args) -> Result<(), Failure> {
     let params = machine(args)?;
     let (schedule, ..) = target(args)?;
     let n = schedule.n();
@@ -958,7 +1009,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// `cm5 serve` — the long-running scheduling service: JSON-lines queries
 /// on stdin (and optionally TCP), trace recording, and trace replay with
 /// a measured sustained-QPS figure.
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), Failure> {
     use cm5_bench::querygen::{generate_trace, TraceMix};
     use cm5_serve::{pacing_interval, replay, Service, ServiceConfig};
 
@@ -1329,7 +1380,7 @@ mod table {
     };
 }
 
-type Run = fn(&Args) -> Result<(), String>;
+type Run = fn(&Args) -> Result<(), Failure>;
 
 /// Every subcommand, in `cm5 --help` order.
 const COMMANDS: [(Command, Run); 10] = [
@@ -1377,7 +1428,7 @@ fn parse_command(raw: &[String]) -> Result<(&'static Command, Run, Args), String
     Ok((cmd, *run, cmd.parse(raw)?))
 }
 
-fn dispatch(raw: &[String]) -> Result<(), String> {
+fn dispatch(raw: &[String]) -> Result<(), Failure> {
     if raw.first().is_some_and(|a| a == "--help") {
         print!("{}", usage());
         return Ok(());
@@ -1394,7 +1445,8 @@ fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&raw) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => usage_error(msg),
+        Err(Failure::Run(msg)) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
@@ -1443,19 +1495,64 @@ mod tests {
         assert!(dispatch(&argv("")).is_err());
     }
 
+    /// A node count no schedule of the command can run on is refused
+    /// before anything is built (exit 2), never a panic; the power-of-two
+    /// rule and its message are the service's.
+    #[test]
+    fn node_counts_no_run_can_have_are_usage_errors() {
+        for (cmd, msg) in [
+            ("advise irregular --name cg -n 0", "at least 2 nodes, got 0"),
+            ("advise irregular --name cg -n 1", "at least 2 nodes, got 1"),
+            ("advise irregular -n 1", "n must be at least 2, got 1"),
+            ("advise exchange -n 1", "n must be at least 2, got 1"),
+            (
+                "workload --name euler545 -n 1",
+                "power of two in 2..=16384, got 1",
+            ),
+            (
+                "workload --name cg -n 6",
+                "power of two in 2..=16384, got 6",
+            ),
+            ("irregular -n 1", "n must be at least 2, got 1"),
+            (
+                "irregular --alg ps -n 3",
+                "power of two in 2..=16384, got 3",
+            ),
+            ("exchange -n 3", "power of two in 2..=16384, got 3"),
+            ("broadcast --alg system -n 1", "n must be at least 2, got 1"),
+            ("lint --alg bex -n 3", "power of two in 2..=16384, got 3"),
+            ("certify --alg gs -n 1", "n must be at least 2, got 1"),
+        ] {
+            match dispatch(&argv(cmd)) {
+                Err(Failure::Usage(err)) => assert!(err.contains(msg), "{cmd}: {err}"),
+                other => panic!("{cmd}: {other:?}"),
+            }
+        }
+        // Counts the schedules do run on still run.
+        dispatch(&argv("exchange --alg lex -n 3 --bytes 64")).unwrap();
+        dispatch(&argv("irregular --alg gs -n 3")).unwrap();
+        dispatch(&argv("advise irregular --name cg -n 3")).unwrap();
+    }
+
     #[test]
     fn bad_alg_and_machine_name_the_valid_values() {
         for cmd in ["exchange", "broadcast", "irregular"] {
-            let err = dispatch(&argv(&format!("{cmd} --alg zzz --n 8"))).unwrap_err();
+            let err = dispatch(&argv(&format!("{cmd} --alg zzz --n 8")))
+                .unwrap_err()
+                .to_string();
             assert!(err.contains("auto"), "{cmd}: {err}");
         }
-        let err = dispatch(&argv("exchange --machine cm2 --n 8")).unwrap_err();
+        let err = dispatch(&argv("exchange --machine cm2 --n 8"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("1992 | vector | buffered"), "{err}");
     }
 
     #[test]
     fn unknown_flags_are_rejected_with_the_valid_set() {
-        let err = dispatch(&argv("exchange --n 8 --byte 64")).unwrap_err();
+        let err = dispatch(&argv("exchange --n 8 --byte 64"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown flag '--byte'"), "{err}");
         assert!(err.contains("--bytes"), "{err}");
         assert!(err.contains("USAGE"), "{err}");
@@ -1481,7 +1578,7 @@ mod tests {
                 "--timing-json",
             ),
         ] {
-            let err = dispatch(&argv(cmd)).unwrap_err();
+            let err = dispatch(&argv(cmd)).unwrap_err().to_string();
             assert!(
                 err.contains(&format!("unknown flag '{flag}'")),
                 "{cmd}: {err}"
@@ -1490,13 +1587,16 @@ mod tests {
         let err = dispatch(&argv(
             "exchange --alg pex --n 8 --bytes 64 --rates hierarchical",
         ))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(
             err.contains("--rates expects full | incremental, got 'hierarchical'"),
             "{err}"
         );
         // `report perf` is the one front end to the perf suite.
-        let err = dispatch(&argv("bench --no-oracle")).unwrap_err();
+        let err = dispatch(&argv("bench --no-oracle"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown command 'bench'"), "{err}");
     }
 
@@ -1633,7 +1733,9 @@ mod tests {
         ))
         .unwrap();
         dispatch(&argv("irregular --alg gs --n 8 --density 0.3 --rates full")).unwrap();
-        let err = dispatch(&argv("exchange --n 8 --rates eventually")).unwrap_err();
+        let err = dispatch(&argv("exchange --n 8 --rates eventually"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("full | incremental"), "{err}");
     }
 
@@ -1799,7 +1901,9 @@ mod tests {
     #[test]
     fn the_table_decides_which_flags_take_a_value() {
         dispatch(&argv("advise --json exchange --n 32 --bytes 1024")).unwrap();
-        let err = dispatch(&argv("exchange --alg pex --n 8 --bytes")).unwrap_err();
+        let err = dispatch(&argv("exchange --alg pex --n 8 --bytes"))
+            .unwrap_err()
+            .to_string();
         assert!(err.starts_with("--bytes needs a value"), "{err}");
         assert_eq!(
             Args::parse(&argv("exchange -n 8"))

@@ -1,8 +1,8 @@
-//! `cm5 serve` at its edges, run as a child process: a `--qps` value with
-//! no pacing interval is a usage error, a reader that closes stdout early
-//! costs no output file and no panic, a workload larger than its mesh
-//! is refused without ending the stdin server, and a simulation near the
-//! clock's bound is answered.
+//! `cm5` at its edges, run as a child process: a `--qps` value with no
+//! pacing interval and a node count no schedule can run on are usage
+//! errors, a reader that closes stdout early costs no output file and no
+//! panic, a workload larger than its mesh is refused without ending the
+//! stdin server, and a simulation near the clock's bound is answered.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -47,6 +47,27 @@ fn qps_without_a_pacing_interval_is_a_usage_error() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn node_counts_no_schedule_runs_on_are_usage_errors() {
+    for cmd in [
+        "advise irregular --name cg -n 0",
+        "advise irregular --name cg -n 1",
+        "workload --name euler545 -n 1",
+        "irregular -n 1",
+        "advise exchange -n 1",
+        "exchange -n 3",
+    ] {
+        let out = run(&cmd.split(' ').collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("n must be") || stderr.contains("at least 2 nodes"),
+            "{cmd}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
 }
 
 #[test]

@@ -1,13 +1,17 @@
 //! Halo-exchange pattern extraction.
 //!
 //! When a mesh is partitioned, each iteration of a solver needs the values
-//! of the *halo*: vertices owned by a neighbouring part that are adjacent
-//! to locally-owned vertices. This module derives, from a partition and an
-//! edge list, exactly which vertex values each part must send to each other
-//! part — and converts that into the byte matrix ([`Pattern`]) the paper's
-//! irregular schedulers consume.
-
-use std::collections::BTreeSet;
+//! of the *halo*: vertices owned by a neighbouring part that lie within a
+//! few edges of locally-owned vertices. This module derives, from a
+//! partition and an edge list, exactly which vertex values each part must
+//! send to each other part — and converts that into the byte matrix
+//! ([`Pattern`]) the paper's irregular schedulers consume.
+//!
+//! Halo patterns are sparse: `cg` on 2048 parts has 258 communicating
+//! pairs out of 4.2 M. [`Halo::build`] therefore costs O(V + E + H) time
+//! and memory for V vertices, E edges and H halo entries (at depth 2, plus
+//! the edges of the one-ring vertices it searches through), and stores
+//! only the non-empty `(p, q)` send lists; nothing is sized by `parts²`.
 
 use cm5_core::Pattern;
 
@@ -15,93 +19,80 @@ use cm5_core::Pattern;
 #[derive(Debug, Clone)]
 pub struct Halo {
     parts: usize,
-    /// `send_lists[p][q]` = vertices owned by `p` whose values part `q`
-    /// needs, sorted. Empty when `p == q` or no adjacency.
-    send_lists: Vec<Vec<Vec<usize>>>,
+    /// The `(p, q)` pairs with a non-empty send list, ascending.
+    pairs: Vec<(usize, usize)>,
+    /// `vertices[offsets[i]..offsets[i + 1]]` is the sorted send list of
+    /// `pairs[i]`.
+    offsets: Vec<usize>,
+    vertices: Vec<usize>,
 }
 
 impl Halo {
-    /// Build the halo of `edges` under `assignment` into `parts` parts.
-    pub fn build(parts: usize, assignment: &[usize], edges: &[(usize, usize)]) -> Halo {
-        let mut sets: Vec<Vec<BTreeSet<usize>>> = vec![vec![BTreeSet::new(); parts]; parts];
-        for &(a, b) in edges {
-            let (pa, pb) = (assignment[a], assignment[b]);
-            if pa != pb {
-                // Part pb computes on vertex b and needs a's value, so pa
-                // sends a to pb — and symmetrically.
-                sets[pa][pb].insert(a);
-                sets[pb][pa].insert(b);
-            }
-        }
-        Halo {
-            parts,
-            send_lists: sets
-                .into_iter()
-                .map(|row| row.into_iter().map(|s| s.into_iter().collect()).collect())
-                .collect(),
-        }
-    }
-
-    /// Build a `k`-ring halo: part `q` needs every vertex within graph
-    /// distance `k` of its owned set (k = 1 is [`Halo::build`]; Euler-style
-    /// edge-based upwind schemes with higher-order reconstruction need
-    /// k = 2). `n` is the vertex count.
-    pub fn build_k(parts: usize, assignment: &[usize], edges: &[(usize, usize)], k: usize) -> Halo {
-        assert!(k >= 1, "halo depth must be at least 1");
+    /// Build the `depth`-ring halo of `edges` under `assignment` into
+    /// `parts` parts: part `q` needs every vertex within graph distance
+    /// `depth` of a vertex it owns. A one-ring suffices for a matrix-vector
+    /// product (CG); edge-based upwind schemes with gradient
+    /// reconstruction need two (Euler).
+    pub fn build(
+        parts: usize,
+        assignment: &[usize],
+        edges: &[(usize, usize)],
+        depth: usize,
+    ) -> Halo {
+        assert!(depth >= 1, "halo depth must be at least 1");
         let n = assignment.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let mut sets: Vec<Vec<BTreeSet<usize>>> = vec![vec![BTreeSet::new(); parts]; parts];
-        // BFS to depth k from each part's owned set.
-        let mut dist = vec![usize::MAX; n];
-        let mut frontier: Vec<usize> = Vec::new();
-        #[allow(clippy::needless_range_loop)] // q is the part id, not a position
+        // Undirected adjacency as CSR, `adj[start[v]..start[v + 1]]`, and
+        // the vertices each part owns, `owned[first[q]..first[q + 1]]`.
+        let both_ways = edges.iter().flat_map(|&(a, b)| [(a, b), (b, a)]);
+        let (start, adj) = buckets(n, both_ways);
+        let (first, owned) = buckets(parts, assignment.iter().enumerate().map(|(v, &p)| (p, v)));
+        // Breadth-first search from each part's owned set. `seen[v] == q`
+        // marks v as reached by part q's search, so no mark is ever reset;
+        // every vertex reached past the owned set belongs to another part.
+        let mut seen = vec![usize::MAX; n];
+        let mut entries: Vec<(usize, usize, usize)> = Vec::new();
+        let (mut frontier, mut next) = (Vec::new(), Vec::new());
         for q in 0..parts {
-            dist.iter_mut().for_each(|d| *d = usize::MAX);
             frontier.clear();
-            for (v, &p) in assignment.iter().enumerate() {
-                if p == q {
-                    dist[v] = 0;
-                    frontier.push(v);
-                }
+            frontier.extend_from_slice(&owned[first[q]..first[q + 1]]);
+            for &v in &frontier {
+                seen[v] = q;
             }
-            for depth in 1..=k {
-                let mut next = Vec::new();
+            for _ in 0..depth {
+                next.clear();
                 for &v in &frontier {
-                    for &w in &adj[v] {
-                        if dist[w] == usize::MAX {
-                            dist[w] = depth;
+                    for &w in &adj[start[v]..start[v + 1]] {
+                        if seen[w] != q {
+                            seen[w] = q;
                             next.push(w);
-                            let owner = assignment[w];
-                            if owner != q {
-                                sets[owner][q].insert(w);
-                            }
+                            entries.push((assignment[w], q, w));
                         }
                     }
                 }
-                frontier = next;
+                std::mem::swap(&mut frontier, &mut next);
             }
+        }
+        entries.sort_unstable();
+        let (mut pairs, mut offsets) = (Vec::new(), vec![0]);
+        for run in entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            pairs.push((run[0].0, run[0].1));
+            offsets.push(offsets[pairs.len() - 1] + run.len());
         }
         Halo {
             parts,
-            send_lists: sets
-                .into_iter()
-                .map(|row| row.into_iter().map(|s| s.into_iter().collect()).collect())
-                .collect(),
+            pairs,
+            offsets,
+            vertices: entries.into_iter().map(|(.., v)| v).collect(),
         }
     }
 
-    /// Number of parts.
-    pub fn parts(&self) -> usize {
-        self.parts
-    }
-
-    /// Vertices part `p` must send to part `q`.
+    /// Vertices part `p` must send to part `q`, sorted; empty when `p == q`
+    /// or `q` needs nothing from `p`.
     pub fn send_list(&self, p: usize, q: usize) -> &[usize] {
-        &self.send_lists[p][q]
+        match self.pairs.binary_search(&(p, q)) {
+            Ok(i) => &self.vertices[self.offsets[i]..self.offsets[i + 1]],
+            Err(_) => &[],
+        }
     }
 
     /// The communication byte matrix: entry (p, q) is
@@ -109,27 +100,34 @@ impl Halo {
     /// 'Pattern' array for one halo exchange.
     pub fn pattern(&self, bytes_per_value: u64) -> Pattern {
         let mut pat = Pattern::new(self.parts);
-        for p in 0..self.parts {
-            for q in 0..self.parts {
-                if p != q {
-                    let len = self.send_lists[p][q].len() as u64;
-                    if len > 0 {
-                        pat.set(p, q, len * bytes_per_value);
-                    }
-                }
-            }
+        for (i, &(p, q)) in self.pairs.iter().enumerate() {
+            let len = (self.offsets[i + 1] - self.offsets[i]) as u64;
+            pat.set(p, q, len * bytes_per_value);
         }
         pat
     }
+}
 
-    /// Total vertex values crossing part boundaries per exchange.
-    pub fn total_halo_values(&self) -> usize {
-        self.send_lists
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|l| l.len())
-            .sum()
+/// Counting sort of `(key, value)` items into `keys` buckets: bucket `k`
+/// is `values[start[k]..start[k + 1]]`, its values in item order.
+fn buckets(
+    keys: usize,
+    items: impl Iterator<Item = (usize, usize)> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut start = vec![0usize; keys + 1];
+    for (k, _) in items.clone() {
+        start[k + 1] += 1;
     }
+    for k in 0..keys {
+        start[k + 1] += start[k];
+    }
+    let mut values = vec![0usize; start[keys]];
+    let mut slot = start.clone();
+    for (k, v) in items {
+        values[slot[k]] = v;
+        slot[k] += 1;
+    }
+    (start, values)
 }
 
 #[cfg(test)]
@@ -159,12 +157,12 @@ mod tests {
             (1, 6),
         ];
         let assignment = [0, 0, 1, 1, 0, 0, 1, 1];
-        let h = Halo::build(2, &assignment, &edges);
+        let h = Halo::build(2, &assignment, &edges, 1);
         // Part 0 owns {0,1,4,5}; cut edges: (1,2), (5,6), (2,6)? no — (2,6)
         // both in part 1. Cut: (1,2), (5,6), (1,6).
         assert_eq!(h.send_list(0, 1), &[1, 5]);
         assert_eq!(h.send_list(1, 0), &[2, 6]);
-        assert_eq!(h.total_halo_values(), 4);
+        assert!(h.send_list(0, 0).is_empty());
         let pat = h.pattern(8);
         assert_eq!(pat.get(0, 1), 16);
         assert_eq!(pat.get(1, 0), 16);
@@ -175,8 +173,8 @@ mod tests {
     fn no_cut_edges_means_empty_pattern() {
         let edges = [(0, 1), (2, 3)];
         let assignment = [0, 0, 1, 1];
-        let h = Halo::build(2, &assignment, &edges);
-        assert_eq!(h.total_halo_values(), 0);
+        let h = Halo::build(2, &assignment, &edges, 2);
+        assert!(h.send_list(0, 1).is_empty() && h.send_list(1, 0).is_empty());
         assert_eq!(h.pattern(4).nonzero_pairs(), 0);
     }
 
@@ -185,7 +183,7 @@ mod tests {
         // Vertex 0 adjacent to two vertices of part 1: sent once.
         let edges = [(0, 1), (0, 2)];
         let assignment = [0, 1, 1];
-        let h = Halo::build(2, &assignment, &edges);
+        let h = Halo::build(2, &assignment, &edges, 1);
         assert_eq!(h.send_list(0, 1), &[0]);
         assert_eq!(h.send_list(1, 0), &[1, 2]);
     }
@@ -194,7 +192,7 @@ mod tests {
     fn pattern_support_is_symmetric_for_undirected_graphs() {
         let edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)];
         let assignment = [0, 1, 2, 3];
-        let h = Halo::build(4, &assignment, &edges);
+        let h = Halo::build(4, &assignment, &edges, 1);
         let pat = h.pattern(8);
         assert!(pat.symmetric_support());
     }

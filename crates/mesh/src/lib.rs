@@ -8,15 +8,16 @@
 //!   Euler meshes (545/2K/3K/9K vertices) and the CG 16K system;
 //! * [`partition`]: recursive coordinate bisection;
 //! * [`csr`]: CSR sparse matrices (graph Laplacians, SpMV);
-//! * [`halo`]: halo-exchange extraction — partition + edges → the byte
-//!   matrix the irregular schedulers consume.
+//! * [`halo`]: halo-exchange extraction — partition + edges + ring depth →
+//!   the sparse send lists and the byte matrix the irregular schedulers
+//!   consume.
 //!
 //! ```
 //! use cm5_mesh::prelude::*;
 //!
 //! let mesh = euler_mesh(545);
 //! let parts = rcb(mesh.points(), 32);
-//! let halo = Halo::build(32, &parts, &mesh.edges());
+//! let halo = Halo::build(32, &parts, &mesh.edges(), 2); // two-ring halo
 //! let pattern = halo.pattern(32); // 4 conserved f64s per halo vertex
 //! assert!(pattern.density() > 0.1 && pattern.density() < 0.9);
 //! ```

@@ -82,37 +82,93 @@ proptest! {
         }
     }
 
-    /// Halos of undirected graphs have symmetric support, and the 2-ring
-    /// halo contains the 1-ring halo pair-for-pair.
+    /// The halo at depths 1, 2 and 3 matches its definition, computed by
+    /// brute force: `v` is in `send_list(p, q)` exactly when `v` is owned
+    /// by `p != q` and lies within `depth` hops of a vertex `q` owns.
+    /// Halos of undirected graphs have symmetric support, and a deeper
+    /// halo contains the shallower one pair for pair. Half the cases draw
+    /// the owners at random from fewer parts than there are, so some
+    /// parts own nothing.
     #[test]
-    fn halo_monotone_in_depth(pts in points_strategy(24, 70), parts in 2usize..5) {
+    fn halo_monotone_in_depth(
+        pts in points_strategy(24, 70),
+        parts in 2usize..7,
+        spread in 1usize..7,
+        seed in any::<u64>(),
+        random in any::<bool>(),
+    ) {
         prop_assume!(pts.len() >= parts * 3);
         let collinear = pts.windows(3).all(|w| {
             orient2d(w[0], w[1], w[2]).abs() < 1e-9
         });
         prop_assume!(!collinear);
         let t = delaunay(&pts);
-        let asg = rcb(&pts, parts);
+        let n = pts.len();
+        let asg = if random {
+            let mut x = seed | 1;
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % spread.min(parts) as u64) as usize
+                })
+                .collect()
+        } else {
+            rcb(&pts, parts)
+        };
         let edges = t.edges();
-        let h1 = Halo::build(parts, &asg, &edges);
-        let h2 = Halo::build_k(parts, &asg, &edges, 2);
-        let p1 = h1.pattern(8);
-        let p2 = h2.pattern(8);
-        prop_assert!(p1.symmetric_support());
-        prop_assert!(p2.symmetric_support());
-        for a in 0..parts {
-            for b in 0..parts {
-                if a != b {
-                    // Depth 2 sends at least what depth 1 sends.
-                    prop_assert!(
-                        p2.get(a, b) >= p1.get(a, b),
-                        "({a},{b}): {} < {}",
-                        p2.get(a, b),
-                        p1.get(a, b)
-                    );
-                    // And the 1-ring send list is a subset of the 2-ring's.
-                    for v in h1.send_list(a, b) {
-                        prop_assert!(h2.send_list(a, b).contains(v));
+        // All-pairs hop counts (Floyd–Warshall), independent of the builder.
+        let mut dist = vec![vec![usize::MAX / 2; n]; n];
+        for (v, row) in dist.iter_mut().enumerate() {
+            row[v] = 0;
+        }
+        for &(a, b) in &edges {
+            dist[a][b] = 1;
+            dist[b][a] = 1;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    let via = dist[i][k] + dist[k][j];
+                    if via < dist[i][j] {
+                        dist[i][j] = via;
+                    }
+                }
+            }
+        }
+        let halos: Vec<Halo> = (1..=3).map(|d| Halo::build(parts, &asg, &edges, d)).collect();
+        for (d, h) in (1..=3).zip(&halos) {
+            prop_assert!(h.pattern(8).symmetric_support(), "depth {d}");
+            for p in 0..parts {
+                for q in 0..parts {
+                    let want: Vec<usize> = (0..n)
+                        .filter(|&v| {
+                            asg[v] == p
+                                && p != q
+                                && (0..n).any(|w| asg[w] == q && dist[v][w] <= d)
+                        })
+                        .collect();
+                    prop_assert_eq!(h.send_list(p, q), &want[..], "depth {} ({},{})", d, p, q);
+                }
+            }
+        }
+        for pair in halos.windows(2) {
+            let (shallow, deep) = (pair[0].pattern(8), pair[1].pattern(8));
+            for a in 0..parts {
+                for b in 0..parts {
+                    if a != b {
+                        // A deeper halo sends at least what a shallower one sends.
+                        prop_assert!(
+                            deep.get(a, b) >= shallow.get(a, b),
+                            "({a},{b}): {} < {}",
+                            deep.get(a, b),
+                            shallow.get(a, b)
+                        );
+                        // And the shallower send list is a subset of the deeper one's.
+                        for v in pair[0].send_list(a, b) {
+                            prop_assert!(pair[1].send_list(a, b).contains(v));
+                        }
                     }
                 }
             }

@@ -157,8 +157,9 @@ fn field_u64_or(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
 
 /// Node counts must be CM-5-partition-shaped: powers of two within the
 /// service bound. The regular exchange generators assert power-of-two
-/// inputs, and a service must refuse, not panic.
-fn check_n(n: usize) -> Result<usize, String> {
+/// inputs, and a service must refuse, not panic. `cm5` applies the same
+/// rule to the `-n` of a power-of-two schedule.
+pub fn check_n(n: usize) -> Result<usize, String> {
     if !(2..=MAX_NODES).contains(&n) || !n.is_power_of_two() {
         return Err(format!(
             "n must be a power of two in 2..={MAX_NODES}, got {n}"

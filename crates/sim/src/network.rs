@@ -1237,6 +1237,27 @@ mod tests {
         assert_eq!(n.skipped_fills(), 0);
     }
 
+    /// Two disjoint bottlenecks whose fair shares differ by 5e-11
+    /// relative: node 0's leaf down-link, split by two flows, and the
+    /// level-1 links between clusters {8..11} and {12..15}, split by four.
+    /// The fill's `1e-9` tolerance freezes both sets in one round at the
+    /// lower level; a tolerance under 5e-11 would give the second set its
+    /// own, higher share in a second round.
+    #[test]
+    fn shares_within_the_tolerance_freeze_at_the_lower_level() {
+        let mut p = MachineParams::cm5_1992();
+        p.level1_bandwidth = 10.0e6 * (1.0 + 5e-11);
+        let mut n = Network::new(FatTree::new(16), &p);
+        let flows = [(1, 0), (2, 0), (8, 12), (9, 13), (10, 14), (11, 15)];
+        for (tok, &(src, dst)) in flows.iter().enumerate() {
+            n.add_flow(src, dst, 1 << 30, 20.0e6, tok as u64);
+        }
+        for tok in 0..flows.len() as u64 {
+            assert_eq!(n.flow_rate(tok), Some(10.0e6), "token {tok}");
+        }
+        assert_eq!(n.skipped_fills(), 0);
+    }
+
     #[test]
     fn an_isolated_removal_skips_the_fill() {
         let mut n = net(8);

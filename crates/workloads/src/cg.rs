@@ -48,7 +48,7 @@ fn cg_partition(parts: usize) -> (Vec<(usize, usize)>, Vec<usize>, Halo) {
         .map(|v| ((v % nx) * parts / nx).min(parts - 1))
         .collect();
     let edges = mesh.edges();
-    let halo = Halo::build(parts, &assignment, &edges);
+    let halo = Halo::build(parts, &assignment, &edges, 1);
     (edges, assignment, halo)
 }
 

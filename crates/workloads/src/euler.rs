@@ -50,10 +50,13 @@ pub struct EulerProblem {
     pub initial: Vec<f64>,
 }
 
-/// Build the stand-in for one of the paper's Euler datasets.
-/// `vertices` is typically one of
-/// [`cm5_mesh::meshgen::EULER_MESH_SIZES`]; `parts` is the machine size.
-pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
+/// The Euler mesh of `vertices` vertices, its edges, its noisy-strip
+/// assignment over `parts` nodes, and the resulting two-ring halo:
+/// everything both the full problem and the bare pattern need.
+fn euler_partition(
+    vertices: usize,
+    parts: usize,
+) -> (Triangulation, Vec<(usize, usize)>, Vec<usize>, Halo) {
     let mesh = euler_mesh(vertices);
     let nx = (vertices as f64).sqrt().ceil();
     // File-order block decomposition emulation: strip key = x + noise of
@@ -61,7 +64,15 @@ pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
     let noise = 3.0 * nx / parts as f64;
     let assignment = noisy_strips(mesh.points(), parts, noise, 0xB10C + vertices as u64);
     let edges = mesh.edges();
-    let halo = Halo::build_k(parts, &assignment, &edges, 2);
+    let halo = Halo::build(parts, &assignment, &edges, 2);
+    (mesh, edges, assignment, halo)
+}
+
+/// Build the stand-in for one of the paper's Euler datasets.
+/// `vertices` is typically one of
+/// [`cm5_mesh::meshgen::EULER_MESH_SIZES`]; `parts` is the machine size.
+pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
+    let (mesh, edges, assignment, halo) = euler_partition(vertices, parts);
     let pattern = halo.pattern(EULER_BYTES_PER_VALUE);
     let n = mesh.num_points();
     let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -92,9 +103,13 @@ pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
     }
 }
 
-/// Just the communication pattern (Table 12's Euler columns).
+/// Just the communication pattern (Table 12's Euler columns): the halo of
+/// [`euler_problem`] without building its adjacency lists or initial
+/// state.
 pub fn euler_pattern(vertices: usize, parts: usize) -> Pattern {
-    euler_problem(vertices, parts).pattern
+    euler_partition(vertices, parts)
+        .3
+        .pattern(EULER_BYTES_PER_VALUE)
 }
 
 /// One sequential iteration of the surrogate scheme, Jacobi-style:

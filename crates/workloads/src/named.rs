@@ -27,12 +27,18 @@ pub fn workload_names() -> String {
 }
 
 /// The builder of the workload called `name` on `n` nodes, or the error
-/// naming the accepted set or the workload's node limit.
+/// naming the accepted set or the workload's node limits: a pattern needs
+/// at least 2 nodes, and the partitioner at least one vertex per node.
 pub fn named_builder(name: &str, n: usize) -> Result<PatternBuilder, String> {
     let &(_, vertices, build) = NAMED_WORKLOADS
         .iter()
         .find(|(known, ..)| *known == name)
         .ok_or_else(|| format!("unknown workload '{name}' ({})", workload_names()))?;
+    if n < 2 {
+        return Err(format!(
+            "workload '{name}' needs a pattern of at least 2 nodes, got {n}"
+        ));
+    }
     if n > vertices {
         return Err(format!(
             "workload '{name}' has {vertices} mesh vertices: n must be at most {vertices}, got {n}"
@@ -69,5 +75,18 @@ mod tests {
         );
         assert!(named_builder("euler3k", 4096).is_err());
         assert!(named_builder("cg", CG_MESH_SIZE).is_ok());
+    }
+
+    #[test]
+    fn each_workload_needs_at_least_two_nodes() {
+        for n in [0, 1] {
+            assert_eq!(
+                named_builder("cg", n).err(),
+                Some(format!(
+                    "workload 'cg' needs a pattern of at least 2 nodes, got {n}"
+                ))
+            );
+        }
+        assert!(named_builder("euler545", 2).is_ok());
     }
 }

@@ -13,7 +13,7 @@ fn halo_pattern_runs_under_all_schedulers() {
     let mesh = euler_mesh(545);
     let parts = 32;
     let assignment = rcb(mesh.points(), parts);
-    let halo = Halo::build(parts, &assignment, &mesh.edges());
+    let halo = Halo::build(parts, &assignment, &mesh.edges(), 1);
     let pattern = halo.pattern(8);
     assert!(pattern.nonzero_pairs() > 0);
     for alg in IrregularAlg::ALL {

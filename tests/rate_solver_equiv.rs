@@ -359,6 +359,33 @@ fn caps_just_above_a_fair_share_are_bit_identical_across_solvers() {
     }
 }
 
+/// Two disjoint bottlenecks whose fair shares differ by 5e-11 relative
+/// (node 0's leaf down-link, split by two flows, and the level-1 links
+/// between clusters {8..11} and {12..15}, split by four): both solvers
+/// freeze both sets in one round at the lower level, as the fill's `1e-9`
+/// tolerance prescribes, and every flow completes at the same instant.
+#[test]
+fn shares_within_the_tolerance_freeze_at_the_lower_level_in_both_solvers() {
+    let flows = [(1, 0), (2, 0), (8, 12), (9, 13), (10, 14), (11, 15)];
+    let mut done = Vec::new();
+    for solver in [RateSolver::Incremental, RateSolver::Full] {
+        let mut p = params_for(FairnessModel::MaxMin, solver, false);
+        p.level1_bandwidth = 10.0e6 * (1.0 + 5e-11);
+        let mut net = Network::new(FatTree::new(16), &p);
+        for (tok, &(src, dst)) in flows.iter().enumerate() {
+            net.add_flow(src, dst, 1 << 30, 20.0e6, tok as u64);
+        }
+        for tok in 0..flows.len() as u64 {
+            assert_eq!(net.flow_rate(tok), Some(10.0e6), "{solver:?} token {tok}");
+        }
+        let t = net.next_completion().expect("flows in flight");
+        net.advance_to(t);
+        assert_eq!(net.take_completed().len(), flows.len(), "{solver:?}");
+        done.push(t);
+    }
+    assert_eq!(done[0], done[1]);
+}
+
 /// BEX, PEX and GS at 256 nodes and 1 KB, the shapes where the fill skip
 /// pays most: whole-run bit identity against the oracle. Release builds
 /// only (the oracle alone takes seconds there).
