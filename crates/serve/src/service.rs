@@ -11,9 +11,10 @@
 //! * a sharded verification memo that amortizes `cm5-verify` runs across
 //!   the queue the same way (the first request with a given schedule pays,
 //!   duplicates hit the memo);
-//! * a single-flight memo of named workload patterns per `(name, n)`: the
-//!   first request builds the pattern once, concurrent and later duplicates
-//!   share it;
+//! * two single-flight memos for named workloads, one `Memo` type: the
+//!   n-independent mesh per name, and the pattern per `(name, n)` built
+//!   from it. The first request builds the entry once, concurrent and
+//!   later duplicates share it; both live and die with the service;
 //! * counters that are order-independent sums ([`AtomicU64`]), and cache
 //!   *hit* counts derived as `queries − distinct entries` instead of being
 //!   counted per-request (a per-request hit/miss flag would depend on
@@ -41,7 +42,7 @@ use cm5_obs::{FlightRecorder, Histogram, Json, Metrics, PhaseKind, QueryCtx, Que
 use cm5_sim::tenant::{run_tenants, Placement, TenantSpec};
 use cm5_sim::{FatTree, MachineParams, OpProgram, SimReport, Simulation};
 use cm5_verify::{exchange_policy, irregular_policy, verify_programs, verify_schedule, Severity};
-use cm5_workloads::named_builder;
+use cm5_workloads::{named_workload, NamedWorkload, WorkloadMesh};
 
 use crate::request::{Query, Request, TenantQuery};
 use crate::response::{error_line, recommendation_json, response_base, stats_json, tenants_json};
@@ -109,7 +110,6 @@ struct Counters {
     q_workload: AtomicU64,
     q_tenants: AtomicU64,
     verify_requests: AtomicU64,
-    workload_memo_lookups: AtomicU64,
     simulations: AtomicU64,
 }
 
@@ -124,9 +124,54 @@ pub(crate) struct LineRejections {
     pub(crate) not_utf8: AtomicU64,
 }
 
-/// Named-workload patterns keyed by `(name, n)`, each behind its own
-/// `OnceLock` so concurrent requests for one key build it exactly once.
-type WorkloadMemo = Mutex<HashMap<(String, usize), Arc<OnceLock<Arc<Pattern>>>>>;
+/// A single-flight memo: each key's value sits behind its own `OnceLock`,
+/// so concurrent requests for one key build it exactly once while
+/// requests for other keys go on. Hits are derived as lookups − entries.
+#[derive(Debug)]
+struct Memo<K, V> {
+    cells: Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>,
+    lookups: AtomicU64,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Memo<K, V> {
+        Memo {
+            cells: Mutex::new(HashMap::new()),
+            lookups: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V> Memo<K, V> {
+    /// The first request for `key` runs `build`; concurrent requests for
+    /// the same key wait for it, and later ones hit.
+    fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        let cell = Arc::clone(
+            self.cells
+                .lock()
+                .expect("memo poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        // Build outside the map lock; only requests for this key wait.
+        Arc::clone(cell.get_or_init(|| Arc::new(build())))
+    }
+
+    /// `(entries, hits)`: built values, and lookups that found or waited
+    /// for one. Both are pure functions of the request set.
+    fn counts(&self) -> (u64, u64) {
+        let entries = self
+            .cells
+            .lock()
+            .expect("memo poisoned")
+            .values()
+            .filter(|cell| cell.get().is_some())
+            .count() as u64;
+        let lookups = self.lookups.load(Ordering::Relaxed);
+        (entries, lookups.saturating_sub(entries))
+    }
+}
 
 /// Host-side stage timings: real, nondeterministic, never part of the
 /// deterministic metrics document.
@@ -147,7 +192,10 @@ pub struct Service {
     trace_ring: Option<usize>,
     advisor: Advisor,
     verify_memo: Vec<Mutex<HashMap<u64, VerifySummary>>>,
-    workload_memo: WorkloadMemo,
+    /// Named-workload meshes by name (at most 5, about 2 MB in all).
+    workload_meshes: Memo<&'static str, WorkloadMesh>,
+    /// Named-workload patterns by `(name, n)`, for `n ≤ SIM_MAX_NODES`.
+    workload_patterns: Memo<(&'static str, usize), Pattern>,
     counters: Counters,
     predicted_ns: Mutex<Histogram>,
     sim_makespan_ns: Mutex<Histogram>,
@@ -182,7 +230,8 @@ impl Service {
             trace_ring: config.trace_ring,
             advisor: Advisor::with_shards(shards),
             verify_memo: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            workload_memo: Mutex::new(HashMap::new()),
+            workload_meshes: Memo::default(),
+            workload_patterns: Memo::default(),
             counters: Counters::default(),
             predicted_ns: Mutex::new(Histogram::default()),
             sim_makespan_ns: Mutex::new(Histogram::default()),
@@ -432,41 +481,22 @@ impl Service {
     /// span shape does not depend on which racing request built the entry.
     fn workload(&self, ctx: &mut QueryCtx, name: &str, n: usize) -> Result<Arc<Pattern>, String> {
         let t = ctx.start();
-        let pattern = named_builder(name, n).map(|build| {
-            // Patterns past the simulation ceiling are answered but not
-            // kept: that bounds the memo to 5 names × 10 sizes, each a
-            // dense n×n `u64` matrix of at most 8 MB.
-            if n > SIM_MAX_NODES {
-                Arc::new(build(n))
-            } else {
-                self.memoized_workload(name, n, || build(n))
-            }
-        });
+        let pattern = named_workload(name, n).map(|w| self.workload_pattern(w, n));
         ctx.phase(PhaseKind::Workload, name, t);
         pattern
     }
 
-    /// Single-flight memo lookup: the first request for `(name, n)` runs
-    /// `build`; concurrent requests for the same key wait for it, and
-    /// later ones hit.
-    fn memoized_workload(
-        &self,
-        name: &str,
-        n: usize,
-        build: impl FnOnce() -> Pattern,
-    ) -> Arc<Pattern> {
-        self.counters
-            .workload_memo_lookups
-            .fetch_add(1, Ordering::Relaxed);
-        let cell = Arc::clone(
-            self.workload_memo
-                .lock()
-                .expect("memo poisoned")
-                .entry((name.to_string(), n))
-                .or_default(),
-        );
-        // Build outside the map lock; only requests for this key wait.
-        Arc::clone(cell.get_or_init(|| Arc::new(build())))
+    /// The pattern of `w` on `n` nodes, built from its memoized mesh.
+    /// Patterns past the simulation ceiling are answered but not kept:
+    /// that bounds the pattern memo to 5 names × 10 sizes, each a dense
+    /// n×n `u64` matrix of at most 8 MB. Meshes are kept at every `n`.
+    fn workload_pattern(&self, w: &NamedWorkload, n: usize) -> Arc<Pattern> {
+        let build = || (w.pattern)(&self.workload_meshes.get_or_build(w.name, w.mesh), n);
+        if n > SIM_MAX_NODES {
+            Arc::new(build())
+        } else {
+            self.workload_patterns.get_or_build((w.name, n), build)
+        }
     }
 
     /// Advise one workload, recording the predicted time and an advise
@@ -725,18 +755,12 @@ impl Service {
         m.counters.insert("verify_memo_entries", memo_entries);
         m.counters
             .insert("verify_memo_hits", vreq.saturating_sub(memo_entries));
-        let workload_entries = self
-            .workload_memo
-            .lock()
-            .expect("memo poisoned")
-            .values()
-            .filter(|cell| cell.get().is_some())
-            .count() as u64;
-        m.counters.insert("workload_memo_entries", workload_entries);
-        m.counters.insert(
-            "workload_memo_hits",
-            get(&c.workload_memo_lookups).saturating_sub(workload_entries),
-        );
+        let (entries, hits) = self.workload_patterns.counts();
+        m.counters.insert("workload_memo_entries", entries);
+        m.counters.insert("workload_memo_hits", hits);
+        let (entries, hits) = self.workload_meshes.counts();
+        m.counters.insert("workload_mesh_entries", entries);
+        m.counters.insert("workload_mesh_hits", hits);
         m.gauges.insert("shards", self.shard_count() as f64);
 
         m.histograms.insert(
@@ -965,7 +989,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     arrived.fetch_add(1, Ordering::SeqCst);
-                    s.memoized_workload("euler545", 8, || {
+                    s.workload_patterns.get_or_build(("euler545", 8), || {
                         builds.fetch_add(1, Ordering::SeqCst);
                         // Hold the build open until every thread has asked
                         // for the key, so a memo without single flight
@@ -979,6 +1003,76 @@ mod tests {
             }
         });
         assert_eq!(builds.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn workloads_at_different_sizes_share_one_mesh_build() {
+        // A `fn` pointer cannot capture, so the counting mesh builder
+        // reports through statics local to this test.
+        static ARRIVED: AtomicU64 = AtomicU64::new(0);
+        static BUILDS: AtomicU64 = AtomicU64::new(0);
+        fn counted_mesh() -> WorkloadMesh {
+            BUILDS.fetch_add(1, Ordering::SeqCst);
+            // Hold the build open until every thread has asked for the
+            // mesh, so a memo without single flight would build it twice.
+            while ARRIVED.load(Ordering::SeqCst) < 4 {
+                std::thread::yield_now();
+            }
+            (named_workload("cg", 2).expect("cg admits 2 nodes").mesh)()
+        }
+        let cg = NamedWorkload {
+            mesh: counted_mesh,
+            ..*named_workload("cg", 8).unwrap()
+        };
+        let s = service();
+        std::thread::scope(|scope| {
+            for n in [8, 16, 32, 64] {
+                let (s, cg) = (&s, &cg);
+                scope.spawn(move || {
+                    ARRIVED.fetch_add(1, Ordering::SeqCst);
+                    s.workload_pattern(cg, n)
+                });
+            }
+        });
+        assert_eq!(BUILDS.load(Ordering::SeqCst), 1);
+        let c = s.metrics().counters;
+        assert_eq!(
+            (c["workload_mesh_entries"], c["workload_mesh_hits"]),
+            (1, 3)
+        );
+        assert_eq!(
+            (c["workload_memo_entries"], c["workload_memo_hits"]),
+            (4, 0)
+        );
+    }
+
+    #[test]
+    fn shared_meshes_answer_independently_of_request_order() {
+        let keys: Vec<(&str, usize)> = ["cg", "euler545", "euler2k", "euler3k", "euler9k"]
+            .into_iter()
+            .flat_map(|name| (1..=8).map(move |k| (name, 1usize << k)))
+            .collect();
+        let expected: HashMap<(&str, usize), Pattern> = keys
+            .iter()
+            .map(|&(name, n)| ((name, n), cm5_workloads::named_pattern(name, n).unwrap()))
+            .collect();
+        let reversed: Vec<_> = keys.iter().rev().copied().collect();
+        // A fixed shuffle: 17 is coprime with the 40 keys.
+        let shuffled: Vec<_> = (0..keys.len()).map(|i| keys[i * 17 % keys.len()]).collect();
+        // Each order on a fresh service, so every pattern is built from a
+        // mesh that an earlier, different request left behind.
+        for order in [reversed, shuffled] {
+            let s = service();
+            for (name, n) in order {
+                let w = named_workload(name, n).unwrap();
+                assert_eq!(
+                    *s.workload_pattern(w, n),
+                    expected[&(name, n)],
+                    "{name} n={n}"
+                );
+            }
+            assert_eq!(s.metrics().counters["workload_mesh_entries"], 5);
+        }
     }
 
     #[test]

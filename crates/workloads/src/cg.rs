@@ -16,6 +16,8 @@ use cm5_core::{Pattern, Schedule};
 use cm5_mesh::prelude::*;
 use cm5_sim::CmmdNode;
 
+use crate::named::WorkloadMesh;
+
 /// Bytes sent per halo vertex per exchange (one `f64` value).
 pub const CG_BYTES_PER_VALUE: u64 = 8;
 
@@ -36,30 +38,39 @@ pub struct CgProblem {
     pub pattern: Pattern,
 }
 
-/// The CG mesh's edges, its column-strip assignment over `parts` nodes,
-/// and the resulting halo: everything both the full problem and the bare
-/// pattern need.
-fn cg_partition(parts: usize) -> (Vec<(usize, usize)>, Vec<usize>, Halo) {
-    let mesh = cg_mesh();
+/// Stage 1 of the CG workload: the 16K-vertex mesh ([`cg_mesh`]) and its
+/// edges. Independent of the node count.
+pub(crate) fn cg_workload_mesh() -> WorkloadMesh {
+    WorkloadMesh::of(&cg_mesh())
+}
+
+/// Stage 2 of the CG workload: the column-strip assignment of `mesh`
+/// over `parts` nodes and its one-ring halo.
+///
+/// Known fault, kept because every pinned pattern and the service digest
+/// depend on it: the strips cut the grid's 128 columns, so past
+/// `parts = 128` the extra parts own no vertex. `cg` at n = 2048 is the
+/// n = 128 pattern padded with empty nodes (258 nonzero pairs).
+fn cg_partition(mesh: &WorkloadMesh, parts: usize) -> (Vec<usize>, Halo) {
     // `cg_mesh` is a square jittered grid in row-major order, so vertex v
     // sits at grid column v % nx; cut clean column strips.
     let nx = (CG_MESH_SIZE as f64).sqrt().ceil() as usize;
-    let assignment: Vec<usize> = (0..mesh.num_points())
+    let assignment: Vec<usize> = (0..mesh.vertices())
         .map(|v| ((v % nx) * parts / nx).min(parts - 1))
         .collect();
-    let edges = mesh.edges();
-    let halo = Halo::build(parts, &assignment, &edges, 1);
-    (edges, assignment, halo)
+    let halo = Halo::build(parts, &assignment, &mesh.edges, 1);
+    (assignment, halo)
 }
 
 /// Build the paper's CG workload: a 128×128 jittered-grid mesh (16,384
 /// vertices, [`cg_mesh`]), column-strip partitioned across `parts` nodes.
 /// Deterministic.
 pub fn cg_problem(parts: usize) -> CgProblem {
-    let (edges, assignment, halo) = cg_partition(parts);
+    let mesh = cg_workload_mesh();
+    let (assignment, halo) = cg_partition(&mesh, parts);
     let vertices = assignment.len();
     let pattern = halo.pattern(CG_BYTES_PER_VALUE);
-    let matrix = Csr::laplacian(vertices, &edges, 1.0);
+    let matrix = Csr::laplacian(vertices, &mesh.edges, 1.0);
     // Deterministic, structured RHS.
     let rhs: Vec<f64> = (0..vertices)
         .map(|v| ((v % 97) as f64 - 48.0) / 97.0)
@@ -74,10 +85,16 @@ pub fn cg_problem(parts: usize) -> CgProblem {
     }
 }
 
+/// The CG halo pattern on `parts` nodes from an already built
+/// [`cg_workload_mesh`].
+pub(crate) fn cg_pattern_on(mesh: &WorkloadMesh, parts: usize) -> Pattern {
+    cg_partition(mesh, parts).1.pattern(CG_BYTES_PER_VALUE)
+}
+
 /// Just the communication pattern of the CG workload (Table 12 column 1):
 /// the halo of [`cg_problem`] without building its matrix or RHS.
 pub fn cg_pattern(parts: usize) -> Pattern {
-    cg_partition(parts).2.pattern(CG_BYTES_PER_VALUE)
+    cg_pattern_on(&cg_workload_mesh(), parts)
 }
 
 /// Sequential CG, fixed iteration count; returns `(x, final ‖r‖²)`.

@@ -23,6 +23,8 @@ use cm5_core::{Pattern, Schedule};
 use cm5_mesh::prelude::*;
 use cm5_sim::CmmdNode;
 
+use crate::named::WorkloadMesh;
+
 /// Conserved variables per vertex (density, x/y momentum, energy).
 pub const EULER_VARS: usize = 4;
 /// Bytes sent per halo vertex per exchange. The paper's average message
@@ -50,33 +52,35 @@ pub struct EulerProblem {
     pub initial: Vec<f64>,
 }
 
-/// The Euler mesh of `vertices` vertices, its edges, its noisy-strip
-/// assignment over `parts` nodes, and the resulting two-ring halo:
-/// everything both the full problem and the bare pattern need.
-fn euler_partition(
-    vertices: usize,
-    parts: usize,
-) -> (Triangulation, Vec<(usize, usize)>, Vec<usize>, Halo) {
-    let mesh = euler_mesh(vertices);
+/// Stage 1 of an Euler workload: the mesh of `vertices` vertices
+/// ([`euler_mesh`]) and its edges. Independent of the node count.
+pub(crate) fn euler_workload_mesh(vertices: usize) -> WorkloadMesh {
+    WorkloadMesh::of(&euler_mesh(vertices))
+}
+
+/// Stage 2 of an Euler workload: the noisy-strip assignment of `mesh`
+/// over `parts` nodes and its two-ring halo.
+fn euler_partition(mesh: &WorkloadMesh, parts: usize) -> (Vec<usize>, Halo) {
+    let vertices = mesh.vertices();
     let nx = (vertices as f64).sqrt().ceil();
     // File-order block decomposition emulation: strip key = x + noise of
     // three strip widths (calibrated against Table 12's densities).
     let noise = 3.0 * nx / parts as f64;
-    let assignment = noisy_strips(mesh.points(), parts, noise, 0xB10C + vertices as u64);
-    let edges = mesh.edges();
-    let halo = Halo::build(parts, &assignment, &edges, 2);
-    (mesh, edges, assignment, halo)
+    let assignment = noisy_strips(&mesh.points, parts, noise, 0xB10C + vertices as u64);
+    let halo = Halo::build(parts, &assignment, &mesh.edges, 2);
+    (assignment, halo)
 }
 
 /// Build the stand-in for one of the paper's Euler datasets.
 /// `vertices` is typically one of
 /// [`cm5_mesh::meshgen::EULER_MESH_SIZES`]; `parts` is the machine size.
 pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
-    let (mesh, edges, assignment, halo) = euler_partition(vertices, parts);
+    let mesh = euler_workload_mesh(vertices);
+    let (assignment, halo) = euler_partition(&mesh, parts);
     let pattern = halo.pattern(EULER_BYTES_PER_VALUE);
-    let n = mesh.num_points();
+    let n = mesh.vertices();
     let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in &edges {
+    for &(a, b) in &mesh.edges {
         adjacency[a].push(b);
         adjacency[b].push(a);
     }
@@ -87,7 +91,7 @@ pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
         .map(|i| {
             let v = i / EULER_VARS;
             let k = i % EULER_VARS;
-            let p = mesh.points()[v];
+            let p = mesh.points[v];
             // A smooth deterministic field with per-variable phase.
             (p.x * 0.11 + p.y * 0.07 + k as f64).sin()
         })
@@ -103,13 +107,19 @@ pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
     }
 }
 
+/// The Euler halo pattern on `parts` nodes from an already built
+/// [`euler_workload_mesh`].
+pub(crate) fn euler_pattern_on(mesh: &WorkloadMesh, parts: usize) -> Pattern {
+    euler_partition(mesh, parts)
+        .1
+        .pattern(EULER_BYTES_PER_VALUE)
+}
+
 /// Just the communication pattern (Table 12's Euler columns): the halo of
 /// [`euler_problem`] without building its adjacency lists or initial
 /// state.
 pub fn euler_pattern(vertices: usize, parts: usize) -> Pattern {
-    euler_partition(vertices, parts)
-        .3
-        .pattern(EULER_BYTES_PER_VALUE)
+    euler_pattern_on(&euler_workload_mesh(vertices), parts)
 }
 
 /// One sequential iteration of the surrogate scheme, Jacobi-style:

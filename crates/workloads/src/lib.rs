@@ -10,6 +10,13 @@
 //! * [`named`]: the table of named Table 12 patterns the CLI and the
 //!   service accept.
 //!
+//! Each Table 12 pattern is built in two stages: an n-independent
+//! [`WorkloadMesh`] (the mesh's points and sorted edges, the costly part),
+//! then a per-`n` step over the borrowed mesh (assignment, halo,
+//! pattern). The one-shot builders ([`cg_pattern`], [`euler_pattern`],
+//! [`named_pattern`], the `*_problem`s) run both; the service keeps the
+//! mesh and reruns only the second stage for each node count.
+//!
 //! The distributed workloads are *numerically real*: payload bytes travel
 //! through the simulated network and results are verified against the
 //! sequential references in `tests/`.
@@ -30,5 +37,5 @@ pub use euler::{
 };
 pub use fft::{dft_naive, distributed_fft2d, fft2d_programs, fft2d_seq, fft_inplace, C64};
 pub use inspector::{execute_gather, CommPlan, Distribution, Inspector};
-pub use named::{named_builder, named_pattern, workload_names, PatternBuilder};
+pub use named::{named_pattern, named_workload, workload_names, NamedWorkload, WorkloadMesh};
 pub use synthetic::{synthetic_pattern, synthetic_pattern_exact};

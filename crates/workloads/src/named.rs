@@ -1,60 +1,134 @@
 //! The named real-application patterns (Table 12's columns) that
 //! `cm5 workload`, `cm5 advise --name` and the service's `workload`
 //! queries accept — one table, shared by every front end.
+//!
+//! Each pattern is built in two stages:
+//!
+//! 1. the n-independent [`WorkloadMesh`]: the triangulated mesh's points
+//!    and sorted edges ([`NamedWorkload::mesh`]), the expensive part;
+//! 2. the per-`n` step over a borrowed mesh ([`NamedWorkload::pattern`]):
+//!    assign the vertices to `n` parts, build the halo, fill the pattern.
+//!
+//! [`named_pattern`] runs both stages; a caller that asks for one
+//! workload at many node counts (the service) keeps the mesh and runs
+//! only the second stage per `n`.
 
 use cm5_core::Pattern;
-use cm5_mesh::meshgen::CG_MESH_SIZE;
+use cm5_mesh::prelude::{Point, Triangulation, CG_MESH_SIZE};
 
-use crate::{cg_pattern, euler_pattern};
+use crate::cg::{cg_pattern_on, cg_workload_mesh};
+use crate::euler::{euler_pattern_on, euler_workload_mesh};
 
-/// Builds a workload's pattern on the given node count.
-pub type PatternBuilder = fn(usize) -> Pattern;
+/// The part of a workload that does not depend on the node count: the
+/// mesh's points (the Euler partitioner reads their coordinates) and its
+/// undirected edges, each `(a, b)` with `a < b`, sorted and distinct.
+#[derive(Debug, Clone)]
+pub struct WorkloadMesh {
+    /// The mesh vertices, in mesh order.
+    pub(crate) points: Vec<Point>,
+    /// The mesh edges, sorted; every endpoint indexes `points`.
+    pub(crate) edges: Vec<(usize, usize)>,
+}
 
-/// Each named workload with its mesh's vertex count and its pattern
-/// builder. The vertex count is the largest node count it admits: the
-/// partitioner gives every node at least one vertex.
-const NAMED_WORKLOADS: [(&str, usize, PatternBuilder); 5] = [
-    ("cg", CG_MESH_SIZE, cg_pattern),
-    ("euler545", 545, |n| euler_pattern(545, n)),
-    ("euler2k", 2048, |n| euler_pattern(2048, n)),
-    ("euler3k", 3072, |n| euler_pattern(3072, n)),
-    ("euler9k", 9216, |n| euler_pattern(9216, n)),
+impl WorkloadMesh {
+    /// Keep a triangulation's points and edges; drop its triangles.
+    pub(crate) fn of(mesh: &Triangulation) -> WorkloadMesh {
+        WorkloadMesh {
+            points: mesh.points().to_vec(),
+            edges: mesh.edges(),
+        }
+    }
+
+    /// The vertex count.
+    pub(crate) fn vertices(&self) -> usize {
+        self.points.len()
+    }
+}
+
+/// One named workload: its mesh builder and its per-`n` pattern step.
+#[derive(Debug, Clone, Copy)]
+pub struct NamedWorkload {
+    /// The name the front ends accept.
+    pub name: &'static str,
+    /// The mesh's vertex count: the largest node count the workload
+    /// admits, since the partitioner gives every node at least one vertex.
+    pub vertices: usize,
+    /// Builds the n-independent mesh (stage 1).
+    pub mesh: fn() -> WorkloadMesh,
+    /// Builds the pattern on `n` nodes from the mesh (stage 2).
+    pub pattern: fn(&WorkloadMesh, usize) -> Pattern,
+}
+
+const NAMED_WORKLOADS: [NamedWorkload; 5] = [
+    NamedWorkload {
+        name: "cg",
+        vertices: CG_MESH_SIZE,
+        mesh: cg_workload_mesh,
+        pattern: cg_pattern_on,
+    },
+    NamedWorkload {
+        name: "euler545",
+        vertices: 545,
+        mesh: || euler_workload_mesh(545),
+        pattern: euler_pattern_on,
+    },
+    NamedWorkload {
+        name: "euler2k",
+        vertices: 2048,
+        mesh: || euler_workload_mesh(2048),
+        pattern: euler_pattern_on,
+    },
+    NamedWorkload {
+        name: "euler3k",
+        vertices: 3072,
+        mesh: || euler_workload_mesh(3072),
+        pattern: euler_pattern_on,
+    },
+    NamedWorkload {
+        name: "euler9k",
+        vertices: 9216,
+        mesh: || euler_workload_mesh(9216),
+        pattern: euler_pattern_on,
+    },
 ];
 
 /// The accepted names, `|`-separated, for error and usage text.
 pub fn workload_names() -> String {
-    NAMED_WORKLOADS.map(|(name, ..)| name).join("|")
+    NAMED_WORKLOADS.map(|w| w.name).join("|")
 }
 
-/// The builder of the workload called `name` on `n` nodes, or the error
+/// The workload called `name`, checked for `n` nodes, or the error
 /// naming the accepted set or the workload's node limits: a pattern needs
 /// at least 2 nodes, and the partitioner at least one vertex per node.
-pub fn named_builder(name: &str, n: usize) -> Result<PatternBuilder, String> {
-    let &(_, vertices, build) = NAMED_WORKLOADS
+pub fn named_workload(name: &str, n: usize) -> Result<&'static NamedWorkload, String> {
+    let w = NAMED_WORKLOADS
         .iter()
-        .find(|(known, ..)| *known == name)
+        .find(|w| w.name == name)
         .ok_or_else(|| format!("unknown workload '{name}' ({})", workload_names()))?;
     if n < 2 {
         return Err(format!(
             "workload '{name}' needs a pattern of at least 2 nodes, got {n}"
         ));
     }
+    let vertices = w.vertices;
     if n > vertices {
         return Err(format!(
             "workload '{name}' has {vertices} mesh vertices: n must be at most {vertices}, got {n}"
         ));
     }
-    Ok(build)
+    Ok(w)
 }
 
-/// Build the named workload's pattern on `n` nodes.
+/// Build the named workload's pattern on `n` nodes: its mesh, then the
+/// per-`n` step on it.
 pub fn named_pattern(name: &str, n: usize) -> Result<Pattern, String> {
-    named_builder(name, n).map(|build| build(n))
+    named_workload(name, n).map(|w| (w.pattern)(&(w.mesh)(), n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::euler_pattern;
 
     #[test]
     fn names_resolve_to_their_builders() {
@@ -68,25 +142,25 @@ mod tests {
 
     #[test]
     fn each_workload_admits_up_to_its_vertex_count() {
-        assert!(named_builder("euler545", 512).is_ok());
+        assert!(named_workload("euler545", 512).is_ok());
         assert_eq!(
-            named_builder("euler545", 1024).err().as_deref(),
+            named_workload("euler545", 1024).err().as_deref(),
             Some("workload 'euler545' has 545 mesh vertices: n must be at most 545, got 1024")
         );
-        assert!(named_builder("euler3k", 4096).is_err());
-        assert!(named_builder("cg", CG_MESH_SIZE).is_ok());
+        assert!(named_workload("euler3k", 4096).is_err());
+        assert!(named_workload("cg", CG_MESH_SIZE).is_ok());
     }
 
     #[test]
     fn each_workload_needs_at_least_two_nodes() {
         for n in [0, 1] {
             assert_eq!(
-                named_builder("cg", n).err(),
+                named_workload("cg", n).err(),
                 Some(format!(
                     "workload 'cg' needs a pattern of at least 2 nodes, got {n}"
                 ))
             );
         }
-        assert!(named_builder("euler545", 2).is_ok());
+        assert!(named_workload("euler545", 2).is_ok());
     }
 }

@@ -30,7 +30,12 @@ fn replay_is_byte_identical_at_any_worker_count() {
             .get("counters")
             .cloned()
             .unwrap();
-        for memo in ["workload_memo_entries", "workload_memo_hits"] {
+        for memo in [
+            "workload_memo_entries",
+            "workload_memo_hits",
+            "workload_mesh_entries",
+            "workload_mesh_hits",
+        ] {
             assert!(
                 counters.get(memo).and_then(Json::as_u64).is_some(),
                 "{metrics}"
@@ -45,6 +50,34 @@ fn replay_is_byte_identical_at_any_worker_count() {
                 assert_eq!(&spans, s0, "span trees differ at jobs={jobs}");
             }
         }
+    }
+}
+
+#[test]
+fn workload_memos_count_the_mixed_trace_at_any_worker_count() {
+    // The workload lines of the 512-query seed-1 mixed trace: 35 requests
+    // for 18 distinct `(name, n)` over the three names querygen draws.
+    let trace: String = generate_trace(TraceMix::Mixed, 512, 1)
+        .lines()
+        .filter(|line| line.contains(r#""kind":"workload""#))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    for jobs in [1usize, 4] {
+        let service = Service::new(ServiceConfig::default());
+        assert_eq!(replay(&service, &trace, jobs, None).requests, 35);
+        let c = service.metrics().counters;
+        assert_eq!(
+            (c["workload_memo_entries"], c["workload_memo_hits"]),
+            (18, 17),
+            "jobs={jobs}"
+        );
+        // One mesh per name (cg, euler545, euler2k), looked up by each of
+        // the 18 pattern builds.
+        assert_eq!(
+            (c["workload_mesh_entries"], c["workload_mesh_hits"]),
+            (3, 15),
+            "jobs={jobs}"
+        );
     }
 }
 
