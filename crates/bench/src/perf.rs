@@ -10,6 +10,8 @@
 //! speedup is part of the artifact; the large grid has no oracle, because
 //! the full solver is O(flows) per event and too slow at 16K nodes.
 //!
+//! `bex_256` times the max-min fill itself: BEX at 256 nodes, the most
+//! contended of the paper's exchanges, where the fill is most of the run.
 //! One more cell times the advice layer rather than the simulator: cold
 //! advice at 256 nodes, where every call prices every candidate.
 //!
@@ -189,6 +191,20 @@ pub fn perf_cases_large() -> Vec<PerfCase> {
     cases
 }
 
+/// BEX at 256 nodes and 1 KB (the benchmark's `bex256` cell): tens of
+/// thousands of fills over about a hundred flows each, most of them on a
+/// level-2 link whose fair share is below the cap. No oracle: the full
+/// solver takes seconds here.
+pub fn bex_256() -> PerfCase {
+    PerfCase {
+        name: "bex_256",
+        what: "balanced exchange (fill-bound contention)",
+        n: 256,
+        programs: lower(&ExchangeAlg::Bex.schedule(256, 1024)),
+        oracle: false,
+    }
+}
+
 fn run_with(case: &PerfCase, solver: RateSolver) -> SimReport {
     let mut params = MachineParams::cm5_1992();
     params.rate_solver = solver;
@@ -267,11 +283,14 @@ pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
         .collect()
 }
 
-/// Run the whole suite: the standard grid at `reps` repetitions, then the
-/// large-N grid at one repetition each (a 16384-node cell is its own
-/// noise damping — the run is long enough to average out the scheduler).
+/// Run the whole suite: the standard grid at `reps` repetitions, then
+/// [`bex_256`] at no fewer than 3 (its floor sits close to its reference,
+/// and one run on a noisy host reads up to a third slow), then the large-N
+/// grid at one repetition each (a 16384-node cell is its own noise
+/// damping — the run is long enough to average out the scheduler).
 pub fn run_perf_suite(reps: u32) -> Vec<PerfMeasurement> {
     let mut ms = run_cases(&perf_cases(), reps);
+    ms.extend(run_cases(&[bex_256()], reps.max(3)));
     ms.extend(run_cases(&perf_cases_large(), 1));
     ms.push(run_advise_cold(reps));
     ms
@@ -467,6 +486,15 @@ mod tests {
                 case.name
             );
         }
+    }
+
+    #[test]
+    fn the_fill_cell_is_a_full_bex_exchange() {
+        // Shape only: the run is release-build territory.
+        let case = bex_256();
+        assert_eq!((case.name, case.n, case.oracle), ("bex_256", 256, false));
+        let sends = |p: &OpProgram| p.iter().filter(|op| matches!(op, Op::Send { .. })).count();
+        assert!(case.programs.iter().all(|p| sends(p) == 255));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use cm5_core::prelude::*;
@@ -124,6 +124,15 @@ pub(crate) struct LineRejections {
     pub(crate) not_utf8: AtomicU64,
 }
 
+/// Lock `m`, recovering the guard when a thread panicked while holding it,
+/// so one failed request does not fail every later one. Every mutex of the
+/// service guards a memo map, a histogram or the flight ring, and each
+/// update to them (an insert, a record, a push) leaves the value valid at
+/// every step: a panic midway loses at most that one entry or sample.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A single-flight memo: each key's value sits behind its own `OnceLock`,
 /// so concurrent requests for one key build it exactly once while
 /// requests for other keys go on. Hits are derived as lookups − entries.
@@ -147,13 +156,7 @@ impl<K: Eq + Hash, V> Memo<K, V> {
     /// the same key wait for it, and later ones hit.
     fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let cell = Arc::clone(
-            self.cells
-                .lock()
-                .expect("memo poisoned")
-                .entry(key)
-                .or_default(),
-        );
+        let cell = Arc::clone(lock(&self.cells).entry(key).or_default());
         // Build outside the map lock; only requests for this key wait.
         Arc::clone(cell.get_or_init(|| Arc::new(build())))
     }
@@ -161,10 +164,7 @@ impl<K: Eq + Hash, V> Memo<K, V> {
     /// `(entries, hits)`: built values, and lookups that found or waited
     /// for one. Both are pure functions of the request set.
     fn counts(&self) -> (u64, u64) {
-        let entries = self
-            .cells
-            .lock()
-            .expect("memo poisoned")
+        let entries = lock(&self.cells)
             .values()
             .filter(|cell| cell.get().is_some())
             .count() as u64;
@@ -322,15 +322,11 @@ impl Service {
                 PhaseKind::Parse | PhaseKind::Workload | PhaseKind::Render => None,
             };
             if let Some(f) = field {
-                f.lock().expect("timing poisoned").record(p.dur_ns);
+                lock(f).record(p.dur_ns);
             }
         }
-        self.timing
-            .total_ns
-            .lock()
-            .expect("timing poisoned")
-            .record(span.total_ns);
-        let _ = self.flight.lock().expect("flight poisoned").observe(span);
+        lock(&self.timing.total_ns).record(span.total_ns);
+        let _ = lock(&self.flight).observe(span);
     }
 
     /// Answer a parsed request: the response object's fields, or an error
@@ -508,10 +504,7 @@ impl Service {
             .advisor
             .recommend_traced(w, &self.params, &FatTree::new(n));
         ctx.phase_advise(rec.algorithm.name(), outcome.key, t);
-        self.predicted_ns
-            .lock()
-            .expect("hist poisoned")
-            .record(rec.predicted.as_nanos());
+        lock(&self.predicted_ns).record(rec.predicted.as_nanos());
         rec
     }
 
@@ -582,14 +575,14 @@ impl Service {
         alg.hash(&mut h);
         let key = h.finish();
         let shard = &self.verify_memo[(key % self.verify_memo.len() as u64) as usize];
-        if let Some(hit) = shard.lock().expect("memo poisoned").get(&key) {
+        if let Some(hit) = lock(shard).get(&key) {
             return verify_json(hit);
         }
         // Run outside the lock (same determinism argument as the advisor:
         // racing duplicates compute the identical pure summary).
         let summary = run();
         let json = verify_json(&summary);
-        shard.lock().expect("memo poisoned").insert(key, summary);
+        lock(shard).insert(key, summary);
         json
     }
 
@@ -631,10 +624,7 @@ impl Service {
         // sum is deterministic for a given request set.
         self.sim_trace_dropped
             .fetch_add(report.trace_dropped, Ordering::Relaxed);
-        self.sim_makespan_ns
-            .lock()
-            .expect("hist poisoned")
-            .record(report.makespan.as_nanos());
+        lock(&self.sim_makespan_ns).record(report.makespan.as_nanos());
         Ok(report)
     }
 
@@ -697,10 +687,7 @@ impl Service {
             &format!("tenants={} n={shared_n}", specs.len()),
             t,
         );
-        self.sim_makespan_ns
-            .lock()
-            .expect("hist poisoned")
-            .record(report.report.makespan.as_nanos());
+        lock(&self.sim_makespan_ns).record(report.report.makespan.as_nanos());
         fields.push(("tenant_recommendations".into(), Json::Arr(recs)));
         Ok(tenants_json(&report))
     }
@@ -746,11 +733,7 @@ impl Service {
                 0.0
             },
         );
-        let memo_entries: u64 = self
-            .verify_memo
-            .iter()
-            .map(|s| s.lock().expect("memo poisoned").len() as u64)
-            .sum();
+        let memo_entries: u64 = self.verify_memo.iter().map(|s| lock(s).len() as u64).sum();
         let vreq = get(&c.verify_requests);
         m.counters.insert("verify_memo_entries", memo_entries);
         m.counters
@@ -763,14 +746,10 @@ impl Service {
         m.counters.insert("workload_mesh_hits", hits);
         m.gauges.insert("shards", self.shard_count() as f64);
 
-        m.histograms.insert(
-            "predicted_ns",
-            self.predicted_ns.lock().expect("hist poisoned").clone(),
-        );
-        m.histograms.insert(
-            "sim_makespan_ns",
-            self.sim_makespan_ns.lock().expect("hist poisoned").clone(),
-        );
+        m.histograms
+            .insert("predicted_ns", lock(&self.predicted_ns).clone());
+        m.histograms
+            .insert("sim_makespan_ns", lock(&self.sim_makespan_ns).clone());
         m
     }
 
@@ -806,13 +785,13 @@ impl Service {
             self.rejected.not_utf8.load(Ordering::Relaxed),
         );
         {
-            let f = self.flight.lock().expect("flight poisoned");
+            let f = lock(&self.flight);
             m.counters.insert("flight_tripped", f.dumped());
             m.counters.insert("flight_ring_evicted", f.dropped());
             m.gauges
                 .insert("flight_ring_len", f.recent().count() as f64);
         }
-        let hist = |h: &Mutex<Histogram>| h.lock().expect("timing poisoned").clone();
+        let hist = |h: &Mutex<Histogram>| lock(h).clone();
         m.histograms
             .insert("advise_wall_ns", hist(&self.timing.advise_ns));
         m.histograms
@@ -831,21 +810,12 @@ impl Service {
     /// `--trace-out` export at shutdown (replay mode exports the complete
     /// span set from [`crate::replay`] instead).
     pub fn recent_spans(&self) -> Vec<QuerySpan> {
-        self.flight
-            .lock()
-            .expect("flight poisoned")
-            .recent()
-            .cloned()
-            .collect()
+        lock(&self.flight).recent().cloned().collect()
     }
 
     /// Record one queue-depth sample (called by the replay pool).
     pub fn sample_queue_depth(&self, depth: usize) {
-        self.timing
-            .queue_depth
-            .lock()
-            .expect("timing poisoned")
-            .record(depth as u64);
+        lock(&self.timing.queue_depth).record(depth as u64);
     }
 }
 
@@ -884,6 +854,23 @@ mod tests {
 
     fn service() -> Service {
         Service::new(ServiceConfig::default())
+    }
+
+    #[test]
+    fn a_poisoned_histogram_still_answers() {
+        let line = r#"{"id":7,"query":{"kind":"exchange","n":32,"bytes":1024},"verify":true,"simulate":true}"#;
+        let poisoned = service();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = poisoned.predicted_ns.lock().unwrap();
+                panic!("a request panics while holding the histogram");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(poisoned.predicted_ns.is_poisoned());
+        let fresh = service();
+        assert_eq!(poisoned.handle_line(line), fresh.handle_line(line));
+        assert_eq!(poisoned.metrics(), fresh.metrics());
     }
 
     #[test]

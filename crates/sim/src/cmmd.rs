@@ -314,8 +314,14 @@ impl ProgramSource for ThreadSource {
     }
 }
 
+/// The most nodes [`Simulation::run_nodes`] runs. It spawns one OS thread
+/// per node; the largest payload program here runs on 256 nodes.
+pub const MAX_THREAD_NODES: usize = 1024;
+
 impl Simulation {
     /// Run one closure per node on real threads; see the module docs.
+    /// More than [`MAX_THREAD_NODES`] nodes is [`SimError::TooManyThreads`],
+    /// returned before any thread spawns.
     ///
     /// ```
     /// use cm5_sim::{Simulation, MachineParams};
@@ -357,6 +363,12 @@ impl Simulation {
         T: Send,
     {
         let n = self.nodes();
+        if n > MAX_THREAD_NODES {
+            return Err(SimError::TooManyThreads {
+                nodes: n,
+                max: MAX_THREAD_NODES,
+            });
+        }
         let params = Arc::new(self.params().clone());
         let mut req_rx = Vec::with_capacity(n);
         let mut resp_tx = Vec::with_capacity(n);
@@ -436,6 +448,20 @@ mod tests {
 
     fn sim(n: usize) -> Simulation {
         Simulation::new(n, MachineParams::cm5_1992())
+    }
+
+    #[test]
+    fn a_run_past_the_thread_cap_fails_before_spawning() {
+        let nodes = MAX_THREAD_NODES + 1;
+        let err = sim(nodes)
+            .run_nodes_collect(|_| unreachable!("no node thread may start"))
+            .map(|(_, out): (_, Vec<()>)| out)
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::TooManyThreads { nodes: n, max } if n == nodes && max == MAX_THREAD_NODES),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("at most 1024"), "{err}");
     }
 
     #[test]

@@ -42,6 +42,14 @@ pub enum SimError {
     /// An event fell at the saturated virtual clock (`u64::MAX` ns, about
     /// 584 years): some transfer or compute is too long to simulate.
     ClockOverflow,
+    /// A thread-frontend run asked for more nodes than it spawns threads
+    /// for ([`crate::cmmd::MAX_THREAD_NODES`]); nothing was spawned.
+    TooManyThreads {
+        /// Nodes asked for.
+        nodes: usize,
+        /// The cap.
+        max: usize,
+    },
     /// A multi-tenant layout or tenant program was unusable (tenants do not
     /// fit the shared tree, a tenant program uses a machine-wide collective,
     /// a peer is outside the tenant, …).
@@ -74,6 +82,10 @@ impl fmt::Display for SimError {
             SimError::ClockOverflow => write!(
                 f,
                 "virtual clock overflow: an event lies beyond u64::MAX ns (about 584 years)"
+            ),
+            SimError::TooManyThreads { nodes, max } => write!(
+                f,
+                "{nodes} nodes is more than the thread frontend runs (one thread per node, at most {max})"
             ),
             SimError::Tenancy { detail } => write!(f, "tenancy error: {detail}"),
         }

@@ -32,7 +32,7 @@
 //!   differential-testing oracle and the `--rates full` ablation. Its
 //!   max-min fill is its own: `reference_max_min` counts link members
 //!   itself over every link and shares no code with the incremental
-//!   [`max_min_fill`].
+//!   `max_min_fill`.
 //!
 //! Bit-identity holds because both fills apply the same progressive
 //! filling arithmetic over the same flow iteration order (ascending flow
@@ -54,14 +54,28 @@
 //! exactly as the full solver does on its next query; keeping the old
 //! instant would re-arm a completion check at the same time forever.
 //!
+//! The incremental fill works only on the *contended* part of the
+//! flow–link graph. While every flow shares one cap `c` (every engine
+//! run: the engine admits each flow at [`MachineParams::flow_cap`]), a
+//! link is contended when its fair share `capacity / members` is below
+//! `c`; such links are what pull flows below the software cap. Each link
+//! carries an integer bound, the most members whose share still covers
+//! `c`, so admission flags a link by comparing counts, not by dividing;
+//! a fill drops the flags of links that fell back within their bound.
+//! The fill's level scan, binding checks and residual updates touch only
+//! contended links, only flows that cross one enter it, and every other
+//! flow gets `c`. Once a second cap arrives, every used link counts as
+//! contended and every flow enters the fill. The proof that this equals
+//! the fill over every link and flow is on `max_min_fill`.
+//!
 //! The incremental backend also skips the fill outright when the change
 //! since its last recompute is *isolated*: every flow shares one cap `c`,
-//! and every admitted or removed flow sees a fair share
-//! `capacity / members >= c` on each link of its route. Such a change
-//! cannot move any other flow's rate, so existing flows keep theirs and
-//! new flows get `c`; the proof is on `Network::change_is_isolated`, and
-//! the reference check above covers skipped recomputes too.
-//! [`Network::skipped_fills`] counts skips. `Full` never skips.
+//! and no admitted or removed flow crosses a contended link. Such a
+//! change cannot move any other flow's rate, so existing flows keep
+//! theirs and new flows get `c`; the proof is on
+//! `Network::change_is_isolated`, and the reference check above covers
+//! skipped recomputes too. [`Network::skipped_fills`] counts skips.
+//! `Full` never skips.
 //!
 //! # Cache-conscious flow store
 //!
@@ -190,12 +204,19 @@ pub struct Network {
     /// mattered — the seed's `Vec<Vec<u64>>` member lists cost an O(members)
     /// position scan per link on every drain.
     member_count: Vec<u32>,
-    /// Links that may have members (incremental solver only): appended on 0→1
-    /// transitions, pruned lazily at the next recompute. Unordered — the
-    /// fill only takes exact mins over it, which are order-independent.
-    used_links: Vec<usize>,
-    /// Whether a link is present in `used_links` (dedup for re-push).
-    in_used: Vec<bool>,
+    /// The most members each link can carry while its fair share
+    /// `capacity / members` still covers the contention cap (incremental
+    /// solver only). The contention cap is the one cap every flow shares;
+    /// once caps are mixed it is infinite and every bound is 0.
+    max_uncontended: Vec<u32>,
+    /// Links that may be contended, i.e. have more members than
+    /// `max_uncontended` allows (incremental solver only): appended where
+    /// `add_flow` pushes a link past its bound, pruned lazily at the next
+    /// fill. Unordered — the fill only takes exact mins over it, which are
+    /// order-independent.
+    contended: Vec<usize>,
+    /// Whether a link is present in `contended` (dedup for re-push).
+    in_contended: Vec<bool>,
     /// Cumulative wire bytes carried per link.
     link_bytes: Vec<f64>,
     /// Virtual time of the network.
@@ -212,8 +233,9 @@ pub struct Network {
     // Persistent scratch buffers (zero per-recompute allocation).
     scratch_residual: Vec<f64>,
     scratch_count: Vec<u32>,
-    scratch_unfrozen: Vec<(u64, u32)>,
-    scratch_next: Vec<(u64, u32)>,
+    /// The fill's unfrozen flows as `(slot, contended-link mask)`.
+    scratch_unfrozen: Vec<(u32, u32)>,
+    scratch_next: Vec<(u32, u32)>,
     drain_scratch: Vec<(u64, u32)>,
     // Isolation tracking for the fill skip (incremental solver only).
     /// The cap of the first flow admitted; `caps_mixed` once another
@@ -251,6 +273,11 @@ impl Network {
         let link_levels: Vec<u16> = (0..links).map(|i| topo.link_level(i) as u16).collect();
         let num_levels = topo.num_levels();
         let stride = topo.max_route_len();
+        // The fill marks a flow's contended route positions in a `u32`.
+        assert!(
+            stride <= u32::BITS as usize,
+            "a route of {stride} links overflows the fill's link mask"
+        );
         Network {
             topo,
             fairness: params.fairness,
@@ -262,8 +289,9 @@ impl Network {
             free: Vec::new(),
             active: Vec::new(),
             member_count: vec![0; links],
-            used_links: Vec::new(),
-            in_used: vec![false; links],
+            max_uncontended: vec![0; links],
+            contended: Vec::new(),
+            in_contended: vec![false; links],
             link_bytes: vec![0.0; links],
             now: SimTime::ZERO,
             synced_at: SimTime::ZERO,
@@ -479,13 +507,24 @@ impl Network {
         };
         self.store.route_len[si] = rlen as u32;
         if self.solver == RateSolver::Incremental {
+            match self.first_cap {
+                None => {
+                    self.first_cap = Some(cap);
+                    self.set_contention_cap(cap);
+                }
+                Some(c) if c != cap && !self.caps_mixed => {
+                    self.caps_mixed = true;
+                    self.set_contention_cap(f64::INFINITY);
+                }
+                Some(_) => {}
+            }
             for k in 0..rlen {
                 let l = self.store.routes[si * stride + k] as usize;
-                if self.member_count[l] == 0 && !self.in_used[l] {
-                    self.in_used[l] = true;
-                    self.used_links.push(l);
-                }
                 self.member_count[l] += 1;
+                if self.member_count[l] > self.max_uncontended[l] && !self.in_contended[l] {
+                    self.in_contended[l] = true;
+                    self.contended.push(l);
+                }
             }
         }
         self.store.remaining[si] = wire_bytes as f64;
@@ -502,10 +541,6 @@ impl Network {
         match self.solver {
             RateSolver::Full => self.recompute_full(),
             RateSolver::Incremental => {
-                match self.first_cap {
-                    None => self.first_cap = Some(cap),
-                    Some(c) => self.caps_mixed |= c != cap,
-                }
                 // The fill's scratch lists grow with `active` here rather
                 // than inside the fill, so how the heap is laid out does
                 // not depend on which recomputes skip the fill.
@@ -521,14 +556,31 @@ impl Network {
         id
     }
 
-    /// Whether the flow in `slot` gets a fair share of at least its cap on
-    /// every link of its route, counting the current members.
-    fn share_covers_cap(&self, slot: u32) -> bool {
-        let cap = self.store.cap[slot as usize];
+    /// Derive every link's member bound from contention cap `c` and flag
+    /// the links whose current members exceed it. Runs at the first
+    /// admission, with its cap, and once when a second cap arrives, with
+    /// `c` infinite: from then on every used link is contended.
+    fn set_contention_cap(&mut self, c: f64) {
+        for (bound, &capacity) in self.max_uncontended.iter_mut().zip(&self.capacity) {
+            *bound = max_members_covering(capacity, c);
+        }
+        self.contended.clear();
+        for (l, flag) in self.in_contended.iter_mut().enumerate() {
+            *flag = self.member_count[l] > self.max_uncontended[l];
+            if *flag {
+                self.contended.push(l);
+            }
+        }
+    }
+
+    /// Whether the flow in `slot` crosses a contended link, counting the
+    /// current members: with one cap, a link where its fair share falls
+    /// below that cap.
+    fn crosses_contended(&self, slot: u32) -> bool {
         self.store
             .route(slot)
             .iter()
-            .all(|&l| self.capacity[l as usize] / self.member_count[l as usize] as f64 >= cap)
+            .any(|&l| self.member_count[l as usize] > self.max_uncontended[l as usize])
     }
 
     /// Remove and return all flows whose bytes have fully drained at the
@@ -604,7 +656,7 @@ impl Network {
             invariant!(self.store.live[si], "completed flow present");
             if lazy {
                 // Checked before the decrement: the flow still counts.
-                if self.removals_isolated && !self.share_covers_cap(s) {
+                if self.removals_isolated && self.crosses_contended(s) {
                     self.removals_isolated = false;
                 }
                 for &l in self.store.route(s) {
@@ -662,41 +714,22 @@ impl Network {
             .min()
     }
 
-    /// Drop links whose membership fell to zero since the last recompute
-    /// (removal leaves them in `used_links` lazily; O(len) here beats an
-    /// O(len) ordered delete per link at drain time).
-    fn prune_used_links(&mut self) {
-        let member_count = &self.member_count;
-        let in_used = &mut self.in_used;
-        self.used_links.retain(|&l| {
-            if member_count[l] > 0 {
-                true
-            } else {
-                in_used[l] = false;
-                false
-            }
-        });
-    }
-
     /// Whether the change since the last recompute is isolated, so the
     /// max-min fill may be skipped: every existing flow keeps its rate and
     /// every flow admitted since then (ids at or above `admitted_from`)
-    /// gets its cap. Requires one cap `c` shared by every flow, every
-    /// removal to have passed [`Network::share_covers_cap`] as it drained,
-    /// and every admission to pass it now, on the final member counts.
+    /// gets its cap. Requires one cap `c` shared by every flow, no removal
+    /// to have crossed a contended link ([`Network::crosses_contended`]) as
+    /// it drained, and no admission to cross one now, on the final member
+    /// counts.
     ///
-    /// Why the skip reproduces [`max_min_fill`] bit for bit:
+    /// Why the skip reproduces the progressive fill bit for bit:
     ///
     /// * With one cap, a link round (some link binds) happens only when
     ///   `tol = level·(1+1e-9) < c`. A cap round freezes every remaining
     ///   flow at `c`, so the fill ends at its first cap round.
-    /// * Take a link whose share starts at `>= c`. Each freeze through it
-    ///   in a link round subtracts a level below `c`, so its share
-    ///   `(R − level)/(n − 1)` only rises; the margin, about
-    ///   `level·1e-9/(n − 1)`, is far larger than rounding error. So the
-    ///   link never tests `<= tol`, never binds and never sets the level.
-    ///   Dropping one member (the fill without the changed flow) only
-    ///   raises its share further.
+    /// * An uncontended link (share `>= c`) never binds and never sets the
+    ///   level; the argument is on [`max_min_fill`]. Dropping one member
+    ///   (the fill without the changed flow) only raises its share further.
     /// * A changed flow crosses only such links, so it freezes in the
     ///   final cap round, at `c`, and subtracts from residuals only then:
     ///   after every link-round level and freeze set has been decided,
@@ -709,30 +742,43 @@ impl Network {
     ///   lowers the share checked, so the single-flow steps compose.
     fn change_is_isolated(&self, admitted_from: u64) -> bool {
         !self.caps_mixed
-            && self
+            && !self
                 .active
                 .iter()
                 .rev()
                 .take_while(|&&(id, _)| id >= admitted_from)
-                .all(|&(_, s)| self.share_covers_cap(s))
+                .any(|&(_, s)| self.crosses_contended(s))
     }
 
-    /// Run the progressive fill over every active flow into the persistent
-    /// scratch buffers.
+    /// Run the progressive fill over the contended links and the flows
+    /// that cross them (every flow, once caps are mixed), into the
+    /// persistent scratch buffers. Links that
+    /// fell back within their bound since the last fill are unflagged here
+    /// (a removal leaves them flagged lazily; O(len) here beats an ordered
+    /// delete per link at drain time).
     fn fill_max_min(&mut self) {
+        let member_count = &self.member_count;
+        let max_uncontended = &self.max_uncontended;
+        let in_contended = &mut self.in_contended;
+        self.contended.retain(|&l| {
+            let hot = member_count[l] > max_uncontended[l];
+            in_contended[l] = hot;
+            hot
+        });
         let residual = &mut self.scratch_residual;
         let count = &mut self.scratch_count;
-        for &l in &self.used_links {
+        for &l in &self.contended {
             residual[l] = self.capacity[l];
             count[l] = self.member_count[l];
         }
-        self.scratch_unfrozen.clear();
-        self.scratch_unfrozen.extend_from_slice(&self.active);
         max_min_fill(
             &mut self.store,
+            &self.active,
             &mut self.scratch_unfrozen,
             &mut self.scratch_next,
-            &self.used_links,
+            !self.caps_mixed,
+            &self.contended,
+            &self.in_contended,
             residual,
             count,
         );
@@ -757,7 +803,6 @@ impl Network {
     /// is isolated, and the next completion predicted.
     fn recompute_incremental(&mut self) {
         self.recomputes += 1;
-        self.prune_used_links();
         let removals_isolated = std::mem::replace(&mut self.removals_isolated, true);
         let admitted_from = std::mem::replace(&mut self.admitted_from, self.next_id);
         if !self.active.is_empty() {
@@ -833,21 +878,80 @@ impl Network {
     }
 }
 
-/// Progressive-filling max-min fairness with per-flow caps.
+/// The most members a link of `capacity` can carry while its fair share
+/// `capacity / members` stays at or above `cap`, by the fill's own
+/// division: admission then compares integers instead of dividing. 0 when
+/// `cap` is infinite.
+fn max_members_covering(capacity: f64, cap: f64) -> u32 {
+    let covers = |m: u32| capacity / m as f64 >= cap;
+    // The float estimate saturates; the exact bound is within a step of it.
+    let mut m = (capacity / cap) as u32;
+    while m < u32::MAX && covers(m + 1) {
+        m += 1;
+    }
+    while m > 0 && !covers(m) {
+        m -= 1;
+    }
+    m
+}
+
+/// Progressive-filling max-min fairness with per-flow caps, over the
+/// contended part of the flow–link graph.
 ///
 /// Water level rises uniformly across all unfrozen flows; at each step the
 /// binding constraint is either a flow's cap (freeze that flow at its cap)
 /// or a link reaching saturation (freeze every unfrozen flow through it at
 /// the link's fair share). The incremental solver's fill, free to change
 /// for speed: debug and `strict-invariants` builds compare its rates, bit
-/// for bit, with [`reference_max_min`] after every recompute. `unfrozen`
-/// must arrive in ascending-id order. `used_links` may arrive in any order
-/// — only exact (commutative) minima are taken over it.
+/// for bit, with [`reference_max_min`] after every recompute.
+///
+/// Only the `links` flagged in `contended` take part: the level scan, the
+/// binding checks and the residual updates skip every other link. With
+/// `one_cap`, a flow of `active` that crosses no contended link gets its
+/// cap without entering the fill; otherwise every flow enters. Each round makes one pass over the unfrozen flows,
+/// which also keeps the smallest cap among those left for the next round.
+/// `active` must be in ascending-id order (the order of the residual
+/// subtractions); `links` may be in any order — only exact (commutative)
+/// minima are taken over it. `residual` and `count` must hold each
+/// contended link's capacity and member count.
+///
+/// Why the restriction reproduces the fill over every link and flow bit
+/// for bit. With one cap `c` shared by every flow, a link is contended
+/// when its fair share `capacity / members` is below `c`:
+///
+/// * A link round happens only when `tol = level·(1+1e-9) < c`, and the
+///   fill ends at its first cap round, which freezes every remaining flow
+///   at `c`.
+/// * An uncontended link starts with a share `>= c > tol`. Each freeze
+///   through it in a link round subtracts a level below `c/(1+1e-9)`, so
+///   its share `(R − level)/(k − 1)` only rises; the margin, about
+///   `level·1e-9/(k − 1)`, is far above rounding error. So it never tests
+///   `<= tol`, never binds, and never sets the level: the level is a
+///   minimum that its share, at or above every cap, does not reach.
+/// * A flow that crosses only uncontended links therefore never freezes in
+///   a link round. It freezes in the final cap round at `c`, which is the
+///   rate it gets here.
+/// * A contended link's residual is changed only by the flows that cross
+///   it, all of them in the fill. They freeze in the same rounds, at the
+///   same levels, in ascending-id order, so each such residual sees the
+///   same subtractions in the same order. Unlike a refill of one
+///   component, nothing couples through the `1e-9` tolerance: every link
+///   that can bind is in this one fill.
+///
+/// With mixed caps the contention cap is infinite, so every used link is
+/// contended, and every flow enters the fill. The argument above does not
+/// carry over: a cap-round freeze can subtract a cap within
+/// rounding of `c`, and a share that starts at `c` can then end a few ulps
+/// below it.
+#[allow(clippy::too_many_arguments)]
 fn max_min_fill(
     store: &mut FlowStore,
-    unfrozen: &mut Vec<(u64, u32)>,
-    next: &mut Vec<(u64, u32)>,
-    used_links: &[usize],
+    active: &[(u64, u32)],
+    unfrozen: &mut Vec<(u32, u32)>,
+    next: &mut Vec<(u32, u32)>,
+    one_cap: bool,
+    links: &[usize],
+    contended: &[bool],
     residual: &mut [f64],
     count: &mut [u32],
 ) {
@@ -860,54 +964,65 @@ fn max_min_fill(
         let base = s as usize * stride;
         &routes[base..base + route_len[s as usize] as usize]
     };
+    // Each unfrozen flow carries a mask of its route positions that are
+    // contended links: the rounds visit only those.
+    let on_contended = |s: u32, mask: u32| {
+        let route = route(s);
+        let mut mask = mask;
+        std::iter::from_fn(move || {
+            let k = mask.trailing_zeros() as usize;
+            mask &= mask.wrapping_sub(1);
+            route.get(k).map(|&l| l as usize)
+        })
+    };
+    unfrozen.clear();
+    let mut min_cap = f64::INFINITY;
+    for &(_, s) in active {
+        let cap = caps[s as usize];
+        let mask = (route(s).iter().enumerate())
+            .fold(0u32, |m, (k, &l)| m | u32::from(contended[l as usize]) << k);
+        if mask != 0 || !one_cap {
+            unfrozen.push((s, mask));
+            min_cap = min_cap.min(cap);
+        } else {
+            rates[s as usize] = cap;
+        }
+    }
     while !unfrozen.is_empty() {
-        // Candidate water level: min over link fair shares and flow caps.
-        let mut level = f64::INFINITY;
-        for &l in used_links {
+        // Candidate water level: min over contended fair shares and caps.
+        let mut level = min_cap;
+        for &l in links {
             if count[l] > 0 {
                 level = level.min(residual[l] / count[l] as f64);
             }
         }
-        for &(_, s) in unfrozen.iter() {
-            level = level.min(caps[s as usize]);
-        }
         invariant!(level.is_finite() && level > 0.0, "degenerate water level");
         let tol = level * (1.0 + 1e-9);
-        // Freeze flows whose own cap binds at this level.
+        // A cap round freezes the flows whose own cap binds at this level;
+        // otherwise a link binds, and every flow crossing a bottleneck link
+        // freezes at the level. A contended link on an unfrozen flow's
+        // route counts that flow, so its member count is never 0 here.
+        let cap_round = min_cap <= tol;
         next.clear();
-        let mut froze_any = false;
-        for &(id, s) in unfrozen.iter() {
+        min_cap = f64::INFINITY;
+        for &(s, mask) in unfrozen.iter() {
             let cap = caps[s as usize];
-            if cap <= tol {
-                rates[s as usize] = cap;
-                froze_any = true;
-                for &l in route(s) {
-                    residual[l as usize] -= cap;
-                    count[l as usize] -= 1;
-                }
+            let rate = if cap_round {
+                (cap <= tol).then_some(cap)
             } else {
-                next.push((id, s));
-            }
-        }
-        std::mem::swap(unfrozen, next);
-        if froze_any {
-            continue;
-        }
-        // Otherwise a link binds: freeze all unfrozen flows crossing any
-        // bottleneck link at the water level.
-        next.clear();
-        for &(id, s) in unfrozen.iter() {
-            let at_bottleneck = route(s).iter().any(|&l| {
-                count[l as usize] > 0 && residual[l as usize] / count[l as usize] as f64 <= tol
-            });
-            if at_bottleneck {
-                rates[s as usize] = level;
-                for &l in route(s) {
-                    residual[l as usize] -= level;
-                    count[l as usize] -= 1;
-                }
-            } else {
-                next.push((id, s));
+                let mut on = on_contended(s, mask);
+                on.any(|l| residual[l] / count[l] as f64 <= tol)
+                    .then_some(level)
+            };
+            let Some(rate) = rate else {
+                next.push((s, mask));
+                min_cap = min_cap.min(cap);
+                continue;
+            };
+            rates[s as usize] = rate;
+            for l in on_contended(s, mask) {
+                residual[l] -= rate;
+                count[l] -= 1;
             }
         }
         invariant!(
@@ -1308,6 +1423,158 @@ mod tests {
             assert_eq!(inc.next_completion(), full.next_completion());
             assert_eq!(inc.skipped_fills(), 0, "{fairness:?}");
         }
+    }
+
+    /// Force any pending recompute, then check every active flow's rate
+    /// against [`reference_max_min`] to the bit, and that every link whose
+    /// fair share is below the contention cap `c` is flagged contended (a
+    /// link that fell back within its bound stays listed until a fill).
+    fn assert_matches_reference_with_contended(n: &mut Network, c: f64) {
+        n.ensure_rates();
+        n.assert_matches_reference();
+        for l in 0..n.capacity.len() {
+            let members = n.member_count[l];
+            if members > 0 && n.capacity[l] / (members as f64) < c {
+                assert!(n.in_contended[l] && n.contended.contains(&l), "link {l}");
+            }
+        }
+    }
+
+    /// Drain the earliest completion; returns the tokens drained.
+    fn drain_next(n: &mut Network) -> Vec<u64> {
+        let t = n.next_completion().expect("flows in flight");
+        n.advance_to(t);
+        n.take_completed().iter().map(|f| f.token).collect()
+    }
+
+    /// Node 0's leaf down-link carries 20 MB/s, the cap on every link.
+    const LEAF: f64 = 20.0e6;
+
+    #[test]
+    fn the_member_bound_is_the_fills_own_division() {
+        for (capacity, cap) in [
+            (LEAF, 10.0e6),
+            (LEAF, 10.0e6_f64.next_up()),
+            (LEAF, 10.0e6_f64.next_down()),
+            (80.0e6, 10.0e6 / 3.0),
+            (5.0e6, 10.0e6),
+            (1.0, 3.0e-7),
+        ] {
+            let m = max_members_covering(capacity, cap);
+            assert!(capacity / m as f64 >= cap, "{capacity}/{m} >= {cap}");
+            assert!(
+                capacity / ((m + 1) as f64) < cap,
+                "{capacity}/{} < {cap}",
+                m + 1
+            );
+        }
+        assert_eq!(max_members_covering(LEAF, 10.0e6), 2);
+        assert_eq!(max_members_covering(LEAF, 10.0e6_f64.next_up()), 1);
+        assert_eq!(max_members_covering(LEAF, f64::INFINITY), 0);
+    }
+
+    #[test]
+    fn a_share_equal_to_the_cap_is_uncontended() {
+        // Two flows into node 0 split its leaf down-link into exactly their
+        // cap; three into node 4 fall below it, so a fill runs. Only node
+        // 4's link is contended, and the flows into node 0 get the cap
+        // without entering the fill.
+        let c = 10.0e6;
+        let mut n = net(8);
+        for (tok, (src, dst)) in [(1, 0), (2, 0), (5, 4), (6, 4), (7, 4)]
+            .into_iter()
+            .enumerate()
+        {
+            n.add_flow(src, dst, 40_000, c, tok as u64);
+        }
+        assert_matches_reference_with_contended(&mut n, c);
+        assert_eq!(n.contended.len(), 1);
+        assert_eq!((n.flow_rate(0), n.flow_rate(1)), (Some(c), Some(c)));
+        assert_eq!(n.flow_rate(2), Some(LEAF / 3.0));
+        assert_eq!(n.skipped_fills(), 0);
+    }
+
+    #[test]
+    fn a_share_one_ulp_below_the_cap_is_contended() {
+        // The link is contended, so the fill runs; its share lies within
+        // the `1e-9` tolerance of the cap, so the cap round freezes both.
+        let c = 10.0e6_f64.next_up();
+        let mut n = net(8);
+        n.add_flow(1, 0, 20_000, c, 0);
+        n.add_flow(2, 0, 40_000, c, 1);
+        assert_matches_reference_with_contended(&mut n, c);
+        assert_eq!(n.contended.len(), 1);
+        assert_eq!(n.flow_rate(0), Some(c));
+        assert_eq!(n.skipped_fills(), 0);
+    }
+
+    #[test]
+    fn a_link_leaves_the_contended_set_and_rejoins_it() {
+        // Three flows into node 0 share its leaf down-link below the cap.
+        // The first drains: two remain at exactly the cap, so the link
+        // leaves the contended set. The drained flow crossed a contended
+        // link, so that recompute still fills, with no contended link at
+        // all. A fourth admission brings the link back.
+        let c = 10.0e6;
+        let mut n = net(8);
+        for (tok, (src, bytes)) in [(1, 10_000), (2, 40_000), (3, 40_000)]
+            .into_iter()
+            .enumerate()
+        {
+            n.add_flow(src, 0, bytes, c, tok as u64);
+        }
+        assert_matches_reference_with_contended(&mut n, c);
+        assert_eq!(n.contended.len(), 1);
+        assert_eq!(drain_next(&mut n), [0]);
+        assert_matches_reference_with_contended(&mut n, c);
+        assert!(n.contended.is_empty());
+        assert_eq!((n.recompute_count(), n.skipped_fills()), (2, 0));
+        assert_eq!(n.flow_rate(1), Some(c));
+        n.add_flow(1, 0, 40_000, c, 3);
+        assert_matches_reference_with_contended(&mut n, c);
+        assert_eq!(n.contended.len(), 1);
+        assert_eq!(n.flow_rate(3), Some(LEAF / 3.0));
+        while n.active_flows() > 0 {
+            drain_next(&mut n);
+            assert_matches_reference_with_contended(&mut n, c);
+        }
+    }
+
+    #[test]
+    fn a_rise_of_the_largest_cap_contends_every_used_link() {
+        // Under one 10 MB/s cap node 0's link, at exactly that share, is
+        // uncontended. A 20 MB/s flow elsewhere mixes the caps: from then
+        // on every used link is contended and every flow enters the fill.
+        let c = 10.0e6;
+        let mut n = net(8);
+        n.add_flow(1, 0, 20_000, c, 0);
+        n.add_flow(2, 0, 40_000, c, 1);
+        assert_matches_reference_with_contended(&mut n, c);
+        assert!(n.contended.is_empty());
+        n.add_flow(4, 5, 40_000, 2.0 * c, 2);
+        assert_matches_reference_with_contended(&mut n, f64::INFINITY);
+        assert_eq!(n.contended.len(), 5, "two leaf links per route, one shared");
+        assert_eq!(n.flow_rate(2), Some(2.0 * c));
+        while n.active_flows() > 0 {
+            drain_next(&mut n);
+            assert_matches_reference_with_contended(&mut n, f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn a_share_a_few_ulps_above_the_level_waits_for_its_own_round() {
+        // A 4→5 flow capped a few ulps below 10 MB/s sets the level, and
+        // node 0's link, split 10 MB/s each by two 20 MB/s flows, lies
+        // within the `1e-9` tolerance above it. The cap round freezes
+        // only the capped flow; the next round's level is the share.
+        let low = 10.0e6_f64.next_down().next_down().next_down();
+        let mut n = net(8);
+        n.add_flow(1, 0, 40_000, LEAF, 0);
+        n.add_flow(2, 0, 40_000, LEAF, 1);
+        n.add_flow(4, 5, 40_000, low, 2);
+        assert_matches_reference_with_contended(&mut n, f64::INFINITY);
+        assert_eq!(n.flow_rate(0), Some(10.0e6));
+        assert_eq!(n.flow_rate(2), Some(low));
     }
 
     /// Both solvers agree bitwise on a contended mixed workload on a

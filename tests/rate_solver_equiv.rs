@@ -91,26 +91,27 @@ fn step_strategy(n: usize) -> impl Strategy<Value = Step> {
         })
 }
 
+/// The software rate cap every flow of a whole simulation gets.
+const CAP: f64 = 10.0e6;
+
+/// The `(low, high)` cap pairs the random schedules run under: one cap for
+/// every flow, and mixed caps, where flows marked `low_cap` get 35 % of
+/// the software rate, so the fill's cap rounds and link rounds interleave
+/// (the engine gives every flow one cap, so whole simulations never do).
+const SCHEDULE_CAPS: [(f64, f64); 2] = [(CAP, CAP), (0.35 * CAP, CAP)];
+
 /// Drive both solvers through the same schedule on an `n`-node tree,
-/// asserting equivalence at every observation point. With `mixed_caps`,
-/// flows marked `low_cap` get 35 % of the software rate, so the fill's cap
-/// rounds and link rounds interleave (the engine gives every flow one cap,
-/// so whole simulations never do).
+/// asserting equivalence at every observation point. Flows marked
+/// `low_cap` get `caps.0`, the others `caps.1`.
 fn run_schedule(
     fairness: FairnessModel,
     n: usize,
     steps: &[Step],
-    mixed_caps: bool,
+    caps: (f64, f64),
 ) -> Result<(), TestCaseError> {
     let pi = params_for(fairness, RateSolver::Incremental, false);
     let pf = params_for(fairness, RateSolver::Full, false);
-    let cap_of = |low_cap: bool| {
-        if mixed_caps && low_cap {
-            0.35 * pi.flow_cap()
-        } else {
-            pi.flow_cap()
-        }
-    };
+    let cap_of = |low_cap: bool| if low_cap { caps.0 } else { caps.1 };
     let mut inc = Network::new(FatTree::new(n), &pi);
     let mut full = Network::new(FatTree::new(n), &pf);
     let mut now = SimTime::ZERO;
@@ -179,8 +180,8 @@ proptest! {
     fn max_min_solvers_are_bit_identical(
         steps in prop::collection::vec(step_strategy(32), 1..24),
     ) {
-        for mixed_caps in [false, true] {
-            run_schedule(FairnessModel::MaxMin, 32, &steps, mixed_caps)?;
+        for caps in SCHEDULE_CAPS {
+            run_schedule(FairnessModel::MaxMin, 32, &steps, caps)?;
         }
     }
 
@@ -189,8 +190,8 @@ proptest! {
     fn equal_share_solvers_are_bit_identical(
         steps in prop::collection::vec(step_strategy(32), 1..24),
     ) {
-        for mixed_caps in [false, true] {
-            run_schedule(FairnessModel::EqualShare, 32, &steps, mixed_caps)?;
+        for caps in SCHEDULE_CAPS {
+            run_schedule(FairnessModel::EqualShare, 32, &steps, caps)?;
         }
     }
 
@@ -200,8 +201,8 @@ proptest! {
     fn max_min_solvers_are_bit_identical_at_64(
         steps in prop::collection::vec(step_strategy(64), 1..16),
     ) {
-        for mixed_caps in [false, true] {
-            run_schedule(FairnessModel::MaxMin, 64, &steps, mixed_caps)?;
+        for caps in SCHEDULE_CAPS {
+            run_schedule(FairnessModel::MaxMin, 64, &steps, caps)?;
         }
     }
 
@@ -384,6 +385,111 @@ fn shares_within_the_tolerance_freeze_at_the_lower_level_in_both_solvers() {
         done.push(t);
     }
     assert_eq!(done[0], done[1]);
+}
+
+/// Fixed schedules at the edges of the contended set, on an 8-node tree
+/// whose every link carries 20 MB/s. A link is contended when its fair
+/// share is below the one cap; the fill runs only over those links and
+/// the flows that cross them, and hands every other flow the cap. Each
+/// case compares every live rate with the full solver's after each step.
+#[test]
+fn contended_set_edges_are_bit_identical_across_solvers() {
+    let admit = |flows: &[(usize, usize, u64, bool)]| Step::Admit {
+        delay_ns: 0,
+        flows: flows.to_vec(),
+    };
+    let into_0 = |bytes: [u64; 3]| {
+        admit(&[
+            (1, 0, bytes[0], false),
+            (2, 0, bytes[1], false),
+            (3, 0, bytes[2], false),
+        ])
+    };
+    let drains = |k: usize| vec![Step::Drain; k];
+    let cases: Vec<(&str, (f64, f64), Vec<Step>)> = vec![
+        (
+            // Node 0's link at exactly the cap stays out of the fill that
+            // node 4's three flows start.
+            "a share equal to the cap",
+            (CAP, CAP),
+            [
+                vec![admit(&[(1, 0, 20_000, false), (2, 0, 40_000, false)])],
+                vec![admit(&[
+                    (5, 4, 30_000, false),
+                    (6, 4, 50_000, false),
+                    (7, 4, 60_000, false),
+                ])],
+                drains(5),
+            ]
+            .concat(),
+        ),
+        (
+            "a share one ulp below the cap",
+            (CAP.next_up(), CAP.next_up()),
+            [
+                vec![admit(&[(1, 0, 20_000, false), (2, 0, 40_000, false)])],
+                drains(2),
+            ]
+            .concat(),
+        ),
+        (
+            // Three flows contend node 0's link; the first drains and
+            // leaves two at exactly the cap (that fill has no contended
+            // link, but runs: the drained flow crossed one); a fourth
+            // brings the link back.
+            "a link leaves the contended set and rejoins it",
+            (CAP, CAP),
+            [
+                vec![into_0([10_000, 40_000, 40_000]), Step::Drain],
+                vec![admit(&[(1, 0, 40_000, false)])],
+                drains(3),
+            ]
+            .concat(),
+        ),
+        (
+            "a fill with no contended link",
+            (CAP, CAP),
+            [vec![into_0([10_000, 40_000, 40_000])], drains(3)].concat(),
+        ),
+        (
+            // A 20 MB/s flow joins 10 MB/s ones mid-run.
+            "a rise of the largest cap",
+            (CAP, 2.0 * CAP),
+            [
+                vec![admit(&[
+                    (1, 0, 20_000, true),
+                    (2, 0, 40_000, true),
+                    (5, 4, 30_000, true),
+                ])],
+                vec![
+                    Step::Drain,
+                    admit(&[(6, 7, 80_000, false), (3, 0, 20_000, true)]),
+                ],
+                drains(4),
+            ]
+            .concat(),
+        ),
+        (
+            // After the cap round that freezes the 4→5 flow, node 0's
+            // fair share sits a few ulps above that water level, inside the
+            // `1e-9` tolerance: it must get its own round at its share.
+            "a share a few ulps above the level after a cap round",
+            (CAP.next_down().next_down().next_down(), 2.0 * CAP),
+            [
+                vec![admit(&[
+                    (1, 0, 40_000, false),
+                    (2, 0, 40_000, false),
+                    (4, 5, 40_000, true),
+                ])],
+                drains(3),
+            ]
+            .concat(),
+        ),
+    ];
+    for (what, caps, steps) in cases {
+        run_schedule(FairnessModel::MaxMin, 8, &steps, caps)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+    }
 }
 
 /// BEX, PEX and GS at 256 nodes and 1 KB, the shapes where the fill skip
