@@ -301,7 +301,7 @@ const ADVISE_DENSITIES: [f64; 3] = [0.1, 0.25, 0.75];
 
 /// Cold advice at 256 nodes, as the service answers a first-seen key:
 /// every exchange size of the query generator's trace, then an irregular
-/// support at each of [`ADVISE_DENSITIES`] (generated, reduced to its
+/// support at each of `ADVISE_DENSITIES` (generated, reduced to its
 /// statistics, priced). Each call gets a fresh [`Advisor`], so none hits
 /// a cache. `events` counts the advices of one pass; the best of
 /// `20 × reps` passes is reported. `makespan_ms` sums the recommended

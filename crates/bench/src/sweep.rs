@@ -3,7 +3,7 @@
 //! The `report` binary and the regression tests both walk the same grid:
 //! algorithm × message size × machine size (× density for the irregular
 //! tables). Every cell is an independent simulation — each worker owns its
-//! own [`Simulation`] and [`cm5_sim::network::Network`], so cells can run
+//! own [`cm5_sim::Simulation`] and [`cm5_sim::network::Network`], so cells can run
 //! on a pool of threads without sharing mutable state.
 //!
 //! The cells run on [`SweepRunner`], the workspace's one worker pool

@@ -41,7 +41,7 @@ pub fn lower(schedule: &Schedule) -> Vec<OpProgram> {
 }
 
 /// A lowered schedule plus per-op provenance, the metadata the static
-/// certifier ([`cm5-verify`]'s abstract interpreter) needs to report
+/// certifier (`cm5-verify`'s abstract interpreter) needs to report
 /// per-step critical paths: `step_of[node][i]` is the schedule step that
 /// produced op `i` of `programs[node]`. The trailing `WaitAll` of async
 /// lowering belongs to no step and maps to `schedule.num_steps()`.

@@ -1,4 +1,4 @@
-//! Typed spans derived from the flat [`TraceEvent`] stream.
+//! Typed spans derived from the flat [`cm5_sim::TraceEvent`] stream.
 //!
 //! The engine records point events (message start/done, blocked-end,
 //! collective done, node done). This module pairs them into *spans* — the

@@ -205,7 +205,10 @@ impl Request {
             "irregular" => {
                 check_fields(q, &["kind", "n", "density", "bytes", "seed"], "query")?;
                 let n = check_n(field_usize(q, "n", "query")?)?;
-                let density = q.get("density").and_then(Json::as_f64).unwrap_or(0.25);
+                let density = match q.get("density") {
+                    None => 0.25,
+                    Some(v) => v.as_f64().ok_or("'density' must be a number")?,
+                };
                 if !(0.0..=1.0).contains(&density) {
                     return Err(format!("density must be in 0..=1, got {density}"));
                 }
@@ -240,10 +243,13 @@ impl Request {
             "tenants" => {
                 check_fields(q, &["kind", "shared_n", "placement", "tenants"], "query")?;
                 let shared_n = check_n(field_usize(q, "shared_n", "query")?)?;
-                let placement = match q.get("placement").and_then(Json::as_str) {
+                let placement = match q.get("placement") {
                     None => Placement::Subtree,
-                    Some(s) => Placement::parse(s)
-                        .ok_or_else(|| format!("unknown placement '{s}' (subtree | striped)"))?,
+                    Some(v) => {
+                        let s = v.as_str().ok_or("'placement' must be a string")?;
+                        Placement::parse(s)
+                            .ok_or_else(|| format!("unknown placement '{s}' (subtree | striped)"))?
+                    }
                 };
                 let items = q
                     .get("tenants")
@@ -426,8 +432,10 @@ mod tests {
             r#"{"id":1,"query":{"kind":"exchange","n":8,"byte":1}}"#,
             r#"{"id":1,"query":{"kind":"exchange","n":8},"simlate":true}"#,
             r#"{"id":1,"query":{"kind":"irregular","n":8,"density":1.5}}"#,
+            r#"{"id":1,"query":{"kind":"irregular","n":8,"density":"NaN"}}"#,
             r#"{"id":1,"query":{"kind":"tenants","shared_n":64,"tenants":[]}}"#,
             r#"{"id":1,"query":{"kind":"tenants","shared_n":64,"placement":"x","tenants":[{"name":"a","n":4}]}}"#,
+            r#"{"id":1,"query":{"kind":"tenants","shared_n":64,"placement":1,"tenants":[{"name":"a","n":4}]}}"#,
         ] {
             assert!(Request::parse_line(line).is_err(), "{line:?} should fail");
         }

@@ -122,6 +122,9 @@ pub(crate) struct LineRejections {
     pub(crate) too_long: AtomicU64,
     /// Lines that are not valid UTF-8 (the connection keeps serving).
     pub(crate) not_utf8: AtomicU64,
+    /// Connections refused because no thread could be started to serve
+    /// them (the accept loop keeps going).
+    pub(crate) no_thread: AtomicU64,
 }
 
 /// Lock `m`, recovering the guard when a thread panicked while holding it,
@@ -129,7 +132,7 @@ pub(crate) struct LineRejections {
 /// service guards a memo map, a histogram or the flight ring, and each
 /// update to them (an insert, a record, a push) leaves the value valid at
 /// every step: a panic midway loses at most that one entry or sample.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -783,6 +786,10 @@ impl Service {
         m.counters.insert(
             "tcp_rejected_not_utf8",
             self.rejected.not_utf8.load(Ordering::Relaxed),
+        );
+        m.counters.insert(
+            "tcp_rejected_no_thread",
+            self.rejected.no_thread.load(Ordering::Relaxed),
         );
         {
             let f = lock(&self.flight);

@@ -14,7 +14,9 @@
 //! without a newline gets one error line and the connection closes, so
 //! no client can grow the server's memory without bound. A line that is
 //! not valid UTF-8 gets one error line and the connection keeps serving.
-//! Both rejections are counted in the live `/metrics` snapshot.
+//! A connection the OS will not start a thread for gets one error line
+//! and is closed, and the accept loop goes on. All three rejections are
+//! counted in the live `/metrics` snapshot.
 //!
 //! Two extras on top of the line protocol:
 //!
@@ -37,7 +39,7 @@ use std::time::Duration;
 use cm5_obs::prometheus_text;
 
 use crate::response::error_line;
-use crate::service::Service;
+use crate::service::{lock, Service};
 
 /// How often blocked reads wake up to check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
@@ -66,7 +68,7 @@ impl TcpHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        let conns = std::mem::take(&mut *self.conns.lock().expect("conn registry poisoned"));
+        let conns = std::mem::take(&mut *lock(&self.conns));
         for c in conns {
             let _ = c.join();
         }
@@ -89,11 +91,10 @@ pub fn spawn_tcp(service: Arc<Service>, addr: &str) -> std::io::Result<TcpHandle
         while !stop2.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let service = Arc::clone(&service);
-                    let stop = Arc::clone(&stop2);
-                    let handle =
-                        std::thread::spawn(move || serve_connection(&service, stream, &stop));
-                    let mut conns = conns2.lock().expect("conn registry poisoned");
+                    let Some(handle) = spawn_connection(&service, stream, &stop2) else {
+                        continue;
+                    };
+                    let mut conns = lock(&conns2);
                     // Finished threads need no join; dropping their
                     // handles keeps the registry at the live connections.
                     conns.retain(|c| !c.is_finished());
@@ -112,6 +113,41 @@ pub fn spawn_tcp(service: Arc<Service>, addr: &str) -> std::io::Result<TcpHandle
         accept_thread: Some(accept_thread),
         conns,
     })
+}
+
+/// Serve `stream` on a thread of its own. When the OS refuses the
+/// thread, [`refuse_connection`] answers through a clone of the stream
+/// kept for that, and `None` lets the accept loop go on.
+fn spawn_connection(
+    service: &Arc<Service>,
+    stream: TcpStream,
+    stop: &Arc<AtomicBool>,
+) -> Option<JoinHandle<()>> {
+    let kept = stream.try_clone();
+    let (conn_service, stop) = (Arc::clone(service), Arc::clone(stop));
+    match std::thread::Builder::new().spawn(move || serve_connection(&conn_service, stream, &stop))
+    {
+        Ok(handle) => Some(handle),
+        Err(e) => {
+            refuse_connection(service, kept, &e);
+            None
+        }
+    }
+}
+
+/// Count a connection no thread could be started for and, if the stream
+/// was cloned, send it one error line with id 0, then EOF.
+fn refuse_connection(service: &Service, stream: std::io::Result<TcpStream>, err: &std::io::Error) {
+    service.rejected.no_thread.fetch_add(1, Ordering::Relaxed);
+    if let Ok(mut stream) = stream {
+        let mut response = error_line(
+            0,
+            &format!("server cannot start a connection thread: {err}"),
+        );
+        response.push('\n');
+        let _ = stream.write_all(response.as_bytes());
+        let _ = stream.shutdown(Shutdown::Write);
+    }
 }
 
 fn serve_connection(service: &Service, stream: TcpStream, stop: &AtomicBool) {
@@ -446,5 +482,33 @@ mod tests {
         // to flush.
         assert_eq!(service.metrics().counters["requests"], 1);
         drop(conn);
+    }
+
+    #[test]
+    fn a_refused_connection_thread_gets_one_error_line_and_is_counted() {
+        // The refusal path on a loopback pair, without running the OS out
+        // of threads: the client reads one error line with id 0, then EOF.
+        let service = Service::new(ServiceConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let err = std::io::Error::new(ErrorKind::WouldBlock, "thread limit reached");
+        refuse_connection(&service, Ok(server), &err);
+        let mut reader = BufReader::new(client);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let doc = Json::parse(&reply).unwrap();
+        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(0));
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("thread limit reached"), "{error}");
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "{reply}");
+        let live = service.live_metrics();
+        assert_eq!(live.counters["tcp_rejected_no_thread"], 1);
+        assert_eq!(live.counters["tcp_rejected_not_utf8"], 0);
     }
 }

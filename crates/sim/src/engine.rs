@@ -27,7 +27,7 @@ use bytes::Bytes;
 
 use crate::error::SimError;
 use crate::matcher::{CollKind, Matcher, Posted, RecvAny};
-use crate::network::{Flow, Network};
+use crate::network::Network;
 use crate::ops::{Action, OpProgram, OpSource, ProgramSource, ReduceOp, Resume};
 use crate::params::{MachineParams, RateSolver, SendMode};
 use crate::stats::{NodeReport, SimPerf, SimReport, TraceEvent, TraceKind, TraceRing};
@@ -282,8 +282,8 @@ struct Engine<'a, S: ProgramSource> {
     /// so the eventual NetCheck occupies exactly the queue position the
     /// eager per-mutation path would have given it.
     pending_net_seq: u64,
-    /// Reused drain buffer for completed flows.
-    completed_buf: Vec<Flow>,
+    /// Reused drain buffer for the tokens of completed flows.
+    completed_buf: Vec<u64>,
     events_processed: u64,
     started: Instant,
     done_count: usize,
@@ -801,10 +801,9 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
     ) -> u64 {
         let msg_id = self.msg_seq;
         self.msg_seq += 1;
-        let cap = self.params.flow_cap();
         let wire = self.params.wire_bytes(bytes);
         self.network.advance_to(t);
-        self.network.add_flow(src, dst, wire, cap, msg_id);
+        self.network.add_flow(src, dst, wire, msg_id);
         self.messages.insert(
             msg_id,
             MsgInfo {
@@ -898,14 +897,14 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         self.network.advance_to(t);
         let mut completed = std::mem::take(&mut self.completed_buf);
         self.network.drain_completed_into(&mut completed);
-        for flow in completed.drain(..) {
+        for token in completed.drain(..) {
             let msg = self
                 .messages
-                .remove(&flow.token)
+                .remove(&token)
                 .expect("completed flow without message");
             self.messages_done += 1;
             self.payload_bytes += msg.bytes;
-            self.wire_bytes += flow.wire_bytes;
+            self.wire_bytes += self.params.wire_bytes(msg.bytes);
             self.trace(
                 t,
                 TraceKind::MsgDone {
@@ -929,7 +928,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             // under eager the message may land in the mailbox.
             if msg.eager && !msg.recv_claimed {
                 self.buf_charge(msg.dst, msg.bytes);
-                self.mailbox.insert(flow.token, msg);
+                self.mailbox.insert(token, msg);
             } else {
                 let recv_at = t + self.params.wire_latency;
                 let recv_resume = Resume {

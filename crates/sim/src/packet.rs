@@ -154,8 +154,8 @@ pub fn simulate_flows(
             (None, None) => break,
             (Some(ts), Some(td)) if td <= ts => {
                 net.advance_to(td);
-                for flow in net.take_completed() {
-                    delivered[flow.token as usize] = td + params.wire_latency;
+                for token in net.take_completed() {
+                    delivered[token as usize] = td + params.wire_latency;
                     active -= 1;
                 }
             }
@@ -166,21 +166,15 @@ pub fn simulate_flows(
                         break;
                     }
                     let m = messages[i];
-                    net.add_flow(
-                        m.src,
-                        m.dst,
-                        params.wire_bytes(m.bytes),
-                        params.flow_cap(),
-                        i as u64,
-                    );
+                    net.add_flow(m.src, m.dst, params.wire_bytes(m.bytes), i as u64);
                     active += 1;
                     pending.next();
                 }
             }
             (None, Some(td)) => {
                 net.advance_to(td);
-                for flow in net.take_completed() {
-                    delivered[flow.token as usize] = td + params.wire_latency;
+                for token in net.take_completed() {
+                    delivered[token as usize] = td + params.wire_latency;
                     active -= 1;
                 }
             }

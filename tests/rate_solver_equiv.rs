@@ -61,10 +61,10 @@ fn params_for(fairness: FairnessModel, solver: RateSolver, eager: bool) -> Machi
 /// completion instant.
 #[derive(Debug, Clone)]
 enum Step {
-    /// Admit flows (src, dst, wire_bytes, low_cap) at `now + delay_ns`.
+    /// Admit flows (src, dst, wire_bytes) at `now + delay_ns`.
     Admit {
         delay_ns: u64,
-        flows: Vec<(usize, usize, u64, bool)>,
+        flows: Vec<(usize, usize, u64)>,
     },
     /// Advance to the next completion and take completed flows.
     Drain,
@@ -77,8 +77,7 @@ fn step_strategy(n: usize) -> impl Strategy<Value = Step> {
         0u8..5,
         0u64..2_000_000,
         prop::collection::vec(
-            (0..n, 0..n, 20u64..80_000, any::<bool>())
-                .prop_filter("distinct endpoints", |(a, b, _, _)| a != b),
+            (0..n, 0..n, 20u64..80_000).prop_filter("distinct endpoints", |(a, b, _)| a != b),
             1..6,
         ),
     )
@@ -91,27 +90,29 @@ fn step_strategy(n: usize) -> impl Strategy<Value = Step> {
         })
 }
 
-/// The software rate cap every flow of a whole simulation gets.
+/// The default software rate cap, 10 MB/s.
 const CAP: f64 = 10.0e6;
 
-/// The `(low, high)` cap pairs the random schedules run under: one cap for
-/// every flow, and mixed caps, where flows marked `low_cap` get 35 % of
-/// the software rate, so the fill's cap rounds and link rounds interleave
-/// (the engine gives every flow one cap, so whole simulations never do).
-const SCHEDULE_CAPS: [(f64, f64); 2] = [(CAP, CAP), (0.35 * CAP, CAP)];
+/// The network caps (`software_bandwidth`) the random schedules run
+/// under: 35 % of the software rate, where the cap binds before most
+/// links; the rate itself, where two flows on a leaf link tie it; 1 B/s
+/// above it, where that link binds just below the cap; and the 20 MB/s
+/// leaf rate, where only links bind.
+const SCHEDULE_CAPS: [f64; 4] = [0.35 * CAP, CAP, CAP + 1.0, 20.0e6];
 
-/// Drive both solvers through the same schedule on an `n`-node tree,
-/// asserting equivalence at every observation point. Flows marked
-/// `low_cap` get `caps.0`, the others `caps.1`.
+/// Drive both solvers through the same schedule on an `n`-node tree whose
+/// cap is `software_bandwidth`, asserting equivalence at every
+/// observation point.
 fn run_schedule(
     fairness: FairnessModel,
     n: usize,
     steps: &[Step],
-    caps: (f64, f64),
+    software_bandwidth: f64,
 ) -> Result<(), TestCaseError> {
-    let pi = params_for(fairness, RateSolver::Incremental, false);
-    let pf = params_for(fairness, RateSolver::Full, false);
-    let cap_of = |low_cap: bool| if low_cap { caps.0 } else { caps.1 };
+    let mut pi = params_for(fairness, RateSolver::Incremental, false);
+    pi.software_bandwidth = software_bandwidth;
+    let mut pf = pi.clone();
+    pf.rate_solver = RateSolver::Full;
     let mut inc = Network::new(FatTree::new(n), &pi);
     let mut full = Network::new(FatTree::new(n), &pf);
     let mut now = SimTime::ZERO;
@@ -123,11 +124,11 @@ fn run_schedule(
                 now += SimDuration::from_nanos(*delay_ns);
                 inc.advance_to(now);
                 full.advance_to(now);
-                for &(src, dst, bytes, low_cap) in flows {
+                for &(src, dst, bytes) in flows {
                     let tok = next_token;
                     next_token += 1;
-                    inc.add_flow(src, dst, bytes, cap_of(low_cap), tok);
-                    full.add_flow(src, dst, bytes, cap_of(low_cap), tok);
+                    inc.add_flow(src, dst, bytes, tok);
+                    full.add_flow(src, dst, bytes, tok);
                     live.push(tok);
                 }
             }
@@ -139,10 +140,8 @@ fn run_schedule(
                 now = t;
                 inc.advance_to(now);
                 full.advance_to(now);
-                let di = inc.take_completed();
-                let df = full.take_completed();
-                let toks_i: Vec<u64> = di.iter().map(|f| f.token).collect();
-                let toks_f: Vec<u64> = df.iter().map(|f| f.token).collect();
+                let toks_i = inc.take_completed();
+                let toks_f = full.take_completed();
                 prop_assert_eq!(&toks_i, &toks_f, "completion order diverged");
                 prop_assert!(!toks_i.is_empty(), "drain at a completion instant");
                 live.retain(|t| !toks_i.contains(t));
@@ -161,9 +160,7 @@ fn run_schedule(
         prop_assert_eq!(Some(t), full.next_completion());
         inc.advance_to(t);
         full.advance_to(t);
-        let ci = inc.take_completed();
-        let cf = full.take_completed();
-        prop_assert_eq!(ci.len(), cf.len());
+        prop_assert_eq!(inc.take_completed(), full.take_completed());
     }
     prop_assert!(full.next_completion().is_none());
     prop_assert_eq!(inc.bytes_per_level(), full.bytes_per_level());
@@ -174,14 +171,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random add/advance/drain schedules: max-min rates, completion order,
-    /// and byte accounting are bit-identical across solvers, with one cap
-    /// for every flow and with mixed caps.
+    /// and byte accounting are bit-identical across solvers, under every
+    /// network cap of `SCHEDULE_CAPS`.
     #[test]
     fn max_min_solvers_are_bit_identical(
         steps in prop::collection::vec(step_strategy(32), 1..24),
     ) {
-        for caps in SCHEDULE_CAPS {
-            run_schedule(FairnessModel::MaxMin, 32, &steps, caps)?;
+        for cap in SCHEDULE_CAPS {
+            run_schedule(FairnessModel::MaxMin, 32, &steps, cap)?;
         }
     }
 
@@ -190,8 +187,8 @@ proptest! {
     fn equal_share_solvers_are_bit_identical(
         steps in prop::collection::vec(step_strategy(32), 1..24),
     ) {
-        for caps in SCHEDULE_CAPS {
-            run_schedule(FairnessModel::EqualShare, 32, &steps, caps)?;
+        for cap in SCHEDULE_CAPS {
+            run_schedule(FairnessModel::EqualShare, 32, &steps, cap)?;
         }
     }
 
@@ -201,8 +198,8 @@ proptest! {
     fn max_min_solvers_are_bit_identical_at_64(
         steps in prop::collection::vec(step_strategy(64), 1..16),
     ) {
-        for caps in SCHEDULE_CAPS {
-            run_schedule(FairnessModel::MaxMin, 64, &steps, caps)?;
+        for cap in SCHEDULE_CAPS {
+            run_schedule(FairnessModel::MaxMin, 64, &steps, cap)?;
         }
     }
 
@@ -371,10 +368,11 @@ fn shares_within_the_tolerance_freeze_at_the_lower_level_in_both_solvers() {
     let mut done = Vec::new();
     for solver in [RateSolver::Incremental, RateSolver::Full] {
         let mut p = params_for(FairnessModel::MaxMin, solver, false);
+        p.software_bandwidth = 20.0e6;
         p.level1_bandwidth = 10.0e6 * (1.0 + 5e-11);
         let mut net = Network::new(FatTree::new(16), &p);
         for (tok, &(src, dst)) in flows.iter().enumerate() {
-            net.add_flow(src, dst, 1 << 30, 20.0e6, tok as u64);
+            net.add_flow(src, dst, 1 << 30, tok as u64);
         }
         for tok in 0..flows.len() as u64 {
             assert_eq!(net.flow_rate(tok), Some(10.0e6), "{solver:?} token {tok}");
@@ -389,48 +387,35 @@ fn shares_within_the_tolerance_freeze_at_the_lower_level_in_both_solvers() {
 
 /// Fixed schedules at the edges of the contended set, on an 8-node tree
 /// whose every link carries 20 MB/s. A link is contended when its fair
-/// share is below the one cap; the fill runs only over those links and
-/// the flows that cross them, and hands every other flow the cap. Each
-/// case compares every live rate with the full solver's after each step.
+/// share is below the network's cap; the fill runs only over those links
+/// and the flows that cross them, and hands every other flow the cap.
+/// Each case compares every live rate with the full solver's after each
+/// step.
 #[test]
 fn contended_set_edges_are_bit_identical_across_solvers() {
-    let admit = |flows: &[(usize, usize, u64, bool)]| Step::Admit {
+    let admit = |flows: &[(usize, usize, u64)]| Step::Admit {
         delay_ns: 0,
         flows: flows.to_vec(),
     };
-    let into_0 = |bytes: [u64; 3]| {
-        admit(&[
-            (1, 0, bytes[0], false),
-            (2, 0, bytes[1], false),
-            (3, 0, bytes[2], false),
-        ])
-    };
+    let into_0 = |bytes: [u64; 3]| admit(&[(1, 0, bytes[0]), (2, 0, bytes[1]), (3, 0, bytes[2])]);
     let drains = |k: usize| vec![Step::Drain; k];
-    let cases: Vec<(&str, (f64, f64), Vec<Step>)> = vec![
+    let cases: Vec<(&str, f64, Vec<Step>)> = vec![
         (
             // Node 0's link at exactly the cap stays out of the fill that
             // node 4's three flows start.
             "a share equal to the cap",
-            (CAP, CAP),
+            CAP,
             [
-                vec![admit(&[(1, 0, 20_000, false), (2, 0, 40_000, false)])],
-                vec![admit(&[
-                    (5, 4, 30_000, false),
-                    (6, 4, 50_000, false),
-                    (7, 4, 60_000, false),
-                ])],
+                vec![admit(&[(1, 0, 20_000), (2, 0, 40_000)])],
+                vec![admit(&[(5, 4, 30_000), (6, 4, 50_000), (7, 4, 60_000)])],
                 drains(5),
             ]
             .concat(),
         ),
         (
             "a share one ulp below the cap",
-            (CAP.next_up(), CAP.next_up()),
-            [
-                vec![admit(&[(1, 0, 20_000, false), (2, 0, 40_000, false)])],
-                drains(2),
-            ]
-            .concat(),
+            CAP.next_up(),
+            [vec![admit(&[(1, 0, 20_000), (2, 0, 40_000)])], drains(2)].concat(),
         ),
         (
             // Three flows contend node 0's link; the first drains and
@@ -438,56 +423,22 @@ fn contended_set_edges_are_bit_identical_across_solvers() {
             // link, but runs: the drained flow crossed one); a fourth
             // brings the link back.
             "a link leaves the contended set and rejoins it",
-            (CAP, CAP),
+            CAP,
             [
                 vec![into_0([10_000, 40_000, 40_000]), Step::Drain],
-                vec![admit(&[(1, 0, 40_000, false)])],
+                vec![admit(&[(1, 0, 40_000)])],
                 drains(3),
             ]
             .concat(),
         ),
         (
             "a fill with no contended link",
-            (CAP, CAP),
+            CAP,
             [vec![into_0([10_000, 40_000, 40_000])], drains(3)].concat(),
         ),
-        (
-            // A 20 MB/s flow joins 10 MB/s ones mid-run.
-            "a rise of the largest cap",
-            (CAP, 2.0 * CAP),
-            [
-                vec![admit(&[
-                    (1, 0, 20_000, true),
-                    (2, 0, 40_000, true),
-                    (5, 4, 30_000, true),
-                ])],
-                vec![
-                    Step::Drain,
-                    admit(&[(6, 7, 80_000, false), (3, 0, 20_000, true)]),
-                ],
-                drains(4),
-            ]
-            .concat(),
-        ),
-        (
-            // After the cap round that freezes the 4→5 flow, node 0's
-            // fair share sits a few ulps above that water level, inside the
-            // `1e-9` tolerance: it must get its own round at its share.
-            "a share a few ulps above the level after a cap round",
-            (CAP.next_down().next_down().next_down(), 2.0 * CAP),
-            [
-                vec![admit(&[
-                    (1, 0, 40_000, false),
-                    (2, 0, 40_000, false),
-                    (4, 5, 40_000, true),
-                ])],
-                drains(3),
-            ]
-            .concat(),
-        ),
     ];
-    for (what, caps, steps) in cases {
-        run_schedule(FairnessModel::MaxMin, 8, &steps, caps)
+    for (what, cap, steps) in cases {
+        run_schedule(FairnessModel::MaxMin, 8, &steps, cap)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
     }
 }
