@@ -636,8 +636,8 @@ fn perf(o: &Opts) {
         "Simulator performance — host cost of the hot loop (opt-in)",
         "not in the paper; measures the simulator itself. Small grids: \
          incremental solver vs the --rates full oracle. Large grids \
-         (1024-16384 nodes) and bex_256 (fill-bound): incremental solver, \
-         no oracle. advise_256: cold advice, events = advices",
+         (1024-16384 nodes), bex_256 (fill-bound) and lex_256 (dispatch-bound): \
+         incremental solver, no oracle. advise_256: cold advice, events = advices",
     );
     let quick = o.quick;
     let reps = if quick { 1 } else { 3 };

@@ -12,6 +12,8 @@
 //!
 //! `bex_256` times the max-min fill itself: BEX at 256 nodes, the most
 //! contended of the paper's exchanges, where the fill is most of the run.
+//! `lex_256` times event dispatch alone: LEX at 256 nodes keeps at most two
+//! flows alive, so no fill has work to do.
 //! One more cell times the advice layer rather than the simulator: cold
 //! advice at 256 nodes, where every call prices every candidate.
 //!
@@ -205,6 +207,19 @@ pub fn bex_256() -> PerfCase {
     }
 }
 
+/// LEX at 256 nodes and 1 KB (the benchmark's `lex256` cell): about 343 k
+/// events with at most two flows alive, so the run is event dispatch, not
+/// rate recomputes. No oracle, like [`bex_256`].
+pub fn lex_256() -> PerfCase {
+    PerfCase {
+        name: "lex_256",
+        what: "linear exchange (dispatch-bound, at most 2 flows)",
+        n: 256,
+        programs: lower(&ExchangeAlg::Lex.schedule(256, 1024)),
+        oracle: false,
+    }
+}
+
 fn run_with(case: &PerfCase, solver: RateSolver) -> SimReport {
     let mut params = MachineParams::cm5_1992();
     params.rate_solver = solver;
@@ -284,13 +299,14 @@ pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
 }
 
 /// Run the whole suite: the standard grid at `reps` repetitions, then
-/// [`bex_256`] at no fewer than 3 (its floor sits close to its reference,
-/// and one run on a noisy host reads up to a third slow), then the large-N
+/// [`bex_256`] and [`lex_256`] at no fewer than 3 (their floors sit close
+/// to their references, and one run on a noisy host reads up to a third
+/// slow), then the large-N
 /// grid at one repetition each (a 16384-node cell is its own noise
 /// damping — the run is long enough to average out the scheduler).
 pub fn run_perf_suite(reps: u32) -> Vec<PerfMeasurement> {
     let mut ms = run_cases(&perf_cases(), reps);
-    ms.extend(run_cases(&[bex_256()], reps.max(3)));
+    ms.extend(run_cases(&[bex_256(), lex_256()], reps.max(3)));
     ms.extend(run_cases(&perf_cases_large(), 1));
     ms.push(run_advise_cold(reps));
     ms
@@ -493,6 +509,15 @@ mod tests {
         // Shape only: the run is release-build territory.
         let case = bex_256();
         assert_eq!((case.name, case.n, case.oracle), ("bex_256", 256, false));
+        let sends = |p: &OpProgram| p.iter().filter(|op| matches!(op, Op::Send { .. })).count();
+        assert!(case.programs.iter().all(|p| sends(p) == 255));
+    }
+
+    #[test]
+    fn the_dispatch_cell_is_a_full_lex_exchange() {
+        // Shape only, like the fill cell.
+        let case = lex_256();
+        assert_eq!((case.name, case.n, case.oracle), ("lex_256", 256, false));
         let sends = |p: &OpProgram| p.iter().filter(|op| matches!(op, Op::Send { .. })).count();
         assert!(case.programs.iter().all(|p| sends(p) == 255));
     }

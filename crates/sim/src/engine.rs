@@ -17,10 +17,14 @@
 //!
 //! Event ordering is total — `(time, insertion sequence)` — and every data
 //! structure iterates deterministically, so a run is a pure function of the
-//! programs and [`MachineParams`].
+//! programs and [`MachineParams`]. The queue holds one `u128` key per event,
+//! whose integer order is that order. Only the completion check scheduled
+//! last since the network last changed runs; the incremental solver gives a
+//! same-time batch of changes one check, at the `seq` its last change took.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -52,9 +56,7 @@ use crate::topology::{FatTree, Topology};
 pub struct Simulation {
     n: usize,
     params: MachineParams,
-    record_trace: bool,
-    trace_capacity: Option<usize>,
-    record_rates: bool,
+    obs: ObsConfig,
     topology: Topology,
 }
 
@@ -62,14 +64,7 @@ impl Simulation {
     /// Create a simulation of `n` nodes (`n ≥ 2`) on the CM-5 fat tree.
     pub fn new(n: usize, params: MachineParams) -> Simulation {
         assert!(n >= 2, "simulation needs at least 2 nodes, got {n}");
-        Simulation {
-            n,
-            params,
-            record_trace: false,
-            trace_capacity: None,
-            record_rates: false,
-            topology: Topology::FatTree(FatTree::new(n)),
-        }
+        Simulation::new_on(Topology::FatTree(FatTree::new(n)), params)
     }
 
     /// Create a simulation on an explicit [`Topology`] (e.g. the hypercube
@@ -80,16 +75,14 @@ impl Simulation {
         Simulation {
             n,
             params,
-            record_trace: false,
-            trace_capacity: None,
-            record_rates: false,
+            obs: ObsConfig::default(),
             topology,
         }
     }
 
     /// Enable the event trace in the returned report.
     pub fn record_trace(mut self, yes: bool) -> Simulation {
-        self.record_trace = yes;
+        self.obs.record_trace = yes;
         self
     }
 
@@ -97,7 +90,7 @@ impl Simulation {
     /// evictions are counted in [`SimReport::trace_dropped`]). Unbounded by
     /// default. Only meaningful together with [`Simulation::record_trace`].
     pub fn trace_capacity(mut self, cap: usize) -> Simulation {
-        self.trace_capacity = Some(cap.max(1));
+        self.obs.trace_capacity = Some(cap.max(1));
         self
     }
 
@@ -105,7 +98,7 @@ impl Simulation {
     /// at every recomputation into [`SimReport::rate_samples`]. Pure
     /// observation: simulated results are bit-identical either way.
     pub fn record_rates(mut self, yes: bool) -> Simulation {
-        self.record_rates = yes;
+        self.obs.record_rates = yes;
         self
     }
 
@@ -139,12 +132,11 @@ impl Simulation {
         source: &mut S,
     ) -> Result<SimReport, SimError> {
         self.params.validate().map_err(SimError::InvalidParams)?;
-        let obs = ObsConfig {
-            record_trace: self.record_trace,
-            trace_capacity: self.trace_capacity,
-            record_rates: self.record_rates,
-        };
-        let mut engine = Engine::new(self.topology.clone(), &self.params, obs, source);
+        if self.n > MAX_NODES {
+            let (nodes, max) = (self.n, MAX_NODES);
+            return Err(SimError::TooManyNodes { nodes, max });
+        }
+        let mut engine = Engine::new(self.topology.clone(), &self.params, self.obs, source);
         engine.run()
     }
 }
@@ -159,8 +151,8 @@ struct ObsConfig {
     record_rates: bool,
 }
 
-/// Engine event kinds.
-#[derive(Debug)]
+/// Engine event kinds, decoded from a [`pack`]ed queue key at pop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Node is ready: deliver its resume, pull actions until it blocks.
     Advance { node: usize },
@@ -171,33 +163,77 @@ enum Ev {
     /// The node's oldest queued non-blocking send becomes visible for
     /// matching.
     PostAsync { node: usize },
-    /// Re-examine the network for completed flows (stale if `gen` is old).
-    NetCheck { gen: u64 },
+    /// Re-examine the network for completed flows; a no-op unless it is
+    /// the current check ([`Engine::live_check`]).
+    NetCheck,
 }
 
-#[derive(Debug)]
-struct EvEntry {
-    time: SimTime,
-    seq: u64,
-    ev: Ev,
+const NODE_BITS: u32 = 20;
+const KIND_BITS: u32 = 3;
+/// The most nodes an engine run takes (2^20, a queue key's node field); a
+/// larger machine is [`SimError::TooManyNodes`].
+pub const MAX_NODES: usize = 1 << NODE_BITS;
+/// One past the largest `seq` a queue key holds (2^41): a run that numbers
+/// an event this high stops with [`SimError::EventOverflow`].
+const SEQ_LIMIT: u64 = 1 << (64 - KIND_BITS - NODE_BITS);
+
+/// An event's place in the queue, packed into one integer:
+///
+/// | bits    | 127..64   | 63..23 | 22..20 | 19..0              |
+/// |---------|-----------|--------|--------|--------------------|
+/// | field   | time (ns) | `seq`  | kind   | node (0 for none)  |
+///
+/// Integer order is `(time, seq)` order. A key is `t·2^64 + s·2^23 + r`
+/// with `r < 2^23` and `s·2^23 + r < 2^64`, so a smaller `t` is a smaller
+/// key, and at equal `t`, `sa < sb` gives `sa·2^23 + ra < (sa + 1)·2^23 ≤
+/// sb·2^23`. Queued events never share a `seq`, so kind and node never
+/// decide. This holds while each field fits: [`MAX_NODES`], [`SEQ_LIMIT`].
+fn pack(time: SimTime, seq: u64, ev: Ev) -> u128 {
+    let (kind, node) = match ev {
+        Ev::Advance { node } => (0, node),
+        Ev::PostComm { node } => (1, node),
+        Ev::PostCollective { node } => (2, node),
+        Ev::PostAsync { node } => (3, node),
+        Ev::NetCheck => (4, 0),
+    };
+    debug_assert!(seq < SEQ_LIMIT && node < MAX_NODES, "key field overflow");
+    let low = (seq << KIND_BITS | kind) << NODE_BITS | node as u64;
+    u128::from(time.0) << 64 | u128::from(low)
 }
 
-impl PartialEq for EvEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+/// The time, `seq` and event of a [`pack`]ed key.
+fn unpack(key: u128) -> (SimTime, u64, Ev) {
+    let low = key as u64;
+    let node = (low & (MAX_NODES as u64 - 1)) as usize;
+    let ev = match low >> NODE_BITS & ((1 << KIND_BITS) - 1) {
+        0 => Ev::Advance { node },
+        1 => Ev::PostComm { node },
+        2 => Ev::PostCollective { node },
+        3 => Ev::PostAsync { node },
+        _ => Ev::NetCheck,
+    };
+    let seq = low >> (KIND_BITS + NODE_BITS);
+    (SimTime((key >> 64) as u64), seq, ev)
+}
+
+/// Hashes an id the engine hands out (message id, isend handle) with one
+/// multiply by 2^64/φ. Ids are sequential, never user input, so nothing
+/// can flood a bucket; the odd multiplier keeps consecutive ids apart.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, id: &[u8]) {
+        let id = u64::from_ne_bytes(id.try_into().expect("engine ids are u64"));
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 }
-impl Eq for EvEntry {}
-impl PartialOrd for EvEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EvEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
+
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// A non-blocking send posted but not yet visible for matching.
 struct AsyncSend {
@@ -244,6 +280,7 @@ struct CollectiveState {
     values: Vec<f64>,
 }
 
+#[derive(Default)]
 struct NodeMeta {
     clock: SimTime,
     done: bool,
@@ -261,27 +298,27 @@ struct Engine<'a, S: ProgramSource> {
     blocked_action: Vec<Option<Action>>,
     matcher: Matcher<Outgoing, CollKind<ReduceOp>>,
     /// Messages in flight.
-    messages: HashMap<u64, MsgInfo>,
+    messages: IdMap<MsgInfo>,
     /// Eager messages that arrived before a receive took them.
-    mailbox: HashMap<u64, MsgInfo>,
+    mailbox: IdMap<MsgInfo>,
     /// Per-node FIFO of posted-but-not-yet-visible non-blocking sends.
     async_queue: Vec<std::collections::VecDeque<AsyncSend>>,
     /// Per-node: handle → completed? for every outstanding/unwaited isend.
-    async_state: Vec<HashMap<u64, bool>>,
+    async_state: Vec<IdMap<bool>>,
     next_handle: u64,
     collective: Option<CollectiveState>,
-    events: BinaryHeap<Reverse<EvEntry>>,
+    /// The event queue: one [`pack`]ed key per event, least first.
+    events: BinaryHeap<Reverse<u128>>,
     seq: u64,
-    net_gen: u64,
+    /// `seq` of the current `NetCheck`: the last one scheduled since the
+    /// network last changed, if any.
+    live_check: Option<u64>,
     msg_seq: u64,
-    /// Batched admissions (incremental solver): network mutations at
-    /// `pending_net_at` whose completion check is not yet scheduled.
-    pending_net: bool,
-    pending_net_at: SimTime,
-    /// Event sequence number reserved at the *last* mutation of the batch,
-    /// so the eventual NetCheck occupies exactly the queue position the
-    /// eager per-mutation path would have given it.
-    pending_net_seq: u64,
+    /// Batched admissions (incremental solver): the time of mutations whose
+    /// completion check is not yet scheduled, and the `seq` reserved at the
+    /// *last* of them, so the check takes the queue position the eager
+    /// per-mutation path would have given it.
+    pending_net: Option<(SimTime, u64)>,
     /// Reused drain buffer for the tokens of completed flows.
     completed_buf: Vec<u64>,
     events_processed: u64,
@@ -317,30 +354,21 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             params,
             topo,
             network,
-            nodes: (0..n)
-                .map(|_| NodeMeta {
-                    clock: SimTime::ZERO,
-                    done: false,
-                    block_start: None,
-                    report: NodeReport::default(),
-                })
-                .collect(),
+            nodes: (0..n).map(|_| NodeMeta::default()).collect(),
             resume_slot: (0..n).map(|_| Some(Resume::at(SimTime::ZERO))).collect(),
             blocked_action: (0..n).map(|_| None).collect(),
             matcher: Matcher::new(n),
-            messages: HashMap::new(),
-            mailbox: HashMap::new(),
+            messages: IdMap::default(),
+            mailbox: IdMap::default(),
             async_queue: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
-            async_state: (0..n).map(|_| HashMap::new()).collect(),
+            async_state: (0..n).map(|_| IdMap::default()).collect(),
             next_handle: 0,
             collective: None,
             events: BinaryHeap::new(),
             seq: 0,
-            net_gen: 0,
+            live_check: None,
             msg_seq: 0,
-            pending_net: false,
-            pending_net_at: SimTime::ZERO,
-            pending_net_seq: 0,
+            pending_net: None,
             completed_buf: Vec::new(),
             events_processed: 0,
             started: Instant::now(),
@@ -370,7 +398,10 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
     fn push(&mut self, time: SimTime, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
-        self.events.push(Reverse(EvEntry { time, seq, ev }));
+        // A `seq` past its field is never packed: `step` stops the run.
+        if seq < SEQ_LIMIT {
+            self.events.push(Reverse(pack(time, seq, ev)));
+        }
     }
 
     fn trace(&mut self, time: SimTime, kind: TraceKind) {
@@ -394,34 +425,35 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
     /// Pop and dispatch one event. `Ok(false)` means the heap drained with
     /// no pending network batch.
     fn step(&mut self) -> Result<bool, SimError> {
-        let Some(Reverse(entry)) = self.events.pop() else {
+        if self.seq > SEQ_LIMIT {
+            return Err(SimError::EventOverflow);
+        }
+        let Some(&Reverse(key)) = self.events.peek() else {
             return Ok(self.flush_net());
         };
         // A batched network mutation must schedule its completion check
         // before any event that sorts after the reserved queue position.
-        if self.pending_net && (entry.time, entry.seq) > (self.pending_net_at, self.pending_net_seq)
+        if self
+            .pending_net
+            .is_some_and(|(at, seq)| key > pack(at, seq, Ev::NetCheck))
         {
-            self.flush_net();
-            self.events.push(Reverse(entry));
-            return Ok(true);
+            return Ok(self.flush_net());
         }
+        self.events.pop();
+        let (t, seq, ev) = unpack(key);
         // Every addition to the clock saturates, so an event at the end of
         // time stands for one beyond it; dispatching it would loop there.
-        if entry.time == SimTime(u64::MAX) {
+        if t == SimTime(u64::MAX) {
             return Err(SimError::ClockOverflow);
         }
         self.events_processed += 1;
-        let t = entry.time;
-        match entry.ev {
+        match ev {
             Ev::Advance { node } => self.handle_advance(node)?,
             Ev::PostComm { node } => self.handle_post_comm(node, t)?,
             Ev::PostCollective { node } => self.handle_post_collective(node, t)?,
             Ev::PostAsync { node } => self.handle_post_async(node, t),
-            Ev::NetCheck { gen } => {
-                if gen == self.net_gen {
-                    self.handle_net(t);
-                }
-            }
+            Ev::NetCheck if self.live_check == Some(seq) => self.handle_net(t),
+            Ev::NetCheck => {}
         }
         Ok(true)
     }
@@ -545,13 +577,9 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                             detail: format!("send of {bytes}B to invalid peer {to}"),
                         });
                     }
-                    let oh = self.params.send_overhead;
-                    self.nodes[node].clock += oh;
-                    self.nodes[node].report.busy += oh;
-                    let at = self.nodes[node].clock;
-                    self.blocked_action[node] = Some(action);
-                    self.nodes[node].block_start = Some(at);
-                    self.push(at, Ev::PostComm { node });
+                    self.nodes[node].clock += self.params.send_overhead;
+                    self.nodes[node].report.busy += self.params.send_overhead;
+                    self.block(node, action, Ev::PostComm { node });
                     return Ok(());
                 }
                 Action::Isend {
@@ -607,27 +635,28 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                             });
                         }
                     }
-                    let oh = self.params.recv_overhead;
-                    self.nodes[node].clock += oh;
-                    self.nodes[node].report.busy += oh;
-                    let at = self.nodes[node].clock;
-                    self.blocked_action[node] = Some(action);
-                    self.nodes[node].block_start = Some(at);
-                    self.push(at, Ev::PostComm { node });
+                    self.nodes[node].clock += self.params.recv_overhead;
+                    self.nodes[node].report.busy += self.params.recv_overhead;
+                    self.block(node, action, Ev::PostComm { node });
                     return Ok(());
                 }
                 Action::Barrier
                 | Action::SystemBcast { .. }
                 | Action::Reduce { .. }
                 | Action::Scan { .. } => {
-                    let at = self.nodes[node].clock;
-                    self.blocked_action[node] = Some(action);
-                    self.nodes[node].block_start = Some(at);
-                    self.push(at, Ev::PostCollective { node });
+                    self.block(node, action, Ev::PostCollective { node });
                     return Ok(());
                 }
             }
         }
+    }
+
+    /// Block `node` on `action` at its clock and queue `ev` there.
+    fn block(&mut self, node: usize, action: Action, ev: Ev) {
+        let at = self.nodes[node].clock;
+        self.blocked_action[node] = Some(action);
+        self.nodes[node].block_start = Some(at);
+        self.push(at, ev);
     }
 
     /// Resume a blocked node at `at` with `resume`.
@@ -835,12 +864,12 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         msg_id
     }
 
-    /// Bump the network generation and schedule the next completion check.
+    /// Make every queued check stale and schedule the next one.
     fn reschedule_net(&mut self) {
-        self.net_gen += 1;
+        self.live_check = None;
         if let Some(tc) = self.network.next_completion() {
-            let gen = self.net_gen;
-            self.push(tc, Ev::NetCheck { gen });
+            self.live_check = Some(self.seq);
+            self.push(tc, Ev::NetCheck);
         }
     }
 
@@ -855,19 +884,15 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             RateSolver::Full => self.reschedule_net(),
             RateSolver::Incremental => {
                 invariant!(
-                    !self.pending_net || self.pending_net_at == t,
+                    self.pending_net.is_none_or(|(at, _)| at == t),
                     "a pending batch must be flushed before time advances"
                 );
-                // Bump the generation *now*, exactly as the eager path
-                // does: any NetCheck already in the queue — including one
-                // at this very timestamp with a smaller sequence number —
-                // must be stale from this point on.
-                self.net_gen += 1;
-                let seq = self.seq;
+                // Stale every queued check *now*, exactly as the eager path
+                // does: one already in the queue — including one at this
+                // very timestamp with a smaller `seq` — must not run.
+                self.live_check = None;
+                self.pending_net = Some((t, self.seq));
                 self.seq += 1;
-                self.pending_net = true;
-                self.pending_net_at = t;
-                self.pending_net_seq = seq;
             }
         }
     }
@@ -875,19 +900,14 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
     /// Schedule the completion check for a batch of same-timestamp network
     /// mutations. Returns whether a batch was pending.
     fn flush_net(&mut self) -> bool {
-        if !self.pending_net {
+        let Some((_, seq)) = self.pending_net.take() else {
             return false;
-        }
-        self.pending_net = false;
+        };
         // `next_completion` triggers the one rate recompute for the batch.
-        // The generation was already bumped at the last mutation.
+        // Only `step` flushes, after checking that `seq` fits its field.
         if let Some(tc) = self.network.next_completion() {
-            let gen = self.net_gen;
-            self.events.push(Reverse(EvEntry {
-                time: tc,
-                seq: self.pending_net_seq,
-                ev: Ev::NetCheck { gen },
-            }));
+            self.events.push(Reverse(pack(tc, seq, Ev::NetCheck)));
+            self.live_check = Some(seq);
         }
         true
     }
@@ -1505,6 +1525,174 @@ mod tests {
             assert_eq!(a.finished_at, b.finished_at);
             assert_eq!(a.blocked, b.blocked);
         }
+    }
+
+    /// Every kind at each node, `NetCheck` (which carries none) included.
+    fn every_kind(node: usize) -> [Ev; 5] {
+        [
+            Ev::Advance { node },
+            Ev::PostComm { node },
+            Ev::PostCollective { node },
+            Ev::PostAsync { node },
+            Ev::NetCheck,
+        ]
+    }
+
+    #[test]
+    fn keys_round_trip_and_order_as_time_then_seq_at_the_field_limits() {
+        let mut keys = Vec::new();
+        for time in [0, 1, u64::MAX - 1, u64::MAX] {
+            for seq in [0, 1, SEQ_LIMIT - 2, SEQ_LIMIT - 1] {
+                for node in [0, 1, MAX_NODES - 1] {
+                    for ev in every_kind(node) {
+                        let key = pack(SimTime(time), seq, ev);
+                        assert_eq!(unpack(key), (SimTime(time), seq, ev));
+                        keys.push((key, (time, seq)));
+                    }
+                }
+            }
+        }
+        // Distinct (time, seq) pairs order the same as their keys; equal
+        // pairs never share the queue, since every event has its own seq.
+        for (ka, a) in &keys {
+            for (kb, b) in &keys {
+                if a != b {
+                    assert_eq!(ka.cmp(kb), a.cmp(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_heap_of_keys_pops_in_reference_order() {
+        // Few distinct times ahead of the clock, as in a run; some seqs are
+        // reserved and pushed late, below seqs already queued at the same
+        // time, as `flush_net` pushes its reserved seq.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = move |below: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % below
+        };
+        let (mut keys, mut reference) = (BinaryHeap::new(), BinaryHeap::new());
+        let (mut seq, mut now, mut reserved) = (0u64, 0u64, Vec::new());
+        let mut popped = 0;
+        for _ in 0..50_000 {
+            match rand(8) {
+                0..=2 => {
+                    let Some(Reverse(key)) = keys.pop() else {
+                        continue;
+                    };
+                    let (t, s, _) = unpack(key);
+                    assert_eq!(reference.pop(), Some(Reverse((t, s))));
+                    now = t.0;
+                    popped += 1;
+                }
+                3 => {
+                    reserved.push(seq);
+                    seq += 1;
+                }
+                r => {
+                    let s = match reserved.pop() {
+                        Some(s) if r == 4 => s,
+                        _ => {
+                            seq += 1;
+                            seq - 1
+                        }
+                    };
+                    let t = SimTime(now + rand(3) * 1000);
+                    let node = rand(MAX_NODES as u64) as usize;
+                    keys.push(Reverse(pack(t, s, every_kind(node)[rand(5) as usize])));
+                    reference.push(Reverse((t, s)));
+                }
+            }
+        }
+        assert!(popped > 10_000);
+        while let Some(Reverse(key)) = keys.pop() {
+            let (t, s, _) = unpack(key);
+            assert_eq!(reference.pop(), Some(Reverse((t, s))));
+        }
+        assert!(reference.is_empty());
+    }
+
+    #[test]
+    fn a_seq_past_its_field_stops_the_run_instead_of_wrapping() {
+        let params = MachineParams::cm5_1992();
+        let programs = idle(2);
+        // Two idle nodes queue one event each: the last seq in the field
+        // still runs, one beyond it is an error before the next pop.
+        for (first, fits) in [(SEQ_LIMIT - 2, true), (SEQ_LIMIT - 1, false)] {
+            let mut source = OpSource::new(&programs, &params);
+            let topo = Topology::FatTree(FatTree::new(2));
+            let mut engine = Engine::new(topo, &params, ObsConfig::default(), &mut source);
+            engine.seq = first;
+            match engine.run() {
+                Ok(r) if fits => assert_eq!(r.perf.events, 2),
+                Err(SimError::EventOverflow) if !fits => {}
+                other => panic!("first seq {first}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_machine_past_the_node_field_is_refused_before_the_engine_is_built() {
+        struct Unreached;
+        impl ProgramSource for Unreached {
+            fn next(&mut self, _: usize, _: Resume) -> Result<Action, SimError> {
+                unreachable!("no node of a refused machine runs")
+            }
+        }
+        // The fat tree stores its levels, not its nodes: building the
+        // simulation allocates nothing per node.
+        let sim = Simulation::new(MAX_NODES + 1, MachineParams::cm5_1992());
+        match sim.run_source(&mut Unreached) {
+            Err(SimError::TooManyNodes { nodes, max }) => {
+                assert_eq!((nodes, max), (MAX_NODES + 1, MAX_NODES));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn admissions_stale_queued_checks_and_the_run_matches_the_full_solver() {
+        // A (0 -> 1, 2 ms) is admitted at 40 us; its check sits at 2040 us.
+        // B (2 -> 3) is admitted at 540 us: that check goes stale and a new
+        // one is queued at 2040 us. D (4 -> 5) is admitted at 2040 us, the
+        // check's own timestamp and ahead of it in the queue (node 4 queued
+        // its post at time 0), so the second check goes stale too.
+        let send = |to, bytes| Op::Send { to, bytes, tag: 0 };
+        let recv = |from| Op::Recv { from, tag: 0 };
+        let mut p = idle(8);
+        p[0] = vec![send(1, 16_000)];
+        p[1] = vec![recv(0)];
+        p[2] = vec![Op::Compute(SimDuration::from_micros(500)), send(3, 16_000)];
+        p[3] = vec![recv(2)];
+        p[4] = vec![Op::Compute(SimDuration::from_micros(2000)), send(5, 1000)];
+        p[5] = vec![recv(4)];
+        let run = |solver| {
+            let mut params = MachineParams::cm5_1992();
+            params.rate_solver = solver;
+            Simulation::new(8, params)
+                .record_trace(true)
+                .run_ops(&p)
+                .unwrap()
+        };
+        let (inc, full) = (run(RateSolver::Incremental), run(RateSolver::Full));
+        assert_eq!(inc.makespan, full.makespan);
+        assert_eq!(inc.trace, full.trace);
+        assert_eq!(inc.bytes_per_level, full.bytes_per_level);
+        for (a, b) in inc.nodes.iter().zip(&full.nodes) {
+            assert_eq!(
+                (a.busy, a.blocked, a.finished_at),
+                (b.busy, b.blocked, b.finished_at)
+            );
+        }
+        // 14 advances, 6 posts and 5 checks under either solver: the two
+        // stale ones pop and do nothing, and A, D and B drain at the other
+        // three. A stale check that ran would drain A early or queue more.
+        assert_eq!((inc.perf.events, full.perf.events), (25, 25));
+        assert_eq!(inc.nodes[4].finished_at, SimTime(2_040_000 + 126_000));
     }
 
     #[test]

@@ -42,6 +42,17 @@ pub enum SimError {
     /// An event fell at the saturated virtual clock (`u64::MAX` ns, about
     /// 584 years): some transfer or compute is too long to simulate.
     ClockOverflow,
+    /// The machine has more nodes than an event key's node field holds
+    /// ([`crate::engine::MAX_NODES`]); nothing was allocated.
+    TooManyNodes {
+        /// Nodes asked for.
+        nodes: usize,
+        /// The cap.
+        max: usize,
+    },
+    /// The run numbered more events than an event key's `seq` field holds
+    /// (2^41, about 2.2 trillion); it stops rather than wrap.
+    EventOverflow,
     /// A thread-frontend run asked for more nodes than it spawns threads
     /// for ([`crate::cmmd::MAX_THREAD_NODES`]); nothing was spawned.
     TooManyThreads {
@@ -82,6 +93,14 @@ impl fmt::Display for SimError {
             SimError::ClockOverflow => write!(
                 f,
                 "virtual clock overflow: an event lies beyond u64::MAX ns (about 584 years)"
+            ),
+            SimError::TooManyNodes { nodes, max } => write!(
+                f,
+                "{nodes} nodes is more than the engine simulates (at most {max})"
+            ),
+            SimError::EventOverflow => write!(
+                f,
+                "event counter overflow: the run numbered more than 2^41 events"
             ),
             SimError::TooManyThreads { nodes, max } => write!(
                 f,
